@@ -1,0 +1,147 @@
+"""IEC 60076-7 top-oil temperature model.
+
+First-order thermal ODE for the bulk oil:
+
+    [(1 + K(t)^2 * psi) / (1 + psi)]^chi * dT_or = k11 * tau_o * dTo/dt + (To - Ta)
+
+solved with the explicit (forward) Euler update, inputs held constant within
+each sub-interval. ONAN cooling only; constants must come from a parameter
+file since they are transformer-specific.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from .series import TimeSeries
+
+
+@dataclass(frozen=True)
+class IecParams:
+    """Thermal constants of the top-oil equation.
+
+    psi: ratio of load losses at rated current to no-load losses [-]
+    delta_t_or_k: top-oil rise in steady state at rated losses [K]
+    chi: exponent of total losses vs. top-oil rise [-]
+    k11: thermal model constant [-]
+    tau_o_min: oil time constant [min]
+    tau_w_min: smallest winding time constant [min] (governs the step rule)
+    """
+
+    psi: float
+    delta_t_or_k: float
+    chi: float
+    k11: float
+    tau_o_min: float
+    tau_w_min: float
+
+    def __post_init__(self):
+        for name in ("psi", "delta_t_or_k", "chi", "k11", "tau_o_min", "tau_w_min"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"IEC parameter {name} must be positive")
+        if self.chi > 2:
+            raise ValueError(f"loss exponent chi must be in (0, 2], got {self.chi}")
+
+    @classmethod
+    def from_json(cls, path) -> "IecParams":
+        with open(path) as fh:
+            raw = json.load(fh)
+        keys = ("psi", "delta_t_or_k", "chi", "k11", "tau_o_min", "tau_w_min")
+        missing = [k for k in keys if k not in raw]
+        if missing:
+            raise ValueError(f"IEC parameter file {path} missing keys: {missing}")
+        return cls(**{k: float(raw[k]) for k in keys})
+
+
+@dataclass(frozen=True)
+class IecState:
+    """Instantaneous solver state: top-oil temperature at an instant."""
+
+    t_oil: float
+    t: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.t_oil):
+            raise ValueError("non-finite top-oil temperature")
+
+
+def load_bracket(K, p: IecParams):
+    """[(1 + K^2 psi) / (1 + psi)]^chi — equals 1 at rated load (K=1)."""
+    K = np.asarray(K, dtype=np.float64)
+    return ((1.0 + K * K * p.psi) / (1.0 + p.psi)) ** p.chi
+
+
+def steady_state(K: float, t_ambient: float, p: IecParams) -> float:
+    """Top-oil temperature [degC] the ODE settles to for constant load and
+    ambient."""
+    if np.any(np.asarray(K) < 0):
+        raise ValueError("load factor K must be >= 0")
+    return t_ambient + p.delta_t_or_k * float(load_bracket(K, p))
+
+
+def check_timestep(dt_min: float, p: IecParams) -> bool:
+    """True iff dt satisfies the explicit-integration rule dt <= tau_w / 2."""
+    if dt_min <= 0:
+        raise ValueError("dt must be positive")
+    return dt_min <= p.tau_w_min / 2.0
+
+
+def step(t_prev: float, K: float, t_ambient: float, dt_min: float, p: IecParams,
+         enforce_timestep: bool = False) -> float:
+    """One forward-Euler update of the top-oil temperature over dt minutes.
+
+    dt=0 is the degenerate no-op; negative dt is an error.
+    """
+    if dt_min < 0:
+        raise ValueError(f"negative timestep dt={dt_min}")
+    if enforce_timestep and dt_min > 0 and not check_timestep(dt_min, p):
+        raise ValueError(
+            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min"
+        )
+    drive = float(load_bracket(K, p)) * p.delta_t_or_k - (t_prev - t_ambient)
+    return t_prev + (dt_min / (p.k11 * p.tau_o_min)) * drive
+
+
+def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecParams,
+             enforce_timestep: bool = True) -> TimeSeries:
+    """Integrate the top-oil trajectory over aligned load and ambient series.
+
+    The output has one value per input instant, starting at t0. When dt is
+    finer than the series cadence it must divide it evenly; load and ambient
+    are held constant (left endpoint) across the sub-steps of each interval.
+    """
+    if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
+        raise ValueError("load and ambient series are not aligned")
+    if dt_min <= 0:
+        raise ValueError("dt must be positive")
+    if enforce_timestep and not check_timestep(dt_min, p):
+        raise ValueError(
+            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
+            "(pass enforce_timestep=False to override)"
+        )
+    step_s = float(np.diff(K.timestamps).min()) if len(K) > 1 else K.step
+    dt_s = dt_min * 60.0
+    n_sub = step_s / dt_s
+    if abs(n_sub - round(n_sub)) > 1e-9 or n_sub < 1:
+        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step "
+                         f"({step_s / 60.0} min)")
+    n_sub = int(round(n_sub))
+
+    alpha = dt_min / (p.k11 * p.tau_o_min)
+    drive = load_bracket(K.values, p) * p.delta_t_or_k
+    ta = Ta.values
+    out = np.empty(len(K), dtype=np.float64)
+    out[0] = t_oil = float(t0)
+    for i in range(1, len(K)):
+        d = drive[i - 1]
+        a = ta[i - 1]
+        for _ in range(n_sub):
+            t_oil += alpha * (d - (t_oil - a))
+        out[i] = t_oil
+    if not np.isfinite(out).all():
+        bad = int(np.argmax(~np.isfinite(out)))
+        raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
+    return TimeSeries(K.timestamps, out, K.step)

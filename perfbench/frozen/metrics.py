@@ -1,0 +1,113 @@
+"""Point and quantile losses plus prediction-interval metrics."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class LossKind:
+    """Training objective: plain point loss (MAE) or pinball at a set of
+    quantile levels."""
+
+    kind: str                       # 'point' | 'quantile'
+    alphas: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in ("point", "quantile"):
+            raise ValueError(f"loss kind must be 'point' or 'quantile', got '{self.kind}'")
+        if self.kind == "quantile":
+            validate_quantiles(self.alphas)
+
+
+def validate_quantiles(alphas) -> tuple[float, ...]:
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("quantile loss needs at least one level")
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"quantile level {a} outside (0, 1)")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError(f"quantile levels must be strictly increasing, got {alphas}")
+    return alphas
+
+
+@dataclass(frozen=True)
+class IntervalSummary:
+    """Coverage fraction and mean width of a prediction interval."""
+
+    picp: float
+    mean_width: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.picp <= 1.0:
+            raise ValueError(f"picp {self.picp} outside [0, 1]")
+        if self.mean_width < 0.0:
+            raise ValueError(f"negative mean interval width {self.mean_width}")
+
+
+def _pair(y, y_hat):
+    y = np.asarray(y, dtype=np.float64)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    if y.shape != y_hat.shape:
+        raise ValueError(f"length mismatch: {y.shape} vs {y_hat.shape}")
+    if y.size == 0:
+        raise ValueError("empty input")
+    return y, y_hat
+
+
+def mae(y, y_hat) -> float:
+    y, y_hat = _pair(y, y_hat)
+    return float(np.mean(np.abs(y - y_hat)))
+
+
+def mse(y, y_hat) -> float:
+    y, y_hat = _pair(y, y_hat)
+    return float(np.mean((y - y_hat) ** 2))
+
+
+def pinball(y, y_hat, alpha: float):
+    """max(alpha * (y - y_hat), (alpha - 1) * (y - y_hat)).
+
+    Underestimates cost alpha per unit, overestimates 1 - alpha; the
+    minimizing constant is the alpha-quantile.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"quantile level {alpha} outside (0, 1)")
+    d = np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64)
+    out = np.maximum(alpha * d, (alpha - 1.0) * d)
+    return float(out) if out.ndim == 0 else out
+
+
+def mql(y, y_hat, alpha) -> float:
+    """Mean pinball loss over a sample; for several levels, the unweighted
+    average of the per-level means."""
+    y, y_hat = _pair(y, y_hat)
+    alphas = (alpha,) if np.isscalar(alpha) else tuple(alpha)
+    return float(np.mean([np.mean(pinball(y, y_hat, a)) for a in alphas]))
+
+
+def picp(y, lower, upper) -> float:
+    """Fraction of true values inside [lower, upper], bounds inclusive."""
+    y = np.asarray(y, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if not (y.shape == lower.shape == upper.shape):
+        raise ValueError("y, lower, upper must have equal shapes")
+    if (lower > upper).any():
+        raise ValueError("crossed interval bounds; apply enforce_non_crossing first")
+    return float(np.mean((y >= lower) & (y <= upper)))
+
+
+def mean_interval_width(lower, upper) -> float:
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    if (lower > upper).any():
+        raise ValueError("crossed interval bounds; apply enforce_non_crossing first")
+    return float(np.mean(upper - lower))
+
+
+def interval_summary(y, lower, upper) -> IntervalSummary:
+    return IntervalSummary(picp(y, lower, upper), mean_interval_width(lower, upper))

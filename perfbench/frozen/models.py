@@ -1,0 +1,484 @@
+"""Forecasting architectures: MLP, TCN, and TiDE.
+
+Each model maps a flattened look-back window (plus, for TiDE, covariates over
+the forecast steps) to horizon * n_targets * n_quantile output values. Point
+models are the degenerate single-quantile case.
+"""
+
+from __future__ import annotations
+
+import base64
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+from . import nn
+from .autodiff import Tensor, as_tensor, causal_conv1d, concat, reshape
+from .metrics import validate_quantiles
+from .series import AffineScaler
+
+COVARIATE_CHANNELS = ("ambient", "load_factor")
+
+
+def _check_positive(cfg, names):
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be >= 1")
+
+
+def _norm_quantiles(q):
+    return validate_quantiles(q) if q else ()
+
+
+@dataclass(frozen=True)
+class MlpConfig:
+    n_layers: int = 4
+    n_neurons: int = 64
+    lookback: int = 48
+    n_channels: int = 3
+    n_targets: int = 1
+    horizon: int = 1
+    activation: str = "relu"
+    quantiles: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        _check_positive(self, ("n_layers", "n_neurons", "lookback", "n_channels",
+                               "n_targets", "horizon"))
+        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
+
+    @property
+    def n_quantiles(self) -> int:
+        return max(1, len(self.quantiles))
+
+    @property
+    def n_outputs(self) -> int:
+        return self.horizon * self.n_targets * self.n_quantiles
+
+
+@dataclass(frozen=True)
+class TcnConfig:
+    kernel: int = 2
+    n_filters: int = 16
+    n_blocks: int | None = None   # None: smallest stack whose receptive field covers L
+    lookback: int = 48
+    n_channels: int = 3
+    n_targets: int = 1
+    horizon: int = 1
+    activation: str = "relu"
+    quantiles: tuple[float, ...] = ()
+    dropout: float = 0.0          # regularization switches, off by default
+    weight_norm: bool = False
+
+    def __post_init__(self):
+        _check_positive(self, ("kernel", "n_filters", "lookback", "n_channels",
+                               "n_targets", "horizon"))
+        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
+
+    @property
+    def n_quantiles(self) -> int:
+        return max(1, len(self.quantiles))
+
+    @property
+    def n_outputs(self) -> int:
+        return self.horizon * self.n_targets * self.n_quantiles
+
+
+@dataclass(frozen=True)
+class TideConfig:
+    temporal_width: int = 4           # covariate projection size r-tilde
+    decoder_output_dim: int = 8       # p: per-step decoded vector size
+    temporal_decoder_hidden: int = 8
+    hidden_size: int = 32             # width of encoder/decoder residual blocks
+    n_encoder_layers: int = 2
+    n_decoder_layers: int = 2
+    lookback: int = 48
+    horizon: int = 1
+    n_targets: int = 1
+    n_covariates: int = 2
+    n_static: int = 0
+    activation: str = "relu"
+    quantiles: tuple[float, ...] = ()
+    dropout: float = 0.0          # regularization switches, off by default
+    use_layer_norm: bool = False
+
+    def __post_init__(self):
+        _check_positive(self, ("temporal_width", "decoder_output_dim",
+                               "temporal_decoder_hidden", "hidden_size",
+                               "n_encoder_layers", "n_decoder_layers", "lookback",
+                               "horizon", "n_targets", "n_covariates"))
+        if self.n_static < 0:
+            raise ValueError("n_static must be >= 0")
+        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
+
+    @property
+    def n_channels(self) -> int:
+        return self.n_targets + self.n_covariates
+
+    @property
+    def n_quantiles(self) -> int:
+        return max(1, len(self.quantiles))
+
+    @property
+    def n_outputs(self) -> int:
+        return self.horizon * self.n_targets * self.n_quantiles
+
+
+# -------- MLP --------
+
+class Mlp:
+    """Fully connected stack: n_layers hidden layers of n_neurons, then a
+    linear head over the flattened look-back."""
+
+    def __init__(self, cfg: MlpConfig):
+        self.cfg = cfg
+
+    def init_params(self, seed: int) -> dict[str, Tensor]:
+        rng = nn.rng_from_seed(seed, 0)
+        params: dict[str, Tensor] = {}
+        n_in = self.cfg.lookback * self.cfg.n_channels
+        for i in range(self.cfg.n_layers):
+            nn.init_linear(params, rng, f"hidden{i}", n_in, self.cfg.n_neurons)
+            n_in = self.cfg.n_neurons
+        nn.init_linear(params, rng, "head", n_in, self.cfg.n_outputs)
+        return params
+
+    def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
+        h = as_tensor(x)
+        for i in range(self.cfg.n_layers):
+            h = nn.dense(h, params, f"hidden{i}", self.cfg.activation)
+        return nn.linear(h, params, "head")
+
+
+# -------- TCN --------
+
+def _rf(kernel: int, n_blocks: int, convs_per_block: int = 2) -> int:
+    # dilation doubles per block: sum of 1, 2, 4, ... is 2^blocks - 1
+    return 1 + (kernel - 1) * convs_per_block * (2 ** n_blocks - 1)
+
+
+def _auto_blocks(kernel: int, lookback: int) -> int:
+    if kernel < 2:
+        if lookback == 1:
+            return 1
+        raise ValueError("kernel=1 convolutions are pointwise; receptive field "
+                         f"cannot reach lookback {lookback}")
+    b = 1
+    while _rf(kernel, b) < lookback:
+        b += 1
+    return b
+
+
+def receptive_field(cfg: TcnConfig) -> int:
+    """Past steps visible to the final output: 1 + (k-1) * convs_per_block *
+    sum of dilations."""
+    n_blocks = cfg.n_blocks if cfg.n_blocks is not None else _auto_blocks(cfg.kernel, cfg.lookback)
+    return _rf(cfg.kernel, n_blocks)
+
+
+class Tcn:
+    """Stack of residual blocks of two dilated causal convolutions each,
+    dilation doubling per block; forecast read from the last timestep."""
+
+    def __init__(self, cfg: TcnConfig):
+        self.cfg = cfg
+        self.n_blocks = cfg.n_blocks if cfg.n_blocks is not None \
+            else _auto_blocks(cfg.kernel, cfg.lookback)
+        rf = _rf(cfg.kernel, self.n_blocks)
+        if rf < cfg.lookback:
+            raise ValueError(f"receptive field {rf} < lookback {cfg.lookback}; "
+                             "increase n_blocks or kernel")
+
+    def init_params(self, seed: int) -> dict[str, Tensor]:
+        rng = nn.rng_from_seed(seed, 0)
+        params: dict[str, Tensor] = {}
+        n_in = self.cfg.n_channels
+        for i in range(self.n_blocks):
+            nn.init_conv(params, rng, f"block{i}.conv1", self.cfg.kernel, n_in,
+                         self.cfg.n_filters, self.cfg.weight_norm)
+            nn.init_conv(params, rng, f"block{i}.conv2", self.cfg.kernel,
+                         self.cfg.n_filters, self.cfg.n_filters, self.cfg.weight_norm)
+            if n_in != self.cfg.n_filters:
+                nn.init_conv(params, rng, f"block{i}.skip", 1, n_in, self.cfg.n_filters)
+            n_in = self.cfg.n_filters
+        nn.init_linear(params, rng, "head", self.cfg.n_filters, self.cfg.n_outputs)
+        return params
+
+    def _features(self, params: dict, x, rng=None) -> Tensor:
+        x = as_tensor(x)
+        B = x.shape[0]
+        h = reshape(x, (B, self.cfg.lookback, self.cfg.n_channels))
+        act = nn.activation(self.cfg.activation)
+        rate = self.cfg.dropout
+        for i in range(self.n_blocks):
+            d = 2 ** i
+            h1 = act(causal_conv1d(h, nn.conv_kernel(params, f"block{i}.conv1"),
+                                   params[f"block{i}.conv1.b"], d))
+            h1 = nn.dropout(h1, rate, rng)
+            h2 = causal_conv1d(h1, nn.conv_kernel(params, f"block{i}.conv2"),
+                               params[f"block{i}.conv2.b"], d)
+            h2 = nn.dropout(h2, rate, rng)
+            if f"block{i}.skip.w" in params:
+                skip = causal_conv1d(h, params[f"block{i}.skip.w"],
+                                     params[f"block{i}.skip.b"], 1)
+            else:
+                skip = h
+            h = h2 + skip
+        return h  # (B, L, n_filters)
+
+    def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
+        h = self._features(params, x, rng)
+        last = h[:, -1, :]
+        return nn.linear(last, params, "head")
+
+    def forward_sequence(self, params: dict, x) -> Tensor:
+        """Per-timestep head readout, (B, L, n_outputs); used to probe
+        causality."""
+        return nn.linear(self._features(params, x), params, "head")
+
+
+# -------- TiDE --------
+
+class Tide:
+    """Dense encoder-decoder with per-step covariate projection, a temporal
+    decoder over each horizon step, and a global linear residual of the
+    look-back."""
+
+    def __init__(self, cfg: TideConfig):
+        self.cfg = cfg
+
+    def init_params(self, seed: int) -> dict[str, Tensor]:
+        cfg = self.cfg
+        rng = nn.rng_from_seed(seed, 0)
+        params: dict[str, Tensor] = {}
+        ln = cfg.use_layer_norm
+        nn.init_residual_block(params, rng, "proj", cfg.n_covariates, cfg.hidden_size,
+                               cfg.temporal_width, ln)
+        enc_in = (cfg.lookback * cfg.n_targets
+                  + (cfg.lookback + cfg.horizon) * cfg.temporal_width
+                  + cfg.n_static)
+        for i in range(cfg.n_encoder_layers):
+            nn.init_residual_block(params, rng, f"encoder{i}",
+                                   enc_in if i == 0 else cfg.hidden_size,
+                                   cfg.hidden_size, cfg.hidden_size, ln)
+        for i in range(cfg.n_decoder_layers):
+            out = cfg.decoder_output_dim * cfg.horizon if i == cfg.n_decoder_layers - 1 \
+                else cfg.hidden_size
+            nn.init_residual_block(params, rng, f"decoder{i}", cfg.hidden_size,
+                                   cfg.hidden_size, out, ln)
+        nn.init_residual_block(params, rng, "temporal",
+                               cfg.decoder_output_dim + cfg.temporal_width,
+                               cfg.temporal_decoder_hidden,
+                               cfg.n_targets * cfg.n_quantiles, ln)
+        nn.init_linear(params, rng, "global", cfg.lookback * cfg.n_targets,
+                       cfg.n_outputs)
+        return params
+
+    def forward(self, params: dict, x, future=None, static=None, rng=None) -> Tensor:
+        cfg = self.cfg
+        if future is None:
+            raise ValueError("TiDE requires covariates over the forecast steps")
+        x = as_tensor(x)
+        future = as_tensor(future)
+        if future.shape[-1] != cfg.horizon * cfg.n_covariates:
+            raise ValueError(f"future covariates cover {future.shape[-1]} values, "
+                             f"need horizon*n_covariates = {cfg.horizon * cfg.n_covariates}")
+        B = x.shape[0]
+        L, H, T, r = cfg.lookback, cfg.horizon, cfg.n_targets, cfg.n_covariates
+
+        def block(h, prefix):
+            return nn.residual_block(h, params, prefix, cfg.activation,
+                                     cfg.dropout, rng)
+
+        x3 = reshape(x, (B, L, T + r))
+        y_lb = x3[:, :, :T]                       # target look-back
+        cov = concat([x3[:, :, T:], reshape(future, (B, H, r))], axis=1)  # (B, L+H, r)
+
+        # per-timestep feature projection to the temporal width
+        proj = block(reshape(cov, (B * (L + H), r)), "proj")
+        proj = reshape(proj, (B, L + H, cfg.temporal_width))
+
+        y_flat = reshape(y_lb, (B, L * T))
+        enc_parts = [y_flat, reshape(proj, (B, (L + H) * cfg.temporal_width))]
+        if cfg.n_static:
+            if static is None:
+                raise ValueError(f"config declares {cfg.n_static} static covariates "
+                                 "but none were given")
+            enc_parts.append(reshape(as_tensor(static), (B, cfg.n_static)))
+        e = concat(enc_parts, axis=1)
+        for i in range(cfg.n_encoder_layers):
+            e = block(e, f"encoder{i}")
+
+        g = e
+        for i in range(cfg.n_decoder_layers):
+            g = block(g, f"decoder{i}")
+        D = reshape(g, (B, H, cfg.decoder_output_dim))
+
+        steps = []
+        for t in range(H):
+            td_in = concat([D[:, t, :], proj[:, L + t, :]], axis=1)
+            y_t = block(td_in, "temporal")
+            steps.append(reshape(y_t, (B, 1, T * cfg.n_quantiles)))
+        decoded = reshape(concat(steps, axis=1), (B, cfg.n_outputs))
+
+        return decoded + nn.linear(y_flat, params, "global")
+
+
+# -------- shared --------
+
+FAMILIES = {"ann": (MlpConfig, Mlp), "tcn": (TcnConfig, Tcn), "tide": (TideConfig, Tide)}
+
+
+def build_model(family: str, cfg):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
+    return FAMILIES[family][1](cfg)
+
+
+def config_from_dict(family: str, raw: dict):
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
+    cls = FAMILIES[family][0]
+    known = cls.__dataclass_fields__
+    unknown = [k for k in raw if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+    cleaned = {k: (tuple(v) if k == "quantiles" else v) for k, v in raw.items()}
+    return cls(**cleaned)
+
+
+def enforce_non_crossing(q: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sort per-quantile outputs ascending along the quantile axis.
+
+    Idempotent; leaves already-monotone slices untouched.
+    """
+    return np.sort(np.asarray(q, dtype=np.float64), axis=axis)
+
+
+@dataclass
+class TrainedModel:
+    """Architecture config plus learned parameters and the feature scaler,
+    ready for autoregressive prediction in raw units."""
+
+    family: str
+    config: MlpConfig | TcnConfig | TideConfig
+    params: dict[str, Tensor]
+    input_channels: tuple[str, ...]
+    target_channels: tuple[str, ...]
+    scaler: AffineScaler
+    seed: int
+    config_hash: str = ""
+    _model: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.input_channels = tuple(self.input_channels)
+        self.target_channels = tuple(self.target_channels)
+        if len(self.input_channels) != getattr(self.config, "n_channels"):
+            raise ValueError(f"config expects {self.config.n_channels} input channels, "
+                             f"got {self.input_channels}")
+        if len(self.target_channels) != self.config.n_targets:
+            raise ValueError(f"config expects {self.config.n_targets} targets, "
+                             f"got {self.target_channels}")
+        if not self.config_hash:
+            self.config_hash = config_fingerprint(self)
+
+    @property
+    def quantiles(self) -> tuple[float, ...]:
+        return self.config.quantiles
+
+    @property
+    def model(self):
+        if self._model is None:
+            self._model = build_model(self.family, self.config)
+        return self._model
+
+    @property
+    def covariate_channels(self) -> tuple[str, ...]:
+        return tuple(c for c in self.input_channels if c not in self.target_channels)
+
+    def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
+        """One forward pass on a raw-unit (L, C) window; returns (H, T, Q)
+        predictions in raw units with non-crossing enforced."""
+        cfg = self.config
+        window = np.asarray(window, dtype=np.float64)
+        if window.shape != (cfg.lookback, len(self.input_channels)):
+            raise ValueError(f"window shape {window.shape} != "
+                             f"({cfg.lookback}, {len(self.input_channels)})")
+        scaled = np.empty_like(window)
+        for c, name in enumerate(self.input_channels):
+            scaled[:, c] = self.scaler.scale(name, window[:, c])
+        fut = None
+        if self.family == "tide":
+            if future is None:
+                raise ValueError("TiDE prediction needs covariates over the forecast steps")
+            future = np.asarray(future, dtype=np.float64)
+            sf = np.empty_like(future)
+            for c, name in enumerate(self.covariate_channels):
+                sf[:, c] = self.scaler.scale(name, future[:, c])
+            fut = Tensor(sf.reshape(1, -1))
+        out = self.model.forward(self.params, Tensor(scaled.reshape(1, -1)), fut)
+        out = out.data.reshape(cfg.horizon, cfg.n_targets, cfg.n_quantiles)
+        raw = np.empty_like(out)
+        for t, name in enumerate(self.target_channels):
+            raw[:, t, :] = self.scaler.unscale(name, out[:, t, :])
+        return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
+
+
+def config_fingerprint(model: TrainedModel) -> str:
+    doc = {
+        "family": model.family,
+        "config": asdict(model.config),
+        "input_channels": list(model.input_channels),
+        "target_channels": list(model.target_channels),
+        "scaling": {n: {"gain": g, "offset": o} for n, (g, o) in sorted(model.scaler.channels.items())},
+        "seed": model.seed,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+CHECKPOINT_FORMAT = "toilcast-checkpoint-v1"
+
+
+def save_checkpoint(path, model: TrainedModel) -> None:
+    """Write the trained model as deterministic JSON: named parameter arrays
+    (base64 little-endian float64), shapes, config, and the config hash."""
+    doc = {
+        "format": CHECKPOINT_FORMAT,
+        "family": model.family,
+        "config": asdict(model.config),
+        "input_channels": list(model.input_channels),
+        "target_channels": list(model.target_channels),
+        "scaling": {n: {"gain": g, "offset": o} for n, (g, o) in sorted(model.scaler.channels.items())},
+        "seed": model.seed,
+        "config_hash": model.config_hash,
+        "params": {
+            name: {
+                "shape": list(t.data.shape),
+                "data": base64.b64encode(
+                    np.ascontiguousarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
+            }
+            for name, t in sorted(model.params.items())
+        },
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def load_checkpoint(path) -> TrainedModel:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    cfg = config_from_dict(doc["family"], doc["config"])
+    params = {}
+    for name, entry in doc["params"].items():
+        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+        params[name] = Tensor(data.reshape(entry["shape"]).copy(), requires_grad=True,
+                              name=name)
+    scaler = AffineScaler({n: (c["gain"], c["offset"]) for n, c in doc["scaling"].items()})
+    return TrainedModel(doc["family"], cfg, params, tuple(doc["input_channels"]),
+                        tuple(doc["target_channels"]), scaler, doc["seed"],
+                        doc["config_hash"])

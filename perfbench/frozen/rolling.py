@@ -1,0 +1,147 @@
+"""Autoregressive one-step evaluation over a validation slice.
+
+Future target measurements are treated as unavailable: after a seed window
+of measured values, each model's own predictions replace the measured target
+channels in its look-back, while measured ambient and load covariates are
+always used. The IEC solver free-runs from the first measured top-oil value.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .iec import IecParams, simulate
+from .metrics import mae, mean_interval_width, mse, picp
+from .series import TransformerDataset, format_instant
+
+
+@dataclass
+class ForecastTrace:
+    """Per-timestep predictions aligned to the tail of the validation grid."""
+
+    model_id: str
+    timestamps: np.ndarray
+    target_channels: tuple[str, ...]
+    values: np.ndarray                      # (n, n_targets) point predictions
+    quantiles: np.ndarray | None = None     # (n, n_targets, n_quantiles)
+    alphas: tuple[float, ...] = ()
+    config_hash: str = ""
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+def autoregressive_predict(model, valid: TransformerDataset,
+                           lookback: int | None = None) -> ForecastTrace:
+    """Roll a one-step model over the validation slice.
+
+    The first window seeds from measured targets; thereafter predicted
+    targets are fed back while covariates stay measured. Quantile models
+    feed back their median (alpha = 0.5) trace.
+    """
+    cfg = model.config
+    L = int(lookback if lookback is not None else cfg.lookback)
+    if getattr(cfg, "horizon", 1) != 1:
+        raise ValueError("autoregressive evaluation requires a one-step model")
+    N = valid.n
+    if N <= L:
+        raise ValueError(f"validation slice has {N} points, need more than L={L}")
+
+    input_channels = tuple(model.input_channels)
+    target_channels = tuple(model.target_channels)
+    alphas = tuple(getattr(model, "quantiles", ()) or ())
+    if alphas:
+        if 0.5 not in alphas:
+            raise ValueError("autoregressive feedback needs the 0.5 quantile in the head")
+        mid = alphas.index(0.5)
+    else:
+        mid = 0
+
+    feed = valid.matrix(input_channels).copy()
+    target_cols = [input_channels.index(c) for c in target_channels]
+    cov_channels = tuple(c for c in input_channels if c not in target_channels)
+    cov = valid.matrix(cov_channels) if cov_channels else None
+
+    n_out = N - L
+    values = np.empty((n_out, len(target_channels)))
+    quants = np.empty((n_out, len(target_channels), len(alphas))) if alphas else None
+    for i in range(L, N):
+        future = cov[i: i + 1] if cov is not None else None
+        pred = model.predict_window(feed[i - L: i], future)   # (1, T, Q)
+        if not np.isfinite(pred).all():
+            raise FloatingPointError(
+                f"non-finite prediction at timestep {i - L} "
+                f"({format_instant(valid.timestamps[i])})")
+        point = pred[0, :, mid]
+        values[i - L] = point
+        if quants is not None:
+            quants[i - L] = pred[0]
+        feed[i, target_cols] = point
+
+    return ForecastTrace(getattr(model, "family", "model"), valid.timestamps[L:].copy(),
+                         target_channels, values, quants, alphas,
+                         getattr(model, "config_hash", ""))
+
+
+def iec_predict(params: IecParams, valid: TransformerDataset,
+                dt_min: float = 5.0, model_id: str = "iec",
+                enforce_timestep: bool = True) -> ForecastTrace:
+    """IEC solver trace: seeded at the first measured top-oil value, then
+    free-running on measured load factor and ambient."""
+    t0 = float(valid.top_oil.values[0])
+    traj = simulate(valid.load_factor, valid.ambient, t0, dt_min, params,
+                    enforce_timestep)
+    return ForecastTrace(model_id, valid.timestamps.copy(), ("top_oil",),
+                         traj.values.reshape(-1, 1))
+
+
+@dataclass
+class EvaluationReport:
+    """Per-model, per-target MAE/MSE, plus interval coverage and width for
+    quantile models."""
+
+    models: dict[str, dict]
+    metadata: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"models": self.models, "metadata": self.metadata}
+
+
+def evaluate(traces: list[ForecastTrace], valid: TransformerDataset,
+             metadata: dict | None = None) -> EvaluationReport:
+    """Score every trace against the measured validation channels.
+
+    Quantile traces report point metrics from the median and PICP / mean
+    width over their outermost quantile pair (PI98 for the 0.01/0.99 head).
+    """
+    models: dict[str, dict] = {}
+    for trace in traces:
+        offset = valid.n - len(trace)
+        if offset < 0 or (valid.timestamps[offset:] != trace.timestamps).any():
+            raise ValueError(f"trace '{trace.model_id}' is not aligned with the "
+                             "validation grid")
+        entry: dict = {"targets": {}}
+        for j, name in enumerate(trace.target_channels):
+            truth = valid.channel(name).values[offset:]
+            entry["targets"][name] = {"mae": mae(truth, trace.values[:, j]),
+                                      "mse": mse(truth, trace.values[:, j])}
+        if trace.quantiles is not None and len(trace.alphas) >= 2:
+            primary = trace.target_channels[0]
+            truth = valid.channel(primary).values[offset:]
+            lower = trace.quantiles[:, 0, 0]
+            upper = trace.quantiles[:, 0, -1]
+            entry["picp"] = picp(truth, lower, upper)
+            entry["mean_interval_width"] = mean_interval_width(lower, upper)
+            entry["interval_levels"] = [trace.alphas[0], trace.alphas[-1]]
+        key = trace.model_id
+        if key in models:  # keep report keys unique
+            key = f"{key}_{sum(k.startswith(trace.model_id) for k in models)}"
+        models[key] = entry
+
+    meta = {"data_start": format_instant(valid.timestamps[0]),
+            "data_end": format_instant(valid.timestamps[-1]),
+            "n_points": int(valid.n)}
+    meta.update(metadata or {})
+    return EvaluationReport(models, meta)

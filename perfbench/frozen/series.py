@@ -1,0 +1,474 @@
+"""Time-series data model for transformer telemetry.
+
+Channels live on a shared 5-minute UTC grid. Ingestion, gap repair,
+resampling of hourly ambient readings, train/validation splitting,
+per-channel affine scaling, and sliding-window extraction all live here.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+STEP_5MIN_S = 300
+STEP_HOUR_S = 3600
+
+
+# -------- instants --------
+
+def _parse_offset(text: str) -> timezone:
+    t = text.strip()
+    if t.upper() in ("UTC", "Z", ""):
+        return timezone.utc
+    sign = 1
+    if t[0] == "+":
+        t = t[1:]
+    elif t[0] == "-":
+        sign = -1
+        t = t[1:]
+    if ":" in t:
+        hh, mm = t.split(":")
+    else:
+        hh, mm = t[:2], t[2:] or "0"
+    return timezone(sign * timedelta(hours=int(hh), minutes=int(mm)))
+
+
+def parse_instant(text: str, default_offset: str | None = None) -> int:
+    """Parse an ISO-8601 timestamp to epoch seconds (UTC).
+
+    Naive timestamps are interpreted in `default_offset` (e.g. '+01:00'),
+    or UTC when none is given.
+    """
+    t = text.strip()
+    if t.endswith(("Z", "z")):
+        t = t[:-1] + "+00:00"
+    dt = datetime.fromisoformat(t)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=_parse_offset(default_offset or "UTC"))
+    return int(dt.timestamp())
+
+
+def format_instant(epoch_s: int) -> str:
+    return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).isoformat()
+
+
+def hours_to_steps(hours: float, step_s: int = STEP_5MIN_S) -> int:
+    """Look-back duration in hours -> number of grid steps (4 h -> 48)."""
+    steps = hours * 3600.0 / step_s
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"{hours} h is not a whole number of {step_s}-s steps")
+    return int(round(steps))
+
+
+# -------- core types --------
+
+@dataclass(frozen=True)
+class TimeSeries:
+    """Timestamped values on a nominally uniform grid.
+
+    timestamps: int64 epoch seconds (UTC), strictly increasing.
+    values: float64, same length; NaN marks a missing sample.
+    step: nominal spacing in seconds.
+    """
+
+    timestamps: np.ndarray
+    values: np.ndarray
+    step: int = STEP_5MIN_S
+
+    def __post_init__(self):
+        ts = np.asarray(self.timestamps, dtype=np.int64)
+        vals = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "values", vals)
+        if ts.ndim != 1 or vals.ndim != 1:
+            raise ValueError("timestamps and values must be 1-D")
+        if len(ts) != len(vals):
+            raise ValueError(f"length mismatch: {len(ts)} timestamps, {len(vals)} values")
+        if len(ts) == 0:
+            raise ValueError("empty series")
+        deltas = np.diff(ts)
+        if (deltas <= 0).any():
+            bad = int(np.argmax(deltas <= 0)) + 1
+            if deltas[bad - 1] == 0:
+                raise ValueError(f"duplicated timestamp {format_instant(ts[bad])} at row {bad}")
+            raise ValueError(f"non-monotonic timestamp at row {bad} ({format_instant(ts[bad])})")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def is_uniform(self) -> bool:
+        return len(self) == 1 or bool((np.diff(self.timestamps) == self.step).all())
+
+    def has_missing(self) -> bool:
+        return bool(np.isnan(self.values).any())
+
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
+        return TimeSeries(self.timestamps, values, self.step)
+
+    def slice_range(self, start: int, end: int) -> "TimeSeries":
+        """Inclusive [start, end] sub-series by instant."""
+        i0 = int(np.searchsorted(self.timestamps, start, side="left"))
+        i1 = int(np.searchsorted(self.timestamps, end, side="right"))
+        if i1 <= i0:
+            raise ValueError(
+                f"empty slice [{format_instant(start)}, {format_instant(end)}]"
+            )
+        return TimeSeries(self.timestamps[i0:i1], self.values[i0:i1], self.step)
+
+
+CHANNELS = ("top_oil", "ambient", "load_factor", "temp_rise")
+
+_TEMP_RISE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class TransformerDataset:
+    """Aligned 5-minute channels: top-oil [degC], ambient [degC], load factor
+    [p.u.], and temperature rise over ambient [K]."""
+
+    top_oil: TimeSeries
+    ambient: TimeSeries
+    load_factor: TimeSeries
+    temp_rise: TimeSeries
+
+    def __post_init__(self):
+        ts = self.top_oil.timestamps
+        for name in ("ambient", "load_factor", "temp_rise"):
+            other = getattr(self, name).timestamps
+            if len(other) != len(ts) or (other != ts).any():
+                raise ValueError(f"channel '{name}' not aligned with top_oil grid")
+        rise = self.top_oil.values - self.ambient.values
+        err = np.nanmax(np.abs(rise - self.temp_rise.values))
+        if err > _TEMP_RISE_TOL:
+            raise ValueError(f"temp_rise differs from top_oil - ambient by {err:g}")
+        if np.nanmin(self.load_factor.values) < 0:
+            raise ValueError("load_factor must be >= 0")
+
+    @classmethod
+    def from_channels(cls, top_oil: TimeSeries, ambient: TimeSeries,
+                      load_factor: TimeSeries) -> "TransformerDataset":
+        rise = top_oil.with_values(top_oil.values - ambient.values)
+        return cls(top_oil, ambient, load_factor, rise)
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        return self.top_oil.timestamps
+
+    @property
+    def n(self) -> int:
+        return len(self.top_oil)
+
+    @property
+    def step(self) -> int:
+        return self.top_oil.step
+
+    def channel(self, name: str) -> TimeSeries:
+        if name not in CHANNELS:
+            raise KeyError(f"unknown channel '{name}' (expected one of {CHANNELS})")
+        return getattr(self, name)
+
+    def slice_range(self, start: int, end: int) -> "TransformerDataset":
+        return TransformerDataset(*(self.channel(c).slice_range(start, end) for c in CHANNELS))
+
+    def matrix(self, channels) -> np.ndarray:
+        """Column-stacked channel values, shape (n, len(channels))."""
+        return np.column_stack([self.channel(c).values for c in channels])
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """Inclusive train/validation instant ranges; train must end before
+    validation starts."""
+
+    train_start: int
+    train_end: int
+    valid_start: int
+    valid_end: int
+
+    def __post_init__(self):
+        if self.train_end < self.train_start:
+            raise ValueError("train range is empty")
+        if self.valid_end < self.valid_start:
+            raise ValueError("validation range is empty")
+        if self.train_end >= self.valid_start:
+            raise ValueError("train range must end strictly before validation starts")
+
+    @classmethod
+    def from_isoformat(cls, train: tuple[str, str], valid: tuple[str, str],
+                       default_offset: str | None = None) -> "SplitSpec":
+        p = lambda t: parse_instant(t, default_offset)
+        return cls(p(train[0]), p(train[1]), p(valid[0]), p(valid[1]))
+
+
+@dataclass(frozen=True)
+class AffineScaler:
+    """Per-channel affine map: scaled = (x - offset) * gain."""
+
+    channels: dict[str, tuple[float, float]]  # name -> (gain, offset)
+
+    def __post_init__(self):
+        for name, (gain, _) in self.channels.items():
+            if gain == 0:
+                raise ValueError(f"zero gain for channel '{name}'")
+
+    @classmethod
+    def identity(cls, names=CHANNELS) -> "AffineScaler":
+        return cls({n: (1.0, 0.0) for n in names})
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "AffineScaler":
+        return cls({n: (float(c.get("gain", 1.0)), float(c.get("offset", 0.0)))
+                    for n, c in cfg.items()})
+
+    def scale(self, name: str, x: np.ndarray) -> np.ndarray:
+        gain, offset = self.channels[name]
+        return (np.asarray(x, dtype=np.float64) - offset) * gain
+
+    def unscale(self, name: str, y: np.ndarray) -> np.ndarray:
+        gain, offset = self.channels[name]
+        return np.asarray(y, dtype=np.float64) / gain + offset
+
+
+@dataclass(frozen=True)
+class WindowSet:
+    """Sliding windows: each input row is the flattened (L, C) look-back
+    immediately preceding its flattened (H, T) target row.
+
+    Optional future_cov rows carry covariate values over the target steps
+    (needed by architectures that consume future covariates).
+    """
+
+    inputs: np.ndarray            # (n_windows, L * n_channels), time-major rows
+    targets: np.ndarray           # (n_windows, H * n_targets)
+    lookback: int
+    horizon: int
+    input_channels: tuple[str, ...]
+    target_channels: tuple[str, ...]
+    future_cov: np.ndarray | None = None      # (n_windows, H * n_future)
+    future_channels: tuple[str, ...] = ()
+
+    @property
+    def n_windows(self) -> int:
+        return self.inputs.shape[0]
+
+
+# -------- operations --------
+
+@dataclass
+class IngestResult:
+    series: dict[str, TimeSeries]
+    rejected_rows: list[int] = field(default_factory=list)
+
+
+def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_S,
+                        default_offset: str | None = None) -> IngestResult:
+    """Load a CSV of timestamped measurements into one TimeSeries per mapped
+    value column.
+
+    column_map maps CSV header names to channel names and must include a
+    'timestamp' entry. Rows whose timestamp does not parse are rejected and
+    reported by row index (0-based, excluding the header). Empty value cells
+    become NaN (missing).
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"measurement file not found: {path}")
+    ts_col = None
+    for col, mapped in column_map.items():
+        if mapped == "timestamp":
+            ts_col = col
+    if ts_col is None:
+        raise ValueError("column_map must map one column to 'timestamp'")
+    value_cols = {c: m for c, m in column_map.items() if m != "timestamp"}
+    if not value_cols:
+        raise ValueError("column_map must map at least one value column")
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in column_map:
+            if col not in header:
+                raise ValueError(f"missing column '{col}' in {path} (header: {header})")
+        stamps: list[int] = []
+        values: dict[str, list[float]] = {m: [] for m in value_cols.values()}
+        rejected: list[int] = []
+        for idx, row in enumerate(reader):
+            try:
+                t = parse_instant(row[ts_col], default_offset)
+            except (ValueError, TypeError):
+                rejected.append(idx)
+                continue
+            stamps.append(t)
+            for col, mapped in value_cols.items():
+                cell = (row[col] or "").strip()
+                values[mapped].append(float(cell) if cell else math.nan)
+
+    if not stamps:
+        raise ValueError(f"no parseable rows in {path}")
+    ts = np.asarray(stamps, dtype=np.int64)
+    series = {m: TimeSeries(ts, np.asarray(v), step) for m, v in values.items()}
+    return IngestResult(series, rejected)
+
+
+def fill_gaps_adjacent_mean(s: TimeSeries) -> TimeSeries:
+    """Replace missing (NaN) interior values.
+
+    A single missing sample becomes the arithmetic mean of its present
+    neighbors; a run of k missing samples is filled linearly between the
+    bounding present values, which reduces to the neighbor mean at k=1.
+    The first and last samples must be present (no extrapolation).
+    """
+    missing = np.isnan(s.values)
+    if not missing.any():
+        return s
+    if missing[0] or missing[-1]:
+        raise ValueError("cannot fill gaps at series boundary (no extrapolation)")
+    idx = np.arange(len(s))
+    out = s.values.copy()
+    out[missing] = np.interp(idx[missing], idx[~missing], s.values[~missing])
+    return s.with_values(out)
+
+
+def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
+    """Linearly interpolate hourly readings onto a finer grid.
+
+    Exact at the hourly nodes; grid instants outside the hourly span are an
+    error (no extrapolation).
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    if hourly.has_missing():
+        raise ValueError("hourly series has missing values; repair before resampling")
+    if grid.min() < hourly.timestamps[0] or grid.max() > hourly.timestamps[-1]:
+        raise ValueError(
+            f"grid [{format_instant(grid.min())}, {format_instant(grid.max())}] extends "
+            f"outside hourly span [{format_instant(hourly.timestamps[0])}, "
+            f"{format_instant(hourly.timestamps[-1])}]"
+        )
+    vals = np.interp(grid.astype(np.float64), hourly.timestamps.astype(np.float64),
+                     hourly.values)
+    step = int(grid[1] - grid[0]) if len(grid) > 1 else STEP_5MIN_S
+    return TimeSeries(grid, vals, step)
+
+
+def derive_load_factor(current: TimeSeries, rated_current: float) -> TimeSeries:
+    """Load factor K [p.u.] = measured current / rated current."""
+    if rated_current <= 0:
+        raise ValueError(f"rated current must be positive, got {rated_current}")
+    return current.with_values(current.values / rated_current)
+
+
+def split(ds: TransformerDataset, spec: SplitSpec) -> tuple[TransformerDataset, TransformerDataset]:
+    """Cut the dataset into the train and validation ranges of `spec`."""
+    ts = ds.timestamps
+    if spec.train_start < ts[0] or spec.valid_end > ts[-1]:
+        raise ValueError("split ranges extend outside the dataset span")
+    train = ds.slice_range(spec.train_start, spec.train_end)
+    valid = ds.slice_range(spec.valid_start, spec.valid_end)
+    return train, valid
+
+
+def make_windows(ds: TransformerDataset, lookback: int, horizon: int,
+                 input_channels, target_channels,
+                 future_channels=()) -> WindowSet:
+    """Extract all contiguous (look-back, target) window pairs.
+
+    For source length N there are N - L - H + 1 windows; target row i starts
+    at the grid instant immediately after input row i ends.
+    """
+    L, H = int(lookback), int(horizon)
+    if L < 1 or H < 1:
+        raise ValueError("lookback and horizon must be >= 1")
+    N = ds.n
+    if N < L + H:
+        raise ValueError(f"need at least L+H={L + H} points, dataset has {N}")
+    input_channels = tuple(input_channels)
+    target_channels = tuple(target_channels)
+    future_channels = tuple(future_channels)
+    n_win = N - L - H + 1
+
+    X = ds.matrix(input_channels)
+    Y = ds.matrix(target_channels)
+    xw = sliding_window_view(X, L, axis=0)        # (N-L+1, C, L)
+    inputs = xw[:n_win].transpose(0, 2, 1).reshape(n_win, L * len(input_channels)).copy()
+    yw = sliding_window_view(Y, H, axis=0)        # (N-H+1, T, H)
+    targets = yw[L:L + n_win].transpose(0, 2, 1).reshape(n_win, H * len(target_channels)).copy()
+
+    future = None
+    if future_channels:
+        F = ds.matrix(future_channels)
+        fw = sliding_window_view(F, H, axis=0)
+        future = fw[L:L + n_win].transpose(0, 2, 1).reshape(n_win, H * len(future_channels)).copy()
+
+    return WindowSet(inputs, targets, L, H, input_channels, target_channels,
+                     future, future_channels)
+
+
+def scale_windows(ws: WindowSet, scaler: AffineScaler) -> WindowSet:
+    """Apply the per-channel scaler to every window matrix."""
+    def scaled(mat, channels):
+        out = mat.copy()
+        C = len(channels)
+        for c, name in enumerate(channels):
+            out[:, c::C] = scaler.scale(name, out[:, c::C])
+        return out
+
+    future = None
+    if ws.future_cov is not None:
+        future = scaled(ws.future_cov, ws.future_channels)
+    return WindowSet(scaled(ws.inputs, ws.input_channels),
+                     scaled(ws.targets, ws.target_channels),
+                     ws.lookback, ws.horizon, ws.input_channels, ws.target_channels,
+                     future, ws.future_channels)
+
+
+def load_dataset(measurements_path, ambient_path, rated_current_a: float | None = None,
+                 default_offset: str | None = None, step: int = STEP_5MIN_S) -> TransformerDataset:
+    """Load the standard CSV pair into a repaired, aligned dataset.
+
+    The measurements file provides top_oil_c plus either current_a (divided
+    by `rated_current_a`) or load_factor. The ambient file provides hourly
+    ambient_c readings which are linearly interpolated onto the measurement
+    grid; measurements outside the ambient span are dropped (no extrapolation).
+    """
+    with open(measurements_path, newline="") as fh:
+        header = (fh.readline() or "").strip().split(",")
+    if "current_a" in header:
+        col_map = {"timestamp": "timestamp", "top_oil_c": "top_oil", "current_a": "current"}
+    elif "load_factor" in header:
+        col_map = {"timestamp": "timestamp", "top_oil_c": "top_oil", "load_factor": "load_factor"}
+    else:
+        raise ValueError(f"measurements file needs a current_a or load_factor column, got {header}")
+
+    meas = ingest_measurements(measurements_path, col_map, step, default_offset).series
+    amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
+                              STEP_HOUR_S, default_offset).series["ambient"]
+    # Hourly rows with missing readings are dropped; interpolation then spans them.
+    present = ~np.isnan(amb.values)
+    if not present.all():
+        amb = TimeSeries(amb.timestamps[present], amb.values[present], amb.step)
+
+    top_oil = fill_gaps_adjacent_mean(meas["top_oil"])
+    if "current" in meas:
+        if rated_current_a is None:
+            raise ValueError("rated_current_a is required when the file carries current_a")
+        load = derive_load_factor(fill_gaps_adjacent_mean(meas["current"]), rated_current_a)
+    else:
+        load = fill_gaps_adjacent_mean(meas["load_factor"])
+
+    # Trim the grid to the ambient span so interpolation never extrapolates.
+    t0 = max(top_oil.timestamps[0], amb.timestamps[0])
+    t1 = min(top_oil.timestamps[-1], amb.timestamps[-1])
+    if t0 > t1:
+        raise ValueError("measurement and ambient spans do not overlap")
+    top_oil = top_oil.slice_range(t0, t1)
+    load = load.slice_range(t0, t1)
+    if not top_oil.is_uniform():
+        raise ValueError(f"measurement grid is not uniform at {top_oil.step}-s cadence")
+    ambient = resample_ambient_linear(amb, top_oil.timestamps)
+    return TransformerDataset.from_channels(top_oil, ambient, load)
