@@ -1,13 +1,34 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every operation on Tensors records its inputs and a vector-Jacobian closure;
-`backward` replays the recorded graph in reverse topological order and
-returns gradients for a named parameter set. Small, deterministic, CPU-only.
+The tape is lazy: a primitive records its inputs and a vector-Jacobian
+function only when grad mode is on and some input requires a gradient, and
+its result then requires one too. Otherwise it returns a bare constant
+Tensor, so inference runs the same forward code without building a graph.
+`no_grad()` switches recording off for a block. `backward` replays the
+recorded graph in reverse topological order and returns gradients for a
+named parameter set. Small, deterministic, CPU-only.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import partial
+
 import numpy as np
+
+_grad_enabled: ContextVar[bool] = ContextVar("toilcast_grad_enabled", default=True)
+
+
+@contextmanager
+def no_grad():
+    """Record no tape nodes inside the block; restores the previous mode on
+    exit, also after an exception or when nested."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -15,13 +36,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents=(), _vjp=None):
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
-        self._vjp = _vjp
+        self._parents = ()
+        self._vjp = None
 
     @property
     def shape(self):
@@ -78,6 +98,24 @@ def _label(t: Tensor) -> str:
     return f"'{t.name}'" if t.name else f"tensor{t.data.shape}"
 
 
+def _node(data, parents: tuple, vjp, *ctx) -> Tensor:
+    """The result of every primitive.
+
+    When grad mode is on and some parent requires a gradient, the result
+    records its parents and `vjp(*ctx, *parents, g)` as its vector-Jacobian
+    function, and requires a gradient itself; otherwise it is a bare
+    constant with no tape node.
+    """
+    t = Tensor.__new__(Tensor)
+    t.data = data
+    t.name = None
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
+        t.requires_grad, t._parents, t._vjp = True, parents, partial(vjp, *ctx, *parents)
+    else:
+        t.requires_grad, t._parents, t._vjp = False, (), None
+    return t
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     extra = g.ndim - len(shape)
@@ -89,144 +127,255 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _grad_for(t: Tensor, g: np.ndarray):
+    """`g` summed down to the shape of `t`, or None when `t` takes no gradient."""
+    return _unbroadcast(g, t.data.shape) if t.requires_grad else None
+
+
 # -------- primitives --------
+# Each vector-Jacobian function takes the primitive's saved context, its
+# inputs and the output gradient, and returns one gradient per input (None
+# for an input that does not require one).
+
+def _add_vjp(a, b, g):
+    return _grad_for(a, g), _grad_for(b, g)
+
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data + b.data, _parents=(a, b),
-                  _vjp=lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    return _node(a.data + b.data, (a, b), _add_vjp)
+
+
+def _sub_vjp(a, b, g):
+    return _grad_for(a, g), (_grad_for(b, -g) if b.requires_grad else None)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data - b.data, _parents=(a, b),
-                  _vjp=lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    return _node(a.data - b.data, (a, b), _sub_vjp)
+
+
+def _mul_vjp(a, b, g):
+    return (_grad_for(a, g * b.data) if a.requires_grad else None,
+            _grad_for(b, g * a.data) if b.requires_grad else None)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return Tensor(a.data * b.data, _parents=(a, b),
-                  _vjp=lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                  _unbroadcast(g * a.data, b.data.shape)))
+    return _node(a.data * b.data, (a, b), _mul_vjp)
+
+
+def _check_matmul(a: Tensor, b: Tensor) -> None:
+    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape} "
+                         f"({_label(a)} @ {_label(b)})")
+
+
+def _matmul_vjp(a, b, g):
+    ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+    gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+    return (None if ga is None else _unbroadcast(ga, a.data.shape),
+            None if gb is None else _unbroadcast(gb, b.data.shape))
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape} "
-                         f"({_label(a)} @ {_label(b)})")
-    out = a.data @ b.data
+    _check_matmul(a, b)
+    return _node(a.data @ b.data, (a, b), _matmul_vjp)
 
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+def _affine_vjp(x, w, b, g):
+    gx, gw = _matmul_vjp(x, w, g)
+    return gx, gw, _grad_for(b, g)
+
+
+def affine(x, w, b) -> Tensor:
+    """`x @ w + b` as one tape node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    _check_matmul(x, w)
+    return _node(x.data @ w.data + b.data, (x, w, b), _affine_vjp)
+
+
+def _layer_norm_vjp(xhat, inv, x, gamma, beta, g):
+    gx = None
+    if x.requires_grad:
+        gxhat = g * gamma.data
+        n = xhat.shape[-1]
+        gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
+                    - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)))
+    ggamma = _grad_for(gamma, g * xhat) if gamma.requires_grad else None
+    return gx, ggamma, _grad_for(beta, g)
+
+
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale by `gamma` and shift by
+    `beta`, as one tape node."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    n = x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
+    xhat = centered * inv
+    return _node(xhat * gamma.data + beta.data, (x, gamma, beta), _layer_norm_vjp,
+                 xhat, inv)
+
+
+def _power_vjp(n, a, g):
+    return (g * n * a.data ** (n - 1.0),)
 
 
 def power(a, n) -> Tensor:
     a = as_tensor(a)
     n = float(n)
-    return Tensor(a.data ** n, _parents=(a,),
-                  _vjp=lambda g: (g * n * a.data ** (n - 1.0),))
+    return _node(a.data ** n, (a,), _power_vjp, n)
+
+
+def _relu_vjp(mask, a, g):
+    return (g * mask,)
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,),
-                  _vjp=lambda g: (g * mask,))
+    return _node(np.where(mask, a.data, 0.0), (a,), _relu_vjp, mask)
+
+
+def _tanh_vjp(out, a, g):
+    return (g * (1.0 - out * out),)
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * (1.0 - out * out),))
+    return _node(out, (a,), _tanh_vjp, out)
+
+
+def _sigmoid_vjp(out, a, g):
+    return (g * out * (1.0 - out),)
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * out * (1.0 - out),))
+    return _node(out, (a,), _sigmoid_vjp, out)
+
+
+def _absolute_vjp(a, g):
+    return (g * np.sign(a.data),)
 
 
 def absolute(a) -> Tensor:
     a = as_tensor(a)
-    return Tensor(np.abs(a.data), _parents=(a,), _vjp=lambda g: (g * np.sign(a.data),))
+    return _node(np.abs(a.data), (a,), _absolute_vjp)
+
+
+def _maximum_vjp(take_a, a, b, g):
+    return (_grad_for(a, g * take_a) if a.requires_grad else None,
+            _grad_for(b, g * ~take_a) if b.requires_grad else None)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; at ties the gradient follows the first operand."""
     a, b = as_tensor(a), as_tensor(b)
     take_a = a.data >= b.data
-    return Tensor(np.where(take_a, a.data, b.data), _parents=(a, b),
-                  _vjp=lambda g: (_unbroadcast(g * take_a, a.data.shape),
-                                  _unbroadcast(g * ~take_a, b.data.shape)))
+    return _node(np.where(take_a, a.data, b.data), (a, b), _maximum_vjp, take_a)
+
+
+def _reshape_vjp(a, g):
+    return (g.reshape(a.data.shape),)
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    return Tensor(a.data.reshape(shape), _parents=(a,),
-                  _vjp=lambda g: (g.reshape(a.data.shape),))
+    return _node(a.data.reshape(shape), (a,), _reshape_vjp)
+
+
+def _is_basic_index(key) -> bool:
+    """True when `key` is basic indexing (ints, slices, None, Ellipsis), which
+    selects each element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+               for k in parts)
+
+
+def _take_vjp(key, a, g):
+    ga = np.zeros_like(a.data)
+    if _is_basic_index(key):
+        ga[key] = g
+    else:
+        np.add.at(ga, key, g)  # integer-array keys can repeat an element
+    return (ga,)
 
 
 def take(a, key) -> Tensor:
-    """Basic slicing/indexing with gradient scatter-add."""
+    """Indexing; the gradient is assigned back for basic keys and
+    scatter-added for integer-array keys."""
     a = as_tensor(a)
-    out = a.data[key]
+    return _node(a.data[key], (a,), _take_vjp, key)
 
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, key, g)
-        return (ga,)
 
-    return Tensor(out, _parents=(a,), _vjp=vjp)
+def _concat_vjp(axis, *args):
+    *tensors, g = args
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+    return tuple(part if t.requires_grad else None
+                 for t, part in zip(tensors, np.split(g, offsets, axis=axis)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
+    tensors = tuple(as_tensor(t) for t in tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    return _node(out, tensors, _concat_vjp, axis)
 
-    def vjp(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(tensors)))
 
-    return Tensor(out, _parents=tuple(tensors), _vjp=vjp)
+def _mean_vjp(a, g):
+    return (np.full_like(a.data, float(g) / a.data.size),)
 
 
 def mean(a) -> Tensor:
     a = as_tensor(a)
-    n = a.data.size
-    return Tensor(a.data.mean(), _parents=(a,),
-                  _vjp=lambda g: (np.full_like(a.data, float(g) / n),))
+    return _node(np.asarray(a.data.mean()), (a,), _mean_vjp)
+
+
+def _sum_axis_vjp(axis, keepdims, a, g):
+    gg = g if keepdims else np.expand_dims(g, axis)
+    return (np.broadcast_to(gg, a.data.shape).copy(),)
 
 
 def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return Tensor(out, _parents=(a,), _vjp=vjp)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _sum_axis_vjp,
+                 axis, keepdims)
 
 
-def total(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor(a.data.sum(), _parents=(a,),
-                  _vjp=lambda g: (np.full_like(a.data, float(g)),))
+def _causal_conv1d_vjp(dilation, x, w, b, g):
+    k, C, O = w.data.shape
+    T = g.shape[1]
+    gx = gw = None
+    if x.requires_grad:
+        gx = g @ w.data[0].T
+    if w.requires_grad:
+        gw = np.zeros_like(w.data)
+        gw[0] = x.data.reshape(-1, C).T @ g.reshape(-1, O)
+    for i in range(1, k):
+        s = i * dilation
+        if s >= T:
+            break  # taps that only ever read the zero padding
+        if gx is not None:
+            gx[:, :T - s] += g[:, s:] @ w.data[i].T
+        if gw is not None:
+            gw[i] = x.data[:, :T - s].reshape(-1, C).T @ g[:, s:].reshape(-1, O)
+    gb = g.sum(axis=(0, 1)) if b.requires_grad else None
+    return gx, gw, gb
 
 
 def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
     """Dilated causal 1-D convolution.
 
     x: (B, T, C_in) sequence; w: (k, C_in, C_out); b: (C_out,).
-    The input is left-padded with (k-1)*dilation zeros so the output keeps
-    length T and out[t] depends only on x[<= t].
+    The output keeps length T and out[t] depends only on x[<= t]: tap i reads
+    x[t - i*dilation], and positions before the start read zeros, so the
+    taps are added only where they reach into the sequence.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3:
@@ -240,24 +389,13 @@ def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
     if w.data.shape[1] != C:
         raise ValueError(f"causal_conv1d: input has {C} channels but kernel {_label(w)} "
                          f"expects {w.data.shape[1]}")
-    pad = (k - 1) * dilation
-    xp = np.concatenate([np.zeros((B, pad, C)), x.data], axis=1) if pad else x.data
-    out = np.broadcast_to(b.data, (B, T, w.data.shape[2])).copy()
-    for i in range(k):
-        out += xp[:, pad - i * dilation: pad - i * dilation + T, :] @ w.data[i]
-
-    def vjp(g):
-        gw = np.empty_like(w.data)
-        gxp = np.zeros_like(xp)
-        g2 = g.reshape(-1, g.shape[2])
-        for i in range(k):
-            lo = pad - i * dilation
-            gw[i] = xp[:, lo: lo + T, :].reshape(-1, C).T @ g2
-            gxp[:, lo: lo + T, :] += g @ w.data[i].T
-        gx = gxp[:, pad:, :] if pad else gxp
-        return gx, gw, g.sum(axis=(0, 1))
-
-    return Tensor(out, _parents=(x, w, b), _vjp=vjp)
+    out = x.data @ w.data[0] + b.data
+    for i in range(1, k):
+        s = i * dilation
+        if s >= T:
+            break
+        out[:, s:] += x.data[:, :T - s] @ w.data[i]
+    return _node(out, (x, w, b), _causal_conv1d_vjp, dilation)
 
 
 # -------- reverse pass --------
@@ -276,7 +414,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order  # producers before consumers
 
@@ -285,11 +423,14 @@ def backward(output: Tensor, params: dict[str, Tensor],
              output_grad=None) -> dict[str, np.ndarray]:
     """Gradients of `output` with respect to each named parameter.
 
-    Parameters that do not feed into the output get a zero gradient. The
-    output gradient seed defaults to ones (i.e. d(sum)/d(params) for
-    non-scalar outputs).
+    Parameters that do not feed into the output get a zero gradient, and so
+    does every parameter when the output requires no gradient at all (a
+    constant, or a result computed under `no_grad`). The output gradient
+    seed defaults to ones (i.e. d(sum)/d(params) for non-scalar outputs).
     """
-    if output._vjp is None and not output._parents:
+    if not output.requires_grad:
+        return {name: np.zeros_like(t.data) for name, t in params.items()}
+    if output._vjp is None:
         raise RuntimeError("backward called on a leaf tensor; run a forward pass first")
     seed = np.ones_like(output.data) if output_grad is None else \
         np.broadcast_to(np.asarray(output_grad, dtype=np.float64), output.data.shape)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, as_tensor, causal_conv1d, concat, reshape
+from .autodiff import Tensor, as_tensor, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
 from .series import AffineScaler
 
@@ -397,31 +399,37 @@ class TrainedModel:
     def covariate_channels(self) -> tuple[str, ...]:
         return tuple(c for c in self.input_channels if c not in self.target_channels)
 
+    @cached_property
+    def _scaling(self) -> tuple[np.ndarray, ...]:
+        """Gain and offset vectors of the input, covariate and target
+        channels, in that order: the scaler's map as arrays, built once."""
+        vectors = []
+        for names in (self.input_channels, self.covariate_channels, self.target_channels):
+            pairs = [self.scaler.channels[n] for n in names]
+            vectors += [np.array([g for g, _ in pairs]), np.array([o for _, o in pairs])]
+        return tuple(vectors)
+
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
-        """One forward pass on a raw-unit (L, C) window; returns (H, T, Q)
-        predictions in raw units with non-crossing enforced."""
+        """One forward pass, recording no tape, on a raw-unit (L, C) window;
+        returns (H, T, Q) predictions in raw units with non-crossing
+        enforced."""
         cfg = self.config
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (cfg.lookback, len(self.input_channels)):
             raise ValueError(f"window shape {window.shape} != "
                              f"({cfg.lookback}, {len(self.input_channels)})")
-        scaled = np.empty_like(window)
-        for c, name in enumerate(self.input_channels):
-            scaled[:, c] = self.scaler.scale(name, window[:, c])
+        in_gain, in_off, cov_gain, cov_off, tgt_gain, tgt_off = self._scaling
+        scaled = (window - in_off) * in_gain
         fut = None
         if self.family == "tide":
             if future is None:
                 raise ValueError("TiDE prediction needs covariates over the forecast steps")
-            future = np.asarray(future, dtype=np.float64)
-            sf = np.empty_like(future)
-            for c, name in enumerate(self.covariate_channels):
-                sf[:, c] = self.scaler.scale(name, future[:, c])
+            sf = (np.asarray(future, dtype=np.float64) - cov_off) * cov_gain
             fut = Tensor(sf.reshape(1, -1))
-        out = self.model.forward(self.params, Tensor(scaled.reshape(1, -1)), fut)
+        with no_grad():
+            out = self.model.forward(self.params, Tensor(scaled.reshape(1, -1)), fut)
         out = out.data.reshape(cfg.horizon, cfg.n_targets, cfg.n_quantiles)
-        raw = np.empty_like(out)
-        for t, name in enumerate(self.target_channels):
-            raw[:, t, :] = self.scaler.unscale(name, out[:, t, :])
+        raw = out / tgt_gain[:, None] + tgt_off[:, None]
         return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
 
 
@@ -468,17 +476,43 @@ def save_checkpoint(path, model: TrainedModel) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    The stored config hash must equal the fingerprint recomputed from the
+    file, and the parameter names and shapes must be the ones the
+    architecture initializes; otherwise ValueError names the field or
+    parameter that differs.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     cfg = config_from_dict(doc["family"], doc["config"])
-    params = {}
-    for name, entry in doc["params"].items():
-        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        params[name] = Tensor(data.reshape(entry["shape"]).copy(), requires_grad=True,
-                              name=name)
     scaler = AffineScaler({n: (c["gain"], c["offset"]) for n, c in doc["scaling"].items()})
-    return TrainedModel(doc["family"], cfg, params, tuple(doc["input_channels"]),
-                        tuple(doc["target_channels"]), scaler, doc["seed"],
-                        doc["config_hash"])
+    params: dict[str, Tensor] = {}
+    model = TrainedModel(doc["family"], cfg, params, tuple(doc["input_channels"]),
+                         tuple(doc["target_channels"]), scaler, doc["seed"],
+                         doc["config_hash"])
+    fingerprint = config_fingerprint(model)
+    if model.config_hash != fingerprint:
+        raise ValueError(f"{path}: config_hash {model.config_hash[:12]} does not match the "
+                         f"fingerprint {fingerprint[:12]} of the stored family, config, "
+                         "channels, scaling and seed")
+    expected = {n: t.data.shape for n, t in model.model.init_params(model.seed).items()}
+    stored = doc["params"]
+    missing, unexpected = sorted(set(expected) - set(stored)), sorted(set(stored) - set(expected))
+    if missing or unexpected:
+        raise ValueError(f"{path}: parameters differ from the {model.family} architecture: "
+                         f"missing {missing}, unexpected {unexpected}")
+    for name, entry in stored.items():
+        shape = tuple(entry["shape"])
+        if shape != expected[name]:
+            raise ValueError(f"{path}: parameter '{name}' has shape {shape}, the "
+                             f"architecture expects {expected[name]}")
+        raw, size = base64.b64decode(entry["data"]), math.prod(shape)
+        if len(raw) != 8 * size:
+            raise ValueError(f"{path}: parameter '{name}' holds {len(raw)} bytes, "
+                             f"shape {shape} needs {8 * size}")
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        params[name] = Tensor(data.copy(), requires_grad=True, name=name)
+    return model

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, power, relu, sigmoid, sum_axis, tanh
+from . import autodiff
+from .autodiff import Tensor, affine, power, relu, sigmoid, sum_axis, tanh
 
 
 def activation(name: str):
@@ -41,7 +42,7 @@ def init_linear(params: dict, rng: np.random.Generator, prefix: str,
 
 
 def linear(x, params: dict, prefix: str):
-    return x @ params[f"{prefix}.w"] + params[f"{prefix}.b"]
+    return affine(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def dense(x, params: dict, prefix: str, act: str = "relu"):
@@ -69,12 +70,8 @@ def init_layer_norm(params: dict, prefix: str, n: int) -> None:
 
 def layer_norm(x, params: dict, prefix: str, eps: float = 1e-5):
     """Normalize over the last axis, with learned per-feature gain and shift."""
-    n = x.shape[-1]
-    mu = sum_axis(x, axis=-1, keepdims=True) * (1.0 / n)
-    centered = x - mu
-    var = sum_axis(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
-    inv = power(var + eps, -0.5)
-    return centered * inv * params[f"{prefix}.ln_gamma"] + params[f"{prefix}.ln_beta"]
+    return autodiff.layer_norm(x, params[f"{prefix}.ln_gamma"], params[f"{prefix}.ln_beta"],
+                               eps)
 
 
 def init_residual_block(params: dict, rng: np.random.Generator, prefix: str,

@@ -67,18 +67,21 @@ def autoregressive_predict(model, valid: TransformerDataset,
     n_out = N - L
     values = np.empty((n_out, len(target_channels)))
     quants = np.empty((n_out, len(target_channels), len(alphas))) if alphas else None
-    for i in range(L, N):
-        future = cov[i: i + 1] if cov is not None else None
-        pred = model.predict_window(feed[i - L: i], future)   # (1, T, Q)
-        if not np.isfinite(pred).all():
-            raise FloatingPointError(
-                f"non-finite prediction at timestep {i - L} "
-                f"({format_instant(valid.timestamps[i])})")
-        point = pred[0, :, mid]
-        values[i - L] = point
-        if quants is not None:
-            quants[i - L] = pred[0]
-        feed[i, target_cols] = point
+    # an overflow inside a step surfaces as the non-finite check below, which
+    # names the step, rather than as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(L, N):
+            future = cov[i: i + 1] if cov is not None else None
+            pred = model.predict_window(feed[i - L: i], future)   # (1, T, Q)
+            if not np.isfinite(pred).all():
+                raise FloatingPointError(
+                    f"non-finite prediction at timestep {i - L} "
+                    f"({format_instant(valid.timestamps[i])})")
+            point = pred[0, :, mid]
+            values[i - L] = point
+            if quants is not None:
+                quants[i - L] = pred[0]
+            feed[i, target_cols] = point
 
     return ForecastTrace(getattr(model, "family", "model"), valid.timestamps[L:].copy(),
                          target_channels, values, quants, alphas,
@@ -135,9 +138,9 @@ def evaluate(traces: list[ForecastTrace], valid: TransformerDataset,
             entry["picp"] = picp(truth, lower, upper)
             entry["mean_interval_width"] = mean_interval_width(lower, upper)
             entry["interval_levels"] = [trace.alphas[0], trace.alphas[-1]]
-        key = trace.model_id
-        if key in models:  # keep report keys unique
-            key = f"{key}_{sum(k.startswith(trace.model_id) for k in models)}"
+        key, n = trace.model_id, 1
+        while key in models:  # keep report keys unique
+            key, n = f"{trace.model_id}_{n}", n + 1
         models[key] = entry
 
     meta = {"data_start": format_instant(valid.timestamps[0]),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from toilcast import nn
-from toilcast.autodiff import (Tensor, absolute, backward, causal_conv1d, concat,
-                               matmul, maximum, mean, relu, reshape, sigmoid, tanh)
+from toilcast.autodiff import (Tensor, absolute, add, affine, backward, causal_conv1d,
+                               concat, layer_norm, matmul, maximum, mean, no_grad, power,
+                               relu, reshape, sigmoid, sum_axis, take, tanh)
 from util import max_rel_err
 
 TOL = 1e-4
@@ -121,6 +122,138 @@ class TestConv:
         with pytest.raises(ValueError, match="empty"):
             causal_conv1d(Tensor(np.zeros((1, 0, 2))), Tensor(np.zeros((2, 2, 2))),
                           Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("k, d, T", [(3, 2, 9), (3, 3, 5), (4, 2, 3), (2, 5, 4)])
+    def test_matches_zero_padded_reference(self, k, d, T):
+        # reference: left-pad with (k-1)*d zeros and sum every tap; the last
+        # cases have taps that reach only into the padding
+        rng = np.random.default_rng(k * 100 + d * 10 + T)
+        x = rng.normal(size=(2, T, 3))
+        w, b = rng.normal(size=(k, 3, 4)), rng.normal(size=4)
+        g = rng.normal(size=(2, T, 4))
+        pad = (k - 1) * d
+        xp = np.concatenate([np.zeros((2, pad, 3)), x], axis=1)
+        want = b + sum(xp[:, pad - i * d: pad - i * d + T] @ w[i] for i in range(k))
+        want_gx = np.zeros_like(xp)
+        for i in range(k):
+            want_gx[:, pad - i * d: pad - i * d + T] += g @ w[i].T
+        want_gw = np.stack([xp[:, pad - i * d: pad - i * d + T].reshape(-1, 3).T
+                            @ g.reshape(-1, 4) for i in range(k)])
+        params = {"x": Tensor(x, requires_grad=True), "w": Tensor(w, requires_grad=True),
+                  "b": Tensor(b, requires_grad=True)}
+        out = causal_conv1d(params["x"], params["w"], params["b"], d)
+        grads = backward(out, params, output_grad=g)
+        assert np.abs(out.data - want).max() <= 1e-12
+        assert np.abs(grads["x"] - want_gx[:, pad:]).max() <= 1e-12
+        assert np.abs(grads["w"] - want_gw).max() <= 1e-12
+        assert np.abs(grads["b"] - g.sum(axis=(0, 1))).max() <= 1e-12
+
+
+def _chain_layer_norm(x, gamma, beta, eps=1e-5):
+    """Layer norm composed of primitives: the reference for the fused op."""
+    n = x.shape[-1]
+    mu = sum_axis(x, axis=-1, keepdims=True) * (1.0 / n)
+    centered = x - mu
+    var = sum_axis(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
+    return centered * power(var + eps, -0.5) * gamma + beta
+
+
+def _fused_vs_chain(fused, chain, shapes, rng):
+    """Forward outputs and gradients (for a random output gradient) of the
+    fused primitive and of its composed chain on the same random inputs."""
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True, name=name)
+              for name, shape in shapes.items()}
+    out_f, out_c = fused(*params.values()), chain(*params.values())
+    g = rng.normal(size=out_f.shape)
+    return out_f.data, out_c.data, backward(out_f, params, g), backward(out_c, params, g)
+
+
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("x_shape, b_shape", [((5, 3), (4,)), ((5, 3), (1, 4)),
+                                                  ((2, 6, 3), (4,)), ((1, 3), (4,))])
+    def test_affine_matches_matmul_add(self, x_shape, b_shape):
+        rng = np.random.default_rng(len(x_shape) * 10 + len(b_shape))
+        for _ in range(20):
+            f, c, gf, gc = _fused_vs_chain(affine, lambda x, w, b: x @ w + b,
+                                           {"x": x_shape, "w": (3, 4), "b": b_shape}, rng)
+            assert np.array_equal(f, c)
+            for name in gf:
+                assert gf[name].shape == gc[name].shape
+                assert np.abs(gf[name] - gc[name]).max() <= 1e-12
+
+    @pytest.mark.parametrize("x_shape, p_shape", [((4, 6), (6,)), ((2, 5, 3), (3,)),
+                                                  ((3, 7), (1, 7))])
+    def test_layer_norm_matches_chain(self, x_shape, p_shape):
+        rng = np.random.default_rng(x_shape[-1])
+        for _ in range(20):
+            f, c, gf, gc = _fused_vs_chain(layer_norm, _chain_layer_norm,
+                                           {"x": x_shape, "gamma": p_shape,
+                                            "beta": p_shape}, rng)
+            assert np.array_equal(f, c)
+            for name in gf:
+                assert gf[name].shape == gc[name].shape
+                assert np.abs(gf[name] - gc[name]).max() <= 1e-12
+
+    def test_affine_shape_mismatch_names_node(self):
+        with pytest.raises(ValueError, match="head.w"):
+            affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 1)), name="head.w"),
+                   Tensor(np.zeros(1)))
+
+
+class TestTake:
+    def test_repeated_indices_accumulate(self):
+        a = Tensor(np.arange(4.0), requires_grad=True, name="a")
+        grads = backward(take(a, np.array([0, 2, 0, 0])), {"a": a})
+        assert np.array_equal(grads["a"], [3.0, 0.0, 1.0, 0.0])
+
+    def test_basic_slice_gradient(self):
+        a = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True, name="a")
+        g = np.arange(8.0).reshape(2, 4) + 1.0
+        grads = backward(a[:, -1, :], {"a": a}, output_grad=g)
+        want = np.zeros((2, 3, 4))
+        want[:, -1, :] = g
+        assert np.array_equal(grads["a"], want)
+
+
+class TestLazyTape:
+    def test_constants_record_nothing(self):
+        out = tanh(Tensor(np.ones((2, 3))) @ Tensor(np.ones((3, 2))))
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+
+    def test_gradient_flow_marks_results(self):
+        w = Tensor(np.ones(3), requires_grad=True, name="w")
+        out = add(Tensor(np.ones(3)), w)
+        assert out.requires_grad and len(out._parents) == 2
+
+    def test_no_grad_records_nothing_and_backward_gives_zeros(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True, name="w")
+        with no_grad():
+            out = mean(relu(Tensor(np.ones((4, 3))) @ w))
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(backward(out, {"w": w})["w"], np.zeros((3, 2)))
+
+    def test_no_grad_nests_and_restores(self):
+        w = Tensor(np.ones(2), requires_grad=True, name="w")
+        with no_grad():
+            with no_grad():
+                assert not (w * w).requires_grad
+            assert not (w * w).requires_grad
+        assert (w * w).requires_grad
+
+    def test_no_grad_restores_after_exception(self):
+        w = Tensor(np.ones(2), requires_grad=True, name="w")
+        with pytest.raises(ValueError, match="incompatible"):
+            with no_grad():
+                matmul(w, Tensor(np.ones((3, 3))))
+        assert (w * w).requires_grad
+
+    def test_input_without_gradient_skipped(self):
+        # the first layer's input takes no gradient, so its VJP returns None
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 2)), requires_grad=True, name="w")
+        b = Tensor(np.zeros(2), requires_grad=True, name="b")
+        gx, gw, gb = affine(x, w, b)._vjp(np.ones((2, 2)))
+        assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
 
 
 class TestAdam:

@@ -1,6 +1,10 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
+from toilcast import autodiff
 from toilcast.autodiff import Tensor, absolute, mean
 from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
                              TrainedModel, build_model, config_from_dict,
@@ -225,9 +229,11 @@ def make_trained(quantiles=(), family="ann"):
     if family == "ann":
         cfg = MlpConfig(n_layers=1, n_neurons=4, lookback=4, n_channels=3,
                         quantiles=quantiles)
+    elif family == "tcn":
+        cfg = TcnConfig(kernel=2, n_filters=3, lookback=4, quantiles=quantiles)
     else:
         cfg = TideConfig(temporal_width=2, decoder_output_dim=3, lookback=4,
-                         n_covariates=2, quantiles=quantiles)
+                         n_covariates=2, quantiles=quantiles, use_layer_norm=True)
     model = build_model(family, cfg)
     return TrainedModel(family, cfg, model.init_params(5),
                         ("top_oil", "ambient", "load_factor"), ("top_oil",),
@@ -279,6 +285,61 @@ class TestTrainedModel:
         save_checkpoint(p1, tm)
         save_checkpoint(p2, tm)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def _tampered(self, tmp_path, edit):
+        path = tmp_path / "model.checkpoint.json"
+        save_checkpoint(path, make_trained(family="tide"))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_checkpoint_tampered_hash_rejected(self, tmp_path):
+        def edit(doc):
+            doc["scaling"]["top_oil"]["gain"] = 0.02
+        with pytest.raises(ValueError, match="config_hash"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_checkpoint_wrong_shape_names_parameter(self, tmp_path):
+        def edit(doc):
+            entry = doc["params"]["global.b"]
+            entry["shape"] = [2]
+            entry["data"] = base64.b64encode(np.zeros(2, dtype="<f8").tobytes()).decode()
+        with pytest.raises(ValueError, match="'global.b' has shape"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    def test_checkpoint_missing_parameter_named(self, tmp_path):
+        with pytest.raises(ValueError, match="temporal.skip.w"):
+            load_checkpoint(self._tampered(tmp_path,
+                                           lambda doc: doc["params"].pop("temporal.skip.w")))
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_predict_window_records_no_tape(self, family, monkeypatch):
+        tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
+        built = []
+        node = autodiff._node
+
+        def recording_node(*args):
+            built.append(node(*args))
+            return built[-1]
+
+        monkeypatch.setattr(autodiff, "_node", recording_node)
+        tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
+        assert built and all(t._parents == () and t._vjp is None for t in built)
+
+    @pytest.mark.parametrize("family", ["ann", "tide"])
+    def test_predict_window_matches_channel_loop(self, family):
+        # reference: scale and unscale each channel through the scaler
+        tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
+        window = RNG.normal(40.0, 5.0, size=(4, 3))
+        future = RNG.normal(size=(1, 2))
+        x = np.stack([tm.scaler.scale(n, window[:, c])
+                      for c, n in enumerate(tm.input_channels)], axis=1)
+        f = np.stack([tm.scaler.scale(n, future[:, c])
+                      for c, n in enumerate(tm.covariate_channels)], axis=1)
+        out = tm.model.forward(tm.params, x.reshape(1, -1), f.reshape(1, -1))
+        want = tm.scaler.unscale("top_oil", out.data.reshape(1, 1, 3))
+        assert np.array_equal(tm.predict_window(window, future), np.sort(want, axis=-1))
 
 
 class TestConfigParsing:

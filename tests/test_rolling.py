@@ -102,6 +102,20 @@ class TestAutoregressive:
         with pytest.raises(FloatingPointError, match="timestep 0"):
             autoregressive_predict(model, valid)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_aborts_with_timestep_not_warning(self):
+        from toilcast.models import MlpConfig, TrainedModel, build_model
+        from toilcast.series import AffineScaler
+
+        cfg = MlpConfig(n_layers=1, n_neurons=4, lookback=5, n_channels=3)
+        params = build_model("ann", cfg).init_params(3)
+        params["head.b"].data = params["head.b"].data + 1e307
+        scaler = AffineScaler({"top_oil": (0.01, 0.0), "ambient": (0.01, 0.0),
+                               "load_factor": (1.0, 0.0)})
+        model = TrainedModel("ann", cfg, params, CHANNELS, ("top_oil",), scaler, seed=3)
+        with pytest.raises(FloatingPointError, match=r"timestep 0 \("):
+            autoregressive_predict(model, make_dataset(30, seed=6))
+
     def test_quantile_feedback_requires_median(self):
         valid = make_dataset(30, seed=7)
         model = StubModel(5, lambda w: w[-1, 0])
@@ -204,6 +218,18 @@ class TestEvaluate:
         a = evaluate([trace], valid).to_dict()
         b = evaluate([trace], valid).to_dict()
         assert a == b
+
+    def test_report_keys_unique(self):
+        valid = make_dataset(30, seed=26)
+        traces = []
+        for i, model_id in enumerate(["a", "a_2", "a", "a"]):
+            trace = autoregressive_predict(StubModel(5, lambda w, i=i: w[-1, 0] + i), valid)
+            trace.model_id = model_id
+            traces.append(trace)
+        report = evaluate(traces, valid)
+        assert list(report.models) == ["a", "a_2", "a_1", "a_3"]
+        maes = [report.models[k]["targets"]["top_oil"]["mae"] for k in report.models]
+        assert len(set(maes)) == 4
 
     def test_metadata_span(self):
         valid = make_dataset(30, seed=25)
