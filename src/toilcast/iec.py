@@ -56,18 +56,6 @@ class IecParams:
         return cls(**{k: float(raw[k]) for k in keys})
 
 
-@dataclass(frozen=True)
-class IecState:
-    """Instantaneous solver state: top-oil temperature at an instant."""
-
-    t_oil: float
-    t: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.t_oil):
-            raise ValueError("non-finite top-oil temperature")
-
-
 def load_bracket(K, p: IecParams):
     """[(1 + K^2 psi) / (1 + psi)]^chi — equals 1 at rated load (K=1)."""
     K = np.asarray(K, dtype=np.float64)
@@ -109,9 +97,10 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
              enforce_timestep: bool = True) -> TimeSeries:
     """Integrate the top-oil trajectory over aligned load and ambient series.
 
-    The output has one value per input instant, starting at t0. When dt is
-    finer than the series cadence it must divide it evenly; load and ambient
-    are held constant (left endpoint) across the sub-steps of each interval.
+    The output has one value per input instant, starting at t0. Each
+    interval between instants is integrated in sub-steps of dt, which must
+    equal or evenly divide its length; load and ambient are held constant
+    (left endpoint) across the sub-steps of each interval.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
@@ -122,23 +111,25 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
             f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
             "(pass enforce_timestep=False to override)"
         )
-    step_s = float(np.diff(K.timestamps).min()) if len(K) > 1 else K.step
-    dt_s = dt_min * 60.0
-    n_sub = step_s / dt_s
-    if abs(n_sub - round(n_sub)) > 1e-9 or n_sub < 1:
-        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step "
-                         f"({step_s / 60.0} min)")
-    n_sub = int(round(n_sub))
+    gaps_s = np.diff(K.timestamps) if len(K) > 1 else np.array([K.step])
+    n_sub = gaps_s / (dt_min * 60.0)
+    uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
+    if uneven.any():
+        row = int(np.argmax(uneven)) + 1
+        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
+                         f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
+    n_sub = np.round(n_sub).astype(int).tolist()
 
     alpha = dt_min / (p.k11 * p.tau_o_min)
-    drive = load_bracket(K.values, p) * p.delta_t_or_k
-    ta = Ta.values
+    # Python floats: the same IEEE double arithmetic as numpy scalars, faster
+    drive = (load_bracket(K.values, p) * p.delta_t_or_k).tolist()
+    ta = Ta.values.tolist()
     out = np.empty(len(K), dtype=np.float64)
     out[0] = t_oil = float(t0)
     for i in range(1, len(K)):
         d = drive[i - 1]
         a = ta[i - 1]
-        for _ in range(n_sub):
+        for _ in range(n_sub[i - 1]):
             t_oil += alpha * (d - (t_oil - a))
         out[i] = t_oil
     if not np.isfinite(out).all():

@@ -2,24 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LossKind:
-    """Training objective: plain point loss (MAE) or pinball at a set of
-    quantile levels."""
-
-    kind: str                       # 'point' | 'quantile'
-    alphas: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("point", "quantile"):
-            raise ValueError(f"loss kind must be 'point' or 'quantile', got '{self.kind}'")
-        if self.kind == "quantile":
-            validate_quantiles(self.alphas)
 
 
 def validate_quantiles(alphas) -> tuple[float, ...]:
@@ -32,20 +15,6 @@ def validate_quantiles(alphas) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"quantile levels must be strictly increasing, got {alphas}")
     return alphas
-
-
-@dataclass(frozen=True)
-class IntervalSummary:
-    """Coverage fraction and mean width of a prediction interval."""
-
-    picp: float
-    mean_width: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.picp <= 1.0:
-            raise ValueError(f"picp {self.picp} outside [0, 1]")
-        if self.mean_width < 0.0:
-            raise ValueError(f"negative mean interval width {self.mean_width}")
 
 
 def _pair(y, y_hat):
@@ -108,6 +77,3 @@ def mean_interval_width(lower, upper) -> float:
         raise ValueError("crossed interval bounds; apply enforce_non_crossing first")
     return float(np.mean(upper - lower))
 
-
-def interval_summary(y, lower, upper) -> IntervalSummary:
-    return IntervalSummary(picp(y, lower, upper), mean_interval_width(lower, upper))

@@ -160,14 +160,18 @@ def _rf(kernel: int, n_blocks: int, convs_per_block: int = 2) -> int:
     return 1 + (kernel - 1) * convs_per_block * (2 ** n_blocks - 1)
 
 
-def _auto_blocks(kernel: int, lookback: int) -> int:
-    if kernel < 2:
-        if lookback == 1:
+def _resolve_blocks(cfg: TcnConfig) -> int:
+    """The configured block count, or else the smallest stack whose receptive
+    field covers the look-back."""
+    if cfg.n_blocks is not None:
+        return cfg.n_blocks
+    if cfg.kernel < 2:
+        if cfg.lookback == 1:
             return 1
         raise ValueError("kernel=1 convolutions are pointwise; receptive field "
-                         f"cannot reach lookback {lookback}")
+                         f"cannot reach lookback {cfg.lookback}")
     b = 1
-    while _rf(kernel, b) < lookback:
+    while _rf(cfg.kernel, b) < cfg.lookback:
         b += 1
     return b
 
@@ -175,8 +179,7 @@ def _auto_blocks(kernel: int, lookback: int) -> int:
 def receptive_field(cfg: TcnConfig) -> int:
     """Past steps visible to the final output: 1 + (k-1) * convs_per_block *
     sum of dilations."""
-    n_blocks = cfg.n_blocks if cfg.n_blocks is not None else _auto_blocks(cfg.kernel, cfg.lookback)
-    return _rf(cfg.kernel, n_blocks)
+    return _rf(cfg.kernel, _resolve_blocks(cfg))
 
 
 class Tcn:
@@ -185,8 +188,7 @@ class Tcn:
 
     def __init__(self, cfg: TcnConfig):
         self.cfg = cfg
-        self.n_blocks = cfg.n_blocks if cfg.n_blocks is not None \
-            else _auto_blocks(cfg.kernel, cfg.lookback)
+        self.n_blocks = _resolve_blocks(cfg)
         rf = _rf(cfg.kernel, self.n_blocks)
         if rf < cfg.lookback:
             raise ValueError(f"receptive field {rf} < lookback {cfg.lookback}; "
@@ -207,32 +209,46 @@ class Tcn:
         nn.init_linear(params, rng, "head", self.cfg.n_filters, self.cfg.n_outputs)
         return params
 
-    def _features(self, params: dict, x, rng=None) -> Tensor:
+    def _features(self, params: dict, x, rng=None, last_only: bool = False) -> Tensor:
+        """Block outputs, (B, n, n_filters).
+
+        By default every block computes all n = L positions, block i with
+        dilation 2^i. With `last_only`, block i computes only the positions
+        the last step's output reads: those congruent to L-1 mod 2^i, with
+        dilation 1 in those coordinates. A tap that reaches before the start
+        does so in both coordinates, so the last position is the same.
+        Dropout masks are drawn at the full (B, L, n_filters) shape either
+        way, so one seed gives one stream of masks.
+        """
         x = as_tensor(x)
-        B = x.shape[0]
-        h = reshape(x, (B, self.cfg.lookback, self.cfg.n_channels))
+        B, L = x.shape[0], self.cfg.lookback
+        h = reshape(x, (B, L, self.cfg.n_channels))
         act = nn.activation(self.cfg.activation)
-        rate = self.cfg.dropout
+        rate, mask_shape = self.cfg.dropout, (B, L, self.cfg.n_filters)
         for i in range(self.n_blocks):
-            d = 2 ** i
+            stride = 2 ** i
+            d, keep = stride, ...
+            if last_only:
+                if i:  # every other position, ending at the last
+                    h = h[:, (h.shape[1] - 1) % 2::2]
+                d, keep = 1, (slice(None), slice((L - 1) % stride, None, stride))
             h1 = act(causal_conv1d(h, nn.conv_kernel(params, f"block{i}.conv1"),
                                    params[f"block{i}.conv1.b"], d))
-            h1 = nn.dropout(h1, rate, rng)
+            h1 = nn.dropout(h1, rate, rng, mask_shape, keep)
             h2 = causal_conv1d(h1, nn.conv_kernel(params, f"block{i}.conv2"),
                                params[f"block{i}.conv2.b"], d)
-            h2 = nn.dropout(h2, rate, rng)
+            h2 = nn.dropout(h2, rate, rng, mask_shape, keep)
             if f"block{i}.skip.w" in params:
                 skip = causal_conv1d(h, params[f"block{i}.skip.w"],
                                      params[f"block{i}.skip.b"], 1)
             else:
                 skip = h
             h = h2 + skip
-        return h  # (B, L, n_filters)
+        return h
 
     def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
-        h = self._features(params, x, rng)
-        last = h[:, -1, :]
-        return nn.linear(last, params, "head")
+        h = self._features(params, x, rng, last_only=True)
+        return nn.linear(h[:, -1, :], params, "head")
 
     def forward_sequence(self, params: dict, x) -> Tensor:
         """Per-timestep head readout, (B, L, n_outputs); used to probe

@@ -50,14 +50,17 @@ def dense(x, params: dict, prefix: str, act: str = "relu"):
     return activation(act)(linear(x, params, prefix))
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None):
+def dropout(x, rate: float, rng: np.random.Generator | None, draw_shape=None,
+            key=...):
     """Inverted dropout; identity when rate is 0 or no generator is given
-    (evaluation mode)."""
+    (evaluation mode). The mask is drawn at `draw_shape` (default: x's shape)
+    and indexed by `key` down to x's shape, so a caller that computes only
+    some positions draws the same random numbers as one that computes all."""
     if rate <= 0.0 or rng is None:
         return x
     if not 0.0 < rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(draw_shape or x.shape)[key] >= rate) / (1.0 - rate)
     return x * Tensor(mask)
 
 

@@ -58,14 +58,6 @@ def format_instant(epoch_s: int) -> str:
     return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).isoformat()
 
 
-def hours_to_steps(hours: float, step_s: int = STEP_5MIN_S) -> int:
-    """Look-back duration in hours -> number of grid steps (4 h -> 48)."""
-    steps = hours * 3600.0 / step_s
-    if abs(steps - round(steps)) > 1e-9:
-        raise ValueError(f"{hours} h is not a whole number of {step_s}-s steps")
-    return int(round(steps))
-
-
 # -------- core types --------
 
 @dataclass(frozen=True)

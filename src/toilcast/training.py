@@ -215,9 +215,11 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
                 valid_ds: TransformerDataset, scaler: AffineScaler,
                 train_cfg: TrainConfig, multi_target: bool = False,
                 on_trial=None) -> list[TrialResult]:
-    """Train and score every grid configuration; failures are recorded, not
-    fatal. Scoring is autoregressive validation MAE on the primary target
-    (the median trace for quantile models). Results return ranked ascending.
+    """Train and score every grid configuration. A trial that fails with a
+    ValueError, FloatingPointError or DivergenceError is recorded, with the
+    exception type, and the search goes on; any other exception propagates.
+    Scoring is autoregressive validation MAE on the primary target (the
+    median trace for quantile models). Results return ranked ascending.
     """
     combos = grid.enumerate()
     if not combos:
@@ -241,9 +243,11 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
                                  mae(truth, trace.values[:, 0]),
                                  mse(truth, trace.values[:, 0]), "ok",
                                  n_params=nn.n_params(trained.params))
-        except Exception as exc:  # single-trial fault isolation
+        except (ValueError, FloatingPointError, DivergenceError) as exc:
+            # a trial's invalid config or numeric failure; a bug still raises
             result = TrialResult(trial_id, grid.family, combo, combo["lookback"],
-                                 None, None, "failed", error=str(exc))
+                                 None, None, "failed",
+                                 error=f"{type(exc).__name__}: {exc}")
         results.append(result)
         if on_trial is not None:
             on_trial(result)

@@ -155,6 +155,23 @@ class TestSimulate:
         traj = simulate(K, Ta, 30.0, 5.0, tight, enforce_timestep=False)
         assert len(traj) == 10
 
+    def test_non_uniform_grid_substeps_each_interval(self):
+        # a 50-minute gap after two 5-minute steps is 10 Euler steps, not one
+        ts = np.array([0, 300, 600, 3600], dtype=np.int64)
+        K = TimeSeries(ts, np.ones(4), 300)
+        Ta = TimeSeries(ts, np.full(4, 20.0), 300)
+        traj = simulate(K, Ta, 20.0, 5.0, P)
+        uniform = simulate(const_series(1.0, 13), const_series(20.0, 13), 20.0, 5.0, P)
+        assert np.array_equal(traj.values, uniform.values[[0, 1, 2, 12]])
+        assert traj.values[-1] == pytest.approx(30.99, abs=0.01)
+
+    def test_interval_dt_does_not_divide_is_named(self):
+        ts = np.array([0, 300, 600, 1000], dtype=np.int64)
+        K = TimeSeries(ts, np.ones(4), 300)
+        Ta = TimeSeries(ts, np.full(4, 20.0), 300)
+        with pytest.raises(ValueError, match="before row 3"):
+            simulate(K, Ta, 20.0, 5.0, P)
+
     def test_dt_must_divide_series_step(self):
         K = const_series(1.0, 10)
         Ta = const_series(20.0, 10)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from toilcast.metrics import (IntervalSummary, LossKind, mae, mean_interval_width,
-                              mql, mse, picp, pinball, validate_quantiles)
+from toilcast.metrics import (mae, mean_interval_width, mql, mse, picp, pinball,
+                              validate_quantiles)
 
 
 class TestPointMetrics:
@@ -155,22 +155,8 @@ class TestIntervals:
     def test_width_mean(self):
         assert mean_interval_width(np.array([0.0, 0.0]), np.array([1.0, 3.0])) == 2.0
 
-    def test_summary_invariants(self):
-        with pytest.raises(ValueError, match="picp"):
-            IntervalSummary(1.2, 1.0)
-        with pytest.raises(ValueError, match="width"):
-            IntervalSummary(0.5, -1.0)
-
 
 class TestLossKind:
-    def test_point(self):
-        assert LossKind("point").alphas == ()
-
-    def test_quantile_needs_levels(self):
-        with pytest.raises(ValueError):
-            LossKind("quantile", ())
-        assert LossKind("quantile", (0.01, 0.5, 0.99)).alphas == (0.01, 0.5, 0.99)
-
     def test_validate_quantiles_ordering(self):
         with pytest.raises(ValueError, match="increasing"):
             validate_quantiles((0.5, 0.5))

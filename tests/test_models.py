@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from toilcast import autodiff
+from toilcast import autodiff, nn
 from toilcast.autodiff import Tensor, absolute, mean
 from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
                              TrainedModel, build_model, config_from_dict,
@@ -95,6 +95,47 @@ class TestTcn:
             out = t.forward_sequence(params, bumped.reshape(1, 24)).data
             assert np.array_equal(out[0, :step], base[0, :step])
             assert not np.array_equal(out[0, step:], base[0, step:])
+
+    @pytest.mark.parametrize("weight_norm", (False, True))
+    @pytest.mark.parametrize("n_channels", (3, 4))  # 3: 1x1 skip conv; 4: identity
+    @pytest.mark.parametrize("extra_blocks", (0, 2))
+    @pytest.mark.parametrize("lookback", (1, 5, 24, 31))
+    @pytest.mark.parametrize("kernel", (2, 3, 4))
+    def test_forward_computes_only_the_last_receptive_field(
+            self, kernel, lookback, extra_blocks, n_channels, weight_norm):
+        auto = Tcn(TcnConfig(kernel=kernel, lookback=lookback)).n_blocks
+        t = Tcn(TcnConfig(kernel=kernel, n_filters=4, lookback=lookback,
+                          n_blocks=auto + extra_blocks, n_channels=n_channels,
+                          weight_norm=weight_norm))
+        params = t.init_params(11)
+        x = RNG.normal(size=(5, lookback * n_channels))
+        got = t.forward(params, x)
+        want = nn.linear(t._features(params, x)[:, -1], params, "head")
+        if extra_blocks:
+            # the late blocks of a deeper stack run on one row, and numpy
+            # hands a one-row product to gemv, which rounds unlike gemm
+            assert np.abs(got.data - want.data).max() <= 1e-13
+        else:
+            # every product keeps at least two rows at these sizes: same
+            # BLAS route, same bits
+            assert np.array_equal(got.data, want.data)
+        seq = t.forward_sequence(params, x).data[:, -1]
+        assert np.abs(got.data - seq).max() <= 1e-13  # 3-D head: another route
+        g_got = autodiff.backward(mean(got), params)
+        g_want = autodiff.backward(mean(want), params)
+        for name in params:
+            assert np.abs(g_got[name] - g_want[name]).max() <= 1e-12, name
+
+    def test_pruned_dropout_draws_the_full_masks(self):
+        cfg = TcnConfig(kernel=2, n_filters=4, lookback=24, n_channels=3, dropout=0.2)
+        t = Tcn(cfg)
+        params = t.init_params(2)
+        x = RNG.normal(size=(6, 72))
+        got = t.forward(params, x, rng=np.random.default_rng(9)).data
+        want = nn.linear(t._features(params, x, np.random.default_rng(9))[:, -1],
+                         params, "head").data
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, t.forward(params, x).data)  # masks applied
 
     def test_paper_best_configuration_runs(self):
         # kernel 2, 16 filters, 4-hour look-back

@@ -5,9 +5,9 @@ import pytest
 
 from toilcast.series import (AffineScaler, SplitSpec, TimeSeries, TransformerDataset,
                              derive_load_factor, fill_gaps_adjacent_mean,
-                             format_instant, hours_to_steps, ingest_measurements,
-                             make_windows, parse_instant, resample_ambient_linear,
-                             scale_windows, split)
+                             format_instant, ingest_measurements, make_windows,
+                             parse_instant, resample_ambient_linear, scale_windows,
+                             split)
 from util import make_dataset
 
 START = 1_600_000_000  # on the 5-minute grid
@@ -205,9 +205,6 @@ class TestWindows:
     def test_boundary_single_window(self):
         ws = make_windows(make_dataset(4), 3, 1, ("top_oil",), ("top_oil",))
         assert ws.n_windows == 1
-
-    def test_lookback_hours_mapping(self):
-        assert [hours_to_steps(h) for h in (2, 4, 8)] == [24, 48, 96]
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="L\\+H"):

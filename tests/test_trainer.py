@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toilcast import metrics
+from toilcast import metrics, training
 from toilcast.autodiff import Tensor
 from toilcast.models import Mlp, MlpConfig
 from toilcast.series import AffineScaler, WindowSet
@@ -137,6 +137,30 @@ class TestGridSearch:
         failed = [r for r in ranked if r.status == "failed"][0]
         assert "receptive field" in failed.error
         assert ranked[0].status == "ok"  # scored trials rank ahead of failures
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("fit_dataset() got an unexpected keyword argument")
+
+        monkeypatch.setattr(training, "fit_dataset", broken)
+        train_ds, valid_ds = self.make_data()
+        grid = GridSpec("ann", {"n_neurons": (2,)}, lookbacks=(8,))
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            grid_search(grid, MlpConfig(n_layers=1, n_neurons=2, lookback=8), train_ds,
+                        valid_ds, IDENTITY, TrainConfig(batch_size=64, max_epochs=1))
+
+    def test_failed_trial_names_the_exception_type(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise DivergenceError(0, 3)
+
+        monkeypatch.setattr(training, "fit_dataset", diverging)
+        train_ds, valid_ds = self.make_data()
+        grid = GridSpec("ann", {"n_neurons": (2,)}, lookbacks=(8,))
+        [result] = grid_search(grid, MlpConfig(n_layers=1, n_neurons=2, lookback=8),
+                               train_ds, valid_ds, IDENTITY,
+                               TrainConfig(batch_size=64, max_epochs=1))
+        assert result.status == "failed"
+        assert result.error.startswith("DivergenceError: ")
 
     def test_trial_seeds_differ_but_run_is_reproducible(self):
         train_ds, valid_ds = self.make_data()
