@@ -44,6 +44,7 @@ DEFAULT_TRAIN = {
     "tide": {"batch_size": 512, "max_epochs": 100, "learning_rate": 1e-6},
 }
 DEFAULT_TRAIN_QUANTILE_LR = {"tide": 1e-5}
+TRAIN_KEYS = ("batch_size", "max_epochs", "learning_rate", "patience")
 
 DEFAULT_GRID = {
     "ann": {"n_neurons": (32, 64, 128), "n_layers": (2, 4, 8)},
@@ -141,14 +142,18 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
     raw = dict(DEFAULT_TRAIN[family])
     if loss == "quantile" and family in DEFAULT_TRAIN_QUANTILE_LR:
         raw["learning_rate"] = DEFAULT_TRAIN_QUANTILE_LR[family]
-    raw.update(cfg.get("train", {}).get(family, {}))
+    given = cfg.get("train", {}).get(family, {})
+    unknown = sorted(k for k in given if k not in TRAIN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown train.{family} keys: {unknown} "
+                          f"(expected some of {list(TRAIN_KEYS)})")
+    raw.update(given)
     quantiles = validate_quantiles(cfg.get("quantiles", [0.01, 0.5, 0.99]))
     try:
         return TrainConfig(batch_size=int(raw["batch_size"]),
                            max_epochs=int(raw["max_epochs"]),
                            learning_rate=float(raw["learning_rate"]),
                            seed=int(cfg["seed"]), loss=loss, quantiles=quantiles,
-                           optimizer=raw.get("optimizer", "adam"),
                            patience=raw.get("patience"))
     except ValueError as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc

@@ -77,22 +77,6 @@ def check_timestep(dt_min: float, p: IecParams) -> bool:
     return dt_min <= p.tau_w_min / 2.0
 
 
-def step(t_prev: float, K: float, t_ambient: float, dt_min: float, p: IecParams,
-         enforce_timestep: bool = False) -> float:
-    """One forward-Euler update of the top-oil temperature over dt minutes.
-
-    dt=0 is the degenerate no-op; negative dt is an error.
-    """
-    if dt_min < 0:
-        raise ValueError(f"negative timestep dt={dt_min}")
-    if enforce_timestep and dt_min > 0 and not check_timestep(dt_min, p):
-        raise ValueError(
-            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min"
-        )
-    drive = float(load_bracket(K, p)) * p.delta_t_or_k - (t_prev - t_ambient)
-    return t_prev + (dt_min / (p.k11 * p.tau_o_min)) * drive
-
-
 def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecParams,
              enforce_timestep: bool = True) -> TimeSeries:
     """Integrate the top-oil trajectory over aligned load and ambient series.

@@ -21,34 +21,19 @@ from .autodiff import Tensor, as_tensor, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
 from .series import AffineScaler
 
-COVARIATE_CHANNELS = ("ambient", "load_factor")
 
+class _ModelConfig:
+    """Validation and output sizing shared by the three family configs, each
+    a frozen dataclass that names its fields that must be >= 1 in `_positive`."""
 
-def _check_positive(cfg, names):
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{type(cfg).__name__}.{name} must be >= 1")
-
-
-def _norm_quantiles(q):
-    return validate_quantiles(q) if q else ()
-
-
-@dataclass(frozen=True)
-class MlpConfig:
-    n_layers: int = 4
-    n_neurons: int = 64
-    lookback: int = 48
-    n_channels: int = 3
-    n_targets: int = 1
-    horizon: int = 1
-    activation: str = "relu"
-    quantiles: tuple[float, ...] = ()
+    _positive = ()
 
     def __post_init__(self):
-        _check_positive(self, ("n_layers", "n_neurons", "lookback", "n_channels",
-                               "n_targets", "horizon"))
-        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
+        for name in self._positive:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{type(self).__name__}.{name} must be >= 1")
+        object.__setattr__(self, "quantiles",
+                           validate_quantiles(self.quantiles) if self.quantiles else ())
 
     @property
     def n_quantiles(self) -> int:
@@ -60,7 +45,21 @@ class MlpConfig:
 
 
 @dataclass(frozen=True)
-class TcnConfig:
+class MlpConfig(_ModelConfig):
+    n_layers: int = 4
+    n_neurons: int = 64
+    lookback: int = 48
+    n_channels: int = 3
+    n_targets: int = 1
+    horizon: int = 1
+    activation: str = "relu"
+    quantiles: tuple[float, ...] = ()
+
+    _positive = ("n_layers", "n_neurons", "lookback", "n_channels", "n_targets", "horizon")
+
+
+@dataclass(frozen=True)
+class TcnConfig(_ModelConfig):
     kernel: int = 2
     n_filters: int = 16
     n_blocks: int | None = None   # None: smallest stack whose receptive field covers L
@@ -73,22 +72,11 @@ class TcnConfig:
     dropout: float = 0.0          # regularization switches, off by default
     weight_norm: bool = False
 
-    def __post_init__(self):
-        _check_positive(self, ("kernel", "n_filters", "lookback", "n_channels",
-                               "n_targets", "horizon"))
-        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
-
-    @property
-    def n_quantiles(self) -> int:
-        return max(1, len(self.quantiles))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.horizon * self.n_targets * self.n_quantiles
+    _positive = ("kernel", "n_filters", "lookback", "n_channels", "n_targets", "horizon")
 
 
 @dataclass(frozen=True)
-class TideConfig:
+class TideConfig(_ModelConfig):
     temporal_width: int = 4           # covariate projection size r-tilde
     decoder_output_dim: int = 8       # p: per-step decoded vector size
     temporal_decoder_hidden: int = 8
@@ -99,32 +87,25 @@ class TideConfig:
     horizon: int = 1
     n_targets: int = 1
     n_covariates: int = 2
-    n_static: int = 0
+    n_static: int = 0                 # kept for checkpoints; must be 0
     activation: str = "relu"
     quantiles: tuple[float, ...] = ()
     dropout: float = 0.0          # regularization switches, off by default
     use_layer_norm: bool = False
 
+    _positive = ("temporal_width", "decoder_output_dim", "temporal_decoder_hidden",
+                 "hidden_size", "n_encoder_layers", "n_decoder_layers", "lookback",
+                 "horizon", "n_targets", "n_covariates")
+
     def __post_init__(self):
-        _check_positive(self, ("temporal_width", "decoder_output_dim",
-                               "temporal_decoder_hidden", "hidden_size",
-                               "n_encoder_layers", "n_decoder_layers", "lookback",
-                               "horizon", "n_targets", "n_covariates"))
-        if self.n_static < 0:
-            raise ValueError("n_static must be >= 0")
-        object.__setattr__(self, "quantiles", _norm_quantiles(self.quantiles))
+        super().__post_init__()
+        if self.n_static != 0:
+            raise ValueError(f"TideConfig.n_static must be 0 (static covariates are "
+                             f"not supported), got {self.n_static}")
 
     @property
     def n_channels(self) -> int:
         return self.n_targets + self.n_covariates
-
-    @property
-    def n_quantiles(self) -> int:
-        return max(1, len(self.quantiles))
-
-    @property
-    def n_outputs(self) -> int:
-        return self.horizon * self.n_targets * self.n_quantiles
 
 
 # -------- MLP --------
@@ -274,8 +255,7 @@ class Tide:
         nn.init_residual_block(params, rng, "proj", cfg.n_covariates, cfg.hidden_size,
                                cfg.temporal_width, ln)
         enc_in = (cfg.lookback * cfg.n_targets
-                  + (cfg.lookback + cfg.horizon) * cfg.temporal_width
-                  + cfg.n_static)
+                  + (cfg.lookback + cfg.horizon) * cfg.temporal_width)
         for i in range(cfg.n_encoder_layers):
             nn.init_residual_block(params, rng, f"encoder{i}",
                                    enc_in if i == 0 else cfg.hidden_size,
@@ -293,7 +273,7 @@ class Tide:
                        cfg.n_outputs)
         return params
 
-    def forward(self, params: dict, x, future=None, static=None, rng=None) -> Tensor:
+    def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
         cfg = self.cfg
         if future is None:
             raise ValueError("TiDE requires covariates over the forecast steps")
@@ -318,13 +298,7 @@ class Tide:
         proj = reshape(proj, (B, L + H, cfg.temporal_width))
 
         y_flat = reshape(y_lb, (B, L * T))
-        enc_parts = [y_flat, reshape(proj, (B, (L + H) * cfg.temporal_width))]
-        if cfg.n_static:
-            if static is None:
-                raise ValueError(f"config declares {cfg.n_static} static covariates "
-                                 "but none were given")
-            enc_parts.append(reshape(as_tensor(static), (B, cfg.n_static)))
-        e = concat(enc_parts, axis=1)
+        e = concat([y_flat, reshape(proj, (B, (L + H) * cfg.temporal_width))], axis=1)
         for i in range(cfg.n_encoder_layers):
             e = block(e, f"encoder{i}")
 
@@ -348,16 +322,19 @@ class Tide:
 FAMILIES = {"ann": (MlpConfig, Mlp), "tcn": (TcnConfig, Tcn), "tide": (TideConfig, Tide)}
 
 
-def build_model(family: str, cfg):
+def _family(family: str):
+    """The (config class, model class) pair of a family name."""
     if family not in FAMILIES:
         raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
-    return FAMILIES[family][1](cfg)
+    return FAMILIES[family]
+
+
+def build_model(family: str, cfg):
+    return _family(family)[1](cfg)
 
 
 def config_from_dict(family: str, raw: dict):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
-    cls = FAMILIES[family][0]
+    cls = _family(family)[0]
     known = cls.__dataclass_fields__
     unknown = [k for k in raw if k not in known]
     if unknown:
@@ -419,11 +396,9 @@ class TrainedModel:
     def _scaling(self) -> tuple[np.ndarray, ...]:
         """Gain and offset vectors of the input, covariate and target
         channels, in that order: the scaler's map as arrays, built once."""
-        vectors = []
-        for names in (self.input_channels, self.covariate_channels, self.target_channels):
-            pairs = [self.scaler.channels[n] for n in names]
-            vectors += [np.array([g for g, _ in pairs]), np.array([o for _, o in pairs])]
-        return tuple(vectors)
+        return (*self.scaler.vectors(self.input_channels),
+                *self.scaler.vectors(self.covariate_channels),
+                *self.scaler.vectors(self.target_channels))
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
         """One forward pass, recording no tape, on a raw-unit (L, C) window;
@@ -449,8 +424,10 @@ class TrainedModel:
         return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
 
 
-def config_fingerprint(model: TrainedModel) -> str:
-    doc = {
+def _description(model: TrainedModel) -> dict:
+    """Everything but the parameters: the document the config hash covers
+    and the body of a checkpoint."""
+    return {
         "family": model.family,
         "config": asdict(model.config),
         "input_channels": list(model.input_channels),
@@ -458,7 +435,10 @@ def config_fingerprint(model: TrainedModel) -> str:
         "scaling": {n: {"gain": g, "offset": o} for n, (g, o) in sorted(model.scaler.channels.items())},
         "seed": model.seed,
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def config_fingerprint(model: TrainedModel) -> str:
+    blob = json.dumps(_description(model), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -468,23 +448,16 @@ CHECKPOINT_FORMAT = "toilcast-checkpoint-v1"
 def save_checkpoint(path, model: TrainedModel) -> None:
     """Write the trained model as deterministic JSON: named parameter arrays
     (base64 little-endian float64), shapes, config, and the config hash."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "family": model.family,
-        "config": asdict(model.config),
-        "input_channels": list(model.input_channels),
-        "target_channels": list(model.target_channels),
-        "scaling": {n: {"gain": g, "offset": o} for n, (g, o) in sorted(model.scaler.channels.items())},
-        "seed": model.seed,
-        "config_hash": model.config_hash,
-        "params": {
-            name: {
-                "shape": list(t.data.shape),
-                "data": base64.b64encode(
-                    np.ascontiguousarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
-            }
-            for name, t in sorted(model.params.items())
-        },
+    doc = _description(model)
+    doc["format"] = CHECKPOINT_FORMAT
+    doc["config_hash"] = model.config_hash
+    doc["params"] = {
+        name: {
+            "shape": list(t.data.shape),
+            "data": base64.b64encode(
+                np.ascontiguousarray(t.data, dtype="<f8").tobytes()).decode("ascii"),
+        }
+        for name, t in sorted(model.params.items())
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)

@@ -1,7 +1,8 @@
-"""Layers, parameter initialization, and optimizers on the autodiff substrate.
+"""Layers, parameter initialization, and the Adam optimizer on the autodiff
+substrate.
 
-Parameters are named float64 Tensors in an ordered dict; optimizers update
-them in place. Initialization is fan-in-scaled uniform with zero biases,
+Parameters are named float64 Tensors in an ordered dict; Adam updates them
+in place. Initialization is fan-in-scaled uniform with zero biases,
 fully reproducible from a 64-bit seed.
 """
 
@@ -137,7 +138,7 @@ def param_checksum(params: dict) -> str:
     return h.hexdigest()
 
 
-# -------- optimizers --------
+# -------- optimizer --------
 
 @dataclass
 class AdamState:
@@ -169,17 +170,3 @@ def adam_update(params: dict, grads: dict, state: AdamState) -> None:
         v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
         p.data = p.data - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
-
-@dataclass
-class SgdState:
-    learning_rate: float = 1e-3
-    step_count: int = 0
-
-
-def sgd_update(params: dict, grads: dict, state: SgdState) -> None:
-    state.step_count += 1
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
-        p.data = p.data - state.learning_rate * g

@@ -33,8 +33,7 @@ class ForecastTrace:
         return len(self.timestamps)
 
 
-def autoregressive_predict(model, valid: TransformerDataset,
-                           lookback: int | None = None) -> ForecastTrace:
+def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     """Roll a one-step model over the validation slice.
 
     The first window seeds from measured targets; thereafter predicted
@@ -42,7 +41,7 @@ def autoregressive_predict(model, valid: TransformerDataset,
     feed back their median (alpha = 0.5) trace.
     """
     cfg = model.config
-    L = int(lookback if lookback is not None else cfg.lookback)
+    L = int(cfg.lookback)
     if getattr(cfg, "horizon", 1) != 1:
         raise ValueError("autoregressive evaluation requires a one-step model")
     N = valid.n

@@ -218,6 +218,12 @@ class AffineScaler:
         return cls({n: (float(c.get("gain", 1.0)), float(c.get("offset", 0.0)))
                     for n, c in cfg.items()})
 
+    def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """Gain and offset arrays over `names`, to scale a matrix whose last
+        axis runs over those channels."""
+        pairs = [self.channels[n] for n in names]
+        return np.array([g for g, _ in pairs]), np.array([o for _, o in pairs])
+
     def scale(self, name: str, x: np.ndarray) -> np.ndarray:
         gain, offset = self.channels[name]
         return (np.asarray(x, dtype=np.float64) - offset) * gain
@@ -404,10 +410,11 @@ def make_windows(ds: TransformerDataset, lookback: int, horizon: int,
 def scale_windows(ws: WindowSet, scaler: AffineScaler) -> WindowSet:
     """Apply the per-channel scaler to every window matrix."""
     def scaled(mat, channels):
-        out = mat.copy()
-        C = len(channels)
-        for c, name in enumerate(channels):
-            out[:, c::C] = scaler.scale(name, out[:, c::C])
+        # vectors tiled to the time-major row: a short broadcast axis is slow
+        gain, offset = scaler.vectors(channels)
+        steps = mat.shape[1] // len(channels)
+        out = mat - np.tile(offset, steps)
+        out *= np.tile(gain, steps)
         return out
 
     future = None

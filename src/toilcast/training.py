@@ -39,7 +39,6 @@ class TrainConfig:
     seed: int = 0
     loss: str = "point"                       # 'point' (MAE) | 'quantile'
     quantiles: tuple[float, ...] = (0.01, 0.5, 0.99)
-    optimizer: str = "adam"                   # 'adam' | 'sgd'
     patience: int | None = None               # early stop after this many epochs
                                               # without improvement; off by default
 
@@ -50,8 +49,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got '{self.optimizer}'")
 
 
 @dataclass
@@ -102,10 +99,7 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
     rng = nn.rng_from_seed(cfg.seed, 1)
     dropout_rng = nn.rng_from_seed(cfg.seed, 2) if getattr(model.cfg, "dropout", 0.0) > 0 \
         else None
-    if cfg.optimizer == "adam":
-        opt_state, update = nn.AdamState(learning_rate=cfg.learning_rate), nn.adam_update
-    else:
-        opt_state, update = nn.SgdState(learning_rate=cfg.learning_rate), nn.sgd_update
+    opt_state = nn.AdamState(learning_rate=cfg.learning_rate)
 
     t_start = time.perf_counter()
     epoch_losses: list[float] = []
@@ -128,7 +122,7 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
             if not np.isfinite(value):
                 raise DivergenceError(epoch, bi)
             grads = backward(loss, params)
-            update(params, grads, opt_state)
+            nn.adam_update(params, grads, opt_state)
             loss_sum += value * len(idx)
         epoch_losses.append(loss_sum / n)
         if cfg.patience is not None:

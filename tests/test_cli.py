@@ -239,6 +239,16 @@ class TestConfigValidation:
         assert main(["synth", "--config", cfg_path]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_unknown_train_keys_rejected(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["train"]["ann"]["max_epoch"] = 5
+        cfg["train"]["ann"]["optimizer"] = "sgd"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+        err = capsys.readouterr().err
+        assert "train.ann" in err and "'max_epoch'" in err and "'optimizer'" in err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
     def test_invalid_split_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["split"]["valid"] = ["2020-06-30T00:00:00Z", "2020-07-01T00:00:00Z"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toilcast.iec import IecParams, check_timestep, simulate, steady_state, step
+from toilcast.iec import IecParams, check_timestep, simulate, steady_state
 from toilcast.series import TimeSeries
 
 P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
@@ -34,24 +34,26 @@ class TestSteadyState:
 
 
 class TestStep:
+    """One Euler update: a two-point `simulate` run whose interval is dt."""
+
     def test_steady_state_is_fixed_point(self):
         ss = steady_state(0.8, 15.0, P)
-        assert abs(step(ss, 0.8, 15.0, 5.0, P) - ss) <= 1e-9
+        out = simulate(const_series(0.8, 2), const_series(15.0, 2), ss, 5.0, P)
+        assert abs(out.values[1] - ss) <= 1e-9
 
     def test_hand_update(self):
         # K=1 puts the drive at delta_t_or; starting at ambient, one minute
         # over k11*tau_o = 100 min moves 1% of the way
         p = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=100.0,
                       tau_w_min=10.0)
-        got = step(20.0, 1.0, 20.0, 1.0, p)
-        assert got == pytest.approx(20.0 + 0.01 * 38.3, abs=1e-12)
-
-    def test_zero_dt_is_identity(self):
-        assert step(47.3, 0.9, 12.0, 0.0, P) == 47.3
+        out = simulate(const_series(1.0, 2, dt_s=60), const_series(20.0, 2, dt_s=60),
+                       20.0, 1.0, p)
+        assert out.values[1] == pytest.approx(20.0 + 0.01 * 38.3, abs=1e-12)
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            step(47.3, 0.9, 12.0, -1.0, P)
+        for dt_min in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                simulate(const_series(0.9, 2), const_series(12.0, 2), 47.3, dt_min, P)
 
 
 class TestCheckTimestep:

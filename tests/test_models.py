@@ -395,3 +395,19 @@ class TestConfigParsing:
     def test_quantile_list_coerced(self):
         cfg = config_from_dict("ann", {"quantiles": [0.01, 0.5, 0.99]})
         assert cfg.quantiles == (0.01, 0.5, 0.99)
+
+    @pytest.mark.parametrize("cls", [MlpConfig, TcnConfig, TideConfig])
+    def test_config_validation(self, cls):
+        for name in cls._positive:
+            with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must be >= 1"):
+                cls(**{name: 0})
+        with pytest.raises(ValueError, match="increasing"):
+            cls(quantiles=(0.9, 0.5))
+        cfg = cls(horizon=3, n_targets=2, quantiles=[0.1, 0.5, 0.9])
+        assert cfg.quantiles == (0.1, 0.5, 0.9)
+        assert cfg.n_outputs == 3 * 2 * 3
+        assert cls(horizon=2, n_targets=2).n_outputs == 4
+
+    def test_tide_static_covariates_rejected(self):
+        with pytest.raises(ValueError, match=r"TideConfig\.n_static"):
+            TideConfig(n_static=1)
