@@ -11,7 +11,6 @@ named parameter set. Small, deterministic, CPU-only.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import partial
 
@@ -20,15 +19,15 @@ import numpy as np
 _grad_enabled: ContextVar[bool] = ContextVar("toilcast_grad_enabled", default=True)
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Record no tape nodes inside the block; restores the previous mode on
     exit, also after an exception or when nested."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
+
+    def __enter__(self):
+        self._token = _grad_enabled.set(False)
+
+    def __exit__(self, *exc):
+        _grad_enabled.reset(self._token)
 
 
 class Tensor:

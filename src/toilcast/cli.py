@@ -154,8 +154,9 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
                            max_epochs=int(raw["max_epochs"]),
                            learning_rate=float(raw["learning_rate"]),
                            seed=int(cfg["seed"]), loss=loss, quantiles=quantiles,
-                           patience=raw.get("patience"))
-    except ValueError as exc:
+                           patience=None if raw.get("patience") is None
+                           else int(raw["patience"]))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
 
 
@@ -242,12 +243,13 @@ def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> in
     with open(results_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_id", "family", "params_json", "lookback",
-                         "val_mae", "val_mse", "status"])
+                         "val_mae", "val_mse", "status", "error"])
 
         def on_trial(r):  # append-on-complete so interrupts keep finished rows
             writer.writerow([r.trial_id, r.family, r.params_json(), r.lookback,
                              "" if r.val_mae is None else repr(r.val_mae),
-                             "" if r.val_mse is None else repr(r.val_mse), r.status])
+                             "" if r.val_mse is None else repr(r.val_mse), r.status,
+                             r.error or ""])
             fh.flush()
 
         ranked = grid_search(grid, base_cfg, train_ds, valid_ds, _scaler(cfg),

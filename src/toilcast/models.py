@@ -273,6 +273,16 @@ class Tide:
                        cfg.n_outputs)
         return params
 
+    def _block(self, h, params: dict, prefix: str, rng) -> Tensor:
+        return nn.residual_block(h, params, prefix, self.cfg.activation, self.cfg.dropout, rng)
+
+    def project(self, params: dict, cov, rng=None) -> Tensor:
+        """Per-timestep feature projection of scaled covariates, (..., r) ->
+        (..., temporal_width). It is pointwise in time, so one call over a
+        whole slice gives the rows of every window in it."""
+        proj = self._block(reshape(cov, (-1, self.cfg.n_covariates)), params, "proj", rng)
+        return reshape(proj, (*cov.shape[:-1], self.cfg.temporal_width))
+
     def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
         cfg = self.cfg
         if future is None:
@@ -282,35 +292,33 @@ class Tide:
         if future.shape[-1] != cfg.horizon * cfg.n_covariates:
             raise ValueError(f"future covariates cover {future.shape[-1]} values, "
                              f"need horizon*n_covariates = {cfg.horizon * cfg.n_covariates}")
-        B = x.shape[0]
-        L, H, T, r = cfg.lookback, cfg.horizon, cfg.n_targets, cfg.n_covariates
+        B, T, r = x.shape[0], cfg.n_targets, cfg.n_covariates
+        x3 = reshape(x, (B, cfg.lookback, T + r))
+        cov = concat([x3[:, :, T:], reshape(future, (B, cfg.horizon, r))], axis=1)
+        return self.decode(params, x3, self.project(params, cov, rng), rng)
 
-        def block(h, prefix):
-            return nn.residual_block(h, params, prefix, cfg.activation,
-                                     cfg.dropout, rng)
+    def decode(self, params: dict, x3: Tensor, proj: Tensor, rng=None) -> Tensor:
+        """The forecast from a scaled (B, L, T + r) look-back, targets first,
+        and the projection of its L + H covariate rows, (B, L + H,
+        temporal_width)."""
+        cfg = self.cfg
+        B = x3.shape[0]
+        L, H, T = cfg.lookback, cfg.horizon, cfg.n_targets
 
-        x3 = reshape(x, (B, L, T + r))
-        y_lb = x3[:, :, :T]                       # target look-back
-        cov = concat([x3[:, :, T:], reshape(future, (B, H, r))], axis=1)  # (B, L+H, r)
-
-        # per-timestep feature projection to the temporal width
-        proj = block(reshape(cov, (B * (L + H), r)), "proj")
-        proj = reshape(proj, (B, L + H, cfg.temporal_width))
-
-        y_flat = reshape(y_lb, (B, L * T))
+        y_flat = reshape(x3[:, :, :T], (B, L * T))            # target look-back
         e = concat([y_flat, reshape(proj, (B, (L + H) * cfg.temporal_width))], axis=1)
         for i in range(cfg.n_encoder_layers):
-            e = block(e, f"encoder{i}")
+            e = self._block(e, params, f"encoder{i}", rng)
 
         g = e
         for i in range(cfg.n_decoder_layers):
-            g = block(g, f"decoder{i}")
+            g = self._block(g, params, f"decoder{i}", rng)
         D = reshape(g, (B, H, cfg.decoder_output_dim))
 
         steps = []
         for t in range(H):
             td_in = concat([D[:, t, :], proj[:, L + t, :]], axis=1)
-            y_t = block(td_in, "temporal")
+            y_t = self._block(td_in, params, "temporal", rng)
             steps.append(reshape(y_t, (B, 1, T * cfg.n_quantiles)))
         decoded = reshape(concat(steps, axis=1), (B, cfg.n_outputs))
 
@@ -394,34 +402,66 @@ class TrainedModel:
 
     @cached_property
     def _scaling(self) -> tuple[np.ndarray, ...]:
-        """Gain and offset vectors of the input, covariate and target
-        channels, in that order: the scaler's map as arrays, built once."""
-        return (*self.scaler.vectors(self.input_channels),
-                *self.scaler.vectors(self.covariate_channels),
-                *self.scaler.vectors(self.target_channels))
+        """Gain and offset vectors of the input channels, the columns of the
+        target channels among them, and the target vectors: the scaler's map
+        as arrays, built once."""
+        gain, offset = self.scaler.vectors(self.input_channels)
+        cols = np.array([self.input_channels.index(c) for c in self.target_channels])
+        return gain, offset, cols, gain[cols], offset[cols]
 
-    def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
-        """One forward pass, recording no tape, on a raw-unit (L, C) window;
+    def prepare(self, matrix: np.ndarray) -> tuple:
+        """The per-slice work of a forecast over a raw-unit (n, C) input
+        matrix: the matrix scaled once and, for TiDE, the covariates of every
+        row projected once. `step` reads windows of the result and `feed`
+        writes fed-back targets into it."""
+        gain, offset = self._scaling[:2]
+        scaled = (np.asarray(matrix, dtype=np.float64) - offset) * gain
+        proj = None
+        if self.family == "tide":
+            cov = np.ascontiguousarray(scaled[:, self.config.n_targets:])
+            with no_grad():
+                proj = self.model.project(self.params, cov).data
+        return scaled, proj
+
+    def step(self, prepared: tuple, i: int) -> np.ndarray:
+        """One forward pass, recording no tape, on rows i-L .. i-1 of a
+        prepared slice (TiDE also reads the covariates of rows i .. i+H-1);
         returns (H, T, Q) predictions in raw units with non-crossing
         enforced."""
+        scaled, proj = prepared
+        cfg = self.config
+        x = scaled[None, i - cfg.lookback: i]
+        with no_grad():
+            if proj is None:
+                out = self.model.forward(self.params, Tensor(x.reshape(1, -1)))
+            else:
+                rows = proj[None, i - cfg.lookback: i + cfg.horizon]
+                out = self.model.decode(self.params, Tensor(x), Tensor(rows))
+        tgt_gain, tgt_off = self._scaling[3:]
+        out = out.data.reshape(cfg.horizon, cfg.n_targets, cfg.n_quantiles)
+        raw = out / tgt_gain[:, None] + tgt_off[:, None]
+        return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
+
+    def feed(self, prepared: tuple, i: int, targets: np.ndarray) -> None:
+        """Write raw-unit target values into row i of a prepared slice,
+        scaled as `prepare` scales the matrix."""
+        _, _, cols, tgt_gain, tgt_off = self._scaling
+        prepared[0][i, cols] = (targets - tgt_off) * tgt_gain
+
+    def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
+        """`step` on one prepared raw-unit (L, C) window, plus for TiDE the
+        (H, n_covariates) covariates over the forecast steps."""
         cfg = self.config
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (cfg.lookback, len(self.input_channels)):
             raise ValueError(f"window shape {window.shape} != "
                              f"({cfg.lookback}, {len(self.input_channels)})")
-        in_gain, in_off, cov_gain, cov_off, tgt_gain, tgt_off = self._scaling
-        scaled = (window - in_off) * in_gain
-        fut = None
         if self.family == "tide":
             if future is None:
                 raise ValueError("TiDE prediction needs covariates over the forecast steps")
-            sf = (np.asarray(future, dtype=np.float64) - cov_off) * cov_gain
-            fut = Tensor(sf.reshape(1, -1))
-        with no_grad():
-            out = self.model.forward(self.params, Tensor(scaled.reshape(1, -1)), fut)
-        out = out.data.reshape(cfg.horizon, cfg.n_targets, cfg.n_quantiles)
-        raw = out / tgt_gain[:, None] + tgt_off[:, None]
-        return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
+            window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
+            window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
+        return self.step(self.prepare(window), cfg.lookback)
 
 
 def _description(model: TrainedModel) -> dict:

@@ -38,7 +38,8 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
 
     The first window seeds from measured targets; thereafter predicted
     targets are fed back while covariates stay measured. Quantile models
-    feed back their median (alpha = 0.5) trace.
+    feed back their median (alpha = 0.5) trace. The model prepares the
+    slice once, then steps along it and feeds each median back into it.
     """
     cfg = model.config
     L = int(cfg.lookback)
@@ -58,20 +59,15 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     else:
         mid = 0
 
-    feed = valid.matrix(input_channels).copy()
-    target_cols = [input_channels.index(c) for c in target_channels]
-    cov_channels = tuple(c for c in input_channels if c not in target_channels)
-    cov = valid.matrix(cov_channels) if cov_channels else None
-
     n_out = N - L
     values = np.empty((n_out, len(target_channels)))
     quants = np.empty((n_out, len(target_channels), len(alphas))) if alphas else None
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prepared = model.prepare(valid.matrix(input_channels))
         for i in range(L, N):
-            future = cov[i: i + 1] if cov is not None else None
-            pred = model.predict_window(feed[i - L: i], future)   # (1, T, Q)
+            pred = model.step(prepared, i)   # (1, T, Q)
             if not np.isfinite(pred).all():
                 raise FloatingPointError(
                     f"non-finite prediction at timestep {i - L} "
@@ -80,7 +76,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
             values[i - L] = point
             if quants is not None:
                 quants[i - L] = pred[0]
-            feed[i, target_cols] = point
+            model.feed(prepared, i, point)
 
     return ForecastTrace(getattr(model, "family", "model"), valid.timestamps[L:].copy(),
                          target_channels, values, quants, alphas,

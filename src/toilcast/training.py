@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError(f"TrainConfig.patience must be >= 1 or None, got {self.patience}")
 
 
 @dataclass

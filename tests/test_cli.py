@@ -1,8 +1,9 @@
+import csv
 import json
 
 import pytest
 
-from toilcast.cli import main
+from toilcast.cli import _train_config, main
 from toilcast.models import load_checkpoint
 
 ORIGIN_DAY1 = "2020-07-01T00:00:00+00:00"
@@ -156,9 +157,20 @@ class TestGridCommand:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["grid", "--config", cfg_path, "--model", "ann"]) == 0
         rows = (tmp_path / "out" / "grid_ann_point.csv").read_text().splitlines()
-        assert rows[0] == "trial_id,family,params_json,lookback,val_mae,val_mse,status"
+        assert rows[0] == "trial_id,family,params_json,lookback,val_mae,val_mse,status,error"
         assert len(rows) == 2
-        assert rows[1].endswith("ok")
+        assert rows[1].endswith("ok,")
+
+    def test_failed_trial_row_names_error(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["grid"] = {"tcn": {"kernel": [1, 2]}, "lookbacks": [6]}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["grid", "--config", cfg_path, "--model", "tcn"]) == 0
+        with open(tmp_path / "out" / "grid_tcn_point.csv", newline="") as fh:
+            rows = {json.loads(r["params_json"])["kernel"]: r for r in csv.DictReader(fh)}
+        assert rows[1]["status"] == "failed"
+        assert rows[1]["error"].startswith("ValueError: kernel=1")
+        assert rows[2]["status"] == "ok" and rows[2]["error"] == ""
 
     def test_small_grid_counts(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -248,6 +260,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "train.ann" in err and "'max_epoch'" in err and "'optimizer'" in err
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("batch_size", None), ("patience", 0)])
+    def test_invalid_train_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = base_config(tmp_path)
+        cfg["train"]["ann"][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+        assert "invalid train.ann settings" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    def test_patience_converted_and_null_is_off(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["train"]["ann"]["patience"] = "2"
+        assert _train_config(cfg, "ann", "point").patience == 2
+        cfg["train"]["ann"]["patience"] = None
+        assert _train_config(cfg, "ann", "point").patience is None
 
     def test_invalid_split_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

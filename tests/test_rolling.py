@@ -18,7 +18,8 @@ CHANNELS = ("top_oil", "ambient", "load_factor")
 
 
 class StubModel:
-    """Duck-typed stand-in driven by a window -> scalar rule."""
+    """Duck-typed stand-in driven by a window -> scalar rule, with identity
+    scaling: the prepared slice is a copy of the raw matrix."""
 
     family = "stub"
     config_hash = ""
@@ -30,8 +31,15 @@ class StubModel:
         self.config = SimpleNamespace(lookback=lookback, horizon=1)
         self.fn = fn
 
-    def predict_window(self, window, future=None):
+    def prepare(self, matrix):
+        return np.array(matrix, dtype=float)
+
+    def step(self, prepared, i):
+        window = prepared[i - self.config.lookback: i]
         return np.asarray([[[self.fn(window)]]], dtype=float)
+
+    def feed(self, prepared, i, targets):
+        prepared[i, :1] = targets   # top_oil is the first input channel
 
 
 class OracleModel(StubModel):
@@ -42,7 +50,7 @@ class OracleModel(StubModel):
         self.truth = truth
         self.i = lookback
 
-    def predict_window(self, window, future=None):
+    def step(self, prepared, i):
         v = self.truth[self.i]
         self.i += 1
         return np.asarray([[[v]]], dtype=float)
@@ -266,3 +274,109 @@ class TestMultiTarget:
             valid.top_oil.with_values(top), valid.ambient, valid.load_factor)
         again = autoregressive_predict(model, blinded)
         assert np.array_equal(trace.values, again.values)
+
+
+SCALER_CHANNELS = {"top_oil": (0.02, 40.0), "ambient": (0.05, 10.0),
+                   "load_factor": (1.5, 0.6), "temp_rise": (0.03, 30.0)}
+
+
+def make_model(family, quantiles=(), n_targets=1):
+    from toilcast.models import (MlpConfig, TcnConfig, TideConfig, TrainedModel,
+                                 build_model)
+    from toilcast.series import AffineScaler
+
+    targets = ("top_oil", "temp_rise")[:n_targets]
+    if family == "ann":
+        cfg = MlpConfig(n_layers=2, n_neurons=8, lookback=6,
+                        n_channels=n_targets + 2, n_targets=n_targets, quantiles=quantiles)
+    elif family == "tcn":
+        cfg = TcnConfig(kernel=2, n_filters=4, lookback=6, n_targets=n_targets,
+                        n_channels=n_targets + 2, quantiles=quantiles)
+    else:
+        cfg = TideConfig(temporal_width=3, decoder_output_dim=3, hidden_size=8,
+                         lookback=6, n_targets=n_targets, n_covariates=2,
+                         quantiles=quantiles, use_layer_norm=True)
+    params = build_model(family, cfg).init_params(17)
+    return TrainedModel(family, cfg, params, targets + ("ambient", "load_factor"), targets,
+                        AffineScaler(SCALER_CHANNELS), seed=17)
+
+
+def reference_rollout(model, valid):
+    """The per-step loop that `autoregressive_predict` replaces: scale the raw
+    window (and TiDE's future covariates) at every step, run `forward`,
+    unscale, sort the quantiles and feed the raw median back. Returns the
+    (n, T, Q) predictions."""
+    from toilcast.autodiff import Tensor, no_grad
+
+    cfg, L = model.config, model.config.lookback
+    ins, tgts, covs = model.input_channels, model.target_channels, model.covariate_channels
+    in_gain, in_off = model.scaler.vectors(ins)
+    cov_gain, cov_off = model.scaler.vectors(covs)
+    tgt_gain, tgt_off = model.scaler.vectors(tgts)
+    feed, cov = valid.matrix(ins).copy(), valid.matrix(covs)
+    cols = [ins.index(c) for c in tgts]
+    mid = model.quantiles.index(0.5) if model.quantiles else 0
+    out = []
+    for i in range(L, valid.n):
+        x = Tensor(((feed[i - L: i] - in_off) * in_gain).reshape(1, -1))
+        fut = None
+        if model.family == "tide":
+            fut = Tensor(((cov[i: i + 1] - cov_off) * cov_gain).reshape(1, -1))
+        with no_grad():
+            y = model.model.forward(model.params, x, fut)
+        raw = y.data.reshape(1, cfg.n_targets, cfg.n_quantiles)
+        raw = np.sort(raw / tgt_gain[:, None] + tgt_off[:, None], axis=-1)
+        out.append(raw[0])
+        feed[i, cols] = raw[0, :, mid]
+    return np.array(out)
+
+
+ROLLOUT_CASES = {"ann": ("ann", (), 1), "ann-q": ("ann", (0.01, 0.5, 0.99), 1),
+                 "tcn": ("tcn", (), 1), "tide": ("tide", (), 1),
+                 "tide-q": ("tide", (0.01, 0.5, 0.99), 1), "ann-2-targets": ("ann", (), 2)}
+
+
+class TestPreparedRollout:
+    @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+    def test_equal_to_per_step_scaling(self, case):
+        family, quantiles, n_targets = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets)
+        valid = make_dataset(70, seed=40)   # 64 steps: more than ten look-backs
+        trace = autoregressive_predict(model, valid)
+        want = reference_rollout(model, valid)
+        assert np.isfinite(want).all() and np.ptp(want[:, 0, 0]) > 0
+        got = trace.quantiles if quantiles else trace.values[:, :, None]
+        assert np.array_equal(got, want)
+        assert np.array_equal(trace.values, want[:, :, quantiles.index(0.5) if quantiles else 0])
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_rollout_records_no_tape(self, family, monkeypatch):
+        from toilcast import autodiff
+
+        model = make_model(family, (0.01, 0.5, 0.99))
+        built = []
+        node = autodiff._node
+
+        def recording_node(*args):
+            built.append(node(*args))
+            return built[-1]
+
+        monkeypatch.setattr(autodiff, "_node", recording_node)
+        autoregressive_predict(model, make_dataset(30, seed=41))
+        assert built and all(t._parents == () and t._vjp is None for t in built)
+
+    def test_tide_projects_covariates_once_per_rollout(self, monkeypatch):
+        from toilcast import nn
+
+        model = make_model("tide")
+        prefixes = []
+        block = nn.residual_block
+
+        def counting_block(x, params, prefix, *args):
+            prefixes.append(prefix)
+            return block(x, params, prefix, *args)
+
+        monkeypatch.setattr(nn, "residual_block", counting_block)
+        trace = autoregressive_predict(model, make_dataset(40, seed=42))
+        assert prefixes.count("proj") == 1
+        assert prefixes.count("temporal") == len(trace) == 34

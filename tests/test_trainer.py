@@ -80,6 +80,10 @@ class TestTrain:
                                    patience=3))
         assert report.epochs_run == 4  # constant loss: first epoch plus patience
 
+    def test_patience_below_one_rejected(self):
+        with pytest.raises(ValueError, match="TrainConfig.patience"):
+            TrainConfig(patience=0)
+
 
 class TestLosses:
     def test_point_loss_matches_metric(self):
