@@ -1,22 +1,29 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-The tape is lazy: a primitive records its inputs and a vector-Jacobian
-function only when grad mode is on and some input requires a gradient, and
-its result then requires one too. Otherwise it returns a bare constant
-Tensor, so inference runs the same forward code without building a graph.
-`no_grad()` switches recording off for a block. `backward` replays the
-recorded graph in reverse topological order and returns gradients for a
-named parameter set. Small, deterministic, CPU-only.
+Every primitive is a numpy forward `fwd(*arrays, *static) -> out`, registered
+once in the table `_VJP` with its vector-Jacobian function, and runs through
+one generic `_apply`. The tape is lazy: `_apply` records the inputs and the
+VJP only when grad mode is on and some input requires a gradient, and its
+result then requires one too. Otherwise it returns a bare constant Tensor, so
+inference runs the same forward code without building a graph. `no_grad()`
+switches recording off for a block. `backward` replays the recorded graph in
+reverse topological order and returns gradients for a named parameter set.
+`capture` records one no-grad forward pass as a `Plan`, the flat list of the
+primitive forwards it ran, which replays on new inputs with numpy alone.
+Small, deterministic, CPU-only.
 """
 
 from __future__ import annotations
 
+import operator
 from contextvars import ContextVar
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
 _grad_enabled: ContextVar[bool] = ContextVar("toilcast_grad_enabled", default=True)
+_capturing: ContextVar[Plan | None] = ContextVar("toilcast_capturing", default=None)
 
 
 class no_grad:
@@ -64,17 +71,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -85,9 +86,6 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -97,21 +95,23 @@ def _label(t: Tensor) -> str:
     return f"'{t.name}'" if t.name else f"tensor{t.data.shape}"
 
 
-def _node(data, parents: tuple, vjp, *ctx) -> Tensor:
-    """The result of every primitive.
-
-    When grad mode is on and some parent requires a gradient, the result
-    records its parents and `vjp(*ctx, *parents, g)` as its vector-Jacobian
-    function, and requires a gradient itself; otherwise it is a bare
-    constant with no tape node.
-    """
+def _apply(fwd, n_in: int, *args) -> Tensor:
+    """Run primitive `fwd` on the arrays of its first `n_in` arguments
+    (Tensors, or literals as constants), then its static arguments. The
+    result records its inputs and VJP when grad mode is on and some input
+    requires a gradient; under `capture` the call is also recorded as a step."""
+    inputs, static = tuple(map(as_tensor, args[:n_in])), args[n_in:]
+    out = fwd(*[t.data for t in inputs], *static)
     t = Tensor.__new__(Tensor)
-    t.data = data
-    t.name = None
-    if _grad_enabled.get() and any(p.requires_grad for p in parents):
-        t.requires_grad, t._parents, t._vjp = True, parents, partial(vjp, *ctx, *parents)
+    t.data, t.name = out, None
+    if _grad_enabled.get() and any(p.requires_grad for p in inputs):
+        t.requires_grad, t._parents = True, inputs
+        t._vjp = partial(_VJP[fwd], out, *inputs, *static)
     else:
         t.requires_grad, t._parents, t._vjp = False, (), None
+    plan = _capturing.get()
+    if plan is not None:
+        plan._record(fwd, args[:n_in], inputs, static, t)
     return t
 
 
@@ -132,70 +132,40 @@ def _grad_for(t: Tensor, g: np.ndarray):
 
 
 # -------- primitives --------
-# Each vector-Jacobian function takes the primitive's saved context, its
-# inputs and the output gradient, and returns one gradient per input (None
-# for an input that does not require one).
+# A forward is numpy alone: a builtin, or one of the functions below. Its VJP
+# takes the output, the input Tensors, the static arguments and the output
+# gradient, and returns one gradient per input (None if it takes none).
 
-def _add_vjp(a, b, g):
-    return _grad_for(a, g), _grad_for(b, g)
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data + b.data, (a, b), _add_vjp)
-
-
-def _sub_vjp(a, b, g):
-    return _grad_for(a, g), (_grad_for(b, -g) if b.requires_grad else None)
+def _affine(x, w, b): return x @ w + b
+def _layer_norm(x, gamma, beta, eps): return _normalized(x, eps)[0] * gamma + beta
+def _relu(a): return np.where(a > 0, a, 0.0)
+def _sigmoid(a): return 1.0 / (1.0 + np.exp(-a))
+def _maximum(a, b): return np.where(a >= b, a, b)
+def _mean(a): return np.asarray(a.mean())
+def _reshape(a, shape): return a.reshape(shape)
+def _sum_axis(a, axis, keepdims): return a.sum(axis=axis, keepdims=keepdims)
+def _concat(*args): return np.concatenate(args[:-1], axis=args[-1])
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data - b.data, (a, b), _sub_vjp)
-
-
-def _mul_vjp(a, b, g):
-    return (_grad_for(a, g * b.data) if a.requires_grad else None,
-            _grad_for(b, g * a.data) if b.requires_grad else None)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data * b.data, (a, b), _mul_vjp)
-
-
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape} "
-                         f"({_label(a)} @ {_label(b)})")
-
-
-def _matmul_vjp(a, b, g):
+def _matmul_vjp(out, a, b, g):
     ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
     gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
     return (None if ga is None else _unbroadcast(ga, a.data.shape),
             None if gb is None else _unbroadcast(gb, b.data.shape))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_matmul(a, b)
-    return _node(a.data @ b.data, (a, b), _matmul_vjp)
+def _normalized(x, eps):
+    """x standardized over the last axis, and the inverse deviation."""
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = (var + eps) ** -0.5
+    return centered * inv, inv
 
 
-def _affine_vjp(x, w, b, g):
-    gx, gw = _matmul_vjp(x, w, g)
-    return gx, gw, _grad_for(b, g)
-
-
-def affine(x, w, b) -> Tensor:
-    """`x @ w + b` as one tape node."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    _check_matmul(x, w)
-    return _node(x.data @ w.data + b.data, (x, w, b), _affine_vjp)
-
-
-def _layer_norm_vjp(xhat, inv, x, gamma, beta, g):
+def _layer_norm_vjp(out, x, gamma, beta, eps, g):
+    xhat, inv = _normalized(x.data, eps)
     gx = None
     if x.requires_grad:
         gxhat = g * gamma.data
@@ -206,148 +176,42 @@ def _layer_norm_vjp(xhat, inv, x, gamma, beta, g):
     return gx, ggamma, _grad_for(beta, g)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale by `gamma` and shift by
-    `beta`, as one tape node."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = x.data.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    inv = (var + eps) ** -0.5
-    xhat = centered * inv
-    return _node(xhat * gamma.data + beta.data, (x, gamma, beta), _layer_norm_vjp,
-                 xhat, inv)
-
-
-def _power_vjp(n, a, g):
-    return (g * n * a.data ** (n - 1.0),)
-
-
-def power(a, n) -> Tensor:
-    a = as_tensor(a)
-    n = float(n)
-    return _node(a.data ** n, (a,), _power_vjp, n)
-
-
-def _relu_vjp(mask, a, g):
-    return (g * mask,)
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), _relu_vjp, mask)
-
-
-def _tanh_vjp(out, a, g):
-    return (g * (1.0 - out * out),)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _node(out, (a,), _tanh_vjp, out)
-
-
-def _sigmoid_vjp(out, a, g):
-    return (g * out * (1.0 - out),)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(out, (a,), _sigmoid_vjp, out)
-
-
-def _absolute_vjp(a, g):
-    return (g * np.sign(a.data),)
-
-
-def absolute(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.abs(a.data), (a,), _absolute_vjp)
-
-
-def _maximum_vjp(take_a, a, b, g):
+def _maximum_vjp(out, a, b, g):
+    take_a = a.data >= b.data   # at ties the gradient follows the first operand
     return (_grad_for(a, g * take_a) if a.requires_grad else None,
             _grad_for(b, g * ~take_a) if b.requires_grad else None)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; at ties the gradient follows the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-    return _node(np.where(take_a, a.data, b.data), (a, b), _maximum_vjp, take_a)
-
-
-def _reshape_vjp(a, g):
-    return (g.reshape(a.data.shape),)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _node(a.data.reshape(shape), (a,), _reshape_vjp)
-
-
-def _is_basic_index(key) -> bool:
-    """True when `key` is basic indexing (ints, slices, None, Ellipsis), which
-    selects each element at most once."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
-               for k in parts)
-
-
-def _take_vjp(key, a, g):
+def _take_vjp(out, a, key, g):
     ga = np.zeros_like(a.data)
-    if _is_basic_index(key):
-        ga[key] = g
+    parts = key if isinstance(key, tuple) else (key,)
+    if all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+           for k in parts):
+        ga[key] = g     # basic indexing selects each element at most once
     else:
         np.add.at(ga, key, g)  # integer-array keys can repeat an element
     return (ga,)
 
 
-def take(a, key) -> Tensor:
-    """Indexing; the gradient is assigned back for basic keys and
-    scatter-added for integer-array keys."""
-    a = as_tensor(a)
-    return _node(a.data[key], (a,), _take_vjp, key)
-
-
-def _concat_vjp(axis, *args):
-    *tensors, g = args
+def _concat_vjp(out, *args):
+    *tensors, axis, g = args
     offsets = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
     return tuple(part if t.requires_grad else None
                  for t, part in zip(tensors, np.split(g, offsets, axis=axis)))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    return _node(out, tensors, _concat_vjp, axis)
+def _causal_conv1d(x, w, b, dilation):
+    T = x.shape[1]
+    out = x @ w[0] + b
+    for i in range(1, w.shape[0]):
+        s = i * dilation
+        if s >= T:
+            break  # taps that only ever read the zero padding
+        out[:, s:] += x[:, :T - s] @ w[i]
+    return out
 
 
-def _mean_vjp(a, g):
-    return (np.full_like(a.data, float(g) / a.data.size),)
-
-
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.asarray(a.data.mean()), (a,), _mean_vjp)
-
-
-def _sum_axis_vjp(axis, keepdims, a, g):
-    gg = g if keepdims else np.expand_dims(g, axis)
-    return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-
-def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), _sum_axis_vjp,
-                 axis, keepdims)
-
-
-def _causal_conv1d_vjp(dilation, x, w, b, g):
+def _causal_conv1d_vjp(out, x, w, b, dilation, g):
     k, C, O = w.data.shape
     T = g.shape[1]
     gx = gw = None
@@ -359,13 +223,84 @@ def _causal_conv1d_vjp(dilation, x, w, b, g):
     for i in range(1, k):
         s = i * dilation
         if s >= T:
-            break  # taps that only ever read the zero padding
+            break
         if gx is not None:
             gx[:, :T - s] += g[:, s:] @ w.data[i].T
         if gw is not None:
             gw[i] = x.data[:, :T - s].reshape(-1, C).T @ g[:, s:].reshape(-1, O)
     gb = g.sum(axis=(0, 1)) if b.requires_grad else None
     return gx, gw, gb
+
+
+# The primitive table: each forward and its vector-Jacobian function.
+_VJP = {
+    operator.add: lambda out, a, b, g: (_grad_for(a, g), _grad_for(b, g)),
+    operator.sub: lambda out, a, b, g: (_grad_for(a, g),
+                                        _grad_for(b, -g) if b.requires_grad else None),
+    operator.mul: lambda out, a, b, g: (_grad_for(a, g * b.data) if a.requires_grad else None,
+                                        _grad_for(b, g * a.data) if b.requires_grad else None),
+    operator.matmul: _matmul_vjp,
+    _affine: lambda out, x, w, b, g: (*_matmul_vjp(out, x, w, g), _grad_for(b, g)),
+    _layer_norm: _layer_norm_vjp,
+    operator.pow: lambda out, a, n, g: (g * n * a.data ** (n - 1.0),),
+    _relu: lambda out, a, g: (g * (out > 0),),
+    np.tanh: lambda out, a, g: (g * (1.0 - out * out),),
+    _sigmoid: lambda out, a, g: (g * out * (1.0 - out),),
+    np.abs: lambda out, a, g: (g * np.sign(a.data),),
+    _maximum: _maximum_vjp,
+    _reshape: lambda out, a, shape, g: (g.reshape(a.data.shape),),
+    operator.getitem: _take_vjp,
+    _concat: _concat_vjp,
+    _mean: lambda out, a, g: (np.full_like(a.data, float(g) / a.data.size),),
+    _sum_axis: lambda out, a, axis, keepdims, g: (np.broadcast_to(
+        g if keepdims else np.expand_dims(g, axis), a.data.shape).copy(),),
+    _causal_conv1d: _causal_conv1d_vjp,
+}
+
+# primitives with no checks or defaults: Tensor arguments, then static ones
+add = partial(_apply, operator.add, 2)
+sub = partial(_apply, operator.sub, 2)
+mul = partial(_apply, operator.mul, 2)
+power = partial(_apply, operator.pow, 1)
+relu = partial(_apply, _relu, 1)
+tanh = partial(_apply, np.tanh, 1)
+sigmoid = partial(_apply, _sigmoid, 1)
+absolute = partial(_apply, np.abs, 1)
+maximum = partial(_apply, _maximum, 2)
+reshape = partial(_apply, _reshape, 1)
+take = partial(_apply, operator.getitem, 1)
+mean = partial(_apply, _mean, 1)
+
+
+def _matmul_operands(a, b) -> tuple[Tensor, Tensor]:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 1 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape} "
+                         f"({_label(a)} @ {_label(b)})")
+    return a, b
+
+
+def matmul(a, b) -> Tensor:
+    return _apply(operator.matmul, 2, *_matmul_operands(a, b))
+
+
+def affine(x, w, b) -> Tensor:
+    """`x @ w + b` as one tape node."""
+    return _apply(_affine, 3, *_matmul_operands(x, w), b)
+
+
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale by `gamma` and shift by
+    `beta`, as one tape node."""
+    return _apply(_layer_norm, 3, x, gamma, beta, eps)
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    return _apply(_concat, len(tensors), *tensors, axis)
+
+
+def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
+    return _apply(_sum_axis, 1, a, axis, keepdims)
 
 
 def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
@@ -376,7 +311,7 @@ def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
     x[t - i*dilation], and positions before the start read zeros, so the
     taps are added only where they reach into the sequence.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3:
         raise ValueError(f"causal_conv1d expects (B, T, C) input, got {x.data.shape}")
     B, T, C = x.data.shape
@@ -388,13 +323,82 @@ def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
     if w.data.shape[1] != C:
         raise ValueError(f"causal_conv1d: input has {C} channels but kernel {_label(w)} "
                          f"expects {w.data.shape[1]}")
-    out = x.data @ w.data[0] + b.data
-    for i in range(1, k):
-        s = i * dilation
-        if s >= T:
-            break
-        out[:, s:] += x.data[:, :T - s] @ w.data[i]
-    return _node(out, (x, w, b), _causal_conv1d_vjp, dilation)
+    return _apply(_causal_conv1d, 3, x, w, b, dilation)
+
+
+# -------- captured forward passes --------
+
+class Plan:
+    """A forward pass recorded by `capture`, replayed with numpy alone.
+
+    One list of values holds the inputs, the constants (parameters, static
+    arguments and results folded at capture) and each step's output, None
+    until a replay computes it. A step is a primitive forward, an
+    `itemgetter` of its argument slots and its output slot."""
+
+    def __init__(self, params: dict, inputs: tuple):
+        self._vals, self._steps = [None] * len(inputs), []
+        self._params = {id(p) for p in params.values()}
+        # id -> (slot, tensor); holding the tensor keeps its id unique while recording
+        self._slots = {id(t): (k, t) for k, t in enumerate(inputs)}
+
+    def _new(self, value, t: Tensor | None = None) -> int:
+        self._vals.append(value)
+        if t is not None:
+            self._slots[id(t)] = (len(self._vals) - 1, t)
+        return len(self._vals) - 1
+
+    def _slot(self, t: Tensor, given) -> int:
+        if id(t) in self._slots:
+            return self._slots[id(t)][0]
+        if id(t) in self._params or (t is not given and np.ndim(given) == 0):
+            return self._new(t.data, t)     # a parameter or a scalar literal
+        raise RuntimeError(f"capture: operand {_label(t)} is neither an input, a parameter, "
+                           "a scalar nor a primitive's result; the forward read .data "
+                           "outside a primitive")
+
+    def _record(self, fwd, args, inputs, static, out: Tensor) -> None:
+        slots = [self._slot(t, given) for t, given in zip(inputs, args)]
+        if all(self._vals[s] is not None for s in slots):
+            self._new(out.data, out)        # constants in, constant out: folded
+            return
+        slots += [self._new(s) for s in static]
+        # itemgetter of one index returns the bare item, a one-wide slice a list
+        gather = itemgetter(*slots) if len(slots) > 1 else \
+            itemgetter(slice(slots[0], slots[0] + 1))
+        self._steps.append((fwd, gather, self._new(None, out)))
+
+    def __call__(self, *inputs: np.ndarray) -> np.ndarray:
+        vals = self._vals.copy()
+        vals[:len(inputs)] = inputs
+        for fwd, gather, k in self._steps:
+            vals[k] = fwd(*gather(vals))
+        return vals[self._out]
+
+
+def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
+    """Record `forward(params, *inputs)`, run once with grad off on the inputs
+    as Tensors, as a Plan that repeats its numpy operations on new inputs.
+
+    The forward's control flow may depend on shapes, not on values. The
+    parameters, and results computed from constants alone, are bound as
+    constants. Any other operand must be an input, a scalar or a primitive's
+    result, or else RuntimeError says that the forward read `.data` outside a
+    primitive; so does a plan whose replay on `inputs` differs from the forward.
+    """
+    tensors = tuple(map(Tensor, inputs))
+    plan = Plan(params, tensors)
+    token = _capturing.set(plan)
+    try:
+        with no_grad():
+            out = forward(params, *tensors)
+    finally:
+        _capturing.reset(token)
+    plan._out = plan._slot(out, out)
+    del plan._slots, plan._params
+    if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
+        raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")
+    return plan
 
 
 # -------- reverse pass --------
@@ -435,18 +439,12 @@ def backward(output: Tensor, params: dict[str, Tensor],
         np.broadcast_to(np.asarray(output_grad, dtype=np.float64), output.data.shape)
     acc: dict[int, np.ndarray] = {id(output): np.array(seed, dtype=np.float64)}
     for node in reversed(_toposort(output)):
-        g = acc.pop(id(node), None)
-        if g is None or node._vjp is None:
-            if g is not None and node._vjp is None:
-                acc[id(node)] = g  # leaf: keep for the parameter lookup below
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        if node._vjp is None or id(node) not in acc:
+            continue  # a leaf keeps its gradient for the parameter lookup below
+        for parent, pg in zip(node._parents, node._vjp(acc.pop(id(node)))):
             if pg is None:
                 continue
             prev = acc.get(id(parent))
             acc[id(parent)] = pg if prev is None else prev + pg
-    grads = {}
-    for name, t in params.items():
-        g = acc.get(id(t))
-        grads[name] = g if g is not None else np.zeros_like(t.data)
-    return grads
+    return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data)
+            for name, t in params.items()}

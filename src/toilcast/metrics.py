@@ -33,8 +33,15 @@ def mae(y, y_hat) -> float:
 
 
 def mse(y, y_hat) -> float:
+    """Mean squared error; FloatingPointError when finite inputs overflow it."""
     y, y_hat = _pair(y, y_hat)
-    return float(np.mean((y - y_hat) ** 2))
+    with np.errstate(over="ignore"):
+        err = y - y_hat
+        out = float(np.mean(err ** 2))
+    if np.isinf(out) and np.isfinite(y).all() and np.isfinite(y_hat).all():
+        raise FloatingPointError(f"mse: the squared error of finite inputs overflows "
+                                 f"float64 (largest |y - y_hat| {np.abs(err).max():.3g})")
+    return out
 
 
 def pinball(y, y_hat, alpha: float):

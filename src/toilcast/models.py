@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, as_tensor, causal_conv1d, concat, no_grad, reshape
+from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
 from .series import AffineScaler
 
@@ -108,17 +108,27 @@ class TideConfig(_ModelConfig):
         return self.n_targets + self.n_covariates
 
 
-# -------- MLP --------
+class _Family:
+    """What the model classes share: parameters built by `_init_params(rng)`."""
 
-class Mlp:
-    """Fully connected stack: n_layers hidden layers of n_neurons, then a
-    linear head over the flattened look-back."""
-
-    def __init__(self, cfg: MlpConfig):
+    def __init__(self, cfg):
         self.cfg = cfg
 
     def init_params(self, seed: int) -> dict[str, Tensor]:
-        rng = nn.rng_from_seed(seed, 0)
+        return self._init_params(nn.rng_from_seed(seed, 0))
+
+    def param_shapes(self) -> dict[str, tuple]:
+        """Name -> shape of the parameters `init_params` makes, drawing nothing."""
+        return {name: t.shape for name, t in self._init_params(None).items()}
+
+
+# -------- MLP --------
+
+class Mlp(_Family):
+    """Fully connected stack: n_layers hidden layers of n_neurons, then a
+    linear head over the flattened look-back."""
+
+    def _init_params(self, rng) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
         n_in = self.cfg.lookback * self.cfg.n_channels
         for i in range(self.cfg.n_layers):
@@ -163,20 +173,19 @@ def receptive_field(cfg: TcnConfig) -> int:
     return _rf(cfg.kernel, _resolve_blocks(cfg))
 
 
-class Tcn:
+class Tcn(_Family):
     """Stack of residual blocks of two dilated causal convolutions each,
     dilation doubling per block; forecast read from the last timestep."""
 
     def __init__(self, cfg: TcnConfig):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.n_blocks = _resolve_blocks(cfg)
         rf = _rf(cfg.kernel, self.n_blocks)
         if rf < cfg.lookback:
             raise ValueError(f"receptive field {rf} < lookback {cfg.lookback}; "
                              "increase n_blocks or kernel")
 
-    def init_params(self, seed: int) -> dict[str, Tensor]:
-        rng = nn.rng_from_seed(seed, 0)
+    def _init_params(self, rng) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {}
         n_in = self.cfg.n_channels
         for i in range(self.n_blocks):
@@ -239,17 +248,13 @@ class Tcn:
 
 # -------- TiDE --------
 
-class Tide:
+class Tide(_Family):
     """Dense encoder-decoder with per-step covariate projection, a temporal
     decoder over each horizon step, and a global linear residual of the
     look-back."""
 
-    def __init__(self, cfg: TideConfig):
-        self.cfg = cfg
-
-    def init_params(self, seed: int) -> dict[str, Tensor]:
+    def _init_params(self, rng) -> dict[str, Tensor]:
         cfg = self.cfg
-        rng = nn.rng_from_seed(seed, 0)
         params: dict[str, Tensor] = {}
         ln = cfg.use_layer_norm
         nn.init_residual_block(params, rng, "proj", cfg.n_covariates, cfg.hidden_size,
@@ -411,34 +416,38 @@ class TrainedModel:
 
     def prepare(self, matrix: np.ndarray) -> tuple:
         """The per-slice work of a forecast over a raw-unit (n, C) input
-        matrix: the matrix scaled once and, for TiDE, the covariates of every
-        row projected once. `step` reads windows of the result and `feed`
-        writes fed-back targets into it."""
+        matrix: the matrix scaled once, for TiDE the covariates of every row
+        projected once, and the forward pass (TiDE: `decode`) captured on the
+        first window as the plan that `step` replays. `step` reads windows of
+        the scaled matrix and `feed` writes fed-back targets into it."""
         gain, offset = self._scaling[:2]
         scaled = (np.asarray(matrix, dtype=np.float64) - offset) * gain
-        proj = None
+        proj, forward, cfg = None, self.model.forward, self.config
         if self.family == "tide":
-            cov = np.ascontiguousarray(scaled[:, self.config.n_targets:])
             with no_grad():
-                proj = self.model.project(self.params, cov).data
-        return scaled, proj
+                proj = self.model.project(
+                    self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
+            forward = self.model.decode
+        return scaled, proj, capture(forward, self.params,
+                                     *self._window(scaled, proj, cfg.lookback))
+
+    def _window(self, scaled: np.ndarray, proj, i: int) -> tuple:
+        """The plan's inputs at step i, as views of the slice (a contiguous
+        copy could change the last bits): rows i-L .. i-1 of the scaled slice
+        flattened, or for TiDE as (1, L, C) with projected rows i-L .. i+H-1."""
+        L = self.config.lookback
+        if proj is None:
+            return (scaled[None, i - L: i].reshape(1, -1),)
+        return scaled[None, i - L: i], proj[None, i - L: i + self.config.horizon]
 
     def step(self, prepared: tuple, i: int) -> np.ndarray:
-        """One forward pass, recording no tape, on rows i-L .. i-1 of a
-        prepared slice (TiDE also reads the covariates of rows i .. i+H-1);
-        returns (H, T, Q) predictions in raw units with non-crossing
-        enforced."""
-        scaled, proj = prepared
+        """The captured forward pass replayed on rows i-L .. i-1 of a prepared
+        slice (TiDE also reads the covariates of rows i .. i+H-1): (H, T, Q)
+        predictions in raw units with non-crossing enforced."""
+        scaled, proj, plan = prepared
         cfg = self.config
-        x = scaled[None, i - cfg.lookback: i]
-        with no_grad():
-            if proj is None:
-                out = self.model.forward(self.params, Tensor(x.reshape(1, -1)))
-            else:
-                rows = proj[None, i - cfg.lookback: i + cfg.horizon]
-                out = self.model.decode(self.params, Tensor(x), Tensor(rows))
         tgt_gain, tgt_off = self._scaling[3:]
-        out = out.data.reshape(cfg.horizon, cfg.n_targets, cfg.n_quantiles)
+        out = plan(*self._window(scaled, proj, i)).reshape(cfg.horizon, cfg.n_targets, -1)
         raw = out / tgt_gain[:, None] + tgt_off[:, None]
         return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
 
@@ -527,7 +536,7 @@ def load_checkpoint(path) -> TrainedModel:
         raise ValueError(f"{path}: config_hash {model.config_hash[:12]} does not match the "
                          f"fingerprint {fingerprint[:12]} of the stored family, config, "
                          "channels, scaling and seed")
-    expected = {n: t.data.shape for n, t in model.model.init_params(model.seed).items()}
+    expected = model.model.param_shapes()
     stored = doc["params"]
     missing, unexpected = sorted(set(expected) - set(stored)), sorted(set(stored) - set(expected))
     if missing or unexpected:

@@ -18,11 +18,13 @@ from . import autodiff
 from .autodiff import Tensor, affine, power, relu, sigmoid, sum_axis, tanh
 
 
+_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid, "identity": lambda t: t}
+
+
 def activation(name: str):
-    table = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid, "identity": lambda t: t}
-    if name not in table:
-        raise ValueError(f"unknown activation '{name}' (expected one of {sorted(table)})")
-    return table[name]
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation '{name}' (expected one of {sorted(_ACTIVATIONS)})")
+    return _ACTIVATIONS[name]
 
 
 def rng_from_seed(seed, *subkey: int) -> np.random.Generator:
@@ -35,9 +37,14 @@ def fan_in_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_linear(params: dict, rng: np.random.Generator, prefix: str,
+def _weights(rng: np.random.Generator | None, fan_in: int, shape) -> np.ndarray:
+    """`fan_in_uniform` draws, or zeros (a description: nothing drawn) without `rng`."""
+    return np.zeros(shape) if rng is None else fan_in_uniform(rng, fan_in, shape)
+
+
+def init_linear(params: dict, rng: np.random.Generator | None, prefix: str,
                 n_in: int, n_out: int) -> None:
-    params[f"{prefix}.w"] = Tensor(fan_in_uniform(rng, n_in, (n_in, n_out)),
+    params[f"{prefix}.w"] = Tensor(_weights(rng, n_in, (n_in, n_out)),
                                    requires_grad=True, name=f"{prefix}.w")
     params[f"{prefix}.b"] = Tensor(np.zeros(n_out), requires_grad=True, name=f"{prefix}.b")
 
@@ -78,7 +85,7 @@ def layer_norm(x, params: dict, prefix: str, eps: float = 1e-5):
                                eps)
 
 
-def init_residual_block(params: dict, rng: np.random.Generator, prefix: str,
+def init_residual_block(params: dict, rng: np.random.Generator | None, prefix: str,
                         n_in: int, n_hidden: int, n_out: int,
                         use_layer_norm: bool = False) -> None:
     init_linear(params, rng, f"{prefix}.dense1", n_in, n_hidden)
@@ -102,10 +109,9 @@ def residual_block(x, params: dict, prefix: str, act: str = "relu",
     return out
 
 
-def init_conv(params: dict, rng: np.random.Generator, prefix: str,
+def init_conv(params: dict, rng: np.random.Generator | None, prefix: str,
               kernel: int, n_in: int, n_out: int, weight_norm: bool = False) -> None:
-    fan_in = kernel * n_in
-    v = fan_in_uniform(rng, fan_in, (kernel, n_in, n_out))
+    v = _weights(rng, kernel * n_in, (kernel, n_in, n_out))
     params[f"{prefix}.w"] = Tensor(v, requires_grad=True, name=f"{prefix}.w")
     params[f"{prefix}.b"] = Tensor(np.zeros(n_out), requires_grad=True, name=f"{prefix}.b")
     if weight_norm:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from toilcast import nn
-from toilcast.autodiff import (Tensor, absolute, add, affine, backward, causal_conv1d,
-                               concat, layer_norm, matmul, maximum, mean, no_grad, power,
-                               relu, reshape, sigmoid, sum_axis, take, tanh)
+from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
+                               causal_conv1d, concat, layer_norm, matmul, maximum, mean,
+                               no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
 from util import max_rel_err
 
 TOL = 1e-4
@@ -25,6 +25,10 @@ class TestForward:
 
     def test_relu(self):
         assert np.array_equal(relu(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
+
+    def test_unknown_activation_lists_the_valid_names(self):
+        with pytest.raises(ValueError, match=r"'swish'.*\['identity', 'relu', 'sigmoid', 'tanh'\]"):
+            nn.activation("swish")
 
     def test_shape_mismatch_names_node(self):
         a = Tensor(np.zeros((2, 3)), name="hidden0.out")
@@ -254,6 +258,36 @@ class TestLazyTape:
         b = Tensor(np.zeros(2), requires_grad=True, name="b")
         gx, gw, gb = affine(x, w, b)._vjp(np.ones((2, 2)))
         assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
+
+
+class TestCapture:
+    PARAMS = {"w": Tensor(np.arange(6.0).reshape(3, 2) - 2.5, requires_grad=True, name="w"),
+              "b": Tensor(np.array([0.5, -1.0]), requires_grad=True, name="b")}
+
+    def test_replay_on_new_inputs_equals_forward(self):
+        def forward(p, x):
+            # a scalar literal, and a factor computed from parameters alone
+            scale = power(sum_axis(p["w"] * p["w"], axis=0), -0.5)
+            return concat([tanh(affine(x, p["w"], p["b"])) * 0.5, x[:, :2] * scale], axis=1)
+
+        plan = capture(forward, self.PARAMS, np.ones((1, 3)))
+        for x in np.random.default_rng(0).normal(size=(5, 1, 3)):
+            with no_grad():
+                want = forward(self.PARAMS, Tensor(x)).data
+            assert np.array_equal(plan(x), want)
+
+    def test_data_read_outside_a_primitive_rejected(self):
+        def forward(p, x):
+            h = affine(x, p["w"], p["b"])
+            return relu(Tensor(h.data))
+
+        with pytest.raises(RuntimeError, match="outside a primitive"):
+            capture(forward, self.PARAMS, np.ones((1, 3)))
+
+    def test_replay_that_differs_from_the_forward_rejected(self, monkeypatch):
+        monkeypatch.setattr(Plan, "__call__", lambda self, *inputs: np.zeros((1, 2)))
+        with pytest.raises(RuntimeError, match="does not reproduce"):
+            capture(lambda p, x: affine(x, p["w"], p["b"]), self.PARAMS, np.ones((1, 3)))
 
 
 class TestAdam:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ class TestPointMetrics:
 
     def test_mse_hand_sum(self):
         assert mse([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]) == pytest.approx(5.0 / 3.0, rel=1e-15)
+
+    def test_mse_overflow_raises_naming_mse(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="mse"):
+                mse([0.0], [1e200])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

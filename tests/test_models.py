@@ -349,6 +349,23 @@ class TestTrainedModel:
         with pytest.raises(ValueError, match="'global.b' has shape"):
             load_checkpoint(self._tampered(tmp_path, edit))
 
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_checkpoint_load_draws_no_weights(self, family, tmp_path, monkeypatch):
+        tm = make_trained(family=family)
+        path = tmp_path / "model.checkpoint.json"
+        save_checkpoint(path, tm)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        monkeypatch.setattr(nn, "fan_in_uniform", no_draws)
+        back = load_checkpoint(path)
+        assert {n: t.shape for n, t in back.params.items()} == back.model.param_shapes()
+        window = RNG.normal(40.0, 5.0, size=(4, 3))
+        future = RNG.normal(size=(1, 2))
+        assert np.array_equal(back.predict_window(window, future),
+                              tm.predict_window(window, future))
+
     def test_checkpoint_missing_parameter_named(self, tmp_path):
         with pytest.raises(ValueError, match="temporal.skip.w"):
             load_checkpoint(self._tampered(tmp_path,
@@ -357,16 +374,17 @@ class TestTrainedModel:
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_predict_window_records_no_tape(self, family, monkeypatch):
         tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
-        built = []
-        node = autodiff._node
+        # `_apply` looks up a primitive's VJP only to record a tape node
+        taped = []
 
-        def recording_node(*args):
-            built.append(node(*args))
-            return built[-1]
+        class WatchedTable(dict):
+            def __getitem__(self, fwd):
+                taped.append(fwd)
+                return super().__getitem__(fwd)
 
-        monkeypatch.setattr(autodiff, "_node", recording_node)
-        tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
-        assert built and all(t._parents == () and t._vjp is None for t in built)
+        monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
+        out = tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
+        assert out.shape == (1, 1, 3) and taped == []
 
     @pytest.mark.parametrize("family", ["ann", "tide"])
     def test_predict_window_matches_channel_loop(self, family):

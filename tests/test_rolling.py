@@ -280,7 +280,7 @@ SCALER_CHANNELS = {"top_oil": (0.02, 40.0), "ambient": (0.05, 10.0),
                    "load_factor": (1.5, 0.6), "temp_rise": (0.03, 30.0)}
 
 
-def make_model(family, quantiles=(), n_targets=1):
+def make_model(family, quantiles=(), n_targets=1, **overrides):
     from toilcast.models import (MlpConfig, TcnConfig, TideConfig, TrainedModel,
                                  build_model)
     from toilcast.series import AffineScaler
@@ -296,6 +296,7 @@ def make_model(family, quantiles=(), n_targets=1):
         cfg = TideConfig(temporal_width=3, decoder_output_dim=3, hidden_size=8,
                          lookback=6, n_targets=n_targets, n_covariates=2,
                          quantiles=quantiles, use_layer_norm=True)
+    cfg = replace(cfg, **overrides)
     params = build_model(family, cfg).init_params(17)
     return TrainedModel(family, cfg, params, targets + ("ambient", "load_factor"), targets,
                         AffineScaler(SCALER_CHANNELS), seed=17)
@@ -331,16 +332,25 @@ def reference_rollout(model, valid):
     return np.array(out)
 
 
-ROLLOUT_CASES = {"ann": ("ann", (), 1), "ann-q": ("ann", (0.01, 0.5, 0.99), 1),
-                 "tcn": ("tcn", (), 1), "tide": ("tide", (), 1),
-                 "tide-q": ("tide", (0.01, 0.5, 0.99), 1), "ann-2-targets": ("ann", (), 2)}
+Q = (0.01, 0.5, 0.99)
+# case -> (family, quantiles, n_targets, config overrides); "tcn-deep" stacks
+# more blocks than the look-back needs, which leaves one-row matrix products
+ROLLOUT_CASES = {"ann": ("ann", (), 1, {}), "ann-q": ("ann", Q, 1, {}),
+                 "tcn": ("tcn", (), 1, {}), "tide": ("tide", (), 1, {}),
+                 "tide-q": ("tide", Q, 1, {}), "ann-2-targets": ("ann", (), 2, {}),
+                 "tcn-q": ("tcn", Q, 1, {}), "tcn-wn": ("tcn", (), 1, {"weight_norm": True}),
+                 "tcn-deep": ("tcn", (), 1, {"n_blocks": 4}),
+                 "tide-no-ln": ("tide", (), 1, {"use_layer_norm": False}),
+                 "ann-tanh": ("ann", (), 1, {"activation": "tanh"}),
+                 "ann-sigmoid": ("ann", (), 1, {"activation": "sigmoid"}),
+                 "ann-identity": ("ann", (), 1, {"activation": "identity"})}
 
 
 class TestPreparedRollout:
     @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
     def test_equal_to_per_step_scaling(self, case):
-        family, quantiles, n_targets = ROLLOUT_CASES[case]
-        model = make_model(family, quantiles, n_targets)
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
         valid = make_dataset(70, seed=40)   # 64 steps: more than ten look-backs
         trace = autoregressive_predict(model, valid)
         want = reference_rollout(model, valid)
@@ -349,21 +359,59 @@ class TestPreparedRollout:
         assert np.array_equal(got, want)
         assert np.array_equal(trace.values, want[:, :, quantiles.index(0.5) if quantiles else 0])
 
+    @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+    def test_replay_equals_forward(self, case):
+        from toilcast.autodiff import Tensor, no_grad
+
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        valid = make_dataset(40, seed=43)
+        scaled, proj, plan = model.prepare(valid.matrix(model.input_channels))
+        L, T = model.config.lookback, model.config.n_targets
+        for i in range(L, valid.n):
+            future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if family == "tide" else None
+            with no_grad():
+                want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
+                                           future)
+            assert np.array_equal(plan(*model._window(scaled, proj, i)), want.data)
+
+    @pytest.mark.parametrize("family, method", [("ann", "forward"), ("tcn", "forward"),
+                                                ("tide", "decode")])
+    def test_forward_captured_once_per_rollout(self, family, method, monkeypatch):
+        model = make_model(family, Q)
+        cls, calls = type(model.model), []
+        original = getattr(cls, method)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counting)
+        trace = autoregressive_predict(model, make_dataset(30, seed=44))
+        assert len(trace) == 24 and len(calls) == 1
+
+    def test_weight_norm_kernel_folded_at_capture(self):
+        valid = make_dataset(20, seed=45)
+        plans = [make_model("tcn", weight_norm=wn).prepare(valid.matrix(CHANNELS))[2]
+                 for wn in (False, True)]
+        assert len(plans[0]._steps) == len(plans[1]._steps)
+
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_rollout_records_no_tape(self, family, monkeypatch):
         from toilcast import autodiff
 
-        model = make_model(family, (0.01, 0.5, 0.99))
-        built = []
-        node = autodiff._node
+        # `_apply` looks up a primitive's VJP only to record a tape node
+        taped = []
 
-        def recording_node(*args):
-            built.append(node(*args))
-            return built[-1]
+        class WatchedTable(dict):
+            def __getitem__(self, fwd):
+                taped.append(fwd)
+                return super().__getitem__(fwd)
 
-        monkeypatch.setattr(autodiff, "_node", recording_node)
-        autoregressive_predict(model, make_dataset(30, seed=41))
-        assert built and all(t._parents == () and t._vjp is None for t in built)
+        monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
+        model = make_model(family, Q)
+        assert len(autoregressive_predict(model, make_dataset(30, seed=41))) == 24
+        assert taped == []
 
     def test_tide_projects_covariates_once_per_rollout(self, monkeypatch):
         from toilcast import nn
@@ -378,5 +426,6 @@ class TestPreparedRollout:
 
         monkeypatch.setattr(nn, "residual_block", counting_block)
         trace = autoregressive_predict(model, make_dataset(40, seed=42))
-        assert prefixes.count("proj") == 1
-        assert prefixes.count("temporal") == len(trace) == 34
+        assert len(trace) == 34
+        # the projection runs over the slice, the temporal block at capture
+        assert prefixes.count("proj") == 1 and prefixes.count("temporal") == 1

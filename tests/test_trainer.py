@@ -166,6 +166,23 @@ class TestGridSearch:
         assert result.status == "failed"
         assert result.error.startswith("DivergenceError: ")
 
+    def test_overflowing_score_fails_the_trial(self, monkeypatch):
+        rollout = training.autoregressive_predict
+
+        def huge(model, valid):
+            trace = rollout(model, valid)
+            trace.values[:] = 1e200   # finite, but its squared error overflows
+            return trace
+
+        monkeypatch.setattr(training, "autoregressive_predict", huge)
+        train_ds, valid_ds = self.make_data()
+        grid = GridSpec("ann", {"n_neurons": (2,)}, lookbacks=(8,))
+        [result] = grid_search(grid, MlpConfig(n_layers=1, n_neurons=2, lookback=8),
+                               train_ds, valid_ds, IDENTITY,
+                               TrainConfig(batch_size=64, max_epochs=1))
+        assert result.status == "failed"
+        assert result.error.startswith("FloatingPointError: mse: ")
+
     def test_trial_seeds_differ_but_run_is_reproducible(self):
         train_ds, valid_ds = self.make_data()
         grid = GridSpec("ann", {"n_neurons": (2, 4)}, lookbacks=(8,))
