@@ -200,34 +200,29 @@ def _concat_vjp(out, *args):
                  for t, part in zip(tensors, np.split(g, offsets, axis=axis)))
 
 
-def _causal_conv1d(x, w, b, dilation):
-    T = x.shape[1]
-    out = x @ w[0] + b
-    for i in range(1, w.shape[0]):
-        s = i * dilation
-        if s >= T:
-            break  # taps that only ever read the zero padding
-        out[:, s:] += x[:, :T - s] @ w[i]
+def _causal_conv1d(x, w, b, rows, taps):
+    out = x[:, rows] @ w[0] + b
+    for i, j0, src in taps:
+        out[:, j0:] += x[:, src] @ w[i]
     return out
 
 
-def _causal_conv1d_vjp(out, x, w, b, dilation, g):
-    k, C, O = w.data.shape
-    T = g.shape[1]
+def _causal_conv1d_vjp(out, x, w, b, rows, taps, g):
+    C, O = w.data.shape[1:]
     gx = gw = None
     if x.requires_grad:
         gx = g @ w.data[0].T
+        if g.shape[1] != x.data.shape[1]:   # scatter the emitted rows
+            gx, emitted = np.zeros_like(x.data), gx
+            gx[:, rows] = emitted
     if w.requires_grad:
         gw = np.zeros_like(w.data)
-        gw[0] = x.data.reshape(-1, C).T @ g.reshape(-1, O)
-    for i in range(1, k):
-        s = i * dilation
-        if s >= T:
-            break
+        gw[0] = x.data[:, rows].reshape(-1, C).T @ g.reshape(-1, O)
+    for i, j0, src in taps:
         if gx is not None:
-            gx[:, :T - s] += g[:, s:] @ w.data[i].T
+            gx[:, src] += g[:, j0:] @ w.data[i].T
         if gw is not None:
-            gw[i] = x.data[:, :T - s].reshape(-1, C).T @ g[:, s:].reshape(-1, O)
+            gw[i] = x.data[:, src].reshape(-1, C).T @ g[:, j0:].reshape(-1, O)
     gb = g.sum(axis=(0, 1)) if b.requires_grad else None
     return gx, gw, gb
 
@@ -303,13 +298,14 @@ def sum_axis(a, axis, keepdims: bool = False) -> Tensor:
     return _apply(_sum_axis, 1, a, axis, keepdims)
 
 
-def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
+def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -> Tensor:
     """Dilated causal 1-D convolution.
 
     x: (B, T, C_in) sequence; w: (k, C_in, C_out); b: (C_out,).
-    The output keeps length T and out[t] depends only on x[<= t]: tap i reads
-    x[t - i*dilation], and positions before the start read zeros, so the
-    taps are added only where they reach into the sequence.
+    The output holds positions start, start + stride, ... < T (by default all
+    T) and out[t] depends only on x[<= t]: tap i reads x[t - i*dilation], and
+    positions before the start read zeros, so the taps are added only where
+    they reach into the sequence.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim != 3:
@@ -320,10 +316,25 @@ def causal_conv1d(x, w, b, dilation: int = 1) -> Tensor:
     k = w.data.shape[0]
     if k < 1 or dilation < 1:
         raise ValueError(f"kernel ({k}) and dilation ({dilation}) must be >= 1")
+    if stride < 1:
+        raise ValueError(f"causal_conv1d: stride ({stride}) must be >= 1")
+    if not 0 <= start < T:
+        raise ValueError(f"causal_conv1d: start ({start}) outside [0, {T})")
     if w.data.shape[1] != C:
         raise ValueError(f"causal_conv1d: input has {C} channels but kernel {_label(w)} "
                          f"expects {w.data.shape[1]}")
-    return _apply(_causal_conv1d, 3, x, w, b, dilation)
+    # each tap i that reaches into the sequence as (i, j0, src): it adds to the
+    # output rows from j0 on (positions >= i*dilation), which read the input
+    # positions src; built once here, so a replayed plan only slices
+    taps = []
+    for i in range(1, k):
+        s = i * dilation
+        j0 = max(0, -((start - s) // stride))
+        lo = start + j0 * stride
+        if lo >= T:
+            break  # taps that only ever read the zero padding
+        taps.append((i, j0, slice(lo - s, T - s, stride)))
+    return _apply(_causal_conv1d, 3, x, w, b, slice(start, None, stride), tuple(taps))
 
 
 # -------- captured forward passes --------

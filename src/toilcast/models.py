@@ -203,37 +203,44 @@ class Tcn(_Family):
         """Block outputs, (B, n, n_filters).
 
         By default every block computes all n = L positions, block i with
-        dilation 2^i. With `last_only`, block i computes only the positions
+        dilation 2^i. With `last_only`, block i runs only on the positions
         the last step's output reads: those congruent to L-1 mod 2^i, with
         dilation 1 in those coordinates. A tap that reaches before the start
-        does so in both coordinates, so the last position is the same.
-        Dropout masks are drawn at the full (B, L, n_filters) shape either
-        way, so one seed gives one stream of masks.
+        does so in both coordinates, so the last position is the same. Its
+        second convolution and skip emit only the positions block i+1 reads,
+        every other one ending at the last; the last block emits the last
+        two (a one-row product goes to gemv, which rounds unlike the gemm of
+        the full path). Dropout masks are drawn at the full (B, L, n_filters)
+        shape either way and read at the emitted positions, so one seed gives
+        one stream of masks.
         """
         x = as_tensor(x)
         B, L = x.shape[0], self.cfg.lookback
         h = reshape(x, (B, L, self.cfg.n_channels))
         act = nn.activation(self.cfg.activation)
         rate, mask_shape = self.cfg.dropout, (B, L, self.cfg.n_filters)
+        n = L   # positions block i reads
         for i in range(self.n_blocks):
-            stride = 2 ** i
-            d, keep = stride, ...
-            if last_only:
-                if i:  # every other position, ending at the last
-                    h = h[:, (h.shape[1] - 1) % 2::2]
-                d, keep = 1, (slice(None), slice((L - 1) % stride, None, stride))
+            d, start, stride, keep, keep2 = 2 ** i, 0, 1, ..., ...
+            if last_only:   # block coordinate j is position first + j * 2^i
+                first, d = (L - 1) % 2 ** i, 1
+                start, stride = ((n - 1) % 2, 2) if i < self.n_blocks - 1 \
+                    else (max(n - 2, 0), 1)
+                keep = (slice(None), slice(first, None, 2 ** i))
+                keep2 = (slice(None), slice(first + start * 2 ** i, None, stride * 2 ** i))
             h1 = act(causal_conv1d(h, nn.conv_kernel(params, f"block{i}.conv1"),
                                    params[f"block{i}.conv1.b"], d))
             h1 = nn.dropout(h1, rate, rng, mask_shape, keep)
             h2 = causal_conv1d(h1, nn.conv_kernel(params, f"block{i}.conv2"),
-                               params[f"block{i}.conv2.b"], d)
-            h2 = nn.dropout(h2, rate, rng, mask_shape, keep)
+                               params[f"block{i}.conv2.b"], d, start, stride)
+            h2 = nn.dropout(h2, rate, rng, mask_shape, keep2)
             if f"block{i}.skip.w" in params:
                 skip = causal_conv1d(h, params[f"block{i}.skip.w"],
-                                     params[f"block{i}.skip.b"], 1)
+                                     params[f"block{i}.skip.b"], 1, start, stride)
             else:
-                skip = h
+                skip = h if (start, stride) == (0, 1) else h[:, start::stride]
             h = h2 + skip
+            n = len(range(start, n, stride))
         return h
 
     def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
@@ -406,24 +413,35 @@ class TrainedModel:
         return tuple(c for c in self.input_channels if c not in self.target_channels)
 
     @cached_property
-    def _scaling(self) -> tuple[np.ndarray, ...]:
-        """Gain and offset vectors of the input channels, the columns of the
-        target channels among them, and the target vectors: the scaler's map
-        as arrays, built once."""
+    def _scaling(self) -> tuple:
+        """The scaler's map as arrays, built once: the gain and offset vectors
+        of the input channels; the columns of the target channels among them,
+        a slice when they are adjacent; the target gain and offset vectors;
+        and those two as (T, 1) columns, which unscale a (H, T, Q) output."""
         gain, offset = self.scaler.vectors(self.input_channels)
-        cols = np.array([self.input_channels.index(c) for c in self.target_channels])
-        return gain, offset, cols, gain[cols], offset[cols]
+        idx = [self.input_channels.index(c) for c in self.target_channels]
+        cols = slice(idx[0], idx[-1] + 1) if idx == list(range(idx[0], idx[-1] + 1)) \
+            else np.array(idx)
+        tgt_gain, tgt_off = gain[idx], offset[idx]
+        return gain, offset, cols, tgt_gain, tgt_off, tgt_gain[:, None], tgt_off[:, None]
 
     def prepare(self, matrix: np.ndarray) -> tuple:
         """The per-slice work of a forecast over a raw-unit (n, C) input
         matrix: the matrix scaled once, for TiDE the covariates of every row
         projected once, and the forward pass (TiDE: `decode`) captured on the
         first window as the plan that `step` replays. `step` reads windows of
-        the scaled matrix and `feed` writes fed-back targets into it."""
+        the scaled matrix and `feed` writes fed-back targets into it.
+        ValueError if the matrix is shorter than one window."""
         gain, offset = self._scaling[:2]
         scaled = (np.asarray(matrix, dtype=np.float64) - offset) * gain
         proj, forward, cfg = None, self.model.forward, self.config
-        if self.family == "tide":
+        tide = self.family == "tide"
+        need = cfg.lookback + (cfg.horizon if tide else 0)
+        if len(scaled) < need:
+            raise ValueError(f"prepare: the slice has {len(scaled)} rows, one window needs "
+                             f"{need} (lookback {cfg.lookback}"
+                             + (f" + horizon {cfg.horizon})" if tide else ")"))
+        if tide:
             with no_grad():
                 proj = self.model.project(
                     self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
@@ -446,15 +464,15 @@ class TrainedModel:
         predictions in raw units with non-crossing enforced."""
         scaled, proj, plan = prepared
         cfg = self.config
-        tgt_gain, tgt_off = self._scaling[3:]
+        gain_col, off_col = self._scaling[5:]
         out = plan(*self._window(scaled, proj, i)).reshape(cfg.horizon, cfg.n_targets, -1)
-        raw = out / tgt_gain[:, None] + tgt_off[:, None]
+        raw = out / gain_col + off_col
         return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
 
     def feed(self, prepared: tuple, i: int, targets: np.ndarray) -> None:
         """Write raw-unit target values into row i of a prepared slice,
         scaled as `prepare` scales the matrix."""
-        _, _, cols, tgt_gain, tgt_off = self._scaling
+        cols, tgt_gain, tgt_off = self._scaling[2:5]
         prepared[0][i, cols] = (targets - tgt_off) * tgt_gain
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:

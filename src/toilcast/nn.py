@@ -2,8 +2,8 @@
 substrate.
 
 Parameters are named float64 Tensors in an ordered dict; Adam updates them
-in place. Initialization is fan-in-scaled uniform with zero biases,
-fully reproducible from a 64-bit seed.
+through one flat buffer. Initialization is fan-in-scaled uniform with zero
+biases, fully reproducible from a 64-bit seed.
 """
 
 from __future__ import annotations
@@ -148,31 +148,73 @@ def param_checksum(params: dict) -> str:
 
 @dataclass
 class AdamState:
-    """Adam moment estimates with bias correction."""
+    """Adam moment estimates with bias correction, each one flat vector over
+    the parameters in the params dict's order."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    # the parameters after the last step and the views of it bound to them
+    _flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _views: tuple = field(default=(), repr=False, compare=False)
 
 
 def adam_update(params: dict, grads: dict, state: AdamState) -> None:
-    """Standard Adam step, in place; errors on a non-finite gradient."""
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        p.data = p.data - state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    """Standard Adam step over one flat buffer of all the parameters.
 
+    A non-finite gradient raises FloatingPointError naming the first bad
+    parameter before any parameter, moment or the step count changes. Each
+    parameter's data is rebound to a view of a new flat vector, so an array
+    a caller still holds (such as a captured plan's constant) keeps its
+    values; a parameter rebound since the last step is read afresh."""
+    if not params:
+        raise ValueError("adam_update: no parameters to update")
+    tensors = tuple(params.values())
+    g = np.concatenate([np.ravel(grads[name]) for name in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise FloatingPointError(f"non-finite gradient for parameter '{bad}'")
+    if len(tensors) == len(state._views) and all(
+            p.data is view for p, view in zip(tensors, state._views)):
+        flat = state._flat
+    else:
+        flat = np.concatenate([np.ravel(p.data) for p in tensors])
+    if g.size != flat.size:
+        raise ValueError(f"adam_update: {g.size} gradient values for {flat.size} "
+                         "parameter values")
+    if state.m is not None and state.m.size != flat.size:
+        raise ValueError(f"adam_update: the state's moments cover {state.m.size} values, "
+                         f"the parameters {flat.size}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    state.step_count += 1
+    c1 = 1.0 - state.beta1 ** state.step_count
+    c2 = 1.0 - state.beta2 ** state.step_count
+    # m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and the new parameters
+    # flat - lr (m / c1) / (sqrt(v / c2) + eps), operation by operation in
+    # that order but in place; g's buffer, this step's own, becomes the result
+    m, v = state.m, state.v
+    tmp = (1.0 - state.beta1) * g
+    m *= state.beta1
+    m += tmp
+    np.multiply(g, 1.0 - state.beta2, out=tmp)
+    tmp *= g
+    v *= state.beta2
+    v += tmp
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, c1, out=g)
+    g *= state.learning_rate
+    g /= tmp
+    flat = np.subtract(flat, g, out=g)
+    k = 0
+    for p in tensors:
+        n = p.data.size
+        p.data = flat[k: k + n].reshape(p.data.shape)
+        k += n
+    state._flat, state._views = flat, tuple(p.data for p in tensors)

@@ -152,6 +152,52 @@ class TestConv:
         assert np.abs(grads["w"] - want_gw).max() <= 1e-12
         assert np.abs(grads["b"] - g.sum(axis=(0, 1))).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", (2, 3, 4))
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_strided_output_is_the_full_conv_rows(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        T = 16
+        x = Tensor(rng.normal(size=(2, T, 3)))
+        w, b = Tensor(rng.normal(size=(k, 3, 4))), Tensor(rng.normal(size=4))
+        full = causal_conv1d(x, w, b, d).data
+        for start, stride in ((0, 1), (0, 2), (1, 2), (2, 3), (1, 4), (5, 2), (14, 1),
+                              (3, 5), (15, 1)):
+            got = causal_conv1d(x, w, b, d, start, stride).data
+            want = full[:, start::stride]
+            emitted = range(start, T, stride)
+            tap_rows = [sum(p >= i * d for p in emitted) for i in range(k)]
+            if min(r for r in tap_rows if r) >= 2:
+                assert np.array_equal(got, want), (start, stride)
+            else:
+                # numpy hands a one-row product to gemv, which rounds unlike gemm
+                assert np.abs(got - want).max() <= 1e-13, (start, stride)
+
+    @pytest.mark.parametrize("k, d, start, stride", [(2, 1, 1, 2), (3, 2, 0, 2), (4, 1, 5, 3),
+                                                     (2, 3, 7, 1), (3, 1, 8, 4)])
+    def test_strided_gradients_are_the_full_conv_ones(self, k, d, start, stride):
+        # the full conv with an output gradient that is zero off the emitted rows
+        rng = np.random.default_rng(k + 10 * start + 100 * stride)
+        params = {"x": Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True),
+                  "w": Tensor(rng.normal(size=(k, 3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=4), requires_grad=True)}
+        out = causal_conv1d(params["x"], params["w"], params["b"], d, start, stride)
+        g = rng.normal(size=out.shape)
+        g_full = np.zeros((2, 9, 4))
+        g_full[:, start::stride] = g
+        full = causal_conv1d(params["x"], params["w"], params["b"], d)
+        got, want = backward(out, params, g), backward(full, params, g_full)
+        for name in params:
+            assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("start, stride, named", [(0, 0, r"stride \(0\)"),
+                                                      (1, -2, r"stride \(-2\)"),
+                                                      (-1, 1, r"start \(-1\)"),
+                                                      (5, 1, r"start \(5\)")])
+    def test_bad_start_or_stride_names_the_argument(self, start, stride, named):
+        with pytest.raises(ValueError, match=named):
+            causal_conv1d(Tensor(np.zeros((1, 5, 2))), Tensor(np.zeros((2, 2, 2))),
+                          Tensor(np.zeros(2)), 1, start, stride)
+
 
 def _chain_layer_norm(x, gamma, beta, eps=1e-5):
     """Layer norm composed of primitives: the reference for the fused op."""
@@ -322,6 +368,48 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="bad_param"):
             nn.adam_update(p, {"bad_param": np.asarray(np.nan)}, nn.AdamState())
 
+    def test_non_finite_gradient_changes_nothing(self):
+        p = {"a": Tensor(1.0, requires_grad=True, name="a"),
+             "b": Tensor(np.ones(2), requires_grad=True, name="b")}
+        state = nn.AdamState(learning_rate=0.1)
+        nn.adam_update(p, {"a": np.asarray(0.5), "b": np.full(2, 0.25)}, state)
+        before = {name: t.data.copy() for name, t in p.items()}
+        m, v = state.m.copy(), state.v.copy()
+        with pytest.raises(FloatingPointError, match="'b'"):
+            nn.adam_update(p, {"a": np.asarray(1.0), "b": np.array([1.0, np.nan])}, state)
+        assert state.step_count == 1
+        for name in p:
+            assert np.array_equal(p[name].data, before[name]), name
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_empty_parameter_set_rejected(self):
+        with pytest.raises(ValueError, match="no parameters"):
+            nn.adam_update({}, {}, nn.AdamState())
+
+    def test_flat_update_equals_the_per_parameter_loop(self):
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 3, 1)}
+        p = {n: Tensor(rng.normal(size=s), requires_grad=True, name=n) for n, s in shapes.items()}
+        ref = {n: t.data.copy() for n, t in p.items()}
+        state, m, v = nn.AdamState(learning_rate=0.05), {}, {}
+        held = p["w"].data
+        for t in range(1, 5):
+            if t == 3:  # a parameter rebound between steps is read afresh
+                p["b"].data = ref["b"] = rng.normal(size=4)
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            nn.adam_update(p, grads, state)
+            c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+            for n, g in grads.items():   # the per-parameter update, as a reference
+                m[n] = state.beta1 * m.get(n, 0.0) + (1.0 - state.beta1) * g
+                v[n] = state.beta2 * v.get(n, 0.0) + (1.0 - state.beta2) * g * g
+                ref[n] = ref[n] - state.learning_rate * (m[n] / c1) / (
+                    np.sqrt(v[n] / c2) + state.eps)
+            for n in p:
+                assert p[n].data.shape == shapes[n]
+                assert np.array_equal(p[n].data, ref[n]), (t, n)
+        # arrays bound before a step, such as a captured plan's constants, keep their values
+        assert held is not p["w"].data and not np.array_equal(held, p["w"].data)
+
 
 class TestInit:
     def test_same_seed_identical(self):
@@ -361,6 +449,15 @@ def _gradcheck_config(kind: str, rng: np.random.Generator) -> float:
         nn.init_conv(params, rng, "c", k, c_in, c_out)
         x = rng.normal(size=(2, int(rng.integers(4, 9)), c_in))
         f = lambda: mean(causal_conv1d(Tensor(x), params["c.w"], params["c.b"], d) ** 2)
+    elif kind == "conv_strided":
+        k, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        nn.init_conv(params, rng, "c", k, c_in, c_out)
+        T = int(rng.integers(4, 12))
+        start, stride = int(rng.integers(0, T)), int(rng.integers(1, 4))
+        params["x"] = Tensor(rng.normal(size=(2, T, c_in)), requires_grad=True)
+        f = lambda: mean(causal_conv1d(params["x"], params["c.w"], params["c.b"], d,
+                                       start, stride) ** 2)
     elif kind == "residual":
         n = int(rng.integers(2, 5))
         nn.init_residual_block(params, rng, "r", n, n + 1, n)
@@ -385,7 +482,7 @@ def _gradcheck_config(kind: str, rng: np.random.Generator) -> float:
 
 
 PRIMITIVES = ("dense_relu", "dense_tanh", "dense_sigmoid", "dense_identity",
-              "conv", "residual", "composite")
+              "conv", "conv_strided", "residual", "composite")
 
 
 @pytest.mark.parametrize("kind", PRIMITIVES)

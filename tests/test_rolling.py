@@ -429,3 +429,24 @@ class TestPreparedRollout:
         assert len(trace) == 34
         # the projection runs over the slice, the temporal block at capture
         assert prefixes.count("proj") == 1 and prefixes.count("temporal") == 1
+
+    @pytest.mark.parametrize("family, rows", [("ann", 6), ("tcn", 6), ("tide", 7)])
+    def test_slice_shorter_than_a_window_rejected(self, family, rows):
+        model = make_model(family)   # look-back 6; TiDE also reads 1 forecast row
+        matrix = make_dataset(rows, seed=47).matrix(model.input_channels)
+        with pytest.raises(ValueError, match=rf"slice has {rows - 1} rows, one window "
+                                             rf"needs {rows} \(lookback 6"):
+            model.prepare(matrix[:-1])
+        model.prepare(matrix)
+
+    @pytest.mark.parametrize("inputs", [("top_oil", "temp_rise", "ambient", "load_factor"),
+                                        ("top_oil", "ambient", "temp_rise", "load_factor")])
+    def test_feed_writes_the_target_columns(self, inputs):
+        model = replace(make_model("ann", n_targets=2), input_channels=inputs, config_hash="")
+        prepared = model.prepare(make_dataset(20, seed=46).matrix(inputs))
+        want = prepared[0].copy()
+        cols = [inputs.index("top_oil"), inputs.index("temp_rise")]
+        gain, offset = model.scaler.vectors(inputs)
+        want[9, cols] = (np.array([50.0, 30.0]) - offset[cols]) * gain[cols]
+        model.feed(prepared, 9, np.array([50.0, 30.0]))
+        assert np.array_equal(prepared[0], want)
