@@ -77,9 +77,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, n):
         return power(self, n)
 
@@ -234,7 +231,6 @@ _VJP = {
                                         _grad_for(b, -g) if b.requires_grad else None),
     operator.mul: lambda out, a, b, g: (_grad_for(a, g * b.data) if a.requires_grad else None,
                                         _grad_for(b, g * a.data) if b.requires_grad else None),
-    operator.matmul: _matmul_vjp,
     _affine: lambda out, x, w, b, g: (*_matmul_vjp(out, x, w, g), _grad_for(b, g)),
     _layer_norm: _layer_norm_vjp,
     operator.pow: lambda out, a, n, g: (g * n * a.data ** (n - 1.0),),
@@ -273,10 +269,6 @@ def _matmul_operands(a, b) -> tuple[Tensor, Tensor]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape} "
                          f"({_label(a)} @ {_label(b)})")
     return a, b
-
-
-def matmul(a, b) -> Tensor:
-    return _apply(operator.matmul, 2, *_matmul_operands(a, b))
 
 
 def affine(x, w, b) -> Tensor:

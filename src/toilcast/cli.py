@@ -148,31 +148,30 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
         raise ConfigError(f"unknown train.{family} keys: {unknown} "
                           f"(expected some of {list(TRAIN_KEYS)})")
     raw.update(given)
-    quantiles = validate_quantiles(cfg.get("quantiles", [0.01, 0.5, 0.99]))
     try:
         return TrainConfig(batch_size=int(raw["batch_size"]),
                            max_epochs=int(raw["max_epochs"]),
                            learning_rate=float(raw["learning_rate"]),
-                           seed=int(cfg["seed"]), loss=loss, quantiles=quantiles,
+                           seed=int(cfg["seed"]), loss=loss, quantiles=_quantiles(cfg),
                            patience=None if raw.get("patience") is None
                            else int(raw["patience"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
 
 
-def _model_config(cfg: dict, family: str, loss: str, overrides: dict | None = None):
+def _quantiles(cfg: dict) -> tuple[float, ...]:
+    return validate_quantiles(cfg.get("quantiles", [0.01, 0.5, 0.99]))
+
+
+def _model_config(cfg: dict, family: str, loss: str):
     raw = dict(cfg.get("models", {}).get(family, {}))
-    raw.update(overrides or {})
     if bool(cfg.get("multi_target")):
         raw["n_targets"] = 2
-    n_targets = int(raw.get("n_targets", 1))
-    if family == "tide":
-        raw.setdefault("n_covariates", 2)
-    else:
-        raw.setdefault("n_channels", n_targets + 2)
     if loss == "quantile":
-        raw["quantiles"] = validate_quantiles(cfg.get("quantiles", [0.01, 0.5, 0.99]))
+        raw["quantiles"] = _quantiles(cfg)
     try:
+        if family != "tide":
+            raw.setdefault("n_channels", int(raw.get("n_targets", 1)) + 2)
         return config_from_dict(family, raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid models.{family} config: {exc}") from exc
@@ -212,8 +211,7 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
     _describe("train split", train_ds)
     model_cfg = _model_config(cfg, family, loss)
     train_cfg = _train_config(cfg, family, loss)
-    trained, report = fit_dataset(family, model_cfg, train_ds, _scaler(cfg), train_cfg,
-                                  multi_target=bool(cfg.get("multi_target")))
+    trained, report = fit_dataset(family, model_cfg, train_ds, _scaler(cfg), train_cfg)
     ckpt = out_dir / f"{family}_{loss}.checkpoint.json"
     save_checkpoint(ckpt, trained)
     report_path = out_dir / f"{family}_{loss}.train_report.json"
@@ -253,8 +251,7 @@ def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> in
             fh.flush()
 
         ranked = grid_search(grid, base_cfg, train_ds, valid_ds, _scaler(cfg),
-                             train_cfg, multi_target=bool(cfg.get("multi_target")),
-                             on_trial=on_trial)
+                             train_cfg, on_trial=on_trial)
 
     print(f"{grid.n_trials} trials -> {results_path}")
     print("rank  trial  lookback  val_mae    params")
@@ -293,9 +290,10 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
         json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
-    for trace in traces:
-        _write_predictions_csv(out_dir / f"predictions_{trace.model_id}.csv",
-                               trace, valid_ds)
+    # report keys are the model ids made unique, one per trace in order
+    keyed = list(zip(report.models, traces))
+    for key, trace in keyed:
+        _write_predictions_csv(out_dir / f"predictions_{key}.csv", trace, valid_ds)
 
     band = None
     for trace in traces:
@@ -305,7 +303,7 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
             break
     series = [{"label": "measured", "values": valid_ds.top_oil.values,
                "color": "#333333"}]
-    series += [{"label": t.model_id, "values": t.values[:, 0]} for t in traces]
+    series += [{"label": key, "values": t.values[:, 0]} for key, t in keyed]
     plot_path = out_dir / "eval_plot.svg"
     line_plot_svg(plot_path, valid_ds.timestamps, series, band,
                   title="top-oil temperature: measurements vs. estimates")
@@ -355,15 +353,12 @@ def main(argv=None) -> int:
 
     add_common(sub.add_parser("synth", help="generate a synthetic dataset"))
 
-    p_train = sub.add_parser("train", help="train one model")
-    add_common(p_train)
-    p_train.add_argument("--model", required=True, choices=("ann", "tcn", "tide"))
-    p_train.add_argument("--loss", default="point", choices=("point", "quantile"))
-
-    p_grid = sub.add_parser("grid", help="hyperparameter grid search")
-    add_common(p_grid)
-    p_grid.add_argument("--model", required=True, choices=("ann", "tcn", "tide"))
-    p_grid.add_argument("--loss", default="point", choices=("point", "quantile"))
+    for command, help_text in (("train", "train one model"),
+                               ("grid", "hyperparameter grid search")):
+        p = sub.add_parser(command, help=help_text)
+        add_common(p)
+        p.add_argument("--model", required=True, choices=("ann", "tcn", "tide"))
+        p.add_argument("--loss", default="point", choices=("point", "quantile"))
 
     p_eval = sub.add_parser("eval", help="autoregressive evaluation")
     add_common(p_eval)

@@ -57,14 +57,6 @@ def pinball(y, y_hat, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def mql(y, y_hat, alpha) -> float:
-    """Mean pinball loss over a sample; for several levels, the unweighted
-    average of the per-level means."""
-    y, y_hat = _pair(y, y_hat)
-    alphas = (alpha,) if np.isscalar(alpha) else tuple(alpha)
-    return float(np.mean([np.mean(pinball(y, y_hat, a)) for a in alphas]))
-
-
 def picp(y, lower, upper) -> float:
     """Fraction of true values inside [lower, upper], bounds inclusive."""
     y = np.asarray(y, dtype=np.float64)

@@ -11,7 +11,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,9 @@ class _ModelConfig:
         for name in self._positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{type(self).__name__}.{name} must be >= 1")
+        rate = getattr(self, "dropout", 0.0)
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"{type(self).__name__}.dropout must be in [0, 1), got {rate}")
         object.__setattr__(self, "quantiles",
                            validate_quantiles(self.quantiles) if self.quantiles else ())
 
@@ -146,9 +149,9 @@ class Mlp(_Family):
 
 # -------- TCN --------
 
-def _rf(kernel: int, n_blocks: int, convs_per_block: int = 2) -> int:
-    # dilation doubles per block: sum of 1, 2, 4, ... is 2^blocks - 1
-    return 1 + (kernel - 1) * convs_per_block * (2 ** n_blocks - 1)
+def _rf(kernel: int, n_blocks: int) -> int:
+    # two convolutions per block, dilation doubling per block: 1 + 2 + 4 + ... = 2^blocks - 1
+    return 1 + (kernel - 1) * 2 * (2 ** n_blocks - 1)
 
 
 def _resolve_blocks(cfg: TcnConfig) -> int:
@@ -165,12 +168,6 @@ def _resolve_blocks(cfg: TcnConfig) -> int:
     while _rf(cfg.kernel, b) < cfg.lookback:
         b += 1
     return b
-
-
-def receptive_field(cfg: TcnConfig) -> int:
-    """Past steps visible to the final output: 1 + (k-1) * convs_per_block *
-    sum of dilations."""
-    return _rf(cfg.kernel, _resolve_blocks(cfg))
 
 
 class Tcn(_Family):
@@ -384,7 +381,6 @@ class TrainedModel:
     scaler: AffineScaler
     seed: int
     config_hash: str = ""
-    _model: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.input_channels = tuple(self.input_channels)
@@ -402,15 +398,9 @@ class TrainedModel:
     def quantiles(self) -> tuple[float, ...]:
         return self.config.quantiles
 
-    @property
+    @cached_property
     def model(self):
-        if self._model is None:
-            self._model = build_model(self.family, self.config)
-        return self._model
-
-    @property
-    def covariate_channels(self) -> tuple[str, ...]:
-        return tuple(c for c in self.input_channels if c not in self.target_channels)
+        return build_model(self.family, self.config)
 
     @cached_property
     def _scaling(self) -> tuple:

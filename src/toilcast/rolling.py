@@ -27,7 +27,6 @@ class ForecastTrace:
     values: np.ndarray                      # (n, n_targets) point predictions
     quantiles: np.ndarray | None = None     # (n, n_targets, n_quantiles)
     alphas: tuple[float, ...] = ()
-    config_hash: str = ""
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -43,21 +42,16 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     """
     cfg = model.config
     L = int(cfg.lookback)
-    if getattr(cfg, "horizon", 1) != 1:
+    if cfg.horizon != 1:
         raise ValueError("autoregressive evaluation requires a one-step model")
     N = valid.n
     if N <= L:
         raise ValueError(f"validation slice has {N} points, need more than L={L}")
 
-    input_channels = tuple(model.input_channels)
-    target_channels = tuple(model.target_channels)
-    alphas = tuple(getattr(model, "quantiles", ()) or ())
-    if alphas:
-        if 0.5 not in alphas:
-            raise ValueError("autoregressive feedback needs the 0.5 quantile in the head")
-        mid = alphas.index(0.5)
-    else:
-        mid = 0
+    target_channels, alphas = model.target_channels, model.quantiles
+    if alphas and 0.5 not in alphas:
+        raise ValueError("autoregressive feedback needs the 0.5 quantile in the head")
+    mid = alphas.index(0.5) if alphas else 0
 
     n_out = N - L
     values = np.empty((n_out, len(target_channels)))
@@ -65,7 +59,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prepared = model.prepare(valid.matrix(input_channels))
+        prepared = model.prepare(valid.matrix(model.input_channels))
         for i in range(L, N):
             pred = model.step(prepared, i)   # (1, T, Q)
             if not np.isfinite(pred).all():
@@ -78,20 +72,18 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
                 quants[i - L] = pred[0]
             model.feed(prepared, i, point)
 
-    return ForecastTrace(getattr(model, "family", "model"), valid.timestamps[L:].copy(),
-                         target_channels, values, quants, alphas,
-                         getattr(model, "config_hash", ""))
+    return ForecastTrace(model.family, valid.timestamps[L:].copy(), target_channels, values,
+                         quants, alphas)
 
 
 def iec_predict(params: IecParams, valid: TransformerDataset,
-                dt_min: float = 5.0, model_id: str = "iec",
-                enforce_timestep: bool = True) -> ForecastTrace:
+                dt_min: float = 5.0, enforce_timestep: bool = True) -> ForecastTrace:
     """IEC solver trace: seeded at the first measured top-oil value, then
     free-running on measured load factor and ambient."""
     t0 = float(valid.top_oil.values[0])
     traj = simulate(valid.load_factor, valid.ambient, t0, dt_min, params,
                     enforce_timestep)
-    return ForecastTrace(model_id, valid.timestamps.copy(), ("top_oil",),
+    return ForecastTrace("iec", valid.timestamps.copy(), ("top_oil",),
                          traj.values.reshape(-1, 1))
 
 

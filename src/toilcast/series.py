@@ -205,13 +205,12 @@ class AffineScaler:
     channels: dict[str, tuple[float, float]]  # name -> (gain, offset)
 
     def __post_init__(self):
-        for name, (gain, _) in self.channels.items():
+        for name, (gain, offset) in self.channels.items():
+            if not (math.isfinite(gain) and math.isfinite(offset)):
+                raise ValueError(f"non-finite gain {gain} or offset {offset} "
+                                 f"for channel '{name}'")
             if gain == 0:
                 raise ValueError(f"zero gain for channel '{name}'")
-
-    @classmethod
-    def identity(cls, names=CHANNELS) -> "AffineScaler":
-        return cls({n: (1.0, 0.0) for n in names})
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AffineScaler":
@@ -223,14 +222,6 @@ class AffineScaler:
         axis runs over those channels."""
         pairs = [self.channels[n] for n in names]
         return np.array([g for g, _ in pairs]), np.array([o for _, o in pairs])
-
-    def scale(self, name: str, x: np.ndarray) -> np.ndarray:
-        gain, offset = self.channels[name]
-        return (np.asarray(x, dtype=np.float64) - offset) * gain
-
-    def unscale(self, name: str, y: np.ndarray) -> np.ndarray:
-        gain, offset = self.channels[name]
-        return np.asarray(y, dtype=np.float64) / gain + offset
 
 
 @dataclass(frozen=True)
@@ -427,7 +418,7 @@ def scale_windows(ws: WindowSet, scaler: AffineScaler) -> WindowSet:
 
 
 def load_dataset(measurements_path, ambient_path, rated_current_a: float | None = None,
-                 default_offset: str | None = None, step: int = STEP_5MIN_S) -> TransformerDataset:
+                 default_offset: str | None = None) -> TransformerDataset:
     """Load the standard CSV pair into a repaired, aligned dataset.
 
     The measurements file provides top_oil_c plus either current_a (divided
@@ -444,7 +435,7 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     else:
         raise ValueError(f"measurements file needs a current_a or load_factor column, got {header}")
 
-    meas = ingest_measurements(measurements_path, col_map, step, default_offset).series
+    meas = ingest_measurements(measurements_path, col_map, STEP_5MIN_S, default_offset).series
     amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
                               STEP_HOUR_S, default_offset).series["ambient"]
     # Hourly rows with missing readings are dropped; interpolation then spans them.

@@ -30,7 +30,7 @@ def _tick_values(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def line_plot_svg(path, x: np.ndarray, series: list[dict], band: dict | None = None,
-                  title: str = "", y_label: str = "top-oil [degC]") -> None:
+                  title: str = "") -> None:
     """Write a line chart.
 
     x: epoch seconds shared by all traces (traces may be tails of it).
@@ -86,7 +86,7 @@ def line_plot_svg(path, x: np.ndarray, series: list[dict], band: dict | None = N
                      f'text-anchor="middle">{label}</text>')
     parts.append(f'<text x="16" y="{MARGIN_T + px_h / 2:.0f}" '
                  f'transform="rotate(-90 16 {MARGIN_T + px_h / 2:.0f})" '
-                 f'text-anchor="middle">{y_label}</text>')
+                 f'text-anchor="middle">top-oil [degC]</text>')
 
     if band is not None:
         lower = np.asarray(band["lower"], dtype=np.float64)

@@ -90,13 +90,20 @@ def quantile_loss(pred: Tensor, y: np.ndarray, alphas: tuple[float, ...]) -> Ten
 def train(model, params: dict[str, Tensor], windows: WindowSet,
           cfg: TrainConfig) -> TrainReport:
     """Run up to max_epochs of seeded shuffled mini-batches, updating
-    `params` in place; aborts on a non-finite loss."""
+    `params` in place; aborts on a non-finite loss. ValueError, before the
+    first batch, if the model's head does not fit the loss and the targets."""
     n = windows.n_windows
     if n == 0:
         raise ValueError("empty window set")
-    if cfg.loss == "quantile" and getattr(model.cfg, "quantiles", ()) != cfg.quantiles:
-        raise ValueError(f"model head quantiles {model.cfg.quantiles} do not match "
-                         f"training quantiles {cfg.quantiles}")
+    quantiles = cfg.quantiles if cfg.loss == "quantile" else ()
+    if model.cfg.quantiles != quantiles:
+        raise ValueError(f"model head quantiles {model.cfg.quantiles} do not match the "
+                         f"{cfg.loss} loss, which needs quantiles {quantiles}")
+    width = windows.targets.shape[1]
+    need = width * max(1, len(quantiles))
+    if model.cfg.n_outputs != need:
+        raise ValueError(f"model head has {model.cfg.n_outputs} outputs, the {cfg.loss} "
+                         f"loss on {width} target values per window needs {need}")
 
     rng = nn.rng_from_seed(cfg.seed, 1)
     dropout_rng = nn.rng_from_seed(cfg.seed, 2) if getattr(model.cfg, "dropout", 0.0) > 0 \
@@ -139,10 +146,13 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
 
 
 def fit_dataset(family: str, model_cfg, train_ds: TransformerDataset,
-                scaler: AffineScaler, cfg: TrainConfig,
-                multi_target: bool = False) -> tuple[TrainedModel, TrainReport]:
-    """Window, scale, and train one model on a dataset slice."""
-    targets = TARGET_CHANNELS_MULTI if multi_target else TARGET_CHANNELS_SINGLE
+                scaler: AffineScaler, cfg: TrainConfig) -> tuple[TrainedModel, TrainReport]:
+    """Window, scale, and train one model on a dataset slice; the first
+    `model_cfg.n_targets` of TARGET_CHANNELS_MULTI are its targets."""
+    if model_cfg.n_targets > len(TARGET_CHANNELS_MULTI):
+        raise ValueError(f"n_targets {model_cfg.n_targets} exceeds the "
+                         f"{len(TARGET_CHANNELS_MULTI)} target channels {TARGET_CHANNELS_MULTI}")
+    targets = TARGET_CHANNELS_MULTI[:model_cfg.n_targets]
     inputs = targets + COVARIATES
     future = COVARIATES if family == "tide" else ()
     ws = make_windows(train_ds, model_cfg.lookback, model_cfg.horizon,
@@ -209,8 +219,7 @@ class TrialResult:
 
 def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
                 valid_ds: TransformerDataset, scaler: AffineScaler,
-                train_cfg: TrainConfig, multi_target: bool = False,
-                on_trial=None) -> list[TrialResult]:
+                train_cfg: TrainConfig, on_trial=None) -> list[TrialResult]:
     """Train and score every grid configuration. A trial that fails with a
     ValueError, FloatingPointError or DivergenceError is recorded, with the
     exception type, and the search goes on; any other exception propagates.
@@ -231,8 +240,7 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
         )
         try:
             cfg = config_from_dict(grid.family, overrides)
-            trained, _ = fit_dataset(grid.family, cfg, train_ds, scaler, trial_train,
-                                     multi_target)
+            trained, _ = fit_dataset(grid.family, cfg, train_ds, scaler, trial_train)
             trace = autoregressive_predict(trained, valid_ds)
             truth = valid_ds.channel(trained.target_channels[0]).values[cfg.lookback:]
             result = TrialResult(trial_id, grid.family, combo, combo["lookback"],

@@ -16,14 +16,14 @@ import pytest
 from toilcast import nn
 from toilcast.autodiff import Tensor, absolute, causal_conv1d, mean
 from toilcast.iec import IecParams, simulate, steady_state
-from toilcast.metrics import mae, mean_interval_width, mql, picp, pinball
+from toilcast.metrics import mae, mean_interval_width, picp, pinball
 from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
                              save_checkpoint)
 from toilcast.rolling import ForecastTrace, autoregressive_predict, evaluate, iec_predict
 from toilcast.series import AffineScaler, SplitSpec, TimeSeries, parse_instant, split
 from toilcast.synth import SynthSpec, gen_dataset
 from toilcast.training import TrainConfig, fit_dataset
-from util import make_dataset, max_rel_err
+from util import make_dataset, max_rel_err, mql
 
 SEED = 7
 GRAD_TOL = 1e-4

@@ -3,7 +3,7 @@ import pytest
 
 from toilcast import nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
-                               causal_conv1d, concat, layer_norm, matmul, maximum, mean,
+                               causal_conv1d, concat, layer_norm, maximum, mean,
                                no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
 from util import max_rel_err
 
@@ -15,12 +15,12 @@ class TestForward:
         params = {"w": Tensor(np.eye(3), requires_grad=True),
                   "b": Tensor(np.zeros(3), requires_grad=True)}
         x = np.array([[1.5, -2.0, 0.25]])
-        out = Tensor(x) @ params["w"] + params["b"]
+        out = affine(Tensor(x), params["w"], params["b"])
         assert np.array_equal(out.data, x)
 
     def test_single_neuron_hand_value(self):
         # w=[2], b=1, x=[3], identity activation -> 7
-        out = Tensor([[3.0]]) @ Tensor([[2.0]]) + Tensor([1.0])
+        out = affine(Tensor([[3.0]]), Tensor([[2.0]]), Tensor([1.0]))
         assert out.data.item() == 7.0
 
     def test_relu(self):
@@ -34,7 +34,7 @@ class TestForward:
         a = Tensor(np.zeros((2, 3)), name="hidden0.out")
         w = Tensor(np.zeros((4, 5)), name="hidden1.w")
         with pytest.raises(ValueError, match="hidden1.w"):
-            matmul(a, w)
+            affine(a, w, Tensor(np.zeros(5)))
 
 
 class TestBackward:
@@ -68,7 +68,7 @@ class TestBackward:
 
         def loss():
             h = nn.dense(Tensor(x), params, "l1", "tanh")
-            return mean((h @ params["head.w"] - Tensor(y)) ** 2)
+            return mean((affine(h, params["head.w"], 0.0) - Tensor(y)) ** 2)
 
         assert max_rel_err(loss, params) <= TOL
 
@@ -83,10 +83,10 @@ class TestBackward:
         x = Tensor(rng.normal(size=(2, 3)))
 
         def f():
-            return mean(tanh(x @ w))
+            return mean(tanh(affine(x, w, 0.0)))
 
         def g():
-            return mean((x @ w) ** 2)
+            return mean(affine(x, w, 0.0) ** 2)
 
         a, b = 2.5, -1.25
         combined = backward(a * f() + b * g(), {"w": w})["w"]
@@ -222,14 +222,22 @@ class TestFusedPrimitives:
     @pytest.mark.parametrize("x_shape, b_shape", [((5, 3), (4,)), ((5, 3), (1, 4)),
                                                   ((2, 6, 3), (4,)), ((1, 3), (4,))])
     def test_affine_matches_matmul_add(self, x_shape, b_shape):
+        # reference: numpy's x @ w + b and the closed-form VJP, g @ w.T for x,
+        # x.T @ g over all leading axes for w, and g summed to b's shape
         rng = np.random.default_rng(len(x_shape) * 10 + len(b_shape))
         for _ in range(20):
-            f, c, gf, gc = _fused_vs_chain(affine, lambda x, w, b: x @ w + b,
-                                           {"x": x_shape, "w": (3, 4), "b": b_shape}, rng)
-            assert np.array_equal(f, c)
-            for name in gf:
-                assert gf[name].shape == gc[name].shape
-                assert np.abs(gf[name] - gc[name]).max() <= 1e-12
+            x, w, b = (rng.normal(size=s) for s in (x_shape, (3, 4), b_shape))
+            params = {n: Tensor(a, requires_grad=True, name=n)
+                      for n, a in (("x", x), ("w", w), ("b", b))}
+            out = affine(*params.values())
+            g = rng.normal(size=out.shape)
+            grads = backward(out, params, g)
+            assert np.array_equal(out.data, x @ w + b)
+            want = {"x": g @ w.T, "w": x.reshape(-1, 3).T @ g.reshape(-1, 4),
+                    "b": g.reshape(-1, 4).sum(axis=0).reshape(b_shape)}
+            for name in params:
+                assert grads[name].shape == want[name].shape
+                assert np.abs(grads[name] - want[name]).max() <= 1e-12
 
     @pytest.mark.parametrize("x_shape, p_shape", [((4, 6), (6,)), ((2, 5, 3), (3,)),
                                                   ((3, 7), (1, 7))])
@@ -267,7 +275,7 @@ class TestTake:
 
 class TestLazyTape:
     def test_constants_record_nothing(self):
-        out = tanh(Tensor(np.ones((2, 3))) @ Tensor(np.ones((3, 2))))
+        out = tanh(affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), 0.0))
         assert not out.requires_grad and out._parents == () and out._vjp is None
 
     def test_gradient_flow_marks_results(self):
@@ -278,7 +286,7 @@ class TestLazyTape:
     def test_no_grad_records_nothing_and_backward_gives_zeros(self):
         w = Tensor(np.ones((3, 2)), requires_grad=True, name="w")
         with no_grad():
-            out = mean(relu(Tensor(np.ones((4, 3))) @ w))
+            out = mean(relu(affine(Tensor(np.ones((4, 3))), w, 0.0)))
         assert not out.requires_grad and out._parents == ()
         assert np.array_equal(backward(out, {"w": w})["w"], np.zeros((3, 2)))
 
@@ -294,7 +302,7 @@ class TestLazyTape:
         w = Tensor(np.ones(2), requires_grad=True, name="w")
         with pytest.raises(ValueError, match="incompatible"):
             with no_grad():
-                matmul(w, Tensor(np.ones((3, 3))))
+                affine(w, Tensor(np.ones((3, 3))), 0.0)
         assert (w * w).requires_grad
 
     def test_input_without_gradient_skipped(self):

@@ -142,6 +142,24 @@ class TestEvalCommand:
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path]) == 2
 
+    def test_checkpoints_sharing_a_stem_keep_both_predictions(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg_path, ckpt = self.run_train(tmp_path, cfg)
+        other = tmp_path / "other"
+        assert main(["train", "--config", write_config(tmp_path, dict(cfg, seed=12), "b.json"),
+                     "--model", "ann", "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        assert main(["eval", "--config", cfg_path, str(ckpt)]) == 0
+        alone = (out / "predictions_ann_point.csv").read_bytes()
+        assert main(["eval", "--config", cfg_path, str(ckpt),
+                     str(other / "ann_point.checkpoint.json")]) == 0
+        report = json.loads((out / "evaluation_report.json").read_text())
+        assert list(report["models"]) == ["ann_point", "ann_point_1"]
+        assert (out / "predictions_ann_point.csv").read_bytes() == alone
+        second = (out / "predictions_ann_point_1.csv").read_bytes()
+        assert second.splitlines()[0] == alone.splitlines()[0] and second != alone
+        assert ">ann_point_1<" in (out / "eval_plot.svg").read_text()
+
     def test_tide_checkpoint_evaluates(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg_path, ckpt = self.run_train(tmp_path, cfg, family="tide")
@@ -276,6 +294,20 @@ class TestConfigValidation:
         assert _train_config(cfg, "ann", "point").patience == 2
         cfg["train"]["ann"]["patience"] = None
         assert _train_config(cfg, "ann", "point").patience is None
+
+    def test_non_finite_scaling_names_the_channel(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["scaling"] = {"ambient": {"gain": float("nan")}}   # written as JSON NaN
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+        assert "channel 'ambient'" in capsys.readouterr().err
+
+    def test_null_model_field_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["models"]["ann"]["n_targets"] = None
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+        assert "invalid models.ann config" in capsys.readouterr().err
 
     def test_invalid_split_rejected(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

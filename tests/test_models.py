@@ -8,8 +8,7 @@ from toilcast import autodiff, nn
 from toilcast.autodiff import Tensor, absolute, mean
 from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
                              TrainedModel, build_model, config_from_dict,
-                             enforce_non_crossing, load_checkpoint, receptive_field,
-                             save_checkpoint)
+                             _rf, enforce_non_crossing, load_checkpoint, save_checkpoint)
 from toilcast.series import AffineScaler
 from util import max_rel_err
 
@@ -46,6 +45,10 @@ class TestMlp:
         m = Mlp(cfg)
         with pytest.raises(ValueError, match="matmul"):
             m.forward(m.init_params(0), RNG.normal(size=(1, 5)))
+
+
+def receptive_field(cfg: TcnConfig) -> int:
+    return _rf(cfg.kernel, Tcn(cfg).n_blocks)
 
 
 class TestReceptiveField:
@@ -392,12 +395,16 @@ class TestTrainedModel:
         tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
         window = RNG.normal(40.0, 5.0, size=(4, 3))
         future = RNG.normal(size=(1, 2))
-        x = np.stack([tm.scaler.scale(n, window[:, c])
-                      for c, n in enumerate(tm.input_channels)], axis=1)
-        f = np.stack([tm.scaler.scale(n, future[:, c])
-                      for c, n in enumerate(tm.covariate_channels)], axis=1)
+
+        def scaled(values, names):
+            return np.stack([(values[:, c] - tm.scaler.channels[n][1]) * tm.scaler.channels[n][0]
+                             for c, n in enumerate(names)], axis=1)
+
+        x = scaled(window, tm.input_channels)
+        f = scaled(future, ("ambient", "load_factor"))
         out = tm.model.forward(tm.params, x.reshape(1, -1), f.reshape(1, -1))
-        want = tm.scaler.unscale("top_oil", out.data.reshape(1, 1, 3))
+        gain, offset = tm.scaler.channels["top_oil"]
+        want = out.data.reshape(1, 1, 3) / gain + offset
         assert np.array_equal(tm.predict_window(window, future), np.sort(want, axis=-1))
 
 
@@ -425,6 +432,12 @@ class TestConfigParsing:
         assert cfg.quantiles == (0.1, 0.5, 0.9)
         assert cfg.n_outputs == 3 * 2 * 3
         assert cls(horizon=2, n_targets=2).n_outputs == 4
+
+    @pytest.mark.parametrize("cls", [TcnConfig, TideConfig])
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, cls, rate):
+        with pytest.raises(ValueError, match=rf"{cls.__name__}\.dropout must be in \[0, 1\)"):
+            cls(dropout=rate)
 
     def test_tide_static_covariates_rejected(self):
         with pytest.raises(ValueError, match=r"TideConfig\.n_static"):

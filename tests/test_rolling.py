@@ -10,7 +10,7 @@ from toilcast.rolling import (ForecastTrace, autoregressive_predict, evaluate,
                               iec_predict)
 from toilcast.series import TimeSeries, TransformerDataset
 from toilcast.synth import SynthSpec, gen_dataset
-from util import make_dataset
+from util import IDENTITY, make_dataset
 
 P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
               tau_w_min=10.0)
@@ -22,7 +22,6 @@ class StubModel:
     scaling: the prepared slice is a copy of the raw matrix."""
 
     family = "stub"
-    config_hash = ""
     input_channels = CHANNELS
     target_channels = ("top_oil",)
     quantiles = ()
@@ -250,17 +249,15 @@ class TestEvaluate:
 class TestMultiTarget:
     def test_both_targets_fed_back_and_reported(self):
         from toilcast.models import MlpConfig
-        from toilcast.series import AffineScaler
         from toilcast.training import TrainConfig, fit_dataset
 
         train_ds = make_dataset(120, seed=30)
         valid = make_dataset(40, start=1_700_000_000, seed=31)
         cfg = MlpConfig(n_layers=1, n_neurons=4, lookback=6, n_channels=4,
                         n_targets=2)
-        model, _ = fit_dataset("ann", cfg, train_ds, AffineScaler.identity(),
+        model, _ = fit_dataset("ann", cfg, train_ds, IDENTITY,
                                TrainConfig(batch_size=64, max_epochs=2,
-                                           learning_rate=1e-3),
-                               multi_target=True)
+                                           learning_rate=1e-3))
         trace = autoregressive_predict(model, valid)
         assert trace.values.shape == (40 - 6, 2)
         entry = evaluate([trace], valid).models["ann"]
@@ -310,7 +307,8 @@ def reference_rollout(model, valid):
     from toilcast.autodiff import Tensor, no_grad
 
     cfg, L = model.config, model.config.lookback
-    ins, tgts, covs = model.input_channels, model.target_channels, model.covariate_channels
+    ins, tgts = model.input_channels, model.target_channels
+    covs = tuple(c for c in ins if c not in tgts)
     in_gain, in_off = model.scaler.vectors(ins)
     cov_gain, cov_off = model.scaler.vectors(covs)
     tgt_gain, tgt_off = model.scaler.vectors(tgts)

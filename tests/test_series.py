@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -230,17 +231,25 @@ class TestWindows:
 
 class TestScaler:
     def test_round_trip(self):
+        # scale_windows, then invert the map read back through `vectors`
         rng = np.random.default_rng(11)
+        ws = make_windows(make_dataset(40), 4, 1, ("top_oil", "ambient"), ("top_oil",))
         for _ in range(50):
-            gain = rng.uniform(0.001, 10) * rng.choice([-1.0, 1.0])
-            offset = rng.uniform(-50, 50)
-            sc = AffineScaler({"top_oil": (gain, offset)})
-            x = rng.normal(0, 100, 64)
-            assert np.abs(sc.unscale("top_oil", sc.scale("top_oil", x)) - x).max() <= 1e-9
+            sc = AffineScaler({n: (rng.uniform(0.001, 10) * rng.choice([-1.0, 1.0]),
+                                   rng.uniform(-50, 50)) for n in ("top_oil", "ambient")})
+            gain, offset = sc.vectors(ws.input_channels)
+            back = scale_windows(ws, sc).inputs / np.tile(gain, 4) + np.tile(offset, 4)
+            assert np.abs(back - ws.inputs).max() <= 1e-9
 
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError, match="gain"):
             AffineScaler({"top_oil": (0.0, 1.0)})
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.01, math.inf), (-math.inf, 1.0),
+                                      (1.0, math.nan)])
+    def test_non_finite_gain_or_offset_names_the_channel(self, pair):
+        with pytest.raises(ValueError, match="non-finite .* channel 'ambient'"):
+            AffineScaler({"top_oil": (0.01, 0.0), "ambient": pair})
 
     def test_scale_windows_per_channel(self):
         ds = make_dataset(12)

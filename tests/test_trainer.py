@@ -4,13 +4,11 @@ import pytest
 from toilcast import metrics, training
 from toilcast.autodiff import Tensor
 from toilcast.models import Mlp, MlpConfig
-from toilcast.series import AffineScaler, WindowSet
+from toilcast.series import WindowSet
 from toilcast.training import (DivergenceError, GridSpec, TrainConfig, TrialResult,
                                fit_dataset, grid_search, point_loss, quantile_loss,
                                rank_trials, select_best, train)
-from util import make_dataset
-
-IDENTITY = AffineScaler.identity()
+from util import IDENTITY, make_dataset, mql
 
 
 def linear_windows(n=64, seed=0):
@@ -73,6 +71,23 @@ class TestTrain:
             train(model, params, linear_windows(),
                   TrainConfig(batch_size=16, max_epochs=1, loss="quantile"))
 
+    @pytest.mark.parametrize("head, loss, match", [
+        ({"quantiles": (0.01, 0.5, 0.99)}, "point",
+         r"quantiles \(0.01, 0.5, 0.99\) do not match the point loss"),
+        ({"n_targets": 2}, "point", "2 outputs, the point loss on 1 target values per "
+                                    "window needs 1"),
+        ({"n_targets": 2, "quantiles": (0.01, 0.5, 0.99)}, "quantile",
+         "6 outputs, the quantile loss on 1 target values per window needs 3")],
+        ids=["point-loss-quantile-head", "two-target-head", "quantile-two-target-head"])
+    def test_head_that_does_not_fit_the_loss_rejected(self, head, loss, match, monkeypatch):
+        model, params = tiny_model(**head)
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=match):
+            train(model, params, linear_windows(),
+                  TrainConfig(batch_size=16, max_epochs=1, loss=loss))
+        assert calls == []   # rejected before the first batch
+
     def test_patience_stops_early(self):
         model, params = tiny_model()
         report = train(model, params, linear_windows(),
@@ -100,7 +115,7 @@ class TestLosses:
         y = rng.normal(size=(11, 2))
         got = float(quantile_loss(Tensor(pred), y, alphas).data)
         p3 = pred.reshape(11, 2, 3)
-        want = float(np.mean([metrics.mql(y.ravel(), p3[:, :, i].ravel(), a)
+        want = float(np.mean([mql(y.ravel(), p3[:, :, i].ravel(), a)
                               for i, a in enumerate(alphas)]))
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -232,7 +247,12 @@ class TestFitDataset:
         ds = make_dataset(80, seed=7)
         cfg = MlpConfig(n_layers=1, n_neurons=4, lookback=6, n_channels=4, n_targets=2)
         tm, _ = fit_dataset("ann", cfg, ds, IDENTITY,
-                            TrainConfig(batch_size=32, max_epochs=1, learning_rate=1e-3),
-                            multi_target=True)
+                            TrainConfig(batch_size=32, max_epochs=1, learning_rate=1e-3))
         assert tm.target_channels == ("top_oil", "temp_rise")
         assert tm.input_channels == ("top_oil", "temp_rise", "ambient", "load_factor")
+
+    def test_more_targets_than_target_channels_rejected(self):
+        cfg = MlpConfig(n_layers=1, n_neurons=4, lookback=6, n_channels=5, n_targets=3)
+        with pytest.raises(ValueError, match=r"n_targets 3 exceeds the 2 target channels"):
+            fit_dataset("ann", cfg, make_dataset(80, seed=7), IDENTITY,
+                        TrainConfig(batch_size=32, max_epochs=1))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from toilcast.autodiff import backward
-from toilcast.series import STEP_5MIN_S, TimeSeries, TransformerDataset
+from toilcast.metrics import _pair, pinball
+from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
+
+IDENTITY = AffineScaler({n: (1.0, 0.0) for n in CHANNELS})
 
 
 def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
@@ -17,6 +20,14 @@ def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
     amb = TimeSeries(ts, 10.0 + 3.0 * rng.standard_normal(n), step)
     load = TimeSeries(ts, rng.uniform(0.1, 1.2, n), step)
     return TransformerDataset.from_channels(top, amb, load)
+
+
+def mql(y, y_hat, alpha) -> float:
+    """Mean pinball loss over a sample; for several levels, the unweighted
+    average of the per-level means. The oracle of the quantile loss."""
+    y, y_hat = _pair(y, y_hat)
+    alphas = (alpha,) if np.isscalar(alpha) else tuple(alpha)
+    return float(np.mean([np.mean(pinball(y, y_hat, a)) for a in alphas]))
 
 
 def finite_difference_grads(make_loss, params, h: float = 1e-5) -> dict[str, np.ndarray]:
