@@ -135,7 +135,6 @@ def _grad_for(t: Tensor, g: np.ndarray):
 
 def _affine(x, w, b): return x @ w + b
 def _layer_norm(x, gamma, beta, eps): return _normalized(x, eps)[0] * gamma + beta
-def _relu(a): return np.where(a > 0, a, 0.0)
 def _sigmoid(a): return 1.0 / (1.0 + np.exp(-a))
 def _maximum(a, b): return np.where(a >= b, a, b)
 def _mean(a): return np.asarray(a.mean())
@@ -154,9 +153,9 @@ def _matmul_vjp(out, a, b, g):
 def _normalized(x, eps):
     """x standardized over the last axis, and the inverse deviation."""
     n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    mu = np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / n)
     centered = x - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
     inv = (var + eps) ** -0.5
     return centered * inv, inv
 
@@ -234,7 +233,7 @@ _VJP = {
     _affine: lambda out, x, w, b, g: (*_matmul_vjp(out, x, w, g), _grad_for(b, g)),
     _layer_norm: _layer_norm_vjp,
     operator.pow: lambda out, a, n, g: (g * n * a.data ** (n - 1.0),),
-    _relu: lambda out, a, g: (g * (out > 0),),
+    np.fmax: lambda out, a, zero, g: (g * (out > 0),),
     np.tanh: lambda out, a, g: (g * (1.0 - out * out),),
     _sigmoid: lambda out, a, g: (g * out * (1.0 - out),),
     np.abs: lambda out, a, g: (g * np.sign(a.data),),
@@ -253,7 +252,6 @@ add = partial(_apply, operator.add, 2)
 sub = partial(_apply, operator.sub, 2)
 mul = partial(_apply, operator.mul, 2)
 power = partial(_apply, operator.pow, 1)
-relu = partial(_apply, _relu, 1)
 tanh = partial(_apply, np.tanh, 1)
 sigmoid = partial(_apply, _sigmoid, 1)
 absolute = partial(_apply, np.abs, 1)
@@ -261,6 +259,14 @@ maximum = partial(_apply, _maximum, 2)
 reshape = partial(_apply, _reshape, 1)
 take = partial(_apply, operator.getitem, 1)
 mean = partial(_apply, _mean, 1)
+
+
+def relu(a) -> Tensor:
+    """max(a, 0) as the one ufunc `np.fmax(a, 0.0)`, which a replayed plan
+    calls with no Python frame. `np.maximum` would keep NaN where `fmax`, like
+    `np.where(a > 0, a, 0.0)`, gives 0; the two forms differ only in the sign
+    of the zero that an input of -0.0 gives."""
+    return _apply(np.fmax, 1, a, 0.0)
 
 
 def _matmul_operands(a, b) -> tuple[Tensor, Tensor]:
@@ -337,7 +343,9 @@ class Plan:
     One list of values holds the inputs, the constants (parameters, static
     arguments and results folded at capture) and each step's output, None
     until a replay computes it. A step is a primitive forward, an
-    `itemgetter` of its argument slots and its output slot."""
+    `itemgetter` of its argument slots and its output slot. A replay returns
+    an array that no input or constant shares memory with, so the caller may
+    write to it."""
 
     def __init__(self, params: dict, inputs: tuple):
         self._vals, self._steps = [None] * len(inputs), []
@@ -397,7 +405,13 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
             out = forward(params, *tensors)
     finally:
         _capturing.reset(token)
-    plan._out = plan._slot(out, out)
+    k = plan._slot(out, out)
+    if any(isinstance(v, np.ndarray) and np.may_share_memory(out.data, v)
+           for v in (*(t.data for t in tensors), *plan._vals)):
+        # an input, a constant or a view of one: replay into an array of its own
+        plan._steps.append((np.copy, itemgetter(slice(k, k + 1)), plan._new(None)))
+        k = len(plan._vals) - 1
+    plan._out = k
     del plan._slots, plan._params
     if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
         raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")

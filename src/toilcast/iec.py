@@ -40,8 +40,10 @@ class IecParams:
 
     def __post_init__(self):
         for name in ("psi", "delta_t_or_k", "chi", "k11", "tau_o_min", "tau_w_min"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IEC parameter {name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"IEC parameter {name} must be positive and finite, "
+                                 f"got {value}")
         if self.chi > 2:
             raise ValueError(f"loss exponent chi must be in (0, 2], got {self.chi}")
 

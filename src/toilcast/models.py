@@ -455,9 +455,13 @@ class TrainedModel:
         scaled, proj, plan = prepared
         cfg = self.config
         gain_col, off_col = self._scaling[5:]
+        # the plan returns an array of its own: unscale and sort it in place
         out = plan(*self._window(scaled, proj, i)).reshape(cfg.horizon, cfg.n_targets, -1)
-        raw = out / gain_col + off_col
-        return enforce_non_crossing(raw) if cfg.n_quantiles > 1 else raw
+        out /= gain_col
+        out += off_col
+        if cfg.n_quantiles > 1:
+            out.sort(axis=-1)
+        return out
 
     def feed(self, prepared: tuple, i: int, targets: np.ndarray) -> None:
         """Write raw-unit target values into row i of a prepared slice,

@@ -45,8 +45,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"TrainConfig.learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
         if self.patience is not None and self.patience < 1:

@@ -5,7 +5,7 @@ from toilcast import nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
                                causal_conv1d, concat, layer_norm, maximum, mean,
                                no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
-from util import max_rel_err
+from util import max_rel_err, relu_oracle
 
 TOL = 1e-4
 
@@ -35,6 +35,53 @@ class TestForward:
         w = Tensor(np.zeros((4, 5)), name="hidden1.w")
         with pytest.raises(ValueError, match="hidden1.w"):
             affine(a, w, Tensor(np.zeros(5)))
+
+
+_F = np.finfo(np.float64)
+# zeros of both signs, NaN, infinities, the smallest subnormals, the smallest
+# and the largest normals, and ones
+RELU_EDGES = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, _F.tiny,
+                       -_F.tiny, _F.max, -_F.max, 1.0, -1.0])
+# sizes that end inside and just past a SIMD body, and long ones with a tail
+RELU_SIZES = [*range(1, 20), 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 1003]
+
+
+def relu_layouts(rng, n):
+    """Edge values drawn to size n as a contiguous vector, a strided view, a
+    transposed 2-D array and a contiguous 2-D block."""
+    a = rng.choice(RELU_EDGES, size=3 * n)
+    return a[:n], a[::3], a.reshape(n, 3).T, a.reshape(n, 3)
+
+
+class TestRelu:
+    """`relu` against `np.where(a > 0, a, 0.0)`: equal in value everywhere
+    (only the sign of a zero from a -0.0 input may differ), with the same
+    gradient mask, and the same bytes once an affine map follows it."""
+
+    @pytest.mark.parametrize("n", RELU_SIZES)
+    def test_values_equal_the_oracle(self, n):
+        for a in relu_layouts(np.random.default_rng(n), n):
+            got = relu(Tensor(a)).data
+            assert got.shape == a.shape and np.array_equal(got, relu_oracle(a))
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1003])
+    def test_gradient_mask_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.choice(RELU_EDGES[np.isfinite(RELU_EDGES)], size=n)
+        g = rng.normal(size=n)
+        x = Tensor(a, requires_grad=True)
+        got = backward(relu(x), {"x": x}, g)["x"]
+        assert got.tobytes() == (g * (relu_oracle(a) > 0)).tobytes()
+
+    @pytest.mark.parametrize("rows, n_in", [(1, 1), (1, 17), (2, 3), (5, 64), (33, 8)])
+    def test_affine_after_relu_gives_the_same_bytes(self, rows, n_in):
+        rng = np.random.default_rng(rows * 100 + n_in)
+        x = rng.choice(np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, -2.5]),
+                       size=(rows, n_in))
+        w = rng.normal(size=(n_in, 4))
+        for b in (np.zeros(4), np.full(4, -0.0), rng.normal(size=4)):
+            got = affine(relu(Tensor(x)), w, b).data
+            assert got.tobytes() == (relu_oracle(x) @ w + b).tobytes()
 
 
 class TestBackward:
@@ -329,6 +376,25 @@ class TestCapture:
             with no_grad():
                 want = forward(self.PARAMS, Tensor(x)).data
             assert np.array_equal(plan(x), want)
+
+    @pytest.mark.parametrize("forward", [
+        lambda p, x: x,
+        lambda p, x: reshape(x, (3,)),
+        lambda p, x: x[:, 1:],
+        lambda p, x: p["b"],
+        lambda p, x: reshape(p["w"], (6,)),
+        lambda p, x: affine(x, p["w"], p["b"]),
+    ], ids=["input", "input-view", "input-slice", "parameter", "folded", "fresh"])
+    def test_replay_result_is_the_callers_own(self, forward):
+        x = np.ones((1, 3))
+        plan = capture(forward, self.PARAMS, x)
+        out = plan(x)
+        with no_grad():
+            assert np.array_equal(out, forward(self.PARAMS, Tensor(x)).data)
+        for v in (x, *self.PARAMS.values(), *plan._vals):
+            data = v.data if isinstance(v, Tensor) else v
+            assert not (isinstance(data, np.ndarray) and np.may_share_memory(out, data))
+        assert not np.may_share_memory(out, plan(x))
 
     def test_data_read_outside_a_primitive_rejected(self):
         def forward(p, x):

@@ -187,6 +187,16 @@ class TestParams:
             IecParams(psi=0.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
                       tau_w_min=10.0)
 
+    @pytest.mark.parametrize("name", ["psi", "delta_t_or_k", "chi", "k11", "tau_o_min",
+                                      "tau_w_min"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_names_the_field(self, name, value):
+        fields = dict(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
+                      tau_w_min=10.0)
+        with pytest.raises(ValueError, match=rf"IEC parameter {name} must be positive "
+                                             rf"and finite, got {value}"):
+            IecParams(**dict(fields, **{name: value}))
+
     def test_chi_range(self):
         with pytest.raises(ValueError, match="chi"):
             IecParams(psi=5.0, delta_t_or_k=38.3, chi=2.5, k11=1.0, tau_o_min=180.0,

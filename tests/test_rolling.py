@@ -428,6 +428,45 @@ class TestPreparedRollout:
         # the projection runs over the slice, the temporal block at capture
         assert prefixes.count("proj") == 1 and prefixes.count("temporal") == 1
 
+    @pytest.mark.parametrize("case", ["ann", "ann-q", "tcn-q", "tide-q"])
+    def test_held_step_results_stay_distinct(self, case):
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        prepared = model.prepare(make_dataset(20, seed=48).matrix(model.input_channels))
+        first = model.step(prepared, 6)
+        kept = first.copy()
+        second = model.step(prepared, 7)
+        again = model.step(prepared, 6)
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, again)
+        assert first.tobytes() == kept.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("case", ["ann-q", "tcn-q", "tide-q", "tcn-wn"])
+    def test_second_rollout_gives_the_same_bytes(self, case):
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        valid = make_dataset(40, seed=49)
+        one, two = autoregressive_predict(model, valid), autoregressive_predict(model, valid)
+        assert one.values.tobytes() == two.values.tobytes()
+        if quantiles:
+            assert one.quantiles.tobytes() == two.quantiles.tobytes()
+
+    @pytest.mark.parametrize("case", ["ann-q", "tcn-q", "tide-q", "tcn-wn"])
+    def test_steps_write_only_what_feed_writes(self, case):
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        scaled, proj, plan = prepared = model.prepare(
+            make_dataset(30, seed=50).matrix(model.input_channels))
+        constants = [(v, v.copy()) for v in plan._vals if isinstance(v, np.ndarray)]
+        want, want_proj = scaled.copy(), None if proj is None else proj.copy()
+        mid = quantiles.index(0.5) if quantiles else 0
+        for i in range(6, 30):
+            point = model.step(prepared, i)[0, :, mid]
+            model.feed(prepared, i, point)
+            model.feed((want,), i, point)
+        assert scaled.tobytes() == want.tobytes()
+        assert proj is None or proj.tobytes() == want_proj.tobytes()
+        assert constants and all(v.tobytes() == kept.tobytes() for v, kept in constants)
+
     @pytest.mark.parametrize("family, rows", [("ann", 6), ("tcn", 6), ("tide", 7)])
     def test_slice_shorter_than_a_window_rejected(self, family, rows):
         model = make_model(family)   # look-back 6; TiDE also reads 1 forecast row

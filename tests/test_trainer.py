@@ -99,6 +99,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="TrainConfig.patience"):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_learning_rate_names_the_field(self, rate):
+        with pytest.raises(ValueError, match=rf"TrainConfig.learning_rate must be finite "
+                                             rf"and >= 0, got {rate}"):
+            TrainConfig(learning_rate=rate)
+
 
 class TestLosses:
     def test_point_loss_matches_metric(self):

@@ -22,6 +22,11 @@ def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
     return TransformerDataset.from_channels(top, amb, load)
 
 
+def relu_oracle(a) -> np.ndarray:
+    """max(a, 0) with NaN mapped to 0: the oracle of `autodiff.relu`."""
+    return np.where(a > 0, a, 0.0)
+
+
 def mql(y, y_hat, alpha) -> float:
     """Mean pinball loss over a sample; for several levels, the unweighted
     average of the per-level means. The oracle of the quantile loss."""
