@@ -8,8 +8,9 @@ result then requires one too. Otherwise it returns a bare constant Tensor, so
 inference runs the same forward code without building a graph. `no_grad()`
 switches recording off for a block. `backward` replays the recorded graph in
 reverse topological order and returns gradients for a named parameter set.
-`capture` records one no-grad forward pass as a `Plan`, the flat list of the
-primitive forwards it ran, which replays on new inputs with numpy alone.
+`capture` records one no-grad forward pass as a `Plan`: the primitive
+forwards it ran, compiled into one straight-line function that replays them
+on new inputs with numpy alone.
 Small, deterministic, CPU-only.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import operator
 from contextvars import ContextVar
-from functools import partial
-from operator import itemgetter
+from functools import lru_cache, partial
+from types import CodeType, FunctionType
 
 import numpy as np
 
@@ -340,15 +341,19 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
 class Plan:
     """A forward pass recorded by `capture`, replayed with numpy alone.
 
-    One list of values holds the inputs, the constants (parameters, static
-    arguments and results folded at capture) and each step's output, None
-    until a replay computes it. A step is a primitive forward, an
-    `itemgetter` of its argument slots and its output slot. A replay returns
-    an array that no input or constant shares memory with, so the caller may
+    The record is one list of values and a list of steps. The values are the
+    inputs, the constants (parameters, static arguments and results folded
+    at capture) and each step's output; a step is a primitive forward, the
+    value slots of its arguments and its output slot. `capture` compiles the
+    record into `run`, one function whose body makes the steps' calls in
+    order on local variables: the inputs are its parameters, and the
+    constants and forwards are bound as their defaults. A replay returns an
+    array that no input or constant shares memory with, so the caller may
     write to it."""
 
     def __init__(self, params: dict, inputs: tuple):
-        self._vals, self._steps = [None] * len(inputs), []
+        self._vals, self._steps, self._n_inputs = [None] * len(inputs), [], len(inputs)
+        self._computed = set(range(len(inputs)))     # slots a replay fills
         self._params = {id(p) for p in params.values()}
         # id -> (slot, tensor); holding the tensor keeps its id unique while recording
         self._slots = {id(t): (k, t) for k, t in enumerate(inputs)}
@@ -368,23 +373,45 @@ class Plan:
                            "a scalar nor a primitive's result; the forward read .data "
                            "outside a primitive")
 
+    def _step(self, fwd, slots: tuple, out: Tensor | None = None) -> int:
+        k = self._new(None, out)
+        self._computed.add(k)
+        self._steps.append((fwd, slots, k))
+        return k
+
     def _record(self, fwd, args, inputs, static, out: Tensor) -> None:
         slots = [self._slot(t, given) for t, given in zip(inputs, args)]
-        if all(self._vals[s] is not None for s in slots):
+        if self._computed.isdisjoint(slots):
             self._new(out.data, out)        # constants in, constant out: folded
             return
-        slots += [self._new(s) for s in static]
-        # itemgetter of one index returns the bare item, a one-wide slice a list
-        gather = itemgetter(*slots) if len(slots) > 1 else \
-            itemgetter(slice(slots[0], slots[0] + 1))
-        self._steps.append((fwd, gather, self._new(None, out)))
+        self._step(fwd, (*slots, *(self._new(s) for s in static)), out)
+
+    def _compile(self) -> None:
+        """Bind `run`: the steps as straight-line code on the slots' names."""
+        n = self._n_inputs
+        consts = [k for k in range(n, len(self._vals)) if k not in self._computed]
+        names = [f"s{k}" for k in (*range(n), *consts)]
+        names += [f"f{j}" for j in range(len(self._steps))]
+        source = "\n".join([f"def replay({', '.join(names)}):",
+                            *(f"    s{k} = f{j}({', '.join(f's{s}' for s in slots)})"
+                              for j, (_, slots, k) in enumerate(self._steps)),
+                            f"    return s{self._out}"])
+        defaults = (*(self._vals[k] for k in consts), *(fwd for fwd, _, _ in self._steps))
+        self.run = FunctionType(_compiled(source), {}, "replay", defaults)
 
     def __call__(self, *inputs: np.ndarray) -> np.ndarray:
-        vals = self._vals.copy()
-        vals[:len(inputs)] = inputs
-        for fwd, gather, k in self._steps:
-            vals[k] = fwd(*gather(vals))
-        return vals[self._out]
+        if len(inputs) != self._n_inputs:
+            raise TypeError(f"plan takes {self._n_inputs} inputs, got {len(inputs)}")
+        return self.run(*inputs)
+
+
+@lru_cache(maxsize=256)
+def _compiled(source: str) -> CodeType:
+    """The code of the function `source` defines, compiled once per text: the
+    text holds slot numbers alone, so plans of one shape share it."""
+    scope: dict = {}
+    exec(compile(source, "<plan>", "exec"), scope)
+    return scope["replay"].__code__
 
 
 def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
@@ -409,10 +436,10 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
     if any(isinstance(v, np.ndarray) and np.may_share_memory(out.data, v)
            for v in (*(t.data for t in tensors), *plan._vals)):
         # an input, a constant or a view of one: replay into an array of its own
-        plan._steps.append((np.copy, itemgetter(slice(k, k + 1)), plan._new(None)))
-        k = len(plan._vals) - 1
+        k = plan._step(np.copy, (k,))
     plan._out = k
-    del plan._slots, plan._params
+    plan._compile()
+    del plan._slots, plan._params, plan._computed
     if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
         raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")
     return plan

@@ -11,10 +11,12 @@ import base64
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
@@ -22,16 +24,23 @@ from .metrics import validate_quantiles
 from .series import AffineScaler
 
 
+def check_count(owner: str, name: str, value) -> None:
+    """ValueError naming `owner.name` unless `value` is an integer >= 1; a
+    bool, a float (whole, NaN or infinite) or any other type is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{owner}.{name} must be >= 1 and an integer, got {value!r}")
+
+
 class _ModelConfig:
     """Validation and output sizing shared by the three family configs, each
-    a frozen dataclass that names its fields that must be >= 1 in `_positive`."""
+    a frozen dataclass that names its integer fields that must be >= 1 in
+    `_positive`."""
 
     _positive = ()
 
     def __post_init__(self):
         for name in self._positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{type(self).__name__}.{name} must be >= 1")
+            check_count(type(self).__name__, name, getattr(self, name))
         rate = getattr(self, "dropout", 0.0)
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"{type(self).__name__}.dropout must be in [0, 1), got {rate}")
@@ -76,6 +85,11 @@ class TcnConfig(_ModelConfig):
     weight_norm: bool = False
 
     _positive = ("kernel", "n_filters", "lookback", "n_channels", "n_targets", "horizon")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_blocks is not None:
+            check_count("TcnConfig", "n_blocks", self.n_blocks)
 
 
 @dataclass(frozen=True)
@@ -404,70 +418,77 @@ class TrainedModel:
 
     @cached_property
     def _scaling(self) -> tuple:
-        """The scaler's map as arrays, built once: the gain and offset vectors
-        of the input channels; the columns of the target channels among them,
-        a slice when they are adjacent; the target gain and offset vectors;
-        and those two as (T, 1) columns, which unscale a (H, T, Q) output."""
+        """The scaler's map, built once: the gain and offset vectors of the
+        input channels, which scale a slice, and each target's input column,
+        offset and gain as Python numbers, which `feed` applies."""
         gain, offset = self.scaler.vectors(self.input_channels)
-        idx = [self.input_channels.index(c) for c in self.target_channels]
-        cols = slice(idx[0], idx[-1] + 1) if idx == list(range(idx[0], idx[-1] + 1)) \
-            else np.array(idx)
-        tgt_gain, tgt_off = gain[idx], offset[idx]
-        return gain, offset, cols, tgt_gain, tgt_off, tgt_gain[:, None], tgt_off[:, None]
+        cols = [self.input_channels.index(c) for c in self.target_channels]
+        return gain, offset, tuple((j, float(offset[j]), float(gain[j])) for j in cols)
+
+    @cached_property
+    def _stepping(self) -> tuple:
+        """What `step` reads, bound once: the look-back, the (H, T, Q) output
+        shape, whether it sorts quantiles, and the target gains and offsets
+        as (T, 1) columns, which unscale an output."""
+        cfg = self.config
+        gain, offset, targets = self._scaling
+        cols = [j for j, _, _ in targets]
+        return (cfg.lookback, (cfg.horizon, cfg.n_targets, cfg.n_quantiles),
+                cfg.n_quantiles > 1, gain[cols][:, None], offset[cols][:, None])
 
     def prepare(self, matrix: np.ndarray) -> tuple:
         """The per-slice work of a forecast over a raw-unit (n, C) input
         matrix: the matrix scaled once, for TiDE the covariates of every row
-        projected once, and the forward pass (TiDE: `decode`) captured on the
-        first window as the plan that `step` replays. `step` reads windows of
-        the scaled matrix and `feed` writes fed-back targets into it.
-        ValueError if the matrix is shorter than one window."""
+        projected once, the plan's inputs at every step as windows onto
+        those, and the forward pass (TiDE: `decode`) captured on the first
+        window as the plan that `step` replays. `feed` writes fed-back
+        targets into the scaled matrix, which the windows show. ValueError
+        if the matrix is shorter than one window."""
         gain, offset = self._scaling[:2]
-        scaled = (np.asarray(matrix, dtype=np.float64) - offset) * gain
-        proj, forward, cfg = None, self.model.forward, self.config
+        # C order, so that a flattened window is a view that `_windows` can stride
+        scaled = np.ascontiguousarray((np.asarray(matrix, dtype=np.float64) - offset) * gain)
+        forward, cfg, L = self.model.forward, self.config, self.config.lookback
         tide = self.family == "tide"
-        need = cfg.lookback + (cfg.horizon if tide else 0)
+        need = L + (cfg.horizon if tide else 0)
         if len(scaled) < need:
             raise ValueError(f"prepare: the slice has {len(scaled)} rows, one window needs "
-                             f"{need} (lookback {cfg.lookback}"
+                             f"{need} (lookback {L}"
                              + (f" + horizon {cfg.horizon})" if tide else ")"))
         if tide:
             with no_grad():
                 proj = self.model.project(
                     self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
             forward = self.model.decode
-        return scaled, proj, capture(forward, self.params,
-                                     *self._window(scaled, proj, cfg.lookback))
-
-    def _window(self, scaled: np.ndarray, proj, i: int) -> tuple:
-        """The plan's inputs at step i, as views of the slice (a contiguous
-        copy could change the last bits): rows i-L .. i-1 of the scaled slice
-        flattened, or for TiDE as (1, L, C) with projected rows i-L .. i+H-1."""
-        L = self.config.lookback
-        if proj is None:
-            return (scaled[None, i - L: i].reshape(1, -1),)
-        return scaled[None, i - L: i], proj[None, i - L: i + self.config.horizon]
+            windows = (_windows(scaled, scaled[None, :L], L),
+                       _windows(proj, proj[None, :need], need))
+        else:
+            windows = (_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
+        return scaled, windows, capture(forward, self.params, *(w[0] for w in windows))
 
     def step(self, prepared: tuple, i: int) -> np.ndarray:
         """The captured forward pass replayed on rows i-L .. i-1 of a prepared
         slice (TiDE also reads the covariates of rows i .. i+H-1): (H, T, Q)
-        predictions in raw units with non-crossing enforced."""
-        scaled, proj, plan = prepared
-        cfg = self.config
-        gain_col, off_col = self._scaling[5:]
+        predictions in raw units with non-crossing enforced. IndexError for a
+        step before the first full window or past the slice."""
+        _, windows, plan = prepared
+        L, shape, sort, gain_col, off_col = self._stepping
+        if i < L:   # a negative window index would read a window from the end
+            raise IndexError(f"step {i} precedes the first full window (lookback {L})")
         # the plan returns an array of its own: unscale and sort it in place
-        out = plan(*self._window(scaled, proj, i)).reshape(cfg.horizon, cfg.n_targets, -1)
+        out = plan.run(*[w[i - L] for w in windows]).reshape(shape)
         out /= gain_col
         out += off_col
-        if cfg.n_quantiles > 1:
+        if sort:
             out.sort(axis=-1)
         return out
 
     def feed(self, prepared: tuple, i: int, targets: np.ndarray) -> None:
         """Write raw-unit target values into row i of a prepared slice,
-        scaled as `prepare` scales the matrix."""
-        cols, tgt_gain, tgt_off = self._scaling[2:5]
-        prepared[0][i, cols] = (targets - tgt_off) * tgt_gain
+        scaled as `prepare` scales the matrix (in Python floats: the same
+        IEEE double arithmetic as numpy's)."""
+        scaled = prepared[0]
+        for (j, offset, gain), value in zip(self._scaling[2], targets.tolist()):
+            scaled[i, j] = (value - offset) * gain
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
         """`step` on one prepared raw-unit (L, C) window, plus for TiDE the
@@ -483,6 +504,16 @@ class TrainedModel:
             window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
             window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
         return self.step(self.prepare(window), cfg.lookback)
+
+
+def _windows(a: np.ndarray, first: np.ndarray, rows: int) -> np.ndarray:
+    """Read-only views of `a` whose [k] is `first`, a view (not a copy) of
+    rows 0 .. rows-1, moved down k rows, for every k that stays inside `a`.
+    Each has the shape and strides of the plain slice view (other strides,
+    or a contiguous copy, could change the last bits of a product), and shows
+    later writes to `a`."""
+    return as_strided(first, (len(a) - rows + 1, *first.shape),
+                      (a.strides[0], *first.strides), writeable=False)
 
 
 def _description(model: TrainedModel) -> dict:

@@ -54,26 +54,25 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     mid = alphas.index(0.5) if alphas else 0
 
     n_out = N - L
-    values = np.empty((n_out, len(target_channels)))
-    quants = np.empty((n_out, len(target_channels), len(alphas))) if alphas else None
+    # every step's (T, Q) output, in raw units; the median column is fed back
+    preds = np.empty((n_out, len(target_channels), max(1, len(alphas))))
+    points = preds[:, :, mid]
+    step, feed = model.step, model.feed
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prepared = model.prepare(valid.matrix(model.input_channels))
-        for i in range(L, N):
-            pred = model.step(prepared, i)   # (1, T, Q)
-            if not np.isfinite(pred).all():
-                raise FloatingPointError(
-                    f"non-finite prediction at timestep {i - L} "
-                    f"({format_instant(valid.timestamps[i])})")
-            point = pred[0, :, mid]
-            values[i - L] = point
-            if quants is not None:
-                quants[i - L] = pred[0]
-            model.feed(prepared, i, point)
+        for k, i in enumerate(range(L, N)):
+            preds[k] = step(prepared, i)     # (1, T, Q)
+            feed(prepared, i, points[k])
+    finite = np.isfinite(preds).all(axis=(1, 2))
+    if not finite.all():
+        k = int(finite.argmin())
+        raise FloatingPointError(f"non-finite prediction at timestep {k} "
+                                 f"({format_instant(valid.timestamps[L + k])})")
 
-    return ForecastTrace(model.family, valid.timestamps[L:].copy(), target_channels, values,
-                         quants, alphas)
+    return ForecastTrace(model.family, valid.timestamps[L:].copy(), target_channels,
+                         points.copy(), preds if alphas else None, alphas)
 
 
 def iec_predict(params: IecParams, valid: TransformerDataset,

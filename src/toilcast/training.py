@@ -12,7 +12,7 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, absolute, backward, maximum, mean, reshape
 from .metrics import mae, mse
-from .models import TrainedModel, build_model, config_from_dict
+from .models import TrainedModel, build_model, check_count, config_from_dict
 from .rolling import autoregressive_predict
 from .series import (AffineScaler, TransformerDataset, WindowSet, make_windows,
                      scale_windows)
@@ -43,15 +43,15 @@ class TrainConfig:
                                               # without improvement; off by default
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be >= 1")
+        check_count("TrainConfig", "batch_size", self.batch_size)
+        check_count("TrainConfig", "max_epochs", self.max_epochs)
+        if self.patience is not None:   # None: no early stop
+            check_count("TrainConfig", "patience", self.patience)
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"TrainConfig.learning_rate must be finite and >= 0, "
                              f"got {self.learning_rate}")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
-        if self.patience is not None and self.patience < 1:
-            raise ValueError(f"TrainConfig.patience must be >= 1 or None, got {self.patience}")
 
 
 @dataclass

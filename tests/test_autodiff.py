@@ -5,7 +5,7 @@ from toilcast import nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
                                causal_conv1d, concat, layer_norm, maximum, mean,
                                no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
-from util import max_rel_err, relu_oracle
+from util import max_rel_err, relu_oracle, replay_oracle
 
 TOL = 1e-4
 
@@ -395,6 +395,38 @@ class TestCapture:
             data = v.data if isinstance(v, Tensor) else v
             assert not (isinstance(data, np.ndarray) and np.may_share_memory(out, data))
         assert not np.may_share_memory(out, plan(x))
+
+    @staticmethod
+    def mixed_forward(p, x):
+        # a scalar literal, a static argument, a view and a factor from parameters alone
+        scale = power(sum_axis(p["w"] * p["w"], axis=0), -0.5)
+        h = relu(affine(x, p["w"], p["b"]))
+        return concat([tanh(h) * 0.5, x[:, :2] * scale, reshape(h, (-1, 2))], axis=1)
+
+    def test_compiled_replay_equals_the_interpreted_one(self):
+        x0 = np.ones((4, 3))
+        plan = capture(self.mixed_forward, self.PARAMS, x0)
+        assert len(plan._steps) == 8     # the parameter-only factor is folded
+        for x in np.random.default_rng(1).normal(size=(5, 4, 3)):
+            got = plan.run(x)
+            assert got.tobytes() == replay_oracle(plan, x).tobytes() == plan(x).tobytes()
+
+    def test_plans_of_one_shape_share_their_code(self):
+        other = {k: Tensor(-2.0 * t.data, requires_grad=True) for k, t in self.PARAMS.items()}
+        x = np.random.default_rng(2).normal(size=(4, 3))
+        one, two = (capture(self.mixed_forward, p, x) for p in (self.PARAMS, other))
+        assert one.run.__code__ is two.run.__code__
+        for plan, p in ((one, self.PARAMS), (two, other)):
+            with no_grad():
+                assert np.array_equal(plan(x), self.mixed_forward(p, Tensor(x)).data)
+        assert not np.array_equal(one(x), two(x))
+
+    def test_wrong_number_of_inputs_rejected(self):
+        plan = capture(lambda p, x, y: affine(x, p["w"], p["b"]) + y, self.PARAMS,
+                       np.ones((1, 3)), np.ones((1, 2)))
+        for inputs in ((np.ones((1, 3)),), (np.ones((1, 3)), np.ones((1, 2)), np.ones(2))):
+            with pytest.raises(TypeError, match=f"plan takes 2 inputs, got {len(inputs)}"):
+                plan(*inputs)
 
     def test_data_read_outside_a_primitive_rejected(self):
         def forward(p, x):

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +433,25 @@ class TestConfigParsing:
         assert cfg.quantiles == (0.1, 0.5, 0.9)
         assert cfg.n_outputs == 3 * 2 * 3
         assert cls(horizon=2, n_targets=2).n_outputs == 4
+
+    @pytest.mark.parametrize("cls", [MlpConfig, TcnConfig, TideConfig])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 4.0, True, "8"],
+                             ids=["nan", "inf", "2.5", "4.0", "true", "str"])
+    def test_non_integer_size_names_the_field(self, cls, value):
+        # MlpConfig(lookback=nan) used to fail only in init_params, with an OverflowError
+        for name in cls._positive:
+            with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must be >= 1 and "
+                                                 rf"an integer, got {re.escape(repr(value))}"):
+                cls(**{name: value})
+        assert cls(lookback=np.int64(6)).lookback == 6
+        if cls is TcnConfig:   # n_blocks=2.5 used to fail in init_params with a TypeError
+            with pytest.raises(ValueError, match=r"TcnConfig\.n_blocks must be >= 1"):
+                TcnConfig(n_blocks=value, lookback=6)
+
+    def test_tcn_block_count_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"TcnConfig\.n_blocks must be >= 1"):
+            TcnConfig(n_blocks=0)
+        assert TcnConfig(n_blocks=None).n_blocks is None
 
     @pytest.mark.parametrize("cls", [TcnConfig, TideConfig])
     @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, float("nan")])

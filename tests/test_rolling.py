@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,9 +9,9 @@ import pytest
 from toilcast.iec import IecParams, steady_state
 from toilcast.rolling import (ForecastTrace, autoregressive_predict, evaluate,
                               iec_predict)
-from toilcast.series import TimeSeries, TransformerDataset
+from toilcast.series import TimeSeries, TransformerDataset, format_instant
 from toilcast.synth import SynthSpec, gen_dataset
-from util import IDENTITY, make_dataset
+from util import IDENTITY, make_dataset, rollout_oracle, window_views
 
 P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
               tau_w_min=10.0)
@@ -53,6 +54,24 @@ class OracleModel(StubModel):
         v = self.truth[self.i]
         self.i += 1
         return np.asarray([[[v]]], dtype=float)
+
+
+class QuantileStub(StubModel):
+    """A persistence forecast with a 1 K band either side, whose step k puts
+    `bad` into quantile slot `slot`."""
+
+    quantiles = (0.01, 0.5, 0.99)
+
+    def __init__(self, lookback, k, slot, bad):
+        super().__init__(lookback, None)
+        self.k, self.slot, self.bad = k, slot, bad
+
+    def step(self, prepared, i):
+        v = prepared[i - 1, 0]
+        out = np.array([[[v - 1.0, v, v + 1.0]]])
+        if i - self.config.lookback == self.k:
+            out[0, 0, self.slot] = self.bad
+        return out
 
 
 class TestAutoregressive:
@@ -107,6 +126,19 @@ class TestAutoregressive:
         valid = make_dataset(30, seed=6)
         model = StubModel(5, lambda w: math.nan)
         with pytest.raises(FloatingPointError, match="timestep 0"):
+            autoregressive_predict(model, valid)
+
+    @pytest.mark.parametrize("slot, bad", [(0, -math.inf), (2, math.nan), (2, math.inf),
+                                           (1, math.nan), (1, math.inf)],
+                             ids=["lower-inf", "upper-nan", "upper-inf", "median-nan",
+                                  "median-inf"])
+    def test_first_non_finite_quantile_names_its_step(self, slot, bad):
+        # an outer quantile, or the median that is fed back into later steps
+        valid, L, k = make_dataset(30, seed=9), 5, 7
+        model = QuantileStub(L, k, slot, bad)
+        when = re.escape(format_instant(valid.timestamps[L + k]))
+        with pytest.raises(FloatingPointError,
+                           match=rf"non-finite prediction at timestep {k} \({when}\)"):
             autoregressive_predict(model, valid)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -356,6 +388,47 @@ class TestPreparedRollout:
         got = trace.quantiles if quantiles else trace.values[:, :, None]
         assert np.array_equal(got, want)
         assert np.array_equal(trace.values, want[:, :, quantiles.index(0.5) if quantiles else 0])
+        # and to the interpreted replay in a per-step loop of numpy updates
+        assert np.array_equal(rollout_oracle(model, valid), want)
+
+    @pytest.mark.parametrize("case", ["ann", "tcn", "tide"])
+    def test_windows_are_the_plain_views(self, case):
+        from toilcast.autodiff import no_grad
+
+        model = make_model(*ROLLOUT_CASES[case][:3])
+        scaled, windows, _ = model.prepare(make_dataset(30, seed=52).matrix(model.input_channels))
+        proj = None
+        if case == "tide":
+            with no_grad():
+                proj = model.model.project(model.params, np.ascontiguousarray(scaled[:, 1:])).data
+        L = model.config.lookback   # 6: one window per step i = L .. 29
+        assert [len(w) for w in windows] == ([25, 24] if case == "tide" else [25])
+        scaled[L, 0] = 1e3   # what feed writes, the later windows show
+        for i in range(L, 30):
+            for got, want in zip(windows, window_views(model, scaled, proj, i), strict=True):
+                got = got[i - L]
+                assert got.shape == want.shape and got.strides == want.strides
+                assert np.array_equal(got, want) and not got.flags.writeable
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_step_outside_the_slice_rejected(self, family):
+        model = make_model(family)   # look-back 6
+        prepared = model.prepare(make_dataset(20, seed=54).matrix(model.input_channels))
+        for i in (0, 5):
+            with pytest.raises(IndexError, match=rf"step {i} precedes the first full window"):
+                model.step(prepared, i)
+        with pytest.raises(IndexError):
+            model.step(prepared, 21)
+        model.step(prepared, 6)
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_fortran_ordered_matrix_gives_the_same_steps(self, family):
+        # the windows stride over the scaled slice, which must be laid out by rows
+        model = make_model(family, Q)
+        matrix = make_dataset(30, seed=53).matrix(model.input_channels)
+        rows, cols = model.prepare(matrix), model.prepare(np.asfortranarray(matrix))
+        for i in range(6, 29):
+            assert model.step(rows, i).tobytes() == model.step(cols, i).tobytes()
 
     @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
     def test_replay_equals_forward(self, case):
@@ -364,14 +437,14 @@ class TestPreparedRollout:
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
         valid = make_dataset(40, seed=43)
-        scaled, proj, plan = model.prepare(valid.matrix(model.input_channels))
+        scaled, windows, plan = model.prepare(valid.matrix(model.input_channels))
         L, T = model.config.lookback, model.config.n_targets
         for i in range(L, valid.n):
             future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if family == "tide" else None
             with no_grad():
                 want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
                                            future)
-            assert np.array_equal(plan(*model._window(scaled, proj, i)), want.data)
+            assert np.array_equal(plan(*(w[i - L] for w in windows)), want.data)
 
     @pytest.mark.parametrize("family, method", [("ann", "forward"), ("tcn", "forward"),
                                                 ("tide", "decode")])
@@ -454,17 +527,18 @@ class TestPreparedRollout:
     def test_steps_write_only_what_feed_writes(self, case):
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        scaled, proj, plan = prepared = model.prepare(
+        scaled, windows, plan = prepared = model.prepare(
             make_dataset(30, seed=50).matrix(model.input_channels))
         constants = [(v, v.copy()) for v in plan._vals if isinstance(v, np.ndarray)]
-        want, want_proj = scaled.copy(), None if proj is None else proj.copy()
+        # TiDE's second windows read its projected covariates
+        want, proj, want_proj = scaled.copy(), windows[1:], [w.copy() for w in windows[1:]]
         mid = quantiles.index(0.5) if quantiles else 0
         for i in range(6, 30):
             point = model.step(prepared, i)[0, :, mid]
             model.feed(prepared, i, point)
             model.feed((want,), i, point)
         assert scaled.tobytes() == want.tobytes()
-        assert proj is None or proj.tobytes() == want_proj.tobytes()
+        assert all(w.tobytes() == kept.tobytes() for w, kept in zip(proj, want_proj))
         assert constants and all(v.tobytes() == kept.tobytes() for v, kept in constants)
 
     @pytest.mark.parametrize("family, rows", [("ann", 6), ("tcn", 6), ("tide", 7)])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,20 @@ class TestTrain:
     def test_patience_below_one_rejected(self):
         with pytest.raises(ValueError, match="TrainConfig.patience"):
             TrainConfig(patience=0)
+
+    @pytest.mark.parametrize("name", ["batch_size", "max_epochs", "patience"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 4.0, True, "8", 0, -3],
+                             ids=["nan", "inf", "2.5", "4.0", "true", "str", "0", "-3"])
+    def test_bad_count_names_the_field(self, name, value):
+        # patience=nan used to switch early stopping off: `stale >= nan` never holds
+        with pytest.raises(ValueError, match=rf"TrainConfig\.{name} must be >= 1 and an "
+                                             rf"integer, got {re.escape(repr(value))}"):
+            TrainConfig(**{name: value})
+
+    def test_integer_counts_accepted(self):
+        cfg = TrainConfig(batch_size=np.int64(8), max_epochs=1, patience=None)
+        assert cfg.batch_size == 8 and cfg.patience is None
+        assert TrainConfig(patience=1).patience == 1
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-3])
     def test_bad_learning_rate_names_the_field(self, rate):

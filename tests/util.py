@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toilcast.autodiff import backward
+from toilcast.autodiff import backward, no_grad
 from toilcast.metrics import _pair, pinball
 from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
 
@@ -25,6 +25,56 @@ def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
 def relu_oracle(a) -> np.ndarray:
     """max(a, 0) with NaN mapped to 0: the oracle of `autodiff.relu`."""
     return np.where(a > 0, a, 0.0)
+
+
+def replay_oracle(plan, *inputs) -> np.ndarray:
+    """The interpreted replay of a captured plan: each step's forward called
+    on its argument slots in one list of values. The oracle of `Plan.run`."""
+    vals = list(plan._vals)
+    vals[:len(inputs)] = inputs
+    for fwd, slots, k in plan._steps:
+        vals[k] = fwd(*[vals[s] for s in slots])
+    return vals[plan._out]
+
+
+def window_views(model, scaled, proj, i) -> tuple:
+    """A plan's inputs at step i as plain views: rows i-L .. i-1 of the
+    scaled slice flattened, or for TiDE as (1, L, C) with projected rows
+    i-L .. i+H-1."""
+    L = model.config.lookback
+    if proj is None:
+        return (scaled[None, i - L: i].reshape(1, -1),)
+    return scaled[None, i - L: i], proj[None, i - L: i + model.config.horizon]
+
+
+def rollout_oracle(model, valid) -> np.ndarray:
+    """The rollout of a TrainedModel as a per-step loop over `replay_oracle`:
+    the window as plain views, the output unscaled and sorted by numpy, a
+    finiteness check, and the median scaled by numpy and written back into
+    the slice. Returns the (n, T, Q) predictions; FloatingPointError names
+    the first non-finite step. The oracle of `autoregressive_predict`."""
+    cfg, L = model.config, model.config.lookback
+    scaled, _, plan = model.prepare(valid.matrix(model.input_channels))
+    proj = None
+    if model.family == "tide":
+        with no_grad():
+            proj = model.model.project(model.params,
+                                       np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
+    gain, offset = model.scaler.vectors(model.input_channels)
+    cols = [model.input_channels.index(c) for c in model.target_channels]
+    mid = model.quantiles.index(0.5) if model.quantiles else 0
+    out = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(L, valid.n):
+            y = replay_oracle(plan, *window_views(model, scaled, proj, i))
+            y = y.reshape(cfg.horizon, cfg.n_targets, -1) / gain[cols][:, None] \
+                + offset[cols][:, None]
+            y = np.sort(y, axis=-1)
+            if not np.isfinite(y).all():
+                raise FloatingPointError(f"non-finite prediction at timestep {i - L}")
+            out.append(y[0])
+            scaled[i, cols] = (y[0, :, mid] - offset[cols]) * gain[cols]
+    return np.array(out)
 
 
 def mql(y, y_hat, alpha) -> float:
