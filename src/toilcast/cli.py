@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .iec import IecParams
@@ -149,12 +150,7 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
                           f"(expected some of {list(TRAIN_KEYS)})")
     raw.update(given)
     try:
-        return TrainConfig(batch_size=int(raw["batch_size"]),
-                           max_epochs=int(raw["max_epochs"]),
-                           learning_rate=float(raw["learning_rate"]),
-                           seed=int(cfg["seed"]), loss=loss, quantiles=_quantiles(cfg),
-                           patience=None if raw.get("patience") is None
-                           else int(raw["patience"]))
+        return TrainConfig(**raw, seed=int(cfg["seed"]), loss=loss, quantiles=_quantiles(cfg))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
 
@@ -170,9 +166,10 @@ def _model_config(cfg: dict, family: str, loss: str):
     if loss == "quantile":
         raw["quantiles"] = _quantiles(cfg)
     try:
-        if family != "tide":
-            raw.setdefault("n_channels", int(raw.get("n_targets", 1)) + 2)
-        return config_from_dict(family, raw)
+        model_cfg = config_from_dict(family, raw)
+        if family != "tide" and "n_channels" not in raw:   # the targets and two covariates
+            model_cfg = replace(model_cfg, n_channels=model_cfg.n_targets + 2)
+        return model_cfg
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid models.{family} config: {exc}") from exc
 

@@ -16,12 +16,11 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
-from .series import AffineScaler
+from .series import AffineScaler, strided_windows
 
 
 def check_count(owner: str, name: str, value) -> None:
@@ -445,7 +444,7 @@ class TrainedModel:
         targets into the scaled matrix, which the windows show. ValueError
         if the matrix is shorter than one window."""
         gain, offset = self._scaling[:2]
-        # C order, so that a flattened window is a view that `_windows` can stride
+        # C order, so that a flattened window is a view that `strided_windows` can stride
         scaled = np.ascontiguousarray((np.asarray(matrix, dtype=np.float64) - offset) * gain)
         forward, cfg, L = self.model.forward, self.config, self.config.lookback
         tide = self.family == "tide"
@@ -459,10 +458,10 @@ class TrainedModel:
                 proj = self.model.project(
                     self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
             forward = self.model.decode
-            windows = (_windows(scaled, scaled[None, :L], L),
-                       _windows(proj, proj[None, :need], need))
+            windows = (strided_windows(scaled, scaled[None, :L], L),
+                       strided_windows(proj, proj[None, :need], need))
         else:
-            windows = (_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
+            windows = (strided_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
         return scaled, windows, capture(forward, self.params, *(w[0] for w in windows))
 
     def step(self, prepared: tuple, i: int) -> np.ndarray:
@@ -504,16 +503,6 @@ class TrainedModel:
             window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
             window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
         return self.step(self.prepare(window), cfg.lookback)
-
-
-def _windows(a: np.ndarray, first: np.ndarray, rows: int) -> np.ndarray:
-    """Read-only views of `a` whose [k] is `first`, a view (not a copy) of
-    rows 0 .. rows-1, moved down k rows, for every k that stays inside `a`.
-    Each has the shape and strides of the plain slice view (other strides,
-    or a contiguous copy, could change the last bits of a product), and shows
-    later writes to `a`."""
-    return as_strided(first, (len(a) - rows + 1, *first.shape),
-                      (a.strides[0], *first.strides), writeable=False)
 
 
 def _description(model: TrainedModel) -> dict:

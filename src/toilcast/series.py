@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 STEP_5MIN_S = 300
 STEP_HOUR_S = 3600
@@ -227,7 +227,8 @@ class AffineScaler:
 @dataclass(frozen=True)
 class WindowSet:
     """Sliding windows: each input row is the flattened (L, C) look-back
-    immediately preceding its flattened (H, T) target row.
+    immediately preceding its flattened (H, T) target row. `make_windows`
+    makes each a read-only view onto one (n, C) matrix: O(n * C) memory.
 
     Optional future_cov rows carry covariate values over the target steps
     (needed by architectures that consume future covariates).
@@ -362,6 +363,24 @@ def split(ds: TransformerDataset, spec: SplitSpec) -> tuple[TransformerDataset, 
     return train, valid
 
 
+def strided_windows(a: np.ndarray, first: np.ndarray, rows: int) -> np.ndarray:
+    """Read-only views of `a` whose [k] is `first`, a view of rows
+    0 .. rows-1, moved down k rows, for every k that stays inside `a`.
+    Each has the shape and strides of the plain slice view (other strides,
+    or a contiguous copy, could change the last bits of a product), and shows
+    later writes to `a`. ValueError if `first` is a copy, as flattening a
+    Fortran-ordered or column-sliced `a` makes: the strides would read past it."""
+    if first.ctypes.data != a.ctypes.data:
+        raise ValueError("strided_windows: the first window is a copy, not a view of the matrix")
+    return as_strided(first, (len(a) - rows + 1, *first.shape),
+                      (a.strides[0], *first.strides), writeable=False)
+
+
+def _flat_windows(mat: np.ndarray, rows: int) -> np.ndarray:
+    """Rows k .. k+rows-1 of the C-ordered `mat`, flattened, for every k."""
+    return strided_windows(mat, mat[:rows].reshape(-1), rows)
+
+
 def make_windows(ds: TransformerDataset, lookback: int, horizon: int,
                  input_channels, target_channels,
                  future_channels=()) -> WindowSet:
@@ -379,42 +398,34 @@ def make_windows(ds: TransformerDataset, lookback: int, horizon: int,
     input_channels = tuple(input_channels)
     target_channels = tuple(target_channels)
     future_channels = tuple(future_channels)
-    n_win = N - L - H + 1
 
-    X = ds.matrix(input_channels)
-    Y = ds.matrix(target_channels)
-    xw = sliding_window_view(X, L, axis=0)        # (N-L+1, C, L)
-    inputs = xw[:n_win].transpose(0, 2, 1).reshape(n_win, L * len(input_channels)).copy()
-    yw = sliding_window_view(Y, H, axis=0)        # (N-H+1, T, H)
-    targets = yw[L:L + n_win].transpose(0, 2, 1).reshape(n_win, H * len(target_channels)).copy()
-
-    future = None
-    if future_channels:
-        F = ds.matrix(future_channels)
-        fw = sliding_window_view(F, H, axis=0)
-        future = fw[L:L + n_win].transpose(0, 2, 1).reshape(n_win, H * len(future_channels)).copy()
-
+    # rows 0 .. N-H-1 feed the inputs, rows L .. N-1 the targets
+    inputs = _flat_windows(ds.matrix(input_channels)[:N - H], L)
+    targets = _flat_windows(ds.matrix(target_channels)[L:], H)
+    future = _flat_windows(ds.matrix(future_channels)[L:], H) if future_channels else None
     return WindowSet(inputs, targets, L, H, input_channels, target_channels,
                      future, future_channels)
 
 
 def scale_windows(ws: WindowSet, scaler: AffineScaler) -> WindowSet:
-    """Apply the per-channel scaler to every window matrix."""
-    def scaled(mat, channels):
-        # vectors tiled to the time-major row: a short broadcast axis is slow
+    """Scale the matrix under each window matrix once and window it as
+    before. The windows must be views as `make_windows` lays them out, row
+    k + 1 starting one matrix row after row k; ValueError otherwise."""
+    def scaled(windows, rows, channels):
+        C, size = len(channels), windows.itemsize
+        if windows.strides != (C * size, size) or windows.shape[1] != rows * C:
+            raise ValueError(f"scale_windows: windows of shape {windows.shape} and strides "
+                             f"{windows.strides} are not views onto one {C}-channel series")
+        # such windows cover one run of memory: the matrix under them
+        mat = as_strided(windows, (len(windows) + rows - 1, C), (C * size, size), writeable=False)
         gain, offset = scaler.vectors(channels)
-        steps = mat.shape[1] // len(channels)
-        out = mat - np.tile(offset, steps)
-        out *= np.tile(gain, steps)
-        return out
+        return _flat_windows((mat - offset) * gain, rows)
 
-    future = None
-    if ws.future_cov is not None:
-        future = scaled(ws.future_cov, ws.future_channels)
-    return WindowSet(scaled(ws.inputs, ws.input_channels),
-                     scaled(ws.targets, ws.target_channels),
-                     ws.lookback, ws.horizon, ws.input_channels, ws.target_channels,
-                     future, ws.future_channels)
+    future = ws.future_cov
+    if future is not None:
+        future = scaled(future, ws.horizon, ws.future_channels)
+    return replace(ws, inputs=scaled(ws.inputs, ws.lookback, ws.input_channels),
+                   targets=scaled(ws.targets, ws.horizon, ws.target_channels), future_cov=future)
 
 
 def load_dataset(measurements_path, ambient_path, rated_current_a: float | None = None,

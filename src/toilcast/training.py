@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -47,9 +48,11 @@ class TrainConfig:
         check_count("TrainConfig", "max_epochs", self.max_epochs)
         if self.patience is not None:   # None: no early stop
             check_count("TrainConfig", "patience", self.patience)
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+        rate = self.learning_rate   # a bool or a string is no rate
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
+                                          and np.isfinite(rate) and rate >= 0):
             raise ValueError(f"TrainConfig.learning_rate must be finite and >= 0, "
-                             f"got {self.learning_rate}")
+                             f"got {rate!r}")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
 

@@ -288,12 +288,46 @@ class TestConfigValidation:
         assert "invalid train.ann settings" in capsys.readouterr().err
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
 
-    def test_patience_converted_and_null_is_off(self, tmp_path):
+    def test_null_patience_is_off(self, tmp_path):
         cfg = base_config(tmp_path)
-        cfg["train"]["ann"]["patience"] = "2"
-        assert _train_config(cfg, "ann", "point").patience == 2
         cfg["train"]["ann"]["patience"] = None
         assert _train_config(cfg, "ann", "point").patience is None
+        cfg["train"]["ann"]["patience"] = 2
+        assert _train_config(cfg, "ann", "point").patience == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_epochs", 2.5), ("batch_size", True), ("patience", "3"),
+        ("learning_rate", "1e-3"), ("learning_rate", True)])
+    def test_train_value_of_the_wrong_type_names_the_field(self, tmp_path, capsys, key,
+                                                           value):
+        # the JSON value reaches TrainConfig as written: nothing rounds or parses it
+        cfg = base_config(tmp_path)
+        cfg["train"]["ann"][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid train.ann settings" in err and f"TrainConfig.{key}" in err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("family", ["ann", "tcn"])
+    @pytest.mark.parametrize("value", ["two", 2.5, True])
+    def test_n_targets_of_the_wrong_type_names_the_field(self, tmp_path, capsys, family,
+                                                         value):
+        cfg = base_config(tmp_path)
+        cfg["models"][family]["n_targets"] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["train", "--config", cfg_path, "--model", family]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid models.{family} config" in err and ".n_targets must be" in err
+
+    def test_channels_follow_the_targets(self, tmp_path):
+        from toilcast.cli import _model_config
+        cfg = base_config(tmp_path)
+        assert _model_config(cfg, "tcn", "point").n_channels == 3
+        cfg["multi_target"] = True
+        assert _model_config(cfg, "tcn", "point").n_channels == 4
+        cfg["models"]["tcn"]["n_channels"] = 7    # given: kept as written
+        assert _model_config(cfg, "tcn", "point").n_channels == 7
 
     def test_non_finite_scaling_names_the_channel(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

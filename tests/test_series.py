@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from toilcast.series import (AffineScaler, SplitSpec, TimeSeries, TransformerDataset,
-                             derive_load_factor, fill_gaps_adjacent_mean,
-                             format_instant, ingest_measurements, make_windows,
-                             parse_instant, resample_ambient_linear, scale_windows,
-                             split)
+from toilcast.series import (CHANNELS, AffineScaler, SplitSpec, TimeSeries,
+                             TransformerDataset, WindowSet, derive_load_factor,
+                             fill_gaps_adjacent_mean, format_instant, ingest_measurements,
+                             make_windows, parse_instant, resample_ambient_linear,
+                             scale_windows, split, strided_windows)
 from util import make_dataset
 
 START = 1_600_000_000  # on the 5-minute grid
@@ -227,6 +227,126 @@ class TestWindows:
         F = ds.matrix(("ambient", "load_factor"))
         for i in range(ws.n_windows):
             assert np.array_equal(ws.future_cov[i], F[i + 4:i + 6].ravel())
+
+
+def random_channels(rng, allow_empty=False) -> tuple[str, ...]:
+    """A random subset of the channels in random order."""
+    k = int(rng.integers(0 if allow_empty else 1, len(CHANNELS) + 1))
+    return tuple(rng.permutation(CHANNELS)[:k].tolist())
+
+
+def random_windows(rng, seed):
+    """make_windows over random N, L, H and channel subsets, with the
+    (N, C) matrices of its three channel sets."""
+    N = int(rng.integers(2, 60))
+    L = int(rng.integers(1, N))
+    H = int(rng.integers(1, N - L + 1))
+    ds = make_dataset(N, seed=seed)
+    chans = random_channels(rng), random_channels(rng), random_channels(rng, allow_empty=True)
+    ws = make_windows(ds, L, H, *chans)
+    return ds, ws, [ds.matrix(c) if c else None for c in chans]
+
+
+def random_scaler(rng) -> AffineScaler:
+    return AffineScaler({n: (rng.uniform(0.001, 10) * rng.choice([-1.0, 1.0]),
+                             rng.uniform(-50, 50)) for n in CHANNELS})
+
+
+def window_arrays(ws):
+    return [a for a in (ws.inputs, ws.targets, ws.future_cov) if a is not None]
+
+
+class TestWindowProperties:
+    """Seeded loops over N, L, H and the channel subsets."""
+
+    def test_rows_equal_the_plain_slices(self):
+        rng = np.random.default_rng(101)
+        for trial in range(80):
+            ds, ws, (X, Y, F) = random_windows(rng, trial)
+            L, H, n = ws.lookback, ws.horizon, ds.n - ws.lookback - ws.horizon + 1
+            assert ws.n_windows == n
+            assert ws.inputs.shape == (n, L * X.shape[1])
+            for i in range(n):
+                assert np.array_equal(ws.inputs[i], X[i:i + L].ravel())
+                assert np.array_equal(ws.targets[i], Y[i + L:i + L + H].ravel())
+                if F is None:
+                    assert ws.future_cov is None
+                else:
+                    assert np.array_equal(ws.future_cov[i], F[i + L:i + L + H].ravel())
+
+    def test_scaled_windows_bit_equal_the_scaled_copies(self):
+        # the arithmetic of scaling each copied window row: (x - offset) * gain
+        rng = np.random.default_rng(102)
+        for trial in range(80):
+            _, ws, _ = random_windows(rng, trial)
+            sc = random_scaler(rng)
+            scaled = scale_windows(ws, sc)
+            pairs = [(ws.inputs, scaled.inputs, ws.input_channels, ws.lookback),
+                     (ws.targets, scaled.targets, ws.target_channels, ws.horizon)]
+            if ws.future_cov is not None:
+                pairs.append((ws.future_cov, scaled.future_cov, ws.future_channels,
+                              ws.horizon))
+            for raw, got, channels, steps in pairs:
+                gain, offset = sc.vectors(channels)
+                want = (np.array(raw) - np.tile(offset, steps)) * np.tile(gain, steps)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_views_are_read_only(self):
+        rng = np.random.default_rng(103)
+        for trial in range(20):
+            _, ws, _ = random_windows(rng, trial)
+            for a in window_arrays(ws) + window_arrays(scale_windows(ws, random_scaler(rng))):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+
+    def test_scaling_leaves_the_dataset_and_the_windows_untouched(self):
+        rng = np.random.default_rng(104)
+        for trial in range(20):
+            ds, ws, _ = random_windows(rng, trial)
+            before = [ds.channel(c).values.tobytes() for c in CHANNELS]
+            windows = [a.tobytes() for a in window_arrays(ws)]
+            scale_windows(ws, random_scaler(rng))
+            assert [ds.channel(c).values.tobytes() for c in CHANNELS] == before
+            assert [a.tobytes() for a in window_arrays(ws)] == windows
+
+    def test_windows_are_views_onto_the_series(self):
+        # one (N, C) matrix under each window set, not N - L - H + 1 rows of L * C
+        ds = make_dataset(500)
+        ws = make_windows(ds, 48, 1, ("top_oil", "ambient", "load_factor"), ("top_oil",))
+        scaled = scale_windows(ws, random_scaler(np.random.default_rng(0)))
+        for a in (ws.inputs, scaled.inputs):
+            assert a.strides == (3 * 8, 8)   # row k + 1 starts one matrix row later
+            assert np.shares_memory(a[0], a[1])
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+    def test_matrix_whose_flat_window_is_a_copy_rejected(self, layout):
+        rng = np.random.default_rng(105)
+        wide = rng.normal(size=(20, 5))
+        a = np.asfortranarray(wide[:, :3]) if layout == "fortran" else wide[:, 1:4]
+        L = 4
+        with pytest.raises(ValueError, match="copy"):
+            strided_windows(a, a[:L].reshape(-1), L)
+        # a view of the first rows, unflattened, strides along the matrix as it lies
+        views = strided_windows(a, a[None, :L], L)
+        assert views.shape == (len(a) - L + 1, 1, L, 3)
+        for k in range(len(views)):
+            assert np.array_equal(views[k], a[None, k:k + L])
+
+    def test_plain_window_copies_not_scaled(self):
+        ws = make_windows(make_dataset(20), 3, 1, ("top_oil", "ambient"), ("top_oil",))
+        copied = WindowSet(np.array(ws.inputs), np.array(ws.targets), 3, 1,
+                           ws.input_channels, ws.target_channels)
+        with pytest.raises(ValueError, match="not views onto one 2-channel series"):
+            scale_windows(copied, random_scaler(np.random.default_rng(0)))
+
+    def test_hand_built_single_step_windows_scale(self):
+        # L = H = 1: a plain (n, C) matrix is its own window view
+        x = np.random.default_rng(106).normal(size=(30, 2))
+        ws = WindowSet(x, x[:, :1].copy(), 1, 1, ("top_oil", "ambient"), ("top_oil",))
+        sc = random_scaler(np.random.default_rng(1))
+        gain, offset = sc.vectors(ws.input_channels)
+        assert scale_windows(ws, sc).inputs.tobytes() == ((x - offset) * gain).tobytes()
 
 
 class TestScaler:

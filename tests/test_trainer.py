@@ -5,8 +5,8 @@ import pytest
 
 from toilcast import metrics, training
 from toilcast.autodiff import Tensor
-from toilcast.models import Mlp, MlpConfig
-from toilcast.series import WindowSet
+from toilcast.models import Mlp, MlpConfig, build_model, config_from_dict
+from toilcast.series import WindowSet, make_windows, scale_windows
 from toilcast.training import (DivergenceError, GridSpec, TrainConfig, TrialResult,
                                fit_dataset, grid_search, point_loss, quantile_loss,
                                rank_trials, select_best, train)
@@ -120,6 +120,35 @@ class TestTrain:
         with pytest.raises(ValueError, match=rf"TrainConfig.learning_rate must be finite "
                                              rf"and >= 0, got {rate}"):
             TrainConfig(learning_rate=rate)
+
+
+    @pytest.mark.parametrize("rate", ["1e-3", True, None], ids=["str", "true", "none"])
+    def test_learning_rate_that_is_no_number_names_the_field(self, rate):
+        with pytest.raises(ValueError, match=rf"TrainConfig.learning_rate must be finite "
+                                             rf"and >= 0, got {re.escape(repr(rate))}"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("family, model", [
+        ("ann", {"n_layers": 1, "n_neurons": 8}),
+        ("tcn", {"kernel": 2, "n_filters": 4}),
+        ("tide", {"temporal_width": 2, "decoder_output_dim": 2, "hidden_size": 4})])
+    def test_view_windows_train_as_their_copies(self, family, model):
+        # the gather copies a batch's rows, whatever the windows' strides
+        inputs, targets = ("top_oil", "ambient", "load_factor"), ("top_oil",)
+        future = inputs[1:] if family == "tide" else ()
+        views = scale_windows(make_windows(make_dataset(300, seed=4), 6, 1, inputs, targets,
+                                           future), IDENTITY)
+        copies = WindowSet(np.array(views.inputs), np.array(views.targets), 6, 1, inputs,
+                           targets, None if views.future_cov is None
+                           else np.array(views.future_cov), future)
+        cfg = config_from_dict(family, dict(model, lookback=6))
+        tc = TrainConfig(batch_size=32, max_epochs=2, learning_rate=1e-3, seed=5)
+        reports = []
+        for ws in (views, copies):
+            m = build_model(family, cfg)
+            reports.append(train(m, m.init_params(tc.seed), ws, tc))
+        assert reports[0].epoch_losses == reports[1].epoch_losses
+        assert reports[0].param_checksum == reports[1].param_checksum
 
 
 class TestLosses:
