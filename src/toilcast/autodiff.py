@@ -16,6 +16,7 @@ Small, deterministic, CPU-only.
 
 from __future__ import annotations
 
+import math
 import operator
 from contextvars import ContextVar
 from functools import lru_cache, partial
@@ -113,11 +114,40 @@ def _apply(fwd, n_in: int, *args) -> Tensor:
     return t
 
 
+def _sum_leading(g: np.ndarray, n: int) -> np.ndarray:
+    """`g.sum(axis=tuple(range(n)))` with numpy's bits, 3-5x faster on a
+    training batch. numpy sums a C-contiguous `g` one row of its (-1, m)
+    matrix at a time, as `einsum` does, when the kept size m is at least 2.
+    At m = 1 einsum adds the column in another order, and another layout can
+    change numpy's order, so those keep numpy's sum. From m = 8 the sign of
+    a NaN may differ; every other bit is equal."""
+    shape = g.shape[n:]
+    m = math.prod(shape)
+    if m >= 2 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g.reshape(-1, m)).reshape(shape)
+    return g.sum(axis=tuple(range(n)))
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(x, axis=-1, keepdims=True)` with numpy's bits. Below 8
+    values a row, numpy adds them one by one onto 0.0, as the column adds
+    below do, 4-5x faster on 6,400 rows; from 8 on it sums pairwise with
+    unrolled partial sums. Wide rows, and fewer than 512 rows (where each
+    column's own ufunc call costs more than it saves), keep numpy's sum."""
+    n = x.shape[-1]
+    if not 0 < n < 8 or x.size < 512 * n:
+        return np.add.reduce(x, -1, keepdims=True)
+    s = 0.0 + x[..., 0:1]
+    for k in range(1, n):
+        s += x[..., k:k + 1]
+    return s
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = _sum_leading(g, extra)
     axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -152,11 +182,18 @@ def _matmul_vjp(out, a, b, g):
 
 
 def _normalized(x, eps):
-    """x standardized over the last axis, and the inverse deviation."""
+    """x standardized over the last axis, and the inverse deviation. Rows of
+    8 or more values sum with numpy directly, so that a rollout step's layer
+    norm pays no helper call."""
     n = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / n)
-    centered = x - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
+    if n < 8:
+        mu = _sum_last(x) * (1.0 / n)
+        centered = x - mu
+        var = _sum_last(centered * centered) * (1.0 / n)
+    else:
+        mu = np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / n)
+        centered = x - mu
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
     inv = (var + eps) ** -0.5
     return centered * inv, inv
 
@@ -167,8 +204,8 @@ def _layer_norm_vjp(out, x, gamma, beta, eps, g):
     if x.requires_grad:
         gxhat = g * gamma.data
         n = xhat.shape[-1]
-        gx = inv * (gxhat - gxhat.sum(axis=-1, keepdims=True) * (1.0 / n)
-                    - xhat * ((gxhat * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)))
+        gx = inv * (gxhat - _sum_last(gxhat) * (1.0 / n)
+                    - xhat * (_sum_last(gxhat * xhat) * (1.0 / n)))
     ggamma = _grad_for(gamma, g * xhat) if gamma.requires_grad else None
     return gx, ggamma, _grad_for(beta, g)
 
@@ -220,7 +257,7 @@ def _causal_conv1d_vjp(out, x, w, b, rows, taps, g):
             gx[:, src] += g[:, j0:] @ w.data[i].T
         if gw is not None:
             gw[i] = x.data[:, src].reshape(-1, C).T @ g[:, j0:].reshape(-1, O)
-    gb = g.sum(axis=(0, 1)) if b.requires_grad else None
+    gb = _sum_leading(g, 2) if b.requires_grad else None
     return gx, gw, gb
 
 

@@ -150,7 +150,7 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
                           f"(expected some of {list(TRAIN_KEYS)})")
     raw.update(given)
     try:
-        return TrainConfig(**raw, seed=int(cfg["seed"]), loss=loss, quantiles=_quantiles(cfg))
+        return TrainConfig(**raw, seed=cfg["seed"], loss=loss, quantiles=_quantiles(cfg))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
 
@@ -229,8 +229,11 @@ def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> in
     raw = grid_cfg.get(family, DEFAULT_GRID[family])
     if not raw:
         raise ConfigError(f"empty grid for '{family}'")
-    lookbacks = tuple(int(x) for x in grid_cfg.get("lookbacks", (24, 48, 96)))
-    grid = GridSpec(family, {k: tuple(v) for k, v in raw.items()}, lookbacks)
+    try:
+        grid = GridSpec(family, {k: tuple(v) for k, v in raw.items()},
+                        tuple(grid_cfg.get("lookbacks", (24, 48, 96))))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid grid settings: {exc}") from exc
     base_cfg = _model_config(cfg, family, loss)
     train_cfg = _train_config(cfg, family, loss)
 

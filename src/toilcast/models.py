@@ -11,7 +11,6 @@ import base64
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -20,14 +19,7 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
-from .series import AffineScaler, strided_windows
-
-
-def check_count(owner: str, name: str, value) -> None:
-    """ValueError naming `owner.name` unless `value` is an integer >= 1; a
-    bool, a float (whole, NaN or infinite) or any other type is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{owner}.{name} must be >= 1 and an integer, got {value!r}")
+from .series import AffineScaler, check_count, strided_windows
 
 
 class _ModelConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ def activation(name: str):
 
 
 def rng_from_seed(seed, *subkey: int) -> np.random.Generator:
-    """Deterministic generator; subkeys derive independent named streams."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(subkey)))
+    """Deterministic generator; subkeys derive independent named streams. A
+    seed that is no integer raises TypeError instead of being truncated."""
+    return np.random.default_rng(np.random.SeedSequence(operator.index(seed),
+                                                        spawn_key=tuple(subkey)))
 
 
 def fan_in_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -18,6 +19,14 @@ from numpy.lib.stride_tricks import as_strided
 
 STEP_5MIN_S = 300
 STEP_HOUR_S = 3600
+
+
+def check_count(owner: str, name: str, value, minimum: int = 1) -> None:
+    """ValueError naming `owner.name` unless `value` is an integer >=
+    `minimum`; a bool, a float (whole, NaN or infinite) or any other type is
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{owner}.{name} must be >= {minimum} and an integer, got {value!r}")
 
 
 # -------- instants --------

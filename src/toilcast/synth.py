@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .iec import IecParams, simulate, steady_state
-from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset,
+from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset, check_count,
                      format_instant, parse_instant, resample_ambient_linear)
 
 DEFAULT_ORIGIN = "2020-07-01T00:00:00+00:00"
@@ -64,8 +64,8 @@ class SynthSpec:
     origin: str = DEFAULT_ORIGIN
 
     def __post_init__(self):
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
+        check_count("SynthSpec", "days", self.days)
+        check_count("SynthSpec", "seed", self.seed, minimum=0)
         if self.measurement_noise_k < 0:
             raise ValueError("measurement_noise_k must be >= 0")
 

@@ -13,10 +13,10 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, absolute, backward, maximum, mean, reshape
 from .metrics import mae, mse
-from .models import TrainedModel, build_model, check_count, config_from_dict
+from .models import TrainedModel, build_model, config_from_dict
 from .rolling import autoregressive_predict
-from .series import (AffineScaler, TransformerDataset, WindowSet, make_windows,
-                     scale_windows)
+from .series import (AffineScaler, TransformerDataset, WindowSet, check_count,
+                     make_windows, scale_windows)
 
 TARGET_CHANNELS_SINGLE = ("top_oil",)
 TARGET_CHANNELS_MULTI = ("top_oil", "temp_rise")
@@ -48,6 +48,7 @@ class TrainConfig:
         check_count("TrainConfig", "max_epochs", self.max_epochs)
         if self.patience is not None:   # None: no early stop
             check_count("TrainConfig", "patience", self.patience)
+        check_count("TrainConfig", "seed", self.seed, minimum=0)
         rate = self.learning_rate   # a bool or a string is no rate
         if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
                                           and np.isfinite(rate) and rate >= 0):
@@ -183,6 +184,11 @@ class GridSpec:
     def __post_init__(self):
         if not self.lookbacks:
             raise ValueError("empty look-back set")
+        for lookback in self.lookbacks:
+            check_count("GridSpec", "lookbacks", lookback)
+        # whole numbers now, so int() rounds nothing; a numpy integer would
+        # not serialize into the trial's params JSON
+        object.__setattr__(self, "lookbacks", tuple(map(int, self.lookbacks)))
         for k, vals in self.param_values.items():
             if len(tuple(vals)) == 0:
                 raise ValueError(f"empty value list for grid parameter '{k}'")
@@ -193,7 +199,7 @@ class GridSpec:
         for lookback in self.lookbacks:
             for values in itertools.product(*(self.param_values[k] for k in keys)):
                 combo = dict(zip(keys, values))
-                combo["lookback"] = int(lookback)
+                combo["lookback"] = lookback
                 combos.append(combo)
         return combos
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toilcast import nn
+from toilcast import autodiff, nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
                                causal_conv1d, concat, layer_norm, maximum, mean,
                                no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
@@ -245,6 +245,113 @@ class TestConv:
             causal_conv1d(Tensor(np.zeros((1, 5, 2))), Tensor(np.zeros((2, 2, 2))),
                           Tensor(np.zeros(2)), 1, start, stride)
 
+
+# -------- reductions: the fast forms against numpy's own --------
+
+# zeros of both signs, infinities, NaN, the extremes and a subnormal
+SUM_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5, _F.max, -_F.max,
+                      5e-324, -_F.tiny])
+SUM_ROWS = [1, 2, 7, 8, 9, 63, 511, 512, 513, 6400, 12288]
+
+
+def _draws(rng, shape):
+    """Values over 16 decades, then the same with a tenth of them edge
+    values, then all edge values."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    mixed = x.copy()
+    mask = rng.random(shape) < 0.1
+    mixed[mask] = rng.choice(SUM_EDGES, size=int(mask.sum()))
+    return x, mixed, rng.choice(SUM_EDGES, size=shape)
+
+
+def _layouts(x):
+    """x as itself (C-ordered), F-ordered, and as row- and column-strided
+    views of larger arrays."""
+    rows = np.empty((2 * x.shape[0], *x.shape[1:]))
+    rows[::2] = x
+    cols = np.empty((*x.shape[:-1], 2 * x.shape[-1]))
+    cols[..., 1::2] = x
+    return x, np.asfortranarray(x), rows[::2], cols[..., 1::2]
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and values, NaN where numpy gives NaN, and the sign of
+    every other value, zeros included. A NaN's own sign is not compared."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    keep = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[keep]), np.signbit(want[keep]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+class TestReductions:
+    """`_sum_leading` against `ndarray.sum` over the leading axes, and
+    `_sum_last` against `np.add.reduce` over the last axis: bit-equal for
+    every width, row count, layout and edge value."""
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_sum_leading_equals_numpy(self, width):
+        rng = np.random.default_rng(width)
+        for rows in SUM_ROWS:
+            for x in _draws(rng, (rows, width)):
+                for v in _layouts(x):
+                    assert_same_bits(autodiff._sum_leading(v, 1), v.sum(axis=0))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8, 16, 17])
+    def test_sum_leading_3d_equals_numpy(self, width):
+        # the TCN bias sum over (B, T) and a 3-D weight gradient over B
+        rng = np.random.default_rng(100 + width)
+        for shape in [(1, 1, width), (3, 5, width), (64, 24, width), (512, 24, width)]:
+            for x in _draws(rng, shape):
+                for v in _layouts(x):
+                    assert_same_bits(autodiff._sum_leading(v, 2), v.sum(axis=(0, 1)))
+                    assert_same_bits(autodiff._sum_leading(v, 1), v.sum(axis=0))
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_sum_last_equals_numpy(self, width):
+        rng = np.random.default_rng(200 + width)
+        for rows in SUM_ROWS:
+            for x in _draws(rng, (rows, width)):
+                for v in _layouts(x):
+                    assert_same_bits(autodiff._sum_last(v),
+                                     np.add.reduce(v, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 7, 8, 9])
+    def test_sum_last_3d_equals_numpy(self, width):
+        rng = np.random.default_rng(300 + width)
+        for shape in [(1, 1, width), (2, 300, width), (256, 25, width)]:
+            for x in _draws(rng, shape):
+                for v in _layouts(x):
+                    assert_same_bits(autodiff._sum_last(v),
+                                     np.add.reduce(v, axis=-1, keepdims=True))
+
+    def test_sum_leading_takes_numpy_at_width_1_and_off_c_order(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a[1].shape) or einsum(*a))
+        x = np.random.default_rng(0).normal(size=(6400, 4))
+        for v in (x[:, :1], np.ascontiguousarray(x[:, :1]), *_layouts(x)[1:]):
+            autodiff._sum_leading(v, 1)
+        assert calls == []
+        autodiff._sum_leading(x, 1)
+        autodiff._sum_leading(x.reshape(256, 25, 4), 2)
+        assert calls == [(6400, 4), (6400, 4)]
+
+    def test_sum_last_takes_numpy_for_wide_rows_and_few_rows(self):
+        class Spy(np.ndarray):
+            """Counts the column slices that the column adds take."""
+            slices = 0
+
+            def __getitem__(self, key):
+                Spy.slices += 1
+                return super().__getitem__(key)
+
+        rng = np.random.default_rng(1)
+        for shape in [(6400, 8), (6400, 17), (511, 4), (1, 3), (6400, 0)]:
+            autodiff._sum_last(rng.normal(size=shape).view(Spy))
+        assert Spy.slices == 0
+        autodiff._sum_last(rng.normal(size=(512, 4)).view(Spy))
+        assert Spy.slices == 4
 
 def _chain_layer_norm(x, gamma, beta, eps=1e-5):
     """Layer norm composed of primitives: the reference for the fused op."""

@@ -199,6 +199,16 @@ class TestGridCommand:
         rows = (tmp_path / "out" / "grid_ann_point.csv").read_text().splitlines()
         assert len(rows) == 1 + 8
 
+    @pytest.mark.parametrize("lookbacks", [[6.7], [6, 0], 6], ids=["6.7", "0", "scalar"])
+    def test_bad_lookbacks_exit_2(self, tmp_path, capsys, lookbacks):
+        # [6.7] used to run its trial at look-back 6 and exit 0
+        cfg = base_config(tmp_path)
+        cfg["grid"] = {"ann": {"n_neurons": [4]}, "lookbacks": lookbacks}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["grid", "--config", cfg_path, "--model", "ann"]) == 2
+        assert "invalid grid settings" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "grid_ann_point.csv").exists()
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["grid"] = {"ann": {}}
@@ -286,6 +296,19 @@ class TestConfigValidation:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
         assert "invalid train.ann settings" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "3"])
+    def test_bad_seed_names_the_field(self, tmp_path, capsys, command, seed):
+        # "seed": 2.5 used to train with seed 2 and exit 0
+        cfg = base_config(tmp_path, seed=seed)
+        if command == "train":   # the data keeps a seed of its own, so TrainConfig sees it
+            cfg["data"]["synth"]["seed"] = 0
+        args = ["--model", "ann"] if command == "train" else []
+        assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert ("TrainConfig.seed" if command == "train" else "SynthSpec.seed") in err
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
 
     def test_null_patience_is_off(self, tmp_path):

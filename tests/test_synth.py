@@ -117,9 +117,24 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="days"):
             SynthSpec(days=0)
 
+    def test_fractional_days_names_the_field(self):
+        # 1.5 used to fail inside numpy with a TypeError that named no field
+        with pytest.raises(ValueError, match=r"SynthSpec\.days must be >= 1 and an integer"):
+            SynthSpec(days=1.5)
+
     def test_bad_noise(self):
         with pytest.raises(ValueError, match="noise"):
             SynthSpec(days=1, measurement_noise_k=-1.0)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "3", -1])
+    def test_bad_seed_names_the_field(self, seed):
+        with pytest.raises(ValueError, match=r"SynthSpec\.seed must be >= 0 and an integer"):
+            SynthSpec(days=1, seed=seed)
+
+    def test_integer_seed_keeps_its_stream(self):
+        a, _, _ = gen_profiles(SynthSpec(days=1, seed=np.int64(5)))
+        b, _, _ = gen_profiles(SynthSpec(days=1, seed=5))
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_from_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -1,9 +1,10 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
-from toilcast import metrics, training
+from toilcast import autodiff, metrics, training
 from toilcast.autodiff import Tensor
 from toilcast.models import Mlp, MlpConfig, build_model, config_from_dict
 from toilcast.series import WindowSet, make_windows, scale_windows
@@ -115,6 +116,19 @@ class TestTrain:
         assert cfg.batch_size == 8 and cfg.patience is None
         assert TrainConfig(patience=1).patience == 1
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, np.nan, True, "3", None, -1],
+                             ids=["2.5", "2.0", "nan", "true", "str", "none", "-1"])
+    def test_bad_seed_names_the_field(self, seed):
+        # a float seed used to run truncated: 2.5 trained as seed 2
+        with pytest.raises(ValueError, match=rf"TrainConfig\.seed must be >= 0 and an "
+                                             rf"integer, got {re.escape(repr(seed))}"):
+            TrainConfig(seed=seed)
+
+    def test_integer_seeds_accepted(self):
+        # the grid derives its trial seeds from a SeedSequence's uint32 words
+        for seed in (0, 7, 2**63, np.uint32(4_000_000_000), np.int64(3)):
+            assert TrainConfig(seed=seed).seed == seed
+
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1e-3])
     def test_bad_learning_rate_names_the_field(self, rate):
         with pytest.raises(ValueError, match=rf"TrainConfig.learning_rate must be finite "
@@ -149,6 +163,44 @@ class TestTrain:
             reports.append(train(m, m.init_params(tc.seed), ws, tc))
         assert reports[0].epoch_losses == reports[1].epoch_losses
         assert reports[0].param_checksum == reports[1].param_checksum
+
+    def test_fast_reductions_train_as_numpys(self, monkeypatch):
+        # oracle: the same training with both sum helpers put back to numpy's
+        # reductions; every checksum and loss bit must match
+        inputs, targets = ("top_oil", "ambient", "load_factor"), ("top_oil",)
+        ds = make_dataset(700, seed=6)
+        q = (0.1, 0.5, 0.9)
+        cases = [("ann", {"n_layers": 2, "n_neurons": 16}, "point"),
+                 ("ann", {"n_layers": 1, "n_neurons": 8, "quantiles": q}, "quantile"),
+                 ("tcn", {"kernel": 2, "n_filters": 8, "weight_norm": True}, "point"),
+                 ("tide", {"temporal_width": 4, "decoder_output_dim": 4, "hidden_size": 16,
+                           "use_layer_norm": True, "dropout": 0.1}, "point"),
+                 ("tide", {"temporal_width": 3, "decoder_output_dim": 2, "hidden_size": 8,
+                           "use_layer_norm": True, "quantiles": q}, "quantile")]
+
+        def run_all():
+            out = []
+            for family, model, loss in cases:
+                future = inputs[1:] if family == "tide" else ()
+                ws = scale_windows(make_windows(ds, 8, 1, inputs, targets, future), IDENTITY)
+                tc = TrainConfig(batch_size=128, max_epochs=2, learning_rate=1e-3, seed=3,
+                                 loss=loss, quantiles=q)
+                m = build_model(family, config_from_dict(family, dict(model, lookback=8)))
+                r = train(m, m.init_params(tc.seed), ws, tc)
+                out.append((r.param_checksum, [x.hex() for x in r.epoch_losses]))
+            return out
+
+        columns = []
+        sum_last = autodiff._sum_last
+        monkeypatch.setattr(autodiff, "_sum_last",
+                            lambda x: columns.append(x.shape) or sum_last(x))
+        fast = run_all()
+        assert any(n < 8 and rows >= 512 for rows, n in columns)   # the column adds ran
+        monkeypatch.setattr(autodiff, "_sum_leading",
+                            lambda g, n: g.sum(axis=tuple(range(n))))
+        monkeypatch.setattr(autodiff, "_sum_last",
+                            lambda x: np.add.reduce(x, axis=-1, keepdims=True))
+        assert fast == run_all()
 
 
 class TestLosses:
@@ -193,6 +245,19 @@ class TestGridSearch:
         combos = grid.enumerate()
         assert len(combos) == 27
         assert len({tuple(sorted(c.items())) for c in combos}) == 27
+
+    @pytest.mark.parametrize("lookback", [6.7, 6.0, 0, True, "6"],
+                             ids=["6.7", "6.0", "0", "true", "str"])
+    def test_bad_lookback_names_the_field(self, lookback):
+        # 6.7 used to run its trial at look-back 6
+        with pytest.raises(ValueError, match=rf"GridSpec\.lookbacks must be >= 1 and an "
+                                             rf"integer, got {re.escape(repr(lookback))}"):
+            GridSpec("ann", {"n_neurons": (4,)}, lookbacks=(8, lookback))
+
+    def test_numpy_integer_lookbacks_accepted(self):
+        grid = GridSpec("ann", {"n_neurons": (4,)}, lookbacks=(np.int64(8), np.uint32(16)))
+        assert [json.loads(TrialResult(0, "ann", c, c["lookback"], None, None, "ok")
+                           .params_json())["lookback"] for c in grid.enumerate()] == [8, 16]
 
     def test_failed_trial_isolated(self):
         train_ds, valid_ds = self.make_data()
