@@ -24,7 +24,7 @@ from .iec import IecParams
 from .metrics import validate_quantiles
 from .models import config_from_dict, load_checkpoint, save_checkpoint
 from .rolling import autoregressive_predict, evaluate, iec_predict
-from .series import AffineScaler, SplitSpec, format_instant, load_dataset, split
+from .series import AffineScaler, SplitSpec, check_flag, format_instant, load_dataset, split
 from .svgplot import line_plot_svg
 from .synth import SynthSpec, gen_dataset, write_dataset_csvs
 from .training import (DivergenceError, GridSpec, TrainConfig, fit_dataset,
@@ -161,7 +161,7 @@ def _quantiles(cfg: dict) -> tuple[float, ...]:
 
 def _model_config(cfg: dict, family: str, loss: str):
     raw = dict(cfg.get("models", {}).get(family, {}))
-    if bool(cfg.get("multi_target")):
+    if check_flag("config", "multi_target", cfg.get("multi_target", False)):
         raw["n_targets"] = 2
     if loss == "quantile":
         raw["quantiles"] = _quantiles(cfg)
@@ -279,10 +279,10 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
         traces.append(trace)
     if use_iec:
         params = IecParams.from_json(_resolve_path(base, _require(cfg, "iec_params")))
-        traces.append(iec_predict(params, valid_ds,
-                                  dt_min=float(cfg.get("iec_dt_min", 5.0)),
-                                  enforce_timestep=bool(cfg.get("iec_enforce_timestep",
-                                                                True))))
+        enforce = check_flag("config", "iec_enforce_timestep",
+                             cfg.get("iec_enforce_timestep", True))
+        traces.append(iec_predict(params, valid_ds, dt_min=cfg.get("iec_dt_min", 5.0),
+                                  enforce_timestep=enforce))
 
     report = evaluate(traces, valid_ds)
     report_path = out_dir / "evaluation_report.json"

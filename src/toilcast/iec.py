@@ -12,11 +12,11 @@ file since they are transformer-specific.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, check_real, check_real_fields
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,17 @@ class IecParams:
     tau_w_min: float
 
     def __post_init__(self):
-        for name in ("psi", "delta_t_or_k", "chi", "k11", "tau_o_min", "tau_w_min"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"IEC parameter {name} must be positive and finite, "
-                                 f"got {value}")
-        if self.chi > 2:
-            raise ValueError(f"loss exponent chi must be in (0, 2], got {self.chi}")
+        check_real_fields(self, ("> 0",), chi=("> 0", "<= 2"))
 
     @classmethod
     def from_json(cls, path) -> "IecParams":
         with open(path) as fh:
             raw = json.load(fh)
-        keys = ("psi", "delta_t_or_k", "chi", "k11", "tau_o_min", "tau_w_min")
+        keys = [f.name for f in fields(cls)]
         missing = [k for k in keys if k not in raw]
         if missing:
             raise ValueError(f"IEC parameter file {path} missing keys: {missing}")
-        return cls(**{k: float(raw[k]) for k in keys})
+        return cls(**{k: raw[k] for k in keys})
 
 
 def load_bracket(K, p: IecParams):
@@ -73,10 +67,8 @@ def steady_state(K: float, t_ambient: float, p: IecParams) -> float:
 
 
 def check_timestep(dt_min: float, p: IecParams) -> bool:
-    """True iff dt satisfies the explicit-integration rule dt <= tau_w / 2."""
-    if dt_min <= 0:
-        raise ValueError("dt must be positive")
-    return dt_min <= p.tau_w_min / 2.0
+    """True iff dt, a finite number > 0, satisfies the step rule dt <= tau_w / 2."""
+    return check_real("iec", "dt_min", dt_min, "> 0") <= p.tau_w_min / 2.0
 
 
 def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecParams,
@@ -90,9 +82,8 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
-    if dt_min <= 0:
-        raise ValueError("dt must be positive")
-    if enforce_timestep and not check_timestep(dt_min, p):
+    # check_timestep first: it rejects a bad dt even when the rule is not enforced
+    if not check_timestep(dt_min, p) and enforce_timestep:
         raise ValueError(
             f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
             "(pass enforce_timestep=False to override)"

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .series import check_real
+
 
 def validate_quantiles(alphas) -> tuple[float, ...]:
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(check_real("quantiles", "level", a, "> 0", "< 1") for a in alphas)
     if not alphas:
         raise ValueError("quantile loss needs at least one level")
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"quantile level {a} outside (0, 1)")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"quantile levels must be strictly increasing, got {alphas}")
     return alphas
@@ -50,8 +49,7 @@ def pinball(y, y_hat, alpha: float):
     Underestimates cost alpha per unit, overestimates 1 - alpha; the
     minimizing constant is the alpha-quantile.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"quantile level {alpha} outside (0, 1)")
+    check_real("pinball", "alpha", alpha, "> 0", "< 1")
     d = np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64)
     out = np.maximum(alpha * d, (alpha - 1.0) * d)
     return float(out) if out.ndim == 0 else out
@@ -65,7 +63,7 @@ def picp(y, lower, upper) -> float:
     if not (y.shape == lower.shape == upper.shape):
         raise ValueError("y, lower, upper must have equal shapes")
     if (lower > upper).any():
-        raise ValueError("crossed interval bounds; apply enforce_non_crossing first")
+        raise ValueError("crossed interval bounds: sort each row of quantiles first")
     return float(np.mean((y >= lower) & (y <= upper)))
 
 
@@ -73,6 +71,6 @@ def mean_interval_width(lower, upper) -> float:
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     if (lower > upper).any():
-        raise ValueError("crossed interval bounds; apply enforce_non_crossing first")
+        raise ValueError("crossed interval bounds: sort each row of quantiles first")
     return float(np.mean(upper - lower))
 

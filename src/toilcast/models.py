@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
-from .series import AffineScaler, check_count, strided_windows
+from .series import AffineScaler, check_count, check_flag, check_real, strided_windows
 
 
 class _ModelConfig:
@@ -32,9 +32,7 @@ class _ModelConfig:
     def __post_init__(self):
         for name in self._positive:
             check_count(type(self).__name__, name, getattr(self, name))
-        rate = getattr(self, "dropout", 0.0)
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"{type(self).__name__}.dropout must be in [0, 1), got {rate}")
+        check_real(type(self).__name__, "dropout", getattr(self, "dropout", 0.0), ">= 0", "< 1")
         object.__setattr__(self, "quantiles",
                            validate_quantiles(self.quantiles) if self.quantiles else ())
 
@@ -81,6 +79,7 @@ class TcnConfig(_ModelConfig):
         super().__post_init__()
         if self.n_blocks is not None:
             check_count("TcnConfig", "n_blocks", self.n_blocks)
+        check_flag("TcnConfig", "weight_norm", self.weight_norm)
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,7 @@ class TideConfig(_ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_flag("TideConfig", "use_layer_norm", self.use_layer_norm)
         if self.n_static != 0:
             raise ValueError(f"TideConfig.n_static must be 0 (static covariates are "
                              f"not supported), got {self.n_static}")
@@ -363,14 +363,6 @@ def config_from_dict(family: str, raw: dict):
         raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
     cleaned = {k: (tuple(v) if k == "quantiles" else v) for k, v in raw.items()}
     return cls(**cleaned)
-
-
-def enforce_non_crossing(q: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sort per-quantile outputs ascending along the quantile axis.
-
-    Idempotent; leaves already-monotone slices untouched.
-    """
-    return np.sort(np.asarray(q, dtype=np.float64), axis=axis)
 
 
 @dataclass

@@ -69,8 +69,6 @@ def dropout(x, rate: float, rng: np.random.Generator | None, draw_shape=None,
     some positions draws the same random numbers as one that computes all."""
     if rate <= 0.0 or rng is None:
         return x
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
     mask = (rng.random(draw_shape or x.shape)[key] >= rate) / (1.0 - rate)
     return x * Tensor(mask)
 

@@ -41,7 +41,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     slice once, then steps along it and feeds each median back into it.
     """
     cfg = model.config
-    L = int(cfg.lookback)
+    L = cfg.lookback
     if cfg.horizon != 1:
         raise ValueError("autoregressive evaluation requires a one-step model")
     N = valid.n

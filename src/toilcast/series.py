@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -21,12 +22,48 @@ STEP_5MIN_S = 300
 STEP_HOUR_S = 3600
 
 
-def check_count(owner: str, name: str, value, minimum: int = 1) -> None:
-    """ValueError naming `owner.name` unless `value` is an integer >=
-    `minimum`; a bool, a float (whole, NaN or infinite) or any other type is
-    rejected."""
+def check_count(owner: str, name: str, value, minimum: int = 1) -> int:
+    """`value` as an int, or ValueError naming `owner.name` unless it is an
+    integer >= `minimum`; a bool, a float (whole, NaN or infinite) or any
+    other type is rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{owner}.{name} must be >= {minimum} and an integer, got {value!r}")
+    return int(value)
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+            "!=": operator.ne}
+
+
+def check_real(owner: str, name: str, value, *bounds: str) -> float:
+    """`value` as a float, or ValueError naming `owner.name` unless it is a
+    finite real number, not a bool, that meets every bound, such as "> 0"."""
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+              and math.isfinite(value)
+              and all(_COMPARE[op](value, float(limit)) for op, limit in map(str.split, bounds)))
+    except OverflowError:   # an integer past the largest float
+        ok = False
+    if not ok:
+        raise ValueError(f"{owner}.{name} must be {' and '.join(('finite', *bounds))}, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def check_real_fields(obj, bounds=(), **named_bounds) -> None:
+    """`check_real` on every field of the frozen dataclass `obj`, each held
+    to its entry in `named_bounds`, else to `bounds`; stores each as a float."""
+    for f in fields(obj):
+        value = check_real(type(obj).__name__, f.name, getattr(obj, f.name),
+                           *named_bounds.get(f.name, bounds))
+        object.__setattr__(obj, f.name, value)
+
+
+def check_flag(owner: str, name: str, value) -> bool:
+    """`value`, or ValueError naming `owner.name` unless it is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{owner}.{name} must be true or false, got {value!r}")
+    return value
 
 
 # -------- instants --------
@@ -214,17 +251,14 @@ class AffineScaler:
     channels: dict[str, tuple[float, float]]  # name -> (gain, offset)
 
     def __post_init__(self):
-        for name, (gain, offset) in self.channels.items():
-            if not (math.isfinite(gain) and math.isfinite(offset)):
-                raise ValueError(f"non-finite gain {gain} or offset {offset} "
-                                 f"for channel '{name}'")
-            if gain == 0:
-                raise ValueError(f"zero gain for channel '{name}'")
+        object.__setattr__(self, "channels", {
+            name: (check_real("AffineScaler", f"{name}.gain", gain, "!= 0"),
+                   check_real("AffineScaler", f"{name}.offset", offset))
+            for name, (gain, offset) in self.channels.items()})
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AffineScaler":
-        return cls({n: (float(c.get("gain", 1.0)), float(c.get("offset", 0.0)))
-                    for n, c in cfg.items()})
+        return cls({n: (c.get("gain", 1.0), c.get("offset", 0.0)) for n, c in cfg.items()})
 
     def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:
         """Gain and offset arrays over `names`, to scale a matrix whose last
@@ -357,8 +391,7 @@ def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
 
 def derive_load_factor(current: TimeSeries, rated_current: float) -> TimeSeries:
     """Load factor K [p.u.] = measured current / rated current."""
-    if rated_current <= 0:
-        raise ValueError(f"rated current must be positive, got {rated_current}")
+    check_real("derive_load_factor", "rated_current", rated_current, "> 0")
     return current.with_values(current.values / rated_current)
 
 
@@ -398,9 +431,8 @@ def make_windows(ds: TransformerDataset, lookback: int, horizon: int,
     For source length N there are N - L - H + 1 windows; target row i starts
     at the grid instant immediately after input row i ends.
     """
-    L, H = int(lookback), int(horizon)
-    if L < 1 or H < 1:
-        raise ValueError("lookback and horizon must be >= 1")
+    L = check_count("make_windows", "lookback", lookback)
+    H = check_count("make_windows", "horizon", horizon)
     N = ds.n
     if N < L + H:
         raise ValueError(f"need at least L+H={L + H} points, dataset has {N}")

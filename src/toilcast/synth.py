@@ -16,7 +16,8 @@ import numpy as np
 
 from .iec import IecParams, simulate, steady_state
 from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset, check_count,
-                     format_instant, parse_instant, resample_ambient_linear)
+                     check_real, check_real_fields, format_instant, parse_instant,
+                     resample_ambient_linear)
 
 DEFAULT_ORIGIN = "2020-07-01T00:00:00+00:00"
 
@@ -34,8 +35,7 @@ class LoadProfile:
     peak_hour: float = 14.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("load noise_sigma must be >= 0")
+        check_real_fields(self, noise_sigma=(">= 0",))
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ class AmbientProfile:
     peak_hour: float = 15.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("ambient noise_sigma must be >= 0")
-        if not 0.0 <= self.ar_coeff < 1.0:
-            raise ValueError("ambient ar_coeff must be in [0, 1)")
+        check_real_fields(self, noise_sigma=(">= 0",), ar_coeff=(">= 0", "< 1"))
 
 
 @dataclass(frozen=True)
@@ -66,18 +63,14 @@ class SynthSpec:
     def __post_init__(self):
         check_count("SynthSpec", "days", self.days)
         check_count("SynthSpec", "seed", self.seed, minimum=0)
-        if self.measurement_noise_k < 0:
-            raise ValueError("measurement_noise_k must be >= 0")
+        check_real("SynthSpec", "measurement_noise_k", self.measurement_noise_k, ">= 0")
 
     @classmethod
     def from_config(cls, raw: dict) -> "SynthSpec":
         kwargs = dict(raw)
-        if "iec" in kwargs:
-            kwargs["iec"] = IecParams(**kwargs["iec"])
-        if "load" in kwargs:
-            kwargs["load"] = LoadProfile(**kwargs["load"])
-        if "ambient" in kwargs:
-            kwargs["ambient"] = AmbientProfile(**kwargs["ambient"])
+        for key, part in (("iec", IecParams), ("load", LoadProfile), ("ambient", AmbientProfile)):
+            if key in kwargs:
+                kwargs[key] = part(**kwargs[key])
         unknown = [k for k in kwargs if k not in cls.__dataclass_fields__]
         if unknown:
             raise ValueError(f"unknown synth spec fields: {unknown}")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -15,7 +14,7 @@ from .autodiff import Tensor, absolute, backward, maximum, mean, reshape
 from .metrics import mae, mse
 from .models import TrainedModel, build_model, config_from_dict
 from .rolling import autoregressive_predict
-from .series import (AffineScaler, TransformerDataset, WindowSet, check_count,
+from .series import (AffineScaler, TransformerDataset, WindowSet, check_count, check_real,
                      make_windows, scale_windows)
 
 TARGET_CHANNELS_SINGLE = ("top_oil",)
@@ -49,11 +48,7 @@ class TrainConfig:
         if self.patience is not None:   # None: no early stop
             check_count("TrainConfig", "patience", self.patience)
         check_count("TrainConfig", "seed", self.seed, minimum=0)
-        rate = self.learning_rate   # a bool or a string is no rate
-        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
-                                          and np.isfinite(rate) and rate >= 0):
-            raise ValueError(f"TrainConfig.learning_rate must be finite and >= 0, "
-                             f"got {rate!r}")
+        check_real("TrainConfig", "learning_rate", self.learning_rate, ">= 0")
         if self.loss not in ("point", "quantile"):
             raise ValueError(f"loss must be 'point' or 'quantile', got '{self.loss}'")
 
@@ -184,11 +179,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.lookbacks:
             raise ValueError("empty look-back set")
-        for lookback in self.lookbacks:
-            check_count("GridSpec", "lookbacks", lookback)
-        # whole numbers now, so int() rounds nothing; a numpy integer would
-        # not serialize into the trial's params JSON
-        object.__setattr__(self, "lookbacks", tuple(map(int, self.lookbacks)))
+        lookbacks = tuple(check_count("GridSpec", "lookbacks", lb) for lb in self.lookbacks)
+        # stored as ints: a numpy integer would not serialize into a trial's params JSON
+        object.__setattr__(self, "lookbacks", lookbacks)
         for k, vals in self.param_values.items():
             if len(tuple(vals)) == 0:
                 raise ValueError(f"empty value list for grid parameter '{k}'")

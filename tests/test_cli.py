@@ -357,7 +357,31 @@ class TestConfigValidation:
         cfg["scaling"] = {"ambient": {"gain": float("nan")}}   # written as JSON NaN
         cfg_path = write_config(tmp_path, cfg)
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
-        assert "channel 'ambient'" in capsys.readouterr().err
+        assert "AffineScaler.ambient.gain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, None])
+    def test_multi_target_must_be_a_json_boolean(self, tmp_path, capsys, value):
+        # "multi_target": "false" used to train a 2-target model
+        cfg = base_config(tmp_path)
+        cfg["multi_target"] = value
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        assert (f"config.multi_target must be true or false, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("iec_dt_min", float("nan"), "iec.dt_min must be finite and > 0, got nan"),
+        ("iec_dt_min", "5", "iec.dt_min must be finite and > 0, got '5'"),
+        ("iec_enforce_timestep", "false",
+         "config.iec_enforce_timestep must be true or false, got 'false'")])
+    def test_iec_settings_are_taken_as_written(self, tmp_path, capsys, key, value, message):
+        # a NaN dt with the step rule off used to score a constant IEC trace and exit 0
+        cfg = base_config(tmp_path)
+        cfg["iec_enforce_timestep"] = False
+        cfg[key] = value
+        assert main(["eval", "--config", write_config(tmp_path, cfg), "--iec"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "evaluation_report.json").exists()
 
     def test_null_model_field_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)

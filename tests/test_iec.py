@@ -52,7 +52,7 @@ class TestStep:
 
     def test_negative_dt_rejected(self):
         for dt_min in (-1.0, 0.0):
-            with pytest.raises(ValueError, match="dt must be positive"):
+            with pytest.raises(ValueError, match=r"iec\.dt_min must be finite and > 0"):
                 simulate(const_series(0.9, 2), const_series(12.0, 2), 47.3, dt_min, P)
 
 
@@ -193,8 +193,8 @@ class TestParams:
     def test_non_finite_names_the_field(self, name, value):
         fields = dict(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
                       tau_w_min=10.0)
-        with pytest.raises(ValueError, match=rf"IEC parameter {name} must be positive "
-                                             rf"and finite, got {value}"):
+        with pytest.raises(ValueError, match=rf"IecParams\.{name} must be finite and > 0"
+                                             rf".*, got {value}"):
             IecParams(**dict(fields, **{name: value}))
 
     def test_chi_range(self):
