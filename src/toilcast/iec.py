@@ -12,6 +12,7 @@ file since they are transformer-specific.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,20 +96,21 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
         row = int(np.argmax(uneven)) + 1
         raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
                          f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
-    n_sub = np.round(n_sub).astype(int).tolist()
+    n_sub = np.round(n_sub[:len(K) - 1]).astype(np.int64)
 
     alpha = dt_min / (p.k11 * p.tau_o_min)
-    # Python floats: the same IEEE double arithmetic as numpy scalars, faster
-    drive = (load_bracket(K.values, p) * p.delta_t_or_k).tolist()
-    ta = Ta.values.tolist()
-    out = np.empty(len(K), dtype=np.float64)
-    out[0] = t_oil = float(t0)
-    for i in range(1, len(K)):
-        d = drive[i - 1]
-        a = ta[i - 1]
-        for _ in range(n_sub[i - 1]):
-            t_oil += alpha * (d - (t_oil - a))
-        out[i] = t_oil
+    # one Euler loop over every sub-step, with each interval's inputs repeated
+    # per sub-step; memoryview yields Python floats (the same IEEE doubles as
+    # numpy's) and array('d') keeps no float objects alive
+    drive = np.repeat((load_bracket(K.values, p) * p.delta_t_or_k)[:-1], n_sub)
+    ta = np.repeat(Ta.values[:-1], n_sub)
+    t_oil = float(t0)
+    states = array("d", [t_oil])
+    for d, a in zip(memoryview(drive), memoryview(ta)):
+        t_oil += alpha * (d - (t_oil - a))
+        states.append(t_oil)
+    # the state at each instant is the one after its interval's last sub-step
+    out = np.frombuffer(states)[np.concatenate(([0], np.cumsum(n_sub)))]
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
         raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")

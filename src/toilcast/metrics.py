@@ -8,6 +8,8 @@ from .series import check_real
 
 
 def validate_quantiles(alphas) -> tuple[float, ...]:
+    if not isinstance(alphas, (list, tuple)):
+        raise ValueError(f"quantiles must be a list of levels, got {alphas!r}")
     alphas = tuple(check_real("quantiles", "level", a, "> 0", "< 1") for a in alphas)
     if not alphas:
         raise ValueError("quantile loss needs at least one level")

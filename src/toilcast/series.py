@@ -258,6 +258,16 @@ class AffineScaler:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AffineScaler":
+        """From {channel: {"gain": g, "offset": o}}; a missing gain is 1 and a
+        missing offset 0."""
+        for name, c in cfg.items():
+            if not isinstance(c, dict):
+                raise ValueError(f"AffineScaler.{name} must be an object with keys 'gain' "
+                                 f"and 'offset', got {c!r}")
+            unknown = sorted(set(c) - {"gain", "offset"})
+            if unknown:
+                raise ValueError(f"AffineScaler.{name} has unknown keys {unknown}; "
+                                 "expected 'gain' and 'offset'")
         return cls({n: (c.get("gain", 1.0), c.get("offset", 0.0)) for n, c in cfg.items()})
 
     def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:

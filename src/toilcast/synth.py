@@ -9,6 +9,7 @@ measurements the real study used.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,8 +115,13 @@ def gen_profiles(spec: SynthSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     noise = np.zeros(n_h)
     if ap.noise_sigma > 0:
         eps = amb_rng.normal(0.0, ap.noise_sigma, size=n_h)
-        for i in range(1, n_h):
-            noise[i] = ap.ar_coeff * noise[i - 1] + eps[i]
+        # Python floats, as in iec.simulate: the same IEEE doubles as numpy's
+        x = 0.0
+        states = array("d", [x])
+        for e in memoryview(eps[1:]):
+            x = ap.ar_coeff * x + e
+            states.append(x)
+        noise = np.frombuffer(states)
     hourly = TimeSeries(hourly_ts, base + noise, STEP_HOUR_S)
     Ta = resample_ambient_linear(hourly, grid)
 

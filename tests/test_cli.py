@@ -359,6 +359,29 @@ class TestConfigValidation:
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
         assert "AffineScaler.ambient.gain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scaling, message", [
+        ({"ambient": 5}, "AffineScaler.ambient must be an object with keys 'gain' and "
+                         "'offset', got 5"),
+        ({"top_oil": {"gian": 0.01}}, "AffineScaler.top_oil has unknown keys ['gian']")])
+    def test_malformed_scaling_exits_2(self, tmp_path, capsys, scaling, message):
+        # used to end in an AttributeError traceback, or to read "gian" as gain 1.0
+        cfg = base_config(tmp_path)
+        cfg["scaling"] = scaling
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+    @pytest.mark.parametrize("loss", ["point", "quantile"])
+    def test_bare_quantile_level_exits_2(self, tmp_path, capsys, loss):
+        # with the quantile loss this used to end in a TypeError traceback
+        cfg = base_config(tmp_path)
+        cfg["quantiles"] = 0.5
+        argv = ["train", "--config", write_config(tmp_path, cfg), "--model", "ann",
+                "--loss", loss]
+        assert main(argv) == 2
+        assert "quantiles must be a list of levels, got 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"ann_{loss}.checkpoint.json").exists()
+
     @pytest.mark.parametrize("value", ["false", "true", 0, None])
     def test_multi_target_must_be_a_json_boolean(self, tmp_path, capsys, value):
         # "multi_target": "false" used to train a 2-target model

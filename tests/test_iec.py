@@ -3,6 +3,7 @@ import pytest
 
 from toilcast.iec import IecParams, check_timestep, simulate, steady_state
 from toilcast.series import TimeSeries
+from util import simulate_oracle
 
 P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
               tau_w_min=10.0)
@@ -179,6 +180,102 @@ class TestSimulate:
         Ta = const_series(20.0, 10)
         with pytest.raises(ValueError, match="divide"):
             simulate(K, Ta, 30.0, 3.0, P)
+
+
+def random_inputs(seed, n, keep=1.0):
+    """Seeded load and ambient on a 5-minute grid, each row after the first
+    kept with probability `keep`, plus a random starting temperature."""
+    rng = np.random.default_rng(seed)
+    ts = 300 * np.arange(n, dtype=np.int64)
+    rows = np.flatnonzero(np.r_[True, rng.random(n - 1) < keep])
+    K = TimeSeries(ts[rows], rng.uniform(0.0, 1.5, n)[rows], 300)
+    Ta = TimeSeries(ts[rows], rng.normal(15.0, 8.0, n)[rows], 300)
+    return K, Ta, float(rng.uniform(10.0, 90.0))
+
+
+def outcome(solver, *args, **kw):
+    """The trajectory a solver returns, or the type and message it raises."""
+    try:
+        return solver(*args, **kw).values
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b):
+    return (np.array_equal(a, b) if isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+            else a == b)
+
+
+class TestFlatLoopMatchesNestedOracle:
+    """`simulate` runs one flat loop over every sub-step; the oracle loops per
+    interval, then per sub-step. Both do the same float operations in the same
+    order, so every value and every message agrees bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 31])
+    @pytest.mark.parametrize("dt", [5.0, 2.5, 1.0])
+    def test_uniform_grid(self, seed, dt):
+        K, Ta, t0 = random_inputs(seed, 400)
+        new, old = simulate(K, Ta, t0, dt, P), simulate_oracle(K, Ta, t0, dt, P)
+        assert np.array_equal(new.values, old.values)
+        assert np.array_equal(new.timestamps, old.timestamps) and new.step == old.step
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 31])
+    @pytest.mark.parametrize("dt", [5.0, 2.5])
+    def test_grid_with_dropped_rows(self, seed, dt):
+        K, Ta, t0 = random_inputs(seed, 400, keep=0.7)
+        assert (np.diff(K.timestamps) > 300).any()
+        assert np.array_equal(simulate(K, Ta, t0, dt, P).values,
+                              simulate_oracle(K, Ta, t0, dt, P).values)
+
+    @pytest.mark.parametrize("dt", [5.0, 2.5, 1.0])
+    def test_one_point_series(self, dt):
+        K, Ta, t0 = random_inputs(7, 1)
+        traj = simulate(K, Ta, t0, dt, P)
+        assert np.array_equal(traj.values, simulate_oracle(K, Ta, t0, dt, P).values)
+        assert traj.values.tolist() == [t0]
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 31])
+    @pytest.mark.parametrize("dt", [5.0, 2.5])
+    def test_diverging_run_names_the_same_step(self, seed, dt):
+        # alpha = dt / tau_o > 2: the Euler update overshoots and grows until inf - inf
+        fast = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=1.0,
+                         tau_w_min=10.0)
+        K, Ta, t0 = random_inputs(seed, 1200, keep=0.9)
+        with pytest.raises(FloatingPointError) as new:
+            simulate(K, Ta, t0, dt, fast)
+        with pytest.raises(FloatingPointError) as old:
+            simulate_oracle(K, Ta, t0, dt, fast)
+        assert str(new.value) == str(old.value)
+        assert "diverged at step" in str(new.value)
+
+    @pytest.mark.parametrize("case", ["misaligned", "step rule", "uneven row", "uneven step",
+                                      "override", "non-finite input", "non-finite start"])
+    def test_checks_and_messages_are_unchanged(self, case):
+        K, Ta, t0 = random_inputs(11, 50)
+        dt, p, kw = 5.0, P, {}
+        tight = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
+                          tau_w_min=4.0)
+        if case == "misaligned":
+            Ta = TimeSeries(Ta.timestamps + 300, Ta.values, 300)
+        elif case == "step rule":
+            p = tight
+        elif case == "uneven row":
+            ts = K.timestamps.copy()
+            ts[20:] += 100
+            K, Ta = TimeSeries(ts, K.values, 300), TimeSeries(ts, Ta.values, 300)
+        elif case == "uneven step":
+            dt = 3.0
+        elif case == "override":
+            p, kw = tight, {"enforce_timestep": False}
+        elif case == "non-finite start":
+            t0 = np.nan
+        else:
+            values = Ta.values.copy()
+            values[30] = np.inf
+            Ta = TimeSeries(Ta.timestamps, values, 300)
+        new = outcome(simulate, K, Ta, t0, dt, p, **kw)
+        assert same_outcome(new, outcome(simulate_oracle, K, Ta, t0, dt, p, **kw))
+        assert isinstance(new, np.ndarray) == (case == "override")
 
 
 class TestParams:

@@ -165,6 +165,13 @@ class TestIntervals:
 
 
 class TestLossKind:
+    @pytest.mark.parametrize("alphas", [0.5, "0.5", None, {0.5: 1}],
+                             ids=["float", "str", "none", "dict"])
+    def test_validate_quantiles_needs_a_list(self, alphas):
+        # a bare 0.5 used to end in TypeError: 'float' object is not iterable
+        with pytest.raises(ValueError, match=r"quantiles must be a list of levels, got "):
+            validate_quantiles(alphas)
+
     def test_validate_quantiles_ordering(self):
         with pytest.raises(ValueError, match="increasing"):
             validate_quantiles((0.5, 0.5))

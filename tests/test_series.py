@@ -372,6 +372,24 @@ class TestScaler:
                                              r"finite"):
             AffineScaler({"top_oil": (0.01, 0.0), "ambient": pair})
 
+    def test_from_config_fills_missing_gain_and_offset(self):
+        sc = AffineScaler.from_config({"top_oil": {"gain": 0.01}, "ambient": {"offset": 5},
+                                       "load_factor": {}})
+        assert sc.channels == {"top_oil": (0.01, 0.0), "ambient": (1.0, 5.0),
+                               "load_factor": (1.0, 0.0)}
+
+    @pytest.mark.parametrize("entry", [5, 0.01, None, [0.01, 0.0], "gain"])
+    def test_from_config_entry_must_be_an_object(self, entry):
+        with pytest.raises(ValueError, match=r"AffineScaler\.ambient must be an object with "
+                                             r"keys 'gain' and 'offset', got "):
+            AffineScaler.from_config({"top_oil": {"gain": 0.01}, "ambient": entry})
+
+    def test_from_config_misspelt_key_names_channel_and_key(self):
+        # {"gian": 0.01} used to be read as gain 1.0
+        with pytest.raises(ValueError, match=r"AffineScaler\.top_oil has unknown keys "
+                                             r"\['gian'\]"):
+            AffineScaler.from_config({"top_oil": {"gian": 0.01}})
+
     def test_scale_windows_per_channel(self):
         ds = make_dataset(12)
         ws = make_windows(ds, 3, 1, ("top_oil", "ambient"), ("top_oil",))

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from toilcast.iec import steady_state
-from toilcast.series import load_dataset
-from toilcast.synth import (AmbientProfile, LoadProfile, SynthSpec, gen_dataset,
+from toilcast.series import load_dataset, resample_ambient_linear
+from toilcast.synth import (AmbientProfile, LoadProfile, SynthSpec, _stream, gen_dataset,
                             gen_profiles, write_dataset_csvs)
+from util import ar1_oracle, simulate_oracle
 
 
 def quiet_spec(**kw):
@@ -87,6 +90,38 @@ class TestDataset:
         ds, _, _ = gen_dataset(SynthSpec(days=2, seed=7))
         assert np.abs(ds.temp_rise.values
                       - (ds.top_oil.values - ds.ambient.values)).max() <= 1e-9
+
+
+def oracle_hourly(spec):
+    """The hourly ambient with its AR(1) noise from `ar1_oracle`: the
+    sinusoid is the noiseless profile of the same spec, the innovations the
+    ambient stream's draws."""
+    ap = spec.ambient
+    _, _, base = gen_profiles(replace(spec, ambient=replace(ap, noise_sigma=0.0)))
+    eps = _stream(spec, 1).normal(0.0, ap.noise_sigma, size=len(base))
+    return base.values + ar1_oracle(eps, ap.ar_coeff)
+
+
+class TestFlatLoopsMatchOracles:
+    """The ambient AR(1) and the IEC solver run as flat loops over Python
+    floats; their per-index oracles store numpy scalars. Both sides do the same
+    IEEE double operations in the same order."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 31])
+    @pytest.mark.parametrize("ar_coeff", [0.0, 0.9])
+    def test_dataset_clean_and_hourly(self, seed, ar_coeff):
+        spec = SynthSpec(days=3, seed=seed, ambient=AmbientProfile(ar_coeff=ar_coeff))
+        ds, clean, hourly = gen_dataset(spec)
+        hourly_values = oracle_hourly(spec)
+        assert np.array_equal(hourly.values, hourly_values)
+        Ta = resample_ambient_linear(replace(hourly, values=hourly_values), ds.timestamps)
+        assert np.array_equal(ds.ambient.values, Ta.values)
+        K = ds.load_factor
+        t0 = steady_state(float(K.values[0]), float(Ta.values[0]), spec.iec)
+        expected = simulate_oracle(K, Ta, t0, 5.0, spec.iec).values
+        assert np.array_equal(clean.values, expected)
+        noise = _stream(spec, 2).normal(0.0, spec.measurement_noise_k, size=len(expected))
+        assert np.array_equal(ds.top_oil.values, expected + noise)
 
 
 class TestCsvRoundTrip:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from toilcast.autodiff import backward, no_grad
+from toilcast.iec import check_timestep, load_bracket
 from toilcast.metrics import _pair, pinball
 from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
 
@@ -75,6 +76,52 @@ def rollout_oracle(model, valid) -> np.ndarray:
             out.append(y[0])
             scaled[i, cols] = (y[0, :, mid] - offset[cols]) * gain[cols]
     return np.array(out)
+
+
+def simulate_oracle(K, Ta, t0, dt_min, p, enforce_timestep=True) -> TimeSeries:
+    """The IEC Euler solver as a loop per interval with a nested loop per
+    sub-step, each state stored into a numpy array, with the same checks and
+    messages. The oracle of `iec.simulate`."""
+    if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
+        raise ValueError("load and ambient series are not aligned")
+    if not check_timestep(dt_min, p) and enforce_timestep:
+        raise ValueError(
+            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
+            "(pass enforce_timestep=False to override)"
+        )
+    gaps_s = np.diff(K.timestamps) if len(K) > 1 else np.array([K.step])
+    n_sub = gaps_s / (dt_min * 60.0)
+    uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
+    if uneven.any():
+        row = int(np.argmax(uneven)) + 1
+        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
+                         f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
+    n_sub = np.round(n_sub).astype(int).tolist()
+    alpha = dt_min / (p.k11 * p.tau_o_min)
+    drive = (load_bracket(K.values, p) * p.delta_t_or_k).tolist()
+    ta = Ta.values.tolist()
+    out = np.empty(len(K), dtype=np.float64)
+    out[0] = t_oil = float(t0)
+    for i in range(1, len(K)):
+        d = drive[i - 1]
+        a = ta[i - 1]
+        for _ in range(n_sub[i - 1]):
+            t_oil += alpha * (d - (t_oil - a))
+        out[i] = t_oil
+    if not np.isfinite(out).all():
+        bad = int(np.argmax(~np.isfinite(out)))
+        raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
+    return TimeSeries(K.timestamps, out, K.step)
+
+
+def ar1_oracle(eps, ar_coeff) -> np.ndarray:
+    """Hourly AR(1) noise stored per index into a numpy array, starting at 0
+    and ignoring eps[0]. The oracle of the ambient noise in
+    `synth.gen_profiles`."""
+    noise = np.zeros(len(eps))
+    for i in range(1, len(eps)):
+        noise[i] = ar_coeff * noise[i - 1] + eps[i]
+    return noise
 
 
 def mql(y, y_hat, alpha) -> float:
