@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -365,10 +366,12 @@ def config_from_dict(family: str, raw: dict):
     return cls(**cleaned)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """Architecture config plus learned parameters and the feature scaler,
-    ready for autoregressive prediction in raw units."""
+    ready for autoregressive prediction in raw units. Frozen, so that what
+    is derived from it (`model`, `config_hash`) cannot go stale: make a
+    changed copy with `dataclasses.replace`."""
 
     family: str
     config: MlpConfig | TcnConfig | TideConfig
@@ -377,19 +380,16 @@ class TrainedModel:
     target_channels: tuple[str, ...]
     scaler: AffineScaler
     seed: int
-    config_hash: str = ""
 
     def __post_init__(self):
-        self.input_channels = tuple(self.input_channels)
-        self.target_channels = tuple(self.target_channels)
+        object.__setattr__(self, "input_channels", tuple(self.input_channels))
+        object.__setattr__(self, "target_channels", tuple(self.target_channels))
         if len(self.input_channels) != getattr(self.config, "n_channels"):
             raise ValueError(f"config expects {self.config.n_channels} input channels, "
                              f"got {self.input_channels}")
         if len(self.target_channels) != self.config.n_targets:
             raise ValueError(f"config expects {self.config.n_targets} targets, "
                              f"got {self.target_channels}")
-        if not self.config_hash:
-            self.config_hash = config_fingerprint(self)
 
     @property
     def quantiles(self) -> tuple[float, ...]:
@@ -400,38 +400,28 @@ class TrainedModel:
         return build_model(self.family, self.config)
 
     @cached_property
-    def _scaling(self) -> tuple:
-        """The scaler's map, built once: the gain and offset vectors of the
-        input channels, which scale a slice, and each target's input column,
-        offset and gain as Python numbers, which `feed` applies."""
+    def config_hash(self) -> str:
+        """The fingerprint of everything but the parameters."""
+        return config_fingerprint(self)
+
+    def prepare(self, matrix: np.ndarray) -> SimpleNamespace:
+        """The rollout over a raw-unit (n, C) input matrix. It holds `scaled`,
+        the matrix scaled once; `windows`, the plan's inputs at every step as
+        read-only views onto it (TiDE: and onto every row's covariates,
+        projected once); `plan`, the forward pass (TiDE: `decode`) captured
+        on the first window; and two functions bound to these. `step(i)`
+        replays the plan on rows i-L .. i-1 (TiDE also reads the covariates
+        of rows i .. i+H-1) and returns (H, T, Q) predictions in raw units
+        with non-crossing enforced; IndexError for a step before the first
+        full window or past the slice. `feed(i, targets)` writes raw-unit
+        targets into row i, scaled as the matrix was, in Python floats (the
+        same IEEE double arithmetic as numpy's), and later windows show them.
+        ValueError if the matrix is shorter than one window."""
+        cfg, L = self.config, self.config.lookback
         gain, offset = self.scaler.vectors(self.input_channels)
-        cols = [self.input_channels.index(c) for c in self.target_channels]
-        return gain, offset, tuple((j, float(offset[j]), float(gain[j])) for j in cols)
-
-    @cached_property
-    def _stepping(self) -> tuple:
-        """What `step` reads, bound once: the look-back, the (H, T, Q) output
-        shape, whether it sorts quantiles, and the target gains and offsets
-        as (T, 1) columns, which unscale an output."""
-        cfg = self.config
-        gain, offset, targets = self._scaling
-        cols = [j for j, _, _ in targets]
-        return (cfg.lookback, (cfg.horizon, cfg.n_targets, cfg.n_quantiles),
-                cfg.n_quantiles > 1, gain[cols][:, None], offset[cols][:, None])
-
-    def prepare(self, matrix: np.ndarray) -> tuple:
-        """The per-slice work of a forecast over a raw-unit (n, C) input
-        matrix: the matrix scaled once, for TiDE the covariates of every row
-        projected once, the plan's inputs at every step as windows onto
-        those, and the forward pass (TiDE: `decode`) captured on the first
-        window as the plan that `step` replays. `feed` writes fed-back
-        targets into the scaled matrix, which the windows show. ValueError
-        if the matrix is shorter than one window."""
-        gain, offset = self._scaling[:2]
         # C order, so that a flattened window is a view that `strided_windows` can stride
         scaled = np.ascontiguousarray((np.asarray(matrix, dtype=np.float64) - offset) * gain)
-        forward, cfg, L = self.model.forward, self.config, self.config.lookback
-        tide = self.family == "tide"
+        forward, tide = self.model.forward, self.family == "tide"
         need = L + (cfg.horizon if tide else 0)
         if len(scaled) < need:
             raise ValueError(f"prepare: the slice has {len(scaled)} rows, one window needs "
@@ -446,36 +436,33 @@ class TrainedModel:
                        strided_windows(proj, proj[None, :need], need))
         else:
             windows = (strided_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
-        return scaled, windows, capture(forward, self.params, *(w[0] for w in windows))
+        plan = capture(forward, self.params, *(w[0] for w in windows))
+        run, sort = plan.run, cfg.n_quantiles > 1
+        shape = (cfg.horizon, cfg.n_targets, cfg.n_quantiles)
+        cols = [self.input_channels.index(c) for c in self.target_channels]
+        gain_col, off_col = gain[cols][:, None], offset[cols][:, None]
+        targets = [(j, float(offset[j]), float(gain[j])) for j in cols]
 
-    def step(self, prepared: tuple, i: int) -> np.ndarray:
-        """The captured forward pass replayed on rows i-L .. i-1 of a prepared
-        slice (TiDE also reads the covariates of rows i .. i+H-1): (H, T, Q)
-        predictions in raw units with non-crossing enforced. IndexError for a
-        step before the first full window or past the slice."""
-        _, windows, plan = prepared
-        L, shape, sort, gain_col, off_col = self._stepping
-        if i < L:   # a negative window index would read a window from the end
-            raise IndexError(f"step {i} precedes the first full window (lookback {L})")
-        # the plan returns an array of its own: unscale and sort it in place
-        out = plan.run(*[w[i - L] for w in windows]).reshape(shape)
-        out /= gain_col
-        out += off_col
-        if sort:
-            out.sort(axis=-1)
-        return out
+        def step(i: int) -> np.ndarray:
+            if i < L:   # a negative window index would read a window from the end
+                raise IndexError(f"step {i} precedes the first full window (lookback {L})")
+            # the plan returns an array of its own: unscale and sort it in place
+            out = run(*[w[i - L] for w in windows]).reshape(shape)
+            out /= gain_col
+            out += off_col
+            if sort:
+                out.sort(axis=-1)
+            return out
 
-    def feed(self, prepared: tuple, i: int, targets: np.ndarray) -> None:
-        """Write raw-unit target values into row i of a prepared slice,
-        scaled as `prepare` scales the matrix (in Python floats: the same
-        IEEE double arithmetic as numpy's)."""
-        scaled = prepared[0]
-        for (j, offset, gain), value in zip(self._scaling[2], targets.tolist()):
-            scaled[i, j] = (value - offset) * gain
+        def feed(i: int, values: np.ndarray) -> None:
+            for (j, off, g), value in zip(targets, values.tolist()):
+                scaled[i, j] = (value - off) * g
+
+        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, step=step, feed=feed)
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
-        """`step` on one prepared raw-unit (L, C) window, plus for TiDE the
-        (H, n_covariates) covariates over the forecast steps."""
+        """The first step of the rollout over one raw-unit (L, C) window, plus
+        for TiDE the (H, n_covariates) covariates over the forecast steps."""
         cfg = self.config
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (cfg.lookback, len(self.input_channels)):
@@ -486,7 +473,7 @@ class TrainedModel:
                 raise ValueError("TiDE prediction needs covariates over the forecast steps")
             window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
             window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
-        return self.step(self.prepare(window), cfg.lookback)
+        return self.prepare(window).step(cfg.lookback)
 
 
 def _description(model: TrainedModel) -> dict:
@@ -545,12 +532,10 @@ def load_checkpoint(path) -> TrainedModel:
     scaler = AffineScaler({n: (c["gain"], c["offset"]) for n, c in doc["scaling"].items()})
     params: dict[str, Tensor] = {}
     model = TrainedModel(doc["family"], cfg, params, tuple(doc["input_channels"]),
-                         tuple(doc["target_channels"]), scaler, doc["seed"],
-                         doc["config_hash"])
-    fingerprint = config_fingerprint(model)
-    if model.config_hash != fingerprint:
-        raise ValueError(f"{path}: config_hash {model.config_hash[:12]} does not match the "
-                         f"fingerprint {fingerprint[:12]} of the stored family, config, "
+                         tuple(doc["target_channels"]), scaler, doc["seed"])
+    if doc["config_hash"] != model.config_hash:
+        raise ValueError(f"{path}: config_hash {doc['config_hash'][:12]} does not match the "
+                         f"fingerprint {model.config_hash[:12]} of the stored family, config, "
                          "channels, scaling and seed")
     expected = model.model.param_shapes()
     stored = doc["params"]

@@ -37,8 +37,8 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
 
     The first window seeds from measured targets; thereafter predicted
     targets are fed back while covariates stay measured. Quantile models
-    feed back their median (alpha = 0.5) trace. The model prepares the
-    slice once, then steps along it and feeds each median back into it.
+    feed back their median (alpha = 0.5) trace. `model.prepare` returns the
+    rollout over the slice, whose `step` and `feed` then run along it.
     """
     cfg = model.config
     L = cfg.lookback
@@ -57,14 +57,14 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     # every step's (T, Q) output, in raw units; the median column is fed back
     preds = np.empty((n_out, len(target_channels), max(1, len(alphas))))
     points = preds[:, :, mid]
-    step, feed = model.step, model.feed
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        prepared = model.prepare(valid.matrix(model.input_channels))
+        rollout = model.prepare(valid.matrix(model.input_channels))
+        step, feed = rollout.step, rollout.feed
         for k, i in enumerate(range(L, N)):
-            preds[k] = step(prepared, i)     # (1, T, Q)
-            feed(prepared, i, points[k])
+            preds[k] = step(i)     # (1, T, Q)
+            feed(i, points[k])
     finite = np.isfinite(preds).all(axis=(1, 2))
     if not finite.all():
         k = int(finite.argmin())

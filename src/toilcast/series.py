@@ -316,8 +316,9 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
 
     column_map maps CSV header names to channel names and must include a
     'timestamp' entry. Rows whose timestamp does not parse are rejected and
-    reported by row index (0-based, excluding the header). Empty value cells
-    become NaN (missing).
+    reported by row index (0-based, excluding the header). Empty and `nan`
+    value cells become NaN (missing); any other cell that is not a finite
+    number is a ValueError naming the path, the row and the column.
     """
     path = Path(path)
     if not path.exists():
@@ -350,7 +351,14 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
             stamps.append(t)
             for col, mapped in value_cols.items():
                 cell = (row[col] or "").strip()
-                values[mapped].append(float(cell) if cell else math.nan)
+                try:
+                    value = float(cell or "nan")
+                except ValueError:
+                    value = None
+                if value is None or math.isinf(value):
+                    raise ValueError(f"{path}: row {idx}, column '{col}' holds {cell!r}, "
+                                     "not a finite number")
+                values[mapped].append(value)
 
     if not stamps:
         raise ValueError(f"no parseable rows in {path}")
@@ -487,6 +495,7 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     by `rated_current_a`) or load_factor. The ambient file provides hourly
     ambient_c readings which are linearly interpolated onto the measurement
     grid; measurements outside the ambient span are dropped (no extrapolation).
+    A row whose timestamp does not parse, in either file, is a ValueError.
     """
     with open(measurements_path, newline="") as fh:
         header = (fh.readline() or "").strip().split(",")
@@ -497,9 +506,14 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     else:
         raise ValueError(f"measurements file needs a current_a or load_factor column, got {header}")
 
-    meas = ingest_measurements(measurements_path, col_map, STEP_5MIN_S, default_offset).series
+    meas = ingest_measurements(measurements_path, col_map, STEP_5MIN_S, default_offset)
     amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
-                              STEP_HOUR_S, default_offset).series["ambient"]
+                              STEP_HOUR_S, default_offset)
+    for path, rows in ((measurements_path, meas.rejected_rows), (ambient_path, amb.rejected_rows)):
+        if rows:
+            raise ValueError(f"{path}: the timestamp does not parse on rows {rows[:10]} "
+                             f"(0-based, after the header; {len(rows)} in all)")
+    meas, amb = meas.series, amb.series["ambient"]
     # Hourly rows with missing readings are dropped; interpolation then spans them.
     present = ~np.isnan(amb.values)
     if not present.all():

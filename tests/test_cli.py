@@ -289,6 +289,19 @@ class TestConfigValidation:
         assert "train.ann" in err and "'max_epoch'" in err and "'optimizer'" in err
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
 
+    def test_unparseable_timestamp_in_measurements_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["synth", "--config", write_config(tmp_path, cfg)]) == 0
+        meas = tmp_path / "out" / "measurements.csv"
+        lines = meas.read_text().splitlines()
+        lines[11] = "2020-07-01T00:50:00 UTC" + lines[11][lines[11].index(","):]
+        meas.write_text("\n".join(lines) + "\n")
+        del cfg["data"]["synth"]
+        cfg["data"].update(measurements=str(meas), ambient=str(tmp_path / "out" / "ambient.csv"))
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        assert f"{meas}: the timestamp does not parse on rows [10]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
     @pytest.mark.parametrize("key, value", [("batch_size", None), ("patience", 0)])
     def test_invalid_train_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = base_config(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from toilcast.iec import IecParams, steady_state
 from toilcast.rolling import (ForecastTrace, autoregressive_predict, evaluate,
                               iec_predict)
-from toilcast.series import TimeSeries, TransformerDataset, format_instant
+from toilcast.series import AffineScaler, TimeSeries, TransformerDataset, format_instant
 from toilcast.synth import SynthSpec, gen_dataset
 from util import IDENTITY, make_dataset, rollout_oracle, window_views
 
@@ -20,7 +21,8 @@ CHANNELS = ("top_oil", "ambient", "load_factor")
 
 class StubModel:
     """Duck-typed stand-in driven by a window -> scalar rule, with identity
-    scaling: the prepared slice is a copy of the raw matrix."""
+    scaling: the rollout's slice is a copy of the raw matrix, which its
+    `step` and `feed` receive first."""
 
     family = "stub"
     input_channels = CHANNELS
@@ -32,14 +34,15 @@ class StubModel:
         self.fn = fn
 
     def prepare(self, matrix):
-        return np.array(matrix, dtype=float)
+        rows = np.array(matrix, dtype=float)
+        return SimpleNamespace(step=partial(self.step, rows), feed=partial(self.feed, rows))
 
-    def step(self, prepared, i):
-        window = prepared[i - self.config.lookback: i]
+    def step(self, rows, i):
+        window = rows[i - self.config.lookback: i]
         return np.asarray([[[self.fn(window)]]], dtype=float)
 
-    def feed(self, prepared, i, targets):
-        prepared[i, :1] = targets   # top_oil is the first input channel
+    def feed(self, rows, i, targets):
+        rows[i, :1] = targets   # top_oil is the first input channel
 
 
 class OracleModel(StubModel):
@@ -50,7 +53,7 @@ class OracleModel(StubModel):
         self.truth = truth
         self.i = lookback
 
-    def step(self, prepared, i):
+    def step(self, rows, i):
         v = self.truth[self.i]
         self.i += 1
         return np.asarray([[[v]]], dtype=float)
@@ -66,8 +69,8 @@ class QuantileStub(StubModel):
         super().__init__(lookback, None)
         self.k, self.slot, self.bad = k, slot, bad
 
-    def step(self, prepared, i):
-        v = prepared[i - 1, 0]
+    def step(self, rows, i):
+        v = rows[i - 1, 0]
         out = np.array([[[v - 1.0, v, v + 1.0]]])
         if i - self.config.lookback == self.k:
             out[0, 0, self.slot] = self.bad
@@ -396,7 +399,8 @@ class TestPreparedRollout:
         from toilcast.autodiff import no_grad
 
         model = make_model(*ROLLOUT_CASES[case][:3])
-        scaled, windows, _ = model.prepare(make_dataset(30, seed=52).matrix(model.input_channels))
+        rollout = model.prepare(make_dataset(30, seed=52).matrix(model.input_channels))
+        scaled, windows = rollout.scaled, rollout.windows
         proj = None
         if case == "tide":
             with no_grad():
@@ -413,13 +417,13 @@ class TestPreparedRollout:
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_step_outside_the_slice_rejected(self, family):
         model = make_model(family)   # look-back 6
-        prepared = model.prepare(make_dataset(20, seed=54).matrix(model.input_channels))
+        rollout = model.prepare(make_dataset(20, seed=54).matrix(model.input_channels))
         for i in (0, 5):
             with pytest.raises(IndexError, match=rf"step {i} precedes the first full window"):
-                model.step(prepared, i)
+                rollout.step(i)
         with pytest.raises(IndexError):
-            model.step(prepared, 21)
-        model.step(prepared, 6)
+            rollout.step(21)
+        rollout.step(6)
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_fortran_ordered_matrix_gives_the_same_steps(self, family):
@@ -428,7 +432,7 @@ class TestPreparedRollout:
         matrix = make_dataset(30, seed=53).matrix(model.input_channels)
         rows, cols = model.prepare(matrix), model.prepare(np.asfortranarray(matrix))
         for i in range(6, 29):
-            assert model.step(rows, i).tobytes() == model.step(cols, i).tobytes()
+            assert rows.step(i).tobytes() == cols.step(i).tobytes()
 
     @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
     def test_replay_equals_forward(self, case):
@@ -437,7 +441,8 @@ class TestPreparedRollout:
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
         valid = make_dataset(40, seed=43)
-        scaled, windows, plan = model.prepare(valid.matrix(model.input_channels))
+        rollout = model.prepare(valid.matrix(model.input_channels))
+        scaled, windows, plan = rollout.scaled, rollout.windows, rollout.plan
         L, T = model.config.lookback, model.config.n_targets
         for i in range(L, valid.n):
             future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if family == "tide" else None
@@ -463,7 +468,7 @@ class TestPreparedRollout:
 
     def test_weight_norm_kernel_folded_at_capture(self):
         valid = make_dataset(20, seed=45)
-        plans = [make_model("tcn", weight_norm=wn).prepare(valid.matrix(CHANNELS))[2]
+        plans = [make_model("tcn", weight_norm=wn).prepare(valid.matrix(CHANNELS)).plan
                  for wn in (False, True)]
         assert len(plans[0]._steps) == len(plans[1]._steps)
 
@@ -505,11 +510,11 @@ class TestPreparedRollout:
     def test_held_step_results_stay_distinct(self, case):
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        prepared = model.prepare(make_dataset(20, seed=48).matrix(model.input_channels))
-        first = model.step(prepared, 6)
+        rollout = model.prepare(make_dataset(20, seed=48).matrix(model.input_channels))
+        first = rollout.step(6)
         kept = first.copy()
-        second = model.step(prepared, 7)
-        again = model.step(prepared, 6)
+        second = rollout.step(7)
+        again = rollout.step(6)
         assert not np.shares_memory(first, second) and not np.shares_memory(first, again)
         assert first.tobytes() == kept.tobytes() == again.tobytes()
 
@@ -527,19 +532,40 @@ class TestPreparedRollout:
     def test_steps_write_only_what_feed_writes(self, case):
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        scaled, windows, plan = prepared = model.prepare(
-            make_dataset(30, seed=50).matrix(model.input_channels))
+        rollout = model.prepare(make_dataset(30, seed=50).matrix(model.input_channels))
+        scaled, windows, plan = rollout.scaled, rollout.windows, rollout.plan
         constants = [(v, v.copy()) for v in plan._vals if isinstance(v, np.ndarray)]
         # TiDE's second windows read its projected covariates
         want, proj, want_proj = scaled.copy(), windows[1:], [w.copy() for w in windows[1:]]
         mid = quantiles.index(0.5) if quantiles else 0
+        gain, offset = model.scaler.vectors(model.input_channels)
+        cols = [model.input_channels.index(c) for c in model.target_channels]
         for i in range(6, 30):
-            point = model.step(prepared, i)[0, :, mid]
-            model.feed(prepared, i, point)
-            model.feed((want,), i, point)
+            point = rollout.step(i)[0, :, mid]
+            rollout.feed(i, point)
+            want[i, cols] = (point - offset[cols]) * gain[cols]
         assert scaled.tobytes() == want.tobytes()
         assert all(w.tobytes() == kept.tobytes() for w, kept in zip(proj, want_proj))
         assert constants and all(v.tobytes() == kept.tobytes() for v, kept in constants)
+
+    @pytest.mark.parametrize("family", ["ann", "tide"])
+    def test_a_new_scaler_takes_a_new_model(self, family):
+        # the scaling was cached on first use, so a reassigned scaler went unread
+        model = make_model(family, Q)
+        valid = make_dataset(30, seed=55)
+        before = autoregressive_predict(model, valid)
+        # not gains alone: with zero biases a ReLU net maps 2x to 2 f(x)
+        moved = AffineScaler({n: (2.0 * g, o + 1.0)
+                              for n, (g, o) in model.scaler.channels.items()})
+        with pytest.raises(FrozenInstanceError):
+            model.scaler = moved
+        other = replace(model, scaler=moved)
+        trace = autoregressive_predict(other, valid)
+        assert np.array_equal(trace.quantiles, reference_rollout(other, valid))
+        assert not np.array_equal(trace.quantiles, before.quantiles)
+        assert other.config_hash != model.config_hash
+        assert autoregressive_predict(model, valid).quantiles.tobytes() == \
+            before.quantiles.tobytes()
 
     @pytest.mark.parametrize("family, rows", [("ann", 6), ("tcn", 6), ("tide", 7)])
     def test_slice_shorter_than_a_window_rejected(self, family, rows):
@@ -553,11 +579,11 @@ class TestPreparedRollout:
     @pytest.mark.parametrize("inputs", [("top_oil", "temp_rise", "ambient", "load_factor"),
                                         ("top_oil", "ambient", "temp_rise", "load_factor")])
     def test_feed_writes_the_target_columns(self, inputs):
-        model = replace(make_model("ann", n_targets=2), input_channels=inputs, config_hash="")
-        prepared = model.prepare(make_dataset(20, seed=46).matrix(inputs))
-        want = prepared[0].copy()
+        model = replace(make_model("ann", n_targets=2), input_channels=inputs)
+        rollout = model.prepare(make_dataset(20, seed=46).matrix(inputs))
+        want = rollout.scaled.copy()
         cols = [inputs.index("top_oil"), inputs.index("temp_rise")]
         gain, offset = model.scaler.vectors(inputs)
         want[9, cols] = (np.array([50.0, 30.0]) - offset[cols]) * gain[cols]
-        model.feed(prepared, 9, np.array([50.0, 30.0]))
-        assert np.array_equal(prepared[0], want)
+        rollout.feed(9, np.array([50.0, 30.0]))
+        assert np.array_equal(rollout.scaled, want)

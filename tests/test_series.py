@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from toilcast.series import (CHANNELS, AffineScaler, SplitSpec, TimeSeries,
                              TransformerDataset, WindowSet, derive_load_factor,
                              fill_gaps_adjacent_mean, format_instant, ingest_measurements,
-                             make_windows, parse_instant, resample_ambient_linear,
-                             scale_windows, split, strided_windows)
+                             load_dataset, make_windows, parse_instant,
+                             resample_ambient_linear, scale_windows, split, strided_windows)
+from toilcast.synth import SynthSpec, gen_dataset, write_dataset_csvs
 from util import make_dataset
 
 START = 1_600_000_000  # on the 5-minute grid
@@ -79,6 +81,48 @@ class TestIngest:
         got = ingest_measurements(p, COLMAP).series["top_oil"]
         assert np.isnan(got.values[1]) and got.has_missing()
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", " nan "])
+    def test_nan_cell_becomes_missing(self, tmp_path, cell):
+        p = tmp_path / "m.csv"
+        write_csv(p, [(format_instant(START), "1"), (format_instant(START + 300), cell)])
+        got = ingest_measurements(p, COLMAP).series["top_oil"]
+        assert got.values[0] == 1.0 and np.isnan(got.values[1])
+
+    @pytest.mark.parametrize("cell", ["abc", "inf", "-inf", "1e999", "4O.5"])
+    def test_cell_that_is_not_a_finite_number_named(self, tmp_path, cell):
+        # "abc" used to fail with float()'s bare message, and inf passed silently
+        p = tmp_path / "m.csv"
+        write_csv(p, [(format_instant(START + 300 * i), "40.0", "10.0") for i in range(3)]
+                  + [(format_instant(START + 900), "41.0", cell)],
+                  header=("timestamp", "top_oil_c", "ambient_c"))
+        message = f"{p}: row 3, column 'ambient_c' holds '{cell}', not a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_measurements(p, {**COLMAP, "ambient_c": "ambient"})
+
+
+def corrupt_timestamp(path, row):
+    """Replace the timestamp of data row `row` (0-based, after the header)."""
+    lines = path.read_text().splitlines()
+    lines[row + 1] = "not-a-date" + lines[row + 1][lines[row + 1].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLoadDataset:
+    @pytest.mark.parametrize("name, rows", [("measurements", [0]), ("measurements", [10]),
+                                            ("measurements", [3, 4]), ("ambient", [2])],
+                             ids=["first-row", "row-10", "two-rows", "ambient"])
+    def test_unparseable_timestamp_names_the_rows(self, tmp_path, name, rows):
+        # a bad first row used to start the dataset 5 minutes late without a word,
+        # a bad row 10 to fail as a grid that is not uniform, naming no row
+        ds, clean, hourly = gen_dataset(SynthSpec(days=1, seed=3))
+        paths = write_dataset_csvs(tmp_path, ds, hourly, clean)
+        for row in rows:
+            corrupt_timestamp(paths[name], row)
+        message = (f"{paths[name]}: the timestamp does not parse on rows {rows} "
+                   f"(0-based, after the header; {len(rows)} in all)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(paths["measurements"], paths["ambient"])
+
 
 def series_of(vals, step=300):
     ts = START + step * np.arange(len(vals), dtype=np.int64)
@@ -102,6 +146,32 @@ class TestFillGaps:
     def test_boundary_gap_rejected(self, vals):
         with pytest.raises(ValueError, match="boundary"):
             fill_gaps_adjacent_mean(series_of(vals))
+
+    def test_random_gaps_properties(self):
+        # seeded random NaN patterns, from none missing to most of the interior
+        rng = np.random.default_rng(63)
+        lone_gaps = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 40))
+            vals = rng.normal(40.0, 10.0, n)
+            missing = rng.random(n) < rng.uniform(0.0, 0.9)
+            missing[[0, -1]] = False
+            s = series_of(np.where(missing, np.nan, vals))
+            out = fill_gaps_adjacent_mean(s).values
+            assert np.array_equal(out[~missing], vals[~missing])
+            idx = np.arange(n)
+            assert np.array_equal(out[missing],
+                                  np.interp(idx[missing], idx[~missing], vals[~missing]))
+            lone = np.flatnonzero(missing[1:-1] & ~missing[:-2] & ~missing[2:]) + 1
+            mean = (vals[lone - 1] + vals[lone + 1]) / 2
+            assert (np.abs(out[lone] - mean) <= np.spacing(np.abs(mean))).all()
+            lone_gaps += len(lone)
+            for end in (0, n - 1):
+                holed = s.values.copy()
+                holed[end] = np.nan
+                with pytest.raises(ValueError, match="boundary"):
+                    fill_gaps_adjacent_mean(s.with_values(holed))
+        assert lone_gaps > 100
 
 
 class TestResample:

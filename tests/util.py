@@ -55,7 +55,8 @@ def rollout_oracle(model, valid) -> np.ndarray:
     the slice. Returns the (n, T, Q) predictions; FloatingPointError names
     the first non-finite step. The oracle of `autoregressive_predict`."""
     cfg, L = model.config, model.config.lookback
-    scaled, _, plan = model.prepare(valid.matrix(model.input_channels))
+    rollout = model.prepare(valid.matrix(model.input_channels))
+    scaled, plan = rollout.scaled, rollout.plan
     proj = None
     if model.family == "tide":
         with no_grad():
