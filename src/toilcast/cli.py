@@ -24,7 +24,8 @@ from .iec import IecParams
 from .metrics import validate_quantiles
 from .models import config_from_dict, load_checkpoint, save_checkpoint
 from .rolling import autoregressive_predict, evaluate, iec_predict
-from .series import AffineScaler, SplitSpec, check_flag, format_instant, load_dataset, split
+from .series import (AffineScaler, SplitSpec, check_flag, check_object, format_instant,
+                     load_dataset, split)
 from .svgplot import line_plot_svg
 from .synth import SynthSpec, gen_dataset, write_dataset_csvs
 from .training import (DivergenceError, GridSpec, TrainConfig, fit_dataset,
@@ -53,17 +54,29 @@ DEFAULT_GRID = {
     "tide": {"temporal_decoder_hidden": (8, 16), "decoder_output_dim": (2, 4, 8)},
 }
 
+# the keys each config section may hold
+SECTIONS = {"data": ("synth", "measurements", "ambient", "rated_current_a", "timezone"),
+            "split": ("train", "valid"), "models": tuple(DEFAULT_TRAIN),
+            "train": tuple(DEFAULT_TRAIN), "grid": (*DEFAULT_GRID, "lookbacks"),
+            "scaling": tuple(DEFAULT_SCALING)}
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _require(cfg: dict, key: str):
-    cur = cfg
-    for part in key.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise ConfigError(f"config is missing required key '{key}'")
-        cur = cur[part]
+def _require(cfg: dict, key: str, default=...):
+    """The value at the dotted `key`, else `default` (no default: ConfigError).
+    Each section it reaches must be an object with keys from `SECTIONS`."""
+    parts, cur = key.split("."), cfg
+    for i, part in enumerate(parts):
+        if part not in cur:
+            if default is ...:
+                raise ConfigError(f"config is missing required key '{key}'")
+            return default
+        section, cur = ".".join(parts[:i + 1]), cur[part]
+        if section in SECTIONS:
+            cur = check_object(section, cur, SECTIONS[section])
     return cur
 
 
@@ -87,9 +100,12 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-def _resolve_path(base: Path, p: str) -> Path:
-    q = Path(p)
-    return q if q.is_absolute() else base / q
+def _path(cfg: dict, base: Path, key: str, default=...) -> Path:
+    """The path at config `key`, relative to `base` unless it is absolute."""
+    p = _require(cfg, key, default)
+    if not isinstance(p, str):
+        raise ConfigError(f"{key} must be a path string, got {p!r}")
+    return base / p
 
 
 def _check_single_source(cfg: dict) -> dict:
@@ -103,21 +119,17 @@ def _check_single_source(cfg: dict) -> dict:
 
 def _synth_spec(cfg: dict) -> SynthSpec:
     _check_single_source(cfg)
-    raw = dict(_require(cfg, "data.synth"))
-    raw.setdefault("seed", cfg["seed"])
     try:
-        return SynthSpec.from_config(raw)
-    except (TypeError, ValueError) as exc:
+        return SynthSpec.from_config(_require(cfg, "data.synth"), seed=cfg["seed"])
+    except ValueError as exc:
         raise ConfigError(f"invalid data.synth spec: {exc}") from exc
 
 
 def _dataset(cfg: dict, base: Path):
     data = _check_single_source(cfg)
     if "synth" in data:
-        ds, _, _ = gen_dataset(_synth_spec(cfg))
-        return ds
-    return load_dataset(_resolve_path(base, _require(cfg, "data.measurements")),
-                        _resolve_path(base, _require(cfg, "data.ambient")),
+        return gen_dataset(_synth_spec(cfg))[0]
+    return load_dataset(_path(cfg, base, "data.measurements"), _path(cfg, base, "data.ambient"),
                         rated_current_a=data.get("rated_current_a"),
                         default_offset=data.get("timezone"))
 
@@ -125,33 +137,26 @@ def _dataset(cfg: dict, base: Path):
 def _split(cfg: dict, ds):
     s = _require(cfg, "split")
     try:
-        spec = SplitSpec.from_isoformat(tuple(_require(cfg, "split.train")),
-                                        tuple(_require(cfg, "split.valid")),
-                                        cfg.get("data", {}).get("timezone"))
-        return split(ds, spec)
+        return split(ds, SplitSpec.from_isoformat(_require(cfg, "split.train"),
+                                                  _require(cfg, "split.valid"),
+                                                  _require(cfg, "data.timezone", None)))
     except ValueError as exc:
         raise ConfigError(f"invalid split {s}: {exc}") from exc
 
 
 def _scaler(cfg: dict) -> AffineScaler:
-    raw = dict(DEFAULT_SCALING)
-    raw.update(cfg.get("scaling", {}))
-    return AffineScaler.from_config(raw)
+    return AffineScaler.from_config({name: _require(cfg, f"scaling.{name}", default)
+                                     for name, default in DEFAULT_SCALING.items()})
 
 
 def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
     raw = dict(DEFAULT_TRAIN[family])
     if loss == "quantile" and family in DEFAULT_TRAIN_QUANTILE_LR:
         raw["learning_rate"] = DEFAULT_TRAIN_QUANTILE_LR[family]
-    given = cfg.get("train", {}).get(family, {})
-    unknown = sorted(k for k in given if k not in TRAIN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown train.{family} keys: {unknown} "
-                          f"(expected some of {list(TRAIN_KEYS)})")
-    raw.update(given)
+    raw.update(check_object(f"train.{family}", _require(cfg, f"train.{family}", {}), TRAIN_KEYS))
     try:
         return TrainConfig(**raw, seed=cfg["seed"], loss=loss, quantiles=_quantiles(cfg))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
 
 
@@ -160,22 +165,21 @@ def _quantiles(cfg: dict) -> tuple[float, ...]:
 
 
 def _model_config(cfg: dict, family: str, loss: str):
-    raw = dict(cfg.get("models", {}).get(family, {}))
+    raw = _require(cfg, f"models.{family}", {})
+    given = {"quantiles": _quantiles(cfg)} if loss == "quantile" else {}
     if check_flag("config", "multi_target", cfg.get("multi_target", False)):
-        raw["n_targets"] = 2
-    if loss == "quantile":
-        raw["quantiles"] = _quantiles(cfg)
+        given["n_targets"] = 2
     try:
-        model_cfg = config_from_dict(family, raw)
+        model_cfg = replace(config_from_dict(family, raw), **given)
         if family != "tide" and "n_channels" not in raw:   # the targets and two covariates
             model_cfg = replace(model_cfg, n_channels=model_cfg.n_targets + 2)
         return model_cfg
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid models.{family} config: {exc}") from exc
 
 
 def _out_dir(cfg: dict, base: Path, flag: str | None) -> Path:
-    out = Path(flag) if flag else _resolve_path(base, cfg.get("out_dir", "out"))
+    out = Path(flag) if flag else _path(cfg, base, "out_dir", "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -225,14 +229,12 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
 def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> int:
     ds = _dataset(cfg, base)
     train_ds, valid_ds = _split(cfg, ds)
-    grid_cfg = cfg.get("grid", {})
-    raw = grid_cfg.get(family, DEFAULT_GRID[family])
+    raw = _require(cfg, f"grid.{family}", DEFAULT_GRID[family])
     if not raw:
         raise ConfigError(f"empty grid for '{family}'")
     try:
-        grid = GridSpec(family, {k: tuple(v) for k, v in raw.items()},
-                        tuple(grid_cfg.get("lookbacks", (24, 48, 96))))
-    except (TypeError, ValueError) as exc:
+        grid = GridSpec(family, raw, _require(cfg, "grid.lookbacks", (24, 48, 96)))
+    except ValueError as exc:
         raise ConfigError(f"invalid grid settings: {exc}") from exc
     base_cfg = _model_config(cfg, family, loss)
     train_cfg = _train_config(cfg, family, loss)
@@ -273,12 +275,12 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
 
     traces = []
     for ck in checkpoints:
-        model = load_checkpoint(_resolve_path(base, ck))
+        model = load_checkpoint(base / ck)
         trace = autoregressive_predict(model, valid_ds)
         trace.model_id = Path(ck).stem.replace(".checkpoint", "")
         traces.append(trace)
     if use_iec:
-        params = IecParams.from_json(_resolve_path(base, _require(cfg, "iec_params")))
+        params = IecParams.from_json(_path(cfg, base, "iec_params"))
         enforce = check_flag("config", "iec_enforce_timestep",
                              cfg.get("iec_enforce_timestep", True))
         traces.append(iec_predict(params, valid_ds, dt_min=cfg.get("iec_dt_min", 5.0),
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
         if args.command == "grid":
             return cmd_grid(cfg, base, out_dir, args.model, args.loss)
         return cmd_eval(cfg, base, out_dir, args.checkpoints, args.iec)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:   # ValueError includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, FloatingPointError) as exc:

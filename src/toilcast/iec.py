@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .series import TimeSeries, check_real, check_real_fields
+from .series import TimeSeries, check_object, check_real, check_real_fields
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ class IecParams:
     def from_json(cls, path) -> "IecParams":
         with open(path) as fh:
             raw = json.load(fh)
-        keys = [f.name for f in fields(cls)]
-        missing = [k for k in keys if k not in raw]
-        if missing:
-            raise ValueError(f"IEC parameter file {path} missing keys: {missing}")
-        return cls(**{k: raw[k] for k in keys})
+        if isinstance(raw, dict):   # a `comment` may sit beside the six constants
+            raw.pop("comment", None)
+        return cls(**check_object(f"IEC parameter file {path}", raw,
+                                  [f.name for f in fields(cls)], required=True))
 
 
 def load_bracket(K, p: IecParams):

@@ -20,7 +20,8 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
 from .metrics import validate_quantiles
-from .series import AffineScaler, check_count, check_flag, check_real, strided_windows
+from .series import (CHANNELS, AffineScaler, check_count, check_flag, check_object, check_real,
+                     strided_windows)
 
 
 class _ModelConfig:
@@ -34,8 +35,9 @@ class _ModelConfig:
         for name in self._positive:
             check_count(type(self).__name__, name, getattr(self, name))
         check_real(type(self).__name__, "dropout", getattr(self, "dropout", 0.0), ">= 0", "< 1")
-        object.__setattr__(self, "quantiles",
-                           validate_quantiles(self.quantiles) if self.quantiles else ())
+        # only an empty list is a point head: 0, false or null are bad levels
+        object.__setattr__(self, "quantiles", () if self.quantiles in ((), [])
+                           else validate_quantiles(self.quantiles))
 
     @property
     def n_quantiles(self) -> int:
@@ -345,25 +347,20 @@ class Tide(_Family):
 FAMILIES = {"ann": (MlpConfig, Mlp), "tcn": (TcnConfig, Tcn), "tide": (TideConfig, Tide)}
 
 
-def _family(family: str):
+def family_classes(family: str):
     """The (config class, model class) pair of a family name."""
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
     return FAMILIES[family]
 
 
 def build_model(family: str, cfg):
-    return _family(family)[1](cfg)
+    return family_classes(family)[1](cfg)
 
 
 def config_from_dict(family: str, raw: dict):
-    cls = _family(family)[0]
-    known = cls.__dataclass_fields__
-    unknown = [k for k in raw if k not in known]
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
-    cleaned = {k: (tuple(v) if k == "quantiles" else v) for k, v in raw.items()}
-    return cls(**cleaned)
+    cls = family_classes(family)[0]
+    return cls(**check_object(cls.__name__, raw, cls.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -382,8 +379,12 @@ class TrainedModel:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "input_channels", tuple(self.input_channels))
-        object.__setattr__(self, "target_channels", tuple(self.target_channels))
+        for name in ("input_channels", "target_channels"):
+            channels = getattr(self, name)
+            if not isinstance(channels, (list, tuple)) or any(c not in CHANNELS for c in channels):
+                raise ValueError(f"TrainedModel.{name} must be a list of channels among "
+                                 f"{CHANNELS}, got {channels!r}")
+            object.__setattr__(self, name, tuple(channels))
         if len(self.input_channels) != getattr(self.config, "n_channels"):
             raise ValueError(f"config expects {self.config.n_channels} input channels, "
                              f"got {self.input_channels}")
@@ -495,6 +496,8 @@ def config_fingerprint(model: TrainedModel) -> str:
 
 
 CHECKPOINT_FORMAT = "toilcast-checkpoint-v1"
+CHECKPOINT_KEYS = ("family", "config", "input_channels", "target_channels", "scaling", "seed",
+                   "format", "config_hash", "params")
 
 
 def save_checkpoint(path, model: TrainedModel) -> None:
@@ -526,32 +529,29 @@ def load_checkpoint(path) -> TrainedModel:
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    cfg = config_from_dict(doc["family"], doc["config"])
-    scaler = AffineScaler({n: (c["gain"], c["offset"]) for n, c in doc["scaling"].items()})
+    check_object(str(path), doc, CHECKPOINT_KEYS, required=True)
     params: dict[str, Tensor] = {}
-    model = TrainedModel(doc["family"], cfg, params, tuple(doc["input_channels"]),
-                         tuple(doc["target_channels"]), scaler, doc["seed"])
+    model = TrainedModel(doc["family"], config_from_dict(doc["family"], doc["config"]), params,
+                         doc["input_channels"], doc["target_channels"],
+                         AffineScaler.from_config(doc["scaling"]), doc["seed"])
     if doc["config_hash"] != model.config_hash:
-        raise ValueError(f"{path}: config_hash {doc['config_hash'][:12]} does not match the "
-                         f"fingerprint {model.config_hash[:12]} of the stored family, config, "
-                         "channels, scaling and seed")
+        raise ValueError(f"{path}: config_hash {str(doc['config_hash'])[:12]} does not match "
+                         f"the fingerprint {model.config_hash[:12]} of the stored family, "
+                         "config, channels, scaling and seed")
     expected = model.model.param_shapes()
-    stored = doc["params"]
-    missing, unexpected = sorted(set(expected) - set(stored)), sorted(set(stored) - set(expected))
-    if missing or unexpected:
-        raise ValueError(f"{path}: parameters differ from the {model.family} architecture: "
-                         f"missing {missing}, unexpected {unexpected}")
+    stored = check_object(f"{path}: params", doc["params"], expected, required=True)
     for name, entry in stored.items():
-        shape = tuple(entry["shape"])
-        if shape != expected[name]:
-            raise ValueError(f"{path}: parameter '{name}' has shape {shape}, the "
-                             f"architecture expects {expected[name]}")
-        raw, size = base64.b64decode(entry["data"]), math.prod(shape)
-        if len(raw) != 8 * size:
-            raise ValueError(f"{path}: parameter '{name}' holds {len(raw)} bytes, "
-                             f"shape {shape} needs {8 * size}")
+        where, shape = f"{path}: parameter '{name}'", expected[name]
+        entry = check_object(where, entry, ("shape", "data"), required=True)
+        if entry["shape"] != list(shape):
+            raise ValueError(f"{where} has shape {entry['shape']}, the architecture expects "
+                             f"{list(shape)}")
+        raw = base64.b64decode(entry["data"] if isinstance(entry["data"], str) else b"")
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{where} holds {len(raw)} bytes, shape {shape} needs "
+                             f"{8 * math.prod(shape)}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True, name=name)
     return model

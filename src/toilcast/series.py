@@ -11,7 +11,7 @@ import csv
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -66,6 +66,19 @@ def check_flag(owner: str, name: str, value) -> bool:
     return value
 
 
+def check_object(owner: str, raw, keys, required: bool = False) -> dict:
+    """`raw`, or ValueError naming `owner` unless it is a JSON object whose
+    keys are all among `keys` and, with `required`, include every one of them."""
+    listed = " and ".join(", ".join(map(repr, keys)).rsplit(", ", 1))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{owner} must be an object with keys {listed}, got {raw!r}")
+    unknown, missing = [k for k in raw if k not in keys], [k for k in keys if k not in raw]
+    if unknown or required and missing:
+        raise ValueError(f"{owner} has unknown keys {unknown}; expected {listed}" if unknown
+                         else f"{owner} is missing keys {missing}")
+    return raw
+
+
 # -------- instants --------
 
 def _parse_offset(text: str) -> timezone:
@@ -91,6 +104,8 @@ def parse_instant(text: str, default_offset: str | None = None) -> int:
     Naive timestamps are interpreted in `default_offset` (e.g. '+01:00'),
     or UTC when none is given.
     """
+    if not isinstance(text, str) or not isinstance(default_offset or "", str):
+        raise ValueError(f"timestamp {text!r} and UTC offset {default_offset!r} must be strings")
     t = text.strip()
     if t.endswith(("Z", "z")):
         t = t[:-1] + "+00:00"
@@ -238,10 +253,14 @@ class SplitSpec:
             raise ValueError("train range must end strictly before validation starts")
 
     @classmethod
-    def from_isoformat(cls, train: tuple[str, str], valid: tuple[str, str],
+    def from_isoformat(cls, train: list[str], valid: list[str],
                        default_offset: str | None = None) -> "SplitSpec":
-        p = lambda t: parse_instant(t, default_offset)
-        return cls(p(train[0]), p(train[1]), p(valid[0]), p(valid[1]))
+        """From [start, end] lists of ISO-8601 instants, or ValueError."""
+        def pair(name, r):
+            if not isinstance(r, (list, tuple)) or len(r) != 2:
+                raise ValueError(f"split.{name} must be a [start, end] list, got {r!r}")
+            return [parse_instant(t, default_offset) for t in r]
+        return cls(*pair("train", train), *pair("valid", valid))
 
 
 @dataclass(frozen=True)
@@ -260,15 +279,10 @@ class AffineScaler:
     def from_config(cls, cfg: dict) -> "AffineScaler":
         """From {channel: {"gain": g, "offset": o}}; a missing gain is 1 and a
         missing offset 0."""
-        for name, c in cfg.items():
-            if not isinstance(c, dict):
-                raise ValueError(f"AffineScaler.{name} must be an object with keys 'gain' "
-                                 f"and 'offset', got {c!r}")
-            unknown = sorted(set(c) - {"gain", "offset"})
-            if unknown:
-                raise ValueError(f"AffineScaler.{name} has unknown keys {unknown}; "
-                                 "expected 'gain' and 'offset'")
-        return cls({n: (c.get("gain", 1.0), c.get("offset", 0.0)) for n, c in cfg.items()})
+        def pair(name, c):
+            c = check_object(f"AffineScaler.{name}", c, ("gain", "offset"))
+            return c.get("gain", 1.0), c.get("offset", 0.0)
+        return cls({n: pair(n, c) for n, c in check_object("scaling", cfg, CHANNELS).items()})
 
     def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:
         """Gain and offset arrays over `names`, to scale a matrix whose last
@@ -303,30 +317,21 @@ class WindowSet:
 
 # -------- operations --------
 
-@dataclass
-class IngestResult:
-    series: dict[str, TimeSeries]
-    rejected_rows: list[int] = field(default_factory=list)
-
-
 def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_S,
-                        default_offset: str | None = None) -> IngestResult:
+                        default_offset: str | None = None) -> dict[str, TimeSeries]:
     """Load a CSV of timestamped measurements into one TimeSeries per mapped
-    value column.
+    value column, keyed by channel name.
 
     column_map maps CSV header names to channel names and must include a
-    'timestamp' entry. Rows whose timestamp does not parse are rejected and
-    reported by row index (0-based, excluding the header). Empty and `nan`
-    value cells become NaN (missing); any other cell that is not a finite
-    number is a ValueError naming the path, the row and the column.
+    'timestamp' entry. Rows whose timestamp does not parse are a ValueError
+    naming the path and those rows (0-based, excluding the header). Empty
+    and `nan` value cells become NaN (missing); any other cell that is not a
+    finite number is a ValueError naming the path, the row and the column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"measurement file not found: {path}")
-    ts_col = None
-    for col, mapped in column_map.items():
-        if mapped == "timestamp":
-            ts_col = col
+    ts_col = next((col for col, mapped in column_map.items() if mapped == "timestamp"), None)
     if ts_col is None:
         raise ValueError("column_map must map one column to 'timestamp'")
     value_cols = {c: m for c, m in column_map.items() if m != "timestamp"}
@@ -345,7 +350,7 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
         for idx, row in enumerate(reader):
             try:
                 t = parse_instant(row[ts_col], default_offset)
-            except (ValueError, TypeError):
+            except ValueError:
                 rejected.append(idx)
                 continue
             stamps.append(t)
@@ -360,11 +365,13 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
                                      "not a finite number")
                 values[mapped].append(value)
 
+    if rejected:
+        raise ValueError(f"{path}: the timestamp does not parse on rows {rejected[:10]} "
+                         f"(0-based, after the header; {len(rejected)} in all)")
     if not stamps:
-        raise ValueError(f"no parseable rows in {path}")
+        raise ValueError(f"no rows in {path}")
     ts = np.asarray(stamps, dtype=np.int64)
-    series = {m: TimeSeries(ts, np.asarray(v), step) for m, v in values.items()}
-    return IngestResult(series, rejected)
+    return {m: TimeSeries(ts, np.asarray(v), step) for m, v in values.items()}
 
 
 def fill_gaps_adjacent_mean(s: TimeSeries) -> TimeSeries:
@@ -508,12 +515,7 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
 
     meas = ingest_measurements(measurements_path, col_map, STEP_5MIN_S, default_offset)
     amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
-                              STEP_HOUR_S, default_offset)
-    for path, rows in ((measurements_path, meas.rejected_rows), (ambient_path, amb.rejected_rows)):
-        if rows:
-            raise ValueError(f"{path}: the timestamp does not parse on rows {rows[:10]} "
-                             f"(0-based, after the header; {len(rows)} in all)")
-    meas, amb = meas.series, amb.series["ambient"]
+                              STEP_HOUR_S, default_offset)["ambient"]
     # Hourly rows with missing readings are dropped; interpolation then spans them.
     present = ~np.isnan(amb.values)
     if not present.all():

@@ -6,6 +6,7 @@ Deterministic output: same data, same bytes.
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from html import escape   # xml.sax.saxutils would import urllib.request: ~25 ms
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def line_plot_svg(path, x: np.ndarray, series: list[dict], band: dict | None = N
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{MARGIN_L}" y="20" font-size="14">{title}</text>',
+        f'<text x="{MARGIN_L}" y="20" font-size="14">{escape(title)}</text>',
     ]
 
     for yt in _tick_values(y_lo, y_hi):
@@ -97,22 +98,20 @@ def line_plot_svg(path, x: np.ndarray, series: list[dict], band: dict | None = N
         parts.append(f'<polygon points="{pts}" fill="#1f77b4" fill-opacity="0.18" '
                      'stroke="none"/>')
 
-    legend_y = MARGIN_T + 6
+    legend_y, lx = MARGIN_T + 6, WIDTH - MARGIN_R - 170
     for i, (s, vals) in enumerate(zip(series, ys)):
         color = s.get("color") or PALETTE[i % len(PALETTE)]
         xs = x[len(x) - len(vals):]
         parts.append(f'<polyline points="{polyline_points(xs, vals)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.2"/>')
-        lx = WIDTH - MARGIN_R - 170
         parts.append(f'<line x1="{lx}" y1="{legend_y + 16 * i}" x2="{lx + 22}" '
                      f'y2="{legend_y + 16 * i}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{legend_y + 16 * i + 4}">{s["label"]}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{legend_y + 16 * i + 4}">{escape(s["label"])}</text>')
     if band is not None and band.get("label"):
-        i = len(series)
-        lx = WIDTH - MARGIN_R - 170
+        i, label = len(series), escape(band["label"])
         parts.append(f'<rect x="{lx}" y="{legend_y + 16 * i - 6}" width="22" height="10" '
                      'fill="#1f77b4" fill-opacity="0.18"/>')
-        parts.append(f'<text x="{lx + 28}" y="{legend_y + 16 * i + 4}">{band["label"]}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{legend_y + 16 * i + 4}">{label}</text>')
 
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .iec import IecParams, simulate, steady_state
 from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset, check_count,
-                     check_real, check_real_fields, format_instant, parse_instant,
+                     check_object, check_real, check_real_fields, format_instant, parse_instant,
                      resample_ambient_linear)
 
 DEFAULT_ORIGIN = "2020-07-01T00:00:00+00:00"
@@ -67,14 +67,13 @@ class SynthSpec:
         check_real("SynthSpec", "measurement_noise_k", self.measurement_noise_k, ">= 0")
 
     @classmethod
-    def from_config(cls, raw: dict) -> "SynthSpec":
-        kwargs = dict(raw)
+    def from_config(cls, raw: dict, **defaults) -> "SynthSpec":
+        """From a JSON object; `defaults` fill the fields it leaves out."""
+        kwargs = {**defaults, **check_object("SynthSpec", raw, cls.__dataclass_fields__)}
         for key, part in (("iec", IecParams), ("load", LoadProfile), ("ambient", AmbientProfile)):
             if key in kwargs:
-                kwargs[key] = part(**kwargs[key])
-        unknown = [k for k in kwargs if k not in cls.__dataclass_fields__]
-        if unknown:
-            raise ValueError(f"unknown synth spec fields: {unknown}")
+                kwargs[key] = part(**check_object(f"SynthSpec.{key}", kwargs[key],
+                                                  part.__dataclass_fields__))
         return cls(**kwargs)
 
 

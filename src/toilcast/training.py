@@ -12,10 +12,10 @@ import numpy as np
 from . import nn
 from .autodiff import Tensor, absolute, backward, maximum, mean, reshape
 from .metrics import mae, mse
-from .models import TrainedModel, build_model, config_from_dict
+from .models import TrainedModel, build_model, config_from_dict, family_classes
 from .rolling import autoregressive_predict
-from .series import (AffineScaler, TransformerDataset, WindowSet, check_count, check_real,
-                     make_windows, scale_windows)
+from .series import (AffineScaler, TransformerDataset, WindowSet, check_count, check_object,
+                     check_real, make_windows, scale_windows)
 
 TARGET_CHANNELS_SINGLE = ("top_oil",)
 TARGET_CHANNELS_MULTI = ("top_oil", "temp_rise")
@@ -177,14 +177,16 @@ class GridSpec:
     lookbacks: tuple[int, ...] = (24, 48, 96)
 
     def __post_init__(self):
-        if not self.lookbacks:
-            raise ValueError("empty look-back set")
-        lookbacks = tuple(check_count("GridSpec", "lookbacks", lb) for lb in self.lookbacks)
+        def values(name, vals) -> tuple:
+            if not isinstance(vals, (list, tuple)) or not vals:
+                raise ValueError(f"grid value '{name}' must be a non-empty list, got {vals!r}")
+            return tuple(vals)
+        raw = check_object(f"grid.{self.family}", self.param_values,
+                           family_classes(self.family)[0].__dataclass_fields__)
+        object.__setattr__(self, "param_values", {k: values(k, v) for k, v in raw.items()})
         # stored as ints: a numpy integer would not serialize into a trial's params JSON
-        object.__setattr__(self, "lookbacks", lookbacks)
-        for k, vals in self.param_values.items():
-            if len(tuple(vals)) == 0:
-                raise ValueError(f"empty value list for grid parameter '{k}'")
+        object.__setattr__(self, "lookbacks", tuple(
+            check_count("GridSpec", "lookbacks", lb) for lb in values("lookbacks", self.lookbacks)))
 
     def enumerate(self) -> list[dict]:
         keys = sorted(self.param_values)
@@ -198,10 +200,7 @@ class GridSpec:
 
     @property
     def n_trials(self) -> int:
-        out = len(self.lookbacks)
-        for vals in self.param_values.values():
-            out *= len(tuple(vals))
-        return out
+        return len(self.enumerate())
 
 
 @dataclass
@@ -230,8 +229,6 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
     median trace for quantile models). Results return ranked ascending.
     """
     combos = grid.enumerate()
-    if not combos:
-        raise ValueError("empty grid")
     results: list[TrialResult] = []
     base = asdict(base_cfg)
     for trial_id, combo in enumerate(combos):

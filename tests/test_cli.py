@@ -431,3 +431,81 @@ class TestConfigValidation:
         cfg["split"]["valid"] = ["2020-06-30T00:00:00Z", "2020-07-01T00:00:00Z"]
         cfg_path = write_config(tmp_path, cfg)
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 2
+
+    @pytest.mark.parametrize("triple", [["2020-07-01T00:00:00Z", "2020-07-02T00:00:00Z",
+                                         "2020-07-02T00:00:00Z"], 5],
+                             ids=["three-entries", "integer"])
+    def test_split_range_must_be_a_pair(self, tmp_path, capsys, triple):
+        # three entries used to run with the third ignored, an integer to end in a traceback
+        cfg = base_config(tmp_path)
+        cfg["split"]["train"] = triple
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        assert f"split.train must be a [start, end] list, got {triple!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
+
+def set_key(cfg: dict, dotted: str, value) -> None:
+    *sections, last = dotted.split(".")
+    for name in sections:
+        cfg = cfg.setdefault(name, {})
+    cfg[last] = value
+
+
+MALFORMED_CONFIGS = [("train.ann", 5, "train"), ("models.ann", 5, "train"),
+                     ("scaling", 5, "train"), ("split.train", 5, "train"),
+                     ("data.synth", 5, "train"), ("grid.ann", [1, 2], "grid"),
+                     ("models", [1], "train"), ("train", [1], "train")]
+
+
+@pytest.mark.parametrize("key, value, command", MALFORMED_CONFIGS,
+                         ids=[f"{k}={v}" for k, v, _ in MALFORMED_CONFIGS])
+def test_malformed_config_section_exits_2_naming_the_key(tmp_path, capsys, key, value,
+                                                         command):
+    # each used to end in a TypeError or AttributeError traceback (exit 1)
+    cfg = base_config(tmp_path)
+    set_key(cfg, key, value)
+    assert main([command, "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and f"got {value!r}" in err
+    assert not list((tmp_path / "out").glob("*.checkpoint.json"))
+
+
+@pytest.fixture(scope="module")
+def trained_ann(tmp_path_factory):
+    """A config and the checkpoint it trains, shared by the corruption cases."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg_path = write_config(tmp_path, base_config(tmp_path))
+    assert main(["train", "--config", cfg_path, "--model", "ann"]) == 0
+    return cfg_path, json.loads((tmp_path / "out" / "ann_point.checkpoint.json").read_text())
+
+
+CORRUPTIONS = {
+    "config": (lambda d: d.update(config=5), "MlpConfig must be an object with keys "),
+    "quantiles-0.5": (lambda d: d["config"].update(quantiles=0.5),
+                      "quantiles must be a list of levels, got 0.5"),
+    "quantiles-0": (lambda d: d["config"].update(quantiles=0),
+                    "quantiles must be a list of levels, got 0"),
+    "scaling.top_oil": (lambda d: d["scaling"].update(top_oil=5),
+                        "AffineScaler.top_oil must be an object with keys 'gain' and 'offset'"),
+    "params.head.b": (lambda d: d["params"].update({"head.b": 5}),
+                      "parameter 'head.b' must be an object with keys 'shape' and 'data'"),
+    "no-family": (lambda d: d.pop("family") and None, "is missing keys ['family']"),
+    "list": (lambda d: [1], "bad.checkpoint.json is not a toilcast-checkpoint-v1 file"),
+    "input_channels": (lambda d: d.update(input_channels="top_oil"),
+                       "TrainedModel.input_channels must be a list of channels among "),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_corrupted_checkpoint_exits_2_naming_the_entry(tmp_path, capsys, trained_ann, name):
+    # each used to exit 1 with a traceback, or 2 with a bare "'family'"; a bare
+    # string of input channels was split into its letters
+    cfg_path, doc = trained_ann
+    edit, message = CORRUPTIONS[name]
+    doc = json.loads(json.dumps(doc))
+    ckpt = tmp_path / "bad.checkpoint.json"
+    ckpt.write_text(json.dumps(edit(doc) or doc))
+    assert main(["eval", "--config", cfg_path, str(ckpt), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o" / "evaluation_report.json").exists()

@@ -3,6 +3,8 @@ finite and inside its field's bounds, a count an integer, a flag true or
 false. A value that is not fails with a ValueError naming the owner, the
 field and the value."""
 
+import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,9 +13,10 @@ import pytest
 from toilcast.iec import IecParams, check_timestep
 from toilcast.metrics import pinball, validate_quantiles
 from toilcast.models import TcnConfig, TideConfig
-from toilcast.series import AffineScaler, TimeSeries, derive_load_factor, make_windows
+from toilcast.series import (AffineScaler, TimeSeries, check_object, derive_load_factor,
+                             make_windows)
 from toilcast.synth import AmbientProfile, LoadProfile, SynthSpec
-from toilcast.training import TrainConfig
+from toilcast.training import GridSpec, TrainConfig
 from util import make_dataset
 
 IEC = dict(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0, tau_w_min=10.0)
@@ -110,3 +113,65 @@ def test_window_counts_are_integers(name, value):
     with pytest.raises(ValueError, match=rf"make_windows\.{name} must be >= 1 and an integer"):
         make_windows(make_dataset(20), counts["lookback"], counts["horizon"],
                      ("top_oil",), ("top_oil",))
+
+
+def test_check_object_returns_a_conforming_object():
+    raw = {"gain": 1.0}
+    assert check_object("owner", raw, ("gain", "offset")) is raw
+    assert check_object("owner", {}, ("gain", "offset")) == {}
+    assert check_object("owner", {"offset": 0, "gain": 1}, ("gain", "offset"), required=True)
+
+
+@pytest.mark.parametrize("raw, required, message", [
+    (5, False, "owner must be an object with keys 'gain' and 'offset', got 5"),
+    ([1], True, "owner must be an object with keys 'gain' and 'offset', got [1]"),
+    ("gain", False, "owner must be an object with keys 'gain' and 'offset', got 'gain'"),
+    ({"gian": 1, "gain": 1}, False, "owner has unknown keys ['gian']; expected 'gain' and "
+                                    "'offset'"),
+    ({"gain": 1}, True, "owner is missing keys ['offset']"),
+])
+def test_check_object_names_the_owner(raw, required, message):
+    with pytest.raises(ValueError) as exc_info:
+        check_object("owner", raw, ("gain", "offset"), required)
+    assert str(exc_info.value) == message
+
+
+def _iec_file(doc, tmp_path):
+    path = tmp_path / "iec.json"
+    path.write_text(json.dumps(doc))
+    return IecParams.from_json(path)
+
+
+# (a reader of a JSON object, the object it is given, what its error names)
+READERS = [
+    ("SynthSpec", lambda raw, _: SynthSpec.from_config(raw), 5, "SynthSpec must be"),
+    ("SynthSpec.load", lambda raw, _: SynthSpec.from_config({"load": raw}), [1],
+     "SynthSpec.load must be"),
+    ("SynthSpec.iec", lambda raw, _: SynthSpec.from_config({"iec": raw}), {"psi": 5.0, "x": 1},
+     "SynthSpec.iec has unknown keys ['x']"),
+    ("scaling", lambda raw, _: AffineScaler.from_config(raw), 5, "scaling must be"),
+    ("scaling-channel", lambda raw, _: AffineScaler.from_config(raw), {"top_oill": {}},
+     "scaling has unknown keys ['top_oill']"),
+    ("IecParams", _iec_file, [1], "iec.json must be"),
+    ("IecParams-missing", _iec_file, {"psi": 5.0, "comment": "c"}, "iec.json is missing keys "
+                                                                   "['delta_t_or_k', "),
+    ("IecParams-unknown", _iec_file, {**IEC, "note": "c"}, "iec.json has unknown keys ['note']"),
+    ("grid", lambda raw, _: GridSpec("ann", raw), [1, 2], "grid.ann must be"),
+    ("grid-key", lambda raw, _: GridSpec("ann", raw), {"n_neuron": [4]},
+     "grid.ann has unknown keys ['n_neuron']"),
+    ("grid-value", lambda raw, _: GridSpec("ann", raw), {"n_neurons": 4},
+     "grid value 'n_neurons' must be a non-empty list, got 4"),
+    ("grid-lookbacks", lambda raw, _: GridSpec("ann", {"n_neurons": [4]}, raw), 24,
+     "grid value 'lookbacks' must be a non-empty list, got 24"),
+]
+
+
+@pytest.mark.parametrize("make, raw, message", [r[1:] for r in READERS],
+                         ids=[r[0] for r in READERS])
+def test_every_json_reader_checks_its_object(tmp_path, make, raw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make(raw, tmp_path)
+
+
+def test_iec_file_may_hold_a_comment(tmp_path):
+    assert _iec_file({**IEC, "comment": "illustrative"}, tmp_path) == IecParams(**IEC)

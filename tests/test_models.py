@@ -350,6 +350,24 @@ class TestTrainedModel:
         assert np.array_equal(back.predict_window(window, future),
                               tm.predict_window(window, future))
 
+    @pytest.mark.parametrize("value", [0.5, 0, False, None])
+    def test_checkpoint_bare_or_falsy_quantiles_named(self, tmp_path, value):
+        # 0, false and null used to load as a point head, 0.5 to raise TypeError
+        def edit(doc):
+            doc["config"]["quantiles"] = value
+        with pytest.raises(ValueError, match=rf"quantiles must be a list of levels, got {value}"):
+            load_checkpoint(self._tampered(tmp_path, edit))
+
+    @pytest.mark.parametrize("channels", ["top_oil", ["top_oil", "ambient", "load"]],
+                             ids=["bare-string", "unknown-name"])
+    def test_channels_must_be_a_list_of_known_names(self, channels):
+        # a bare string was split into its letters
+        tm = make_trained()
+        with pytest.raises(ValueError, match=r"TrainedModel\.input_channels must be a list of "
+                                             r"channels among \('top_oil', "):
+            TrainedModel(tm.family, tm.config, tm.params, channels, tm.target_channels,
+                         tm.scaler, tm.seed)
+
     def test_checkpoint_missing_parameter_named(self, tmp_path):
         with pytest.raises(ValueError, match="temporal.skip.w"):
             load_checkpoint(self._tampered(tmp_path,
@@ -397,6 +415,21 @@ class TestConfigParsing:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             config_from_dict("lstm", {})
+
+    @pytest.mark.parametrize("value", [0.5, 0, False, None])
+    def test_bare_or_falsy_quantiles_named(self, value):
+        # 0, false and null used to give a point head, 0.5 a TypeError
+        with pytest.raises(ValueError, match=rf"quantiles must be a list of levels, got {value}"):
+            config_from_dict("ann", {"quantiles": value})
+
+    @pytest.mark.parametrize("value", [[], ()])
+    def test_empty_quantiles_are_a_point_head(self, value):
+        assert config_from_dict("ann", {"quantiles": value}).quantiles == ()
+
+    @pytest.mark.parametrize("raw", [5, [1], "n_layers"])
+    def test_config_must_be_an_object(self, raw):
+        with pytest.raises(ValueError, match=r"MlpConfig must be an object with keys 'n_layers', "):
+            config_from_dict("ann", raw)
 
     def test_quantile_list_coerced(self):
         cfg = config_from_dict("ann", {"quantiles": [0.01, 0.5, 0.99]})

@@ -31,7 +31,7 @@ class TestIngest:
         p = tmp_path / "m.csv"
         stamps = [format_instant(START + 300 * i) for i in range(3)]
         write_csv(p, [(s, str(40.0 + i)) for i, s in enumerate(stamps)])
-        got = ingest_measurements(p, COLMAP).series["top_oil"]
+        got = ingest_measurements(p, COLMAP)["top_oil"]
         assert len(got) == 3
         assert np.array_equal(got.values, [40.0, 41.0, 42.0])
 
@@ -50,15 +50,22 @@ class TestIngest:
             w.writerow(["timestamp", "top_oil_c"])
             for i in range(n):
                 w.writerow([format_instant(START + 300 * i), "40.0"])
-        assert len(ingest_measurements(p, COLMAP).series["top_oil"]) == 54_721
+        assert len(ingest_measurements(p, COLMAP)["top_oil"]) == 54_721
 
     def test_unparseable_rows_rejected_with_index(self, tmp_path):
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1"), ("not-a-date", "2"),
                       (format_instant(START + 300), "3")])
-        res = ingest_measurements(p, COLMAP)
-        assert res.rejected_rows == [1]
-        assert len(res.series["top_oil"]) == 2
+        message = f"{p}: the timestamp does not parse on rows [1] (0-based, after the header"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest_measurements(p, COLMAP)
+
+    def test_row_without_a_timestamp_cell_rejected(self, tmp_path):
+        # the timestamp of a short row reads as None: an AttributeError traceback
+        p = tmp_path / "m.csv"
+        write_csv(p, [("1", format_instant(START)), ("2",)], header=("top_oil_c", "timestamp"))
+        with pytest.raises(ValueError, match=re.escape("does not parse on rows [1]")):
+            ingest_measurements(p, COLMAP)
 
     def test_missing_file_and_column(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -78,14 +85,14 @@ class TestIngest:
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1"), (format_instant(START + 300), ""),
                       (format_instant(START + 600), "3")])
-        got = ingest_measurements(p, COLMAP).series["top_oil"]
+        got = ingest_measurements(p, COLMAP)["top_oil"]
         assert np.isnan(got.values[1]) and got.has_missing()
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", " nan "])
     def test_nan_cell_becomes_missing(self, tmp_path, cell):
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1"), (format_instant(START + 300), cell)])
-        got = ingest_measurements(p, COLMAP).series["top_oil"]
+        got = ingest_measurements(p, COLMAP)["top_oil"]
         assert got.values[0] == 1.0 and np.isnan(got.values[1])
 
     @pytest.mark.parametrize("cell", ["abc", "inf", "-inf", "1e999", "4O.5"])
@@ -479,6 +486,13 @@ class TestInstants:
     def test_round_trip(self):
         t = parse_instant("2020-11-19T09:35:00Z")
         assert parse_instant(format_instant(t)) == t
+
+    @pytest.mark.parametrize("text, offset", [(5, None), (None, None),
+                                              ("2020-07-01T00:00:00", 1)])
+    def test_non_string_timestamp_or_offset_rejected(self, text, offset):
+        with pytest.raises(ValueError, match=rf"timestamp {text!r} and UTC offset {offset!r} "
+                                             "must be strings"):
+            parse_instant(text, offset)
 
 
 class TestDatasetInvariants:
