@@ -164,8 +164,35 @@ def _grad_for(t: Tensor, g: np.ndarray):
 # takes the output, the input Tensors, the static arguments and the output
 # gradient, and returns one gradient per input (None if it takes none).
 
-def _affine(x, w, b): return x @ w + b
-def _layer_norm(x, gamma, beta, eps): return _normalized(x, eps)[0] * gamma + beta
+# The affine map, layer norm and causal convolution take a one-row form on a
+# batch-1 step: numpy's own arithmetic in fewer, cheaper calls. Where matmul
+# sends a row to BLAS, `ndarray.dot` makes the same call with less set-up, if
+# the kernel, and a convolution's input, is C-ordered (dot copies another
+# layout, and BLAS can round the copy otherwise) and the rows are at least 2
+# wide (dot scales by a lone value without BLAS, so 0 * inf gives 0, not
+# NaN); other operands keep matmul. tests/util.py holds the multi-row
+# forwards as the oracles of the one-row forms.
+
+def _affine(x, w, b):
+    if x.ndim == 2 and len(x) == 1 < len(w) and w.flags.c_contiguous:
+        out = x.dot(w)
+        out += b
+        return out
+    return x @ w + b
+
+
+def _layer_norm(x, gamma, beta, eps):
+    if x.ndim == 2 and len(x) == 1:
+        # the sums on the 1-D row and the moments in Python floats; the power
+        # stays numpy's, whose SIMD loop can round unlike Python's **
+        n = x.shape[1]
+        xhat = x - float(np.add.reduce(x[0])) * (1.0 / n)
+        var = float(np.add.reduce((xhat * xhat)[0])) * (1.0 / n)
+        xhat *= float(np.power(np.array(var + eps), -0.5))
+        return xhat * gamma + beta
+    return _normalized(x, eps)[0] * gamma + beta
+
+
 def _sigmoid(a): return 1.0 / (1.0 + np.exp(-a))
 def _maximum(a, b): return np.where(a >= b, a, b)
 def _mean(a): return np.asarray(a.mean())
@@ -182,18 +209,11 @@ def _matmul_vjp(out, a, b, g):
 
 
 def _normalized(x, eps):
-    """x standardized over the last axis, and the inverse deviation. Rows of
-    8 or more values sum with numpy directly, so that a rollout step's layer
-    norm pays no helper call."""
+    """x standardized over the last axis, and the inverse deviation."""
     n = x.shape[-1]
-    if n < 8:
-        mu = _sum_last(x) * (1.0 / n)
-        centered = x - mu
-        var = _sum_last(centered * centered) * (1.0 / n)
-    else:
-        mu = np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / n)
-        centered = x - mu
-        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
+    mu = _sum_last(x) * (1.0 / n)
+    centered = x - mu
+    var = _sum_last(centered * centered) * (1.0 / n)
     inv = (var + eps) ** -0.5
     return centered * inv, inv
 
@@ -235,6 +255,13 @@ def _concat_vjp(out, *args):
 
 
 def _causal_conv1d(x, w, b, rows, taps):
+    if len(x) == 1 < x.shape[2] and x.flags.c_contiguous and w.flags.c_contiguous:
+        x0 = x[0]
+        out = x0[rows].dot(w[0])
+        out += b
+        for i, j0, src in taps:
+            out[j0:] += x0[src].dot(w[i])
+        return out[None]
     out = x[:, rows] @ w[0] + b
     for i, j0, src in taps:
         out[:, j0:] += x[:, src] @ w[i]

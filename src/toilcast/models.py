@@ -38,6 +38,9 @@ class _ModelConfig:
         # only an empty list is a point head: 0, false or null are bad levels
         object.__setattr__(self, "quantiles", () if self.quantiles in ((), [])
                            else validate_quantiles(self.quantiles))
+        if not isinstance(self.activation, str) or self.activation not in nn._ACTIVATIONS:
+            raise ValueError(f"{type(self).__name__}.activation must be one of "
+                             f"{sorted(nn._ACTIVATIONS)}, got {self.activation!r}")
 
     @property
     def n_quantiles(self) -> int:
@@ -548,7 +551,11 @@ def load_checkpoint(path) -> TrainedModel:
         if entry["shape"] != list(shape):
             raise ValueError(f"{where} has shape {entry['shape']}, the architecture expects "
                              f"{list(shape)}")
-        raw = base64.b64decode(entry["data"] if isinstance(entry["data"], str) else b"")
+        try:   # validate: a character outside the alphabet fails instead of being dropped
+            raw = base64.b64decode(entry["data"] if isinstance(entry["data"], str) else b"",
+                                   validate=True)
+        except ValueError as exc:   # binascii.Error, or a string that is not ASCII
+            raise ValueError(f"{where} is not base64 data ({exc})") from None
         if len(raw) != 8 * math.prod(shape):
             raise ValueError(f"{where} holds {len(raw)} bytes, shape {shape} needs "
                              f"{8 * math.prod(shape)}")

@@ -5,7 +5,8 @@ from toilcast import autodiff, nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
                                causal_conv1d, concat, layer_norm, maximum, mean,
                                no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
-from util import max_rel_err, relu_oracle, replay_oracle
+from util import (affine_oracle, causal_conv1d_oracle, layer_norm_oracle, max_rel_err,
+                  relu_oracle, replay_oracle)
 
 TOL = 1e-4
 
@@ -410,6 +411,120 @@ class TestFusedPrimitives:
         with pytest.raises(ValueError, match="head.w"):
             affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 1)), name="head.w"),
                    Tensor(np.zeros(1)))
+
+
+# -------- one-row forms: a batch-1 step against today's forwards --------
+
+ONE_ROW_CASES = 1200
+
+
+def _one_row_operand(rng, shape):
+    """Values of one magnitude between 1e-4 and 1e4, with edge values in a
+    quarter of the draws, laid out as a C- or F-ordered array or as a row- or
+    column-strided view of a larger one."""
+    x = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4)
+    if rng.random() < 0.25:
+        mask = rng.random(shape) < 0.3
+        x[mask] = rng.choice(SUM_EDGES, size=int(mask.sum()))
+    return _layouts(x)[rng.integers(4)]
+
+
+def _width(rng, most: int = 64) -> int:
+    """2 to `most`, or in one draw of eight 1, which the one-row forms leave
+    to matmul."""
+    return 1 if rng.random() < 0.125 else int(rng.integers(2, most + 1))
+
+
+def _rows(rng) -> tuple:
+    """The leading shape: one row in four draws of five, else several rows
+    or a batch of one sequence of several."""
+    return (1,) if rng.random() < 0.8 else ((3,), (1, 3))[rng.integers(2)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+class TestOneRowForms:
+    """The affine map, layer norm and causal convolution against their
+    multi-row forwards (tests/util.py), byte for byte. Most cases are one row;
+    the layouts, widths and row counts that the one-row forms leave to
+    numpy's multi-row calls are drawn too, and must match as well."""
+
+    def test_affine(self):
+        rng = np.random.default_rng(17)
+        for _ in range(ONE_ROW_CASES):
+            k, n = _width(rng), _width(rng)
+            x, w = _one_row_operand(rng, (*_rows(rng), k)), _one_row_operand(rng, (k, n))
+            b = _one_row_operand(rng, (n,))
+            with no_grad():
+                got = affine(x, w, b).data
+            assert got.tobytes() == affine_oracle(x, w, b).tobytes()
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(18)
+        for _ in range(ONE_ROW_CASES):
+            n = _width(rng)
+            # an offset as large as the spread, or far larger
+            x = _one_row_operand(rng, (*_rows(rng), n)) + rng.normal() * 10.0 ** rng.uniform(-4, 4)
+            gamma, beta = _one_row_operand(rng, (n,)), _one_row_operand(rng, (n,))
+            eps = float(rng.choice([1e-5, 1e-12, 0.1]))
+            with no_grad():
+                got = layer_norm(x, gamma, beta, eps).data
+            assert got.tobytes() == layer_norm_oracle(x, gamma, beta, eps).tobytes()
+
+    def test_causal_conv1d(self):
+        rng = np.random.default_rng(19)
+        for _ in range(ONE_ROW_CASES):
+            T, k, d = int(rng.integers(1, 41)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            most = 64 if rng.random() < 0.2 else 16
+            c_in, c_out = _width(rng, most), _width(rng, most)
+            start, stride = int(rng.integers(0, T)), int(rng.integers(1, 5))
+            batch = 1 if rng.random() < 0.8 else 2
+            x = _one_row_operand(rng, (batch, T, c_in))
+            w, b = _one_row_operand(rng, (k, c_in, c_out)), _one_row_operand(rng, (c_out,))
+            with no_grad():
+                got = causal_conv1d(x, w, b, d, start, stride).data
+            assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
+
+    def test_lone_values_keep_matmuls_bits(self):
+        # `dot` scales by a lone value without BLAS, which turns 0 * inf into
+        # 0: rows one value wide must keep matmul, which gives NaN
+        for v in SUM_EDGES:
+            for u in SUM_EDGES:
+                x, w, b = np.full((1, 1), v), np.full((1, 3), u), np.zeros(3)
+                assert autodiff._affine(x, w, b).tobytes() == affine_oracle(x, w, b).tobytes()
+                x = np.array([[[1.0], [2.0], [v]]])
+                for w in (np.full((2, 1, 3), u), np.full((2, 1, 1), u)):
+                    b = np.zeros(w.shape[2])
+                    with no_grad():   # the last position alone, so one row of one value
+                        got = causal_conv1d(x, w, b, 1, 2).data
+                    assert got.tobytes() == causal_conv1d_oracle(x, w, b, 1, 2).tobytes()
+
+    def test_one_row_forms_taken(self, monkeypatch):
+        class Spy(np.ndarray):
+            """Counts the `dot` calls of the one-row affine map and convolution."""
+            dots = 0
+
+            def dot(self, *args):
+                Spy.dots += 1
+                return np.asarray(self).dot(*args)
+
+        sums = []
+        monkeypatch.setattr(autodiff, "_sum_last", lambda x: sums.append(x.shape) or
+                            np.add.reduce(x, -1, keepdims=True))
+        rng = np.random.default_rng(20)
+        x, w, b = rng.normal(size=(2, 16)), rng.normal(size=(16, 8)), rng.normal(size=8)
+        autodiff._affine(x[:1].view(Spy), w, b)
+        autodiff._layer_norm(x[:1], x[0], x[1], 1e-5)
+        kernel, rows = w.reshape(2, 4, 16), slice(0, None, 1)
+        autodiff._causal_conv1d(x.reshape(1, 8, 4).view(Spy), kernel, x[1], rows,
+                                ((1, 1, slice(0, 7, 1)),))
+        assert Spy.dots == 3 and sums == []
+        # several rows, a kernel that is not C-ordered: numpy's multi-row calls
+        autodiff._affine(x.view(Spy), w, b)
+        autodiff._affine(x[:1].view(Spy), np.asfortranarray(w), b)
+        autodiff._layer_norm(x, x[0], x[1], 1e-5)
+        autodiff._causal_conv1d(x.reshape(2, 4, 4).view(Spy), kernel, x[1], rows,
+                                ((1, 1, slice(0, 3, 1)),))
+        assert Spy.dots == 3 and sums == [(2, 16), (2, 16)]
 
 
 class TestTake:

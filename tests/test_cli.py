@@ -493,6 +493,15 @@ CORRUPTIONS = {
     "list": (lambda d: [1], "bad.checkpoint.json is not a toilcast-checkpoint-v1 file"),
     "input_channels": (lambda d: d.update(input_channels="top_oil"),
                        "TrainedModel.input_channels must be a list of channels among "),
+    # a bare "Incorrect padding", and characters outside the alphabet dropped
+    "base64-padding": (lambda d: d["params"]["head.b"].update(data="abc"),
+                       "parameter 'head.b' is not base64 data (Incorrect padding)"),
+    "base64-alphabet": (lambda d: d["params"]["head.b"].update(data="AAAA!!!!AAAAAAAA"),
+                        "parameter 'head.b' is not base64 data (Only base64 data is allowed)"),
+    # used to load, then fail at the first forward with a TypeError
+    "activation": (lambda d: d["config"].update(activation=["relu"]),
+                   "MlpConfig.activation must be one of ['identity', 'relu', 'sigmoid', "
+                   "'tanh'], got ['relu']"),
 }
 
 

@@ -422,6 +422,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"quantiles must be a list of levels, got {value}"):
             config_from_dict("ann", {"quantiles": value})
 
+    @pytest.mark.parametrize("family, cls", [("ann", "MlpConfig"), ("tcn", "TcnConfig"),
+                                             ("tide", "TideConfig")])
+    @pytest.mark.parametrize("value", [["relu"], "swish", 5, None])
+    def test_bad_activation_named_at_config_time(self, family, cls, value):
+        # a list used to pass here and fail at the first forward with a TypeError
+        with pytest.raises(ValueError, match=rf"{cls}\.activation must be one of \['identity', "
+                                             rf"'relu', 'sigmoid', 'tanh'\], got "):
+            config_from_dict(family, {"activation": value})
+
     @pytest.mark.parametrize("value", [[], ()])
     def test_empty_quantiles_are_a_point_head(self, value):
         assert config_from_dict("ann", {"quantiles": value}).quantiles == ()

@@ -489,6 +489,20 @@ class TestPreparedRollout:
         assert len(autoregressive_predict(model, make_dataset(30, seed=41))) == 24
         assert taped == []
 
+    def test_tide_q_step_calls_no_row_sum_helper(self, monkeypatch):
+        # the 3-wide layer norms of this quantile TiDE (its temporal and last
+        # decoder blocks) summed their rows through `_sum_last` at every step;
+        # a one-row layer norm sums them itself
+        from toilcast import autodiff
+
+        model = make_model("tide", Q)
+        rollout = model.prepare(make_dataset(30, seed=56).matrix(model.input_channels))
+        calls, sum_last = [], autodiff._sum_last
+        monkeypatch.setattr(autodiff, "_sum_last", lambda x: calls.append(x.shape) or sum_last(x))
+        for i in range(6, 30):
+            rollout.step(i)
+        assert calls == []
+
     def test_tide_projects_covariates_once_per_rollout(self, monkeypatch):
         from toilcast import nn
 

@@ -28,6 +28,39 @@ def relu_oracle(a) -> np.ndarray:
     return np.where(a > 0, a, 0.0)
 
 
+def affine_oracle(x, w, b) -> np.ndarray:
+    """`x @ w + b`: the forward of `autodiff.affine` for any row count, and
+    the oracle of its one-row form."""
+    return x @ w + b
+
+
+def layer_norm_oracle(x, gamma, beta, eps) -> np.ndarray:
+    """Layer norm over the last axis with numpy's row sums (`_sum_last` gives
+    their bits): the forward of `autodiff.layer_norm` for any row count, and
+    the oracle of its one-row form."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) * (1.0 / n)
+    centered = x - mu
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * (1.0 / n)
+    return centered * (var + eps) ** -0.5 * gamma + beta
+
+
+def causal_conv1d_oracle(x, w, b, dilation=1, start=0, stride=1) -> np.ndarray:
+    """The causal convolution as one matmul per tap over the whole batch, each
+    tap added from the first output position it reaches into the sequence:
+    the forward of `autodiff.causal_conv1d` for any batch, and the oracle of
+    its one-row form."""
+    T = x.shape[1]
+    out = x[:, start::stride] @ w[0] + b
+    for i in range(1, w.shape[0]):
+        s = i * dilation
+        j0 = max(0, -((start - s) // stride))
+        lo = start + j0 * stride
+        if lo < T:
+            out[:, j0:] += x[:, lo - s: T - s: stride] @ w[i]
+    return out
+
+
 def replay_oracle(plan, *inputs) -> np.ndarray:
     """The interpreted replay of a captured plan: each step's forward called
     on its argument slots in one list of values. The oracle of `Plan.run`."""
