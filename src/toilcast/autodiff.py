@@ -164,35 +164,8 @@ def _grad_for(t: Tensor, g: np.ndarray):
 # takes the output, the input Tensors, the static arguments and the output
 # gradient, and returns one gradient per input (None if it takes none).
 
-# The affine map, layer norm and causal convolution take a one-row form on a
-# batch-1 step: numpy's own arithmetic in fewer, cheaper calls. Where matmul
-# sends a row to BLAS, `ndarray.dot` makes the same call with less set-up, if
-# the kernel, and a convolution's input, is C-ordered (dot copies another
-# layout, and BLAS can round the copy otherwise) and the rows are at least 2
-# wide (dot scales by a lone value without BLAS, so 0 * inf gives 0, not
-# NaN); other operands keep matmul. tests/util.py holds the multi-row
-# forwards as the oracles of the one-row forms.
-
-def _affine(x, w, b):
-    if x.ndim == 2 and len(x) == 1 < len(w) and w.flags.c_contiguous:
-        out = x.dot(w)
-        out += b
-        return out
-    return x @ w + b
-
-
-def _layer_norm(x, gamma, beta, eps):
-    if x.ndim == 2 and len(x) == 1:
-        # the sums on the 1-D row and the moments in Python floats; the power
-        # stays numpy's, whose SIMD loop can round unlike Python's **
-        n = x.shape[1]
-        xhat = x - float(np.add.reduce(x[0])) * (1.0 / n)
-        var = float(np.add.reduce((xhat * xhat)[0])) * (1.0 / n)
-        xhat *= float(np.power(np.array(var + eps), -0.5))
-        return xhat * gamma + beta
-    return _normalized(x, eps)[0] * gamma + beta
-
-
+def _affine(x, w, b): return x @ w + b
+def _layer_norm(x, gamma, beta, eps): return _normalized(x, eps)[0] * gamma + beta
 def _sigmoid(a): return 1.0 / (1.0 + np.exp(-a))
 def _maximum(a, b): return np.where(a >= b, a, b)
 def _mean(a): return np.asarray(a.mean())
@@ -255,13 +228,6 @@ def _concat_vjp(out, *args):
 
 
 def _causal_conv1d(x, w, b, rows, taps):
-    if len(x) == 1 < x.shape[2] and x.flags.c_contiguous and w.flags.c_contiguous:
-        x0 = x[0]
-        out = x0[rows].dot(w[0])
-        out += b
-        for i, j0, src in taps:
-            out[j0:] += x0[src].dot(w[i])
-        return out[None]
     out = x[:, rows] @ w[0] + b
     for i, j0, src in taps:
         out[:, j0:] += x[:, src] @ w[i]
@@ -402,6 +368,77 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
 
 # -------- captured forward passes --------
 
+# A captured step of the affine map, layer norm or causal convolution on one
+# row replays as numpy's own arithmetic in fewer, cheaper calls, written into
+# the plan's code. Where matmul sends a row to BLAS, `ndarray.dot` makes the
+# same call with less set-up, if the kernel, and a convolution's input, is
+# C-ordered (dot copies another layout, and BLAS can round the copy otherwise)
+# and the rows are at least 2 wide (dot scales by a lone value without BLAS,
+# so 0 * inf gives 0, not NaN). Each form takes the plan, the step's output
+# slot, its argument slots, and the recorded output and arguments; it returns
+# the step's lines, or None where the operands fail its guard and the step
+# keeps its forward's call. A replay sees the shapes and layouts of the
+# capture, so the guard is decided once. tests/util.py holds the multi-row
+# forwards as the oracles of these forms.
+
+def _shaped(plan, j: int, shape: tuple) -> str:
+    """The name of argument slot j for an operation on arrays of `shape`. A
+    constant of as many values is bound once more as a view of that shape: a
+    ufunc sets up far less for equal shapes than to broadcast a row, and runs
+    the same inner loop on the same values and strides."""
+    if j in plan._computed or np.size(plan._vals[j]) != math.prod(shape):
+        return f"s{j}"
+    return f"s{plan._new(np.reshape(plan._vals[j], shape))}"
+
+
+def _affine_form(plan, k, slots, out, x, w, b):
+    if x.ndim == w.ndim == 2 and len(x) == 1 < len(w) and w.flags.c_contiguous \
+            and out.shape == (1, w.shape[1]):
+        x, w = (f"s{j}" for j in slots[:2])
+        return [f"s{k} = {x}.dot({w})", f"s{k} += {_shaped(plan, slots[2], out.shape)}"]
+    return None
+
+
+def _layer_norm_form(plan, k, slots, out, x, gamma, beta, eps):
+    if x.ndim != 2 or len(x) != 1 or out.shape != x.shape:
+        return None
+    # the sums on the 1-D row and the moments in Python floats; the power
+    # stays numpy's, whose SIMD loop can round unlike Python's **
+    x, eps = f"s{slots[0]}", f"s{slots[3]}"
+    gamma, beta = (_shaped(plan, j, out.shape) for j in slots[1:3])
+    inv = repr(1.0 / out.shape[1])
+    return [f"s{k} = {x} - _float(_reduce({x}[0])) * {inv}",
+            f"v{k} = _float(_reduce((s{k} * s{k})[0])) * {inv}",
+            f"s{k} *= _float(_power(_array(v{k} + {eps}), -0.5))",
+            f"s{k} *= {gamma}", f"s{k} += {beta}"]
+
+
+def _causal_conv1d_form(plan, k, slots, out, x, w, b, rows, taps):
+    # the kernel's taps and the input rows they read are bound as constants
+    if len(x) != 1 or x.shape[2] < 2 or not (x.flags.c_contiguous and w.flags.c_contiguous) \
+            or slots[1] in plan._computed:
+        return None
+    const = lambda value: f"s{plan._new(value)}"
+    x, b = f"s{slots[0]}", f"s{slots[2]}"
+    lines = [f"x{k} = {x}[0]", f"s{k} = x{k}[{const(rows)}].dot({const(w[0])})", f"s{k} += {b}"]
+    for i, j0, src in taps:
+        lines.append(f"s{k}{f'[{j0}:]' if j0 else ''} += x{k}[{const(src)}].dot({const(w[i])})")
+    return [*lines, f"s{k} = s{k}[None]"]
+
+
+_FORMS = {_affine: _affine_form, _layer_norm: _layer_norm_form,
+          _causal_conv1d: _causal_conv1d_form}
+# forwards that a replay writes as the expression they evaluate, made from
+# their argument names
+_EXPRESSIONS = {operator.add: "{} + {}".format, operator.sub: "{} - {}".format,
+                operator.mul: "{} * {}".format, operator.getitem: "{}[{}]".format,
+                _reshape: "{}.reshape({})".format, np.fmax: "_fmax({}, {})".format,
+                _concat: lambda *args: f"_concatenate(({', '.join(args[:-1])},), {args[-1]})"}
+# the names the forms and expressions call
+_REPLAY_GLOBALS = {"_float": float, "_reduce": np.add.reduce, "_power": np.power,
+                   "_array": np.array, "_fmax": np.fmax, "_concatenate": np.concatenate}
+
+
 class Plan:
     """A forward pass recorded by `capture`, replayed with numpy alone.
 
@@ -409,11 +446,13 @@ class Plan:
     inputs, the constants (parameters, static arguments and results folded
     at capture) and each step's output; a step is a primitive forward, the
     value slots of its arguments and its output slot. `capture` compiles the
-    record into `run`, one function whose body makes the steps' calls in
-    order on local variables: the inputs are its parameters, and the
-    constants and forwards are bound as their defaults. A replay returns an
-    array that no input or constant shares memory with, so the caller may
-    write to it."""
+    record into `run`, one function whose body makes the steps' numpy calls
+    in order on local variables, its text in `source`: the inputs are its
+    parameters, and the constants and forwards are bound as their defaults.
+    A step that has a one-row form, or that is one operator, is written out
+    in place of its forward's call. A replay takes inputs of the shapes and
+    layouts of the capture's, and returns an array that no input or constant
+    shares memory with, so the caller may write to it."""
 
     def __init__(self, params: dict, inputs: tuple):
         self._vals, self._steps, self._n_inputs = [None] * len(inputs), [], len(inputs)
@@ -421,6 +460,7 @@ class Plan:
         self._params = {id(p) for p in params.values()}
         # id -> (slot, tensor); holding the tensor keeps its id unique while recording
         self._slots = {id(t): (k, t) for k, t in enumerate(inputs)}
+        self._forms: dict[int, list[str]] = {}      # output slot -> one-row form's lines
 
     def _new(self, value, t: Tensor | None = None) -> int:
         self._vals.append(value)
@@ -448,20 +488,35 @@ class Plan:
         if self._computed.isdisjoint(slots):
             self._new(out.data, out)        # constants in, constant out: folded
             return
-        self._step(fwd, (*slots, *(self._new(s) for s in static)), out)
+        slots = (*slots, *(self._new(s) for s in static))
+        k = self._step(fwd, slots, out)
+        if fwd in _FORMS:
+            lines = _FORMS[fwd](self, k, slots, out.data, *(t.data for t in inputs), *static)
+            if lines is not None:
+                self._forms[k] = lines
 
     def _compile(self) -> None:
         """Bind `run`: the steps as straight-line code on the slots' names."""
         n = self._n_inputs
         consts = [k for k in range(n, len(self._vals)) if k not in self._computed]
         names = [f"s{k}" for k in (*range(n), *consts)]
-        names += [f"f{j}" for j in range(len(self._steps))]
-        source = "\n".join([f"def replay({', '.join(names)}):",
-                            *(f"    s{k} = f{j}({', '.join(f's{s}' for s in slots)})"
-                              for j, (_, slots, k) in enumerate(self._steps)),
-                            f"    return s{self._out}"])
-        defaults = (*(self._vals[k] for k in consts), *(fwd for fwd, _, _ in self._steps))
-        self.run = FunctionType(_compiled(source), {}, "replay", defaults)
+        defaults = [self._vals[k] for k in consts]
+        body = []
+        for fwd, slots, k in self._steps:
+            args = [f"s{j}" for j in slots]
+            if k in self._forms:
+                body += self._forms[k]
+            elif fwd in _EXPRESSIONS:
+                body.append(f"s{k} = " + _EXPRESSIONS[fwd](*args))
+            else:
+                names.append(f"f{k}")
+                defaults.append(fwd)
+                body.append(f"s{k} = f{k}({', '.join(args)})")
+        self.source = "\n".join([f"def replay({', '.join(names)}):",
+                                  *(f"    {line}" for line in body),
+                                  f"    return s{self._out}"])
+        self.run = FunctionType(_compiled(self.source), _REPLAY_GLOBALS, "replay",
+                                tuple(defaults))
 
     def __call__(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != self._n_inputs:
@@ -472,7 +527,7 @@ class Plan:
 @lru_cache(maxsize=256)
 def _compiled(source: str) -> CodeType:
     """The code of the function `source` defines, compiled once per text: the
-    text holds slot numbers alone, so plans of one shape share it."""
+    text holds slot numbers and shapes alone, so plans of one shape share it."""
     scope: dict = {}
     exec(compile(source, "<plan>", "exec"), scope)
     return scope["replay"].__code__
@@ -503,7 +558,7 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
         k = plan._step(np.copy, (k,))
     plan._out = k
     plan._compile()
-    del plan._slots, plan._params, plan._computed
+    del plan._slots, plan._params, plan._computed, plan._forms
     if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
         raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")
     return plan

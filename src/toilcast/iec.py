@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -98,18 +99,23 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     n_sub = np.round(n_sub[:len(K) - 1]).astype(np.int64)
 
     alpha = dt_min / (p.k11 * p.tau_o_min)
-    # one Euler loop over every sub-step, with each interval's inputs repeated
-    # per sub-step; memoryview yields Python floats (the same IEEE doubles as
-    # numpy's) and array('d') keeps no float objects alive
-    drive = np.repeat((load_bracket(K.values, p) * p.delta_t_or_k)[:-1], n_sub)
-    ta = np.repeat(Ta.values[:-1], n_sub)
+    # the Euler loop over Python floats from memoryviews (the same IEEE
+    # doubles as numpy's), each interval's inputs held over its sub-steps and
+    # its last state stored; array('d') keeps no float objects alive
+    drive = memoryview((load_bracket(K.values, p) * p.delta_t_or_k)[:-1])
+    ta = memoryview(np.ascontiguousarray(Ta.values[:-1], dtype=np.float64))
     t_oil = float(t0)
     states = array("d", [t_oil])
-    for d, a in zip(memoryview(drive), memoryview(ta)):
-        t_oil += alpha * (d - (t_oil - a))
-        states.append(t_oil)
-    # the state at each instant is the one after its interval's last sub-step
-    out = np.frombuffer(states)[np.concatenate(([0], np.cumsum(n_sub)))]
+    if (n_sub == 1).all():   # one sub-step each: no inner loop to set up
+        for d, a in zip(drive, ta):
+            t_oil += alpha * (d - (t_oil - a))
+            states.append(t_oil)
+    else:
+        for d, a, m in zip(drive, ta, n_sub.tolist()):
+            for _ in repeat(None, m):
+                t_oil += alpha * (d - (t_oil - a))
+            states.append(t_oil)
+    out = np.frombuffer(states)
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
         raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")

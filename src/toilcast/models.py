@@ -11,8 +11,10 @@ import base64
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import add, truediv
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,14 +415,15 @@ class TrainedModel:
         the matrix scaled once; `windows`, the plan's inputs at every step as
         read-only views onto it (TiDE: and onto every row's covariates,
         projected once); `plan`, the forward pass (TiDE: `decode`) captured
-        on the first window; and two functions bound to these. `step(i)`
-        replays the plan on rows i-L .. i-1 (TiDE also reads the covariates
-        of rows i .. i+H-1) and returns (H, T, Q) predictions in raw units
-        with non-crossing enforced; IndexError for a step before the first
-        full window or past the slice. `feed(i, targets)` writes raw-unit
-        targets into row i, scaled as the matrix was, in Python floats (the
-        same IEEE double arithmetic as numpy's), and later windows show them.
-        ValueError if the matrix is shorter than one window."""
+        on the first window; and two functions bound to these. Step i replays
+        the plan on rows i-L .. i-1 (TiDE also reads the covariates of rows
+        i .. i+H-1) and gives (H, T, Q) predictions in raw units, quantile
+        levels sorted. `run()` takes steps L .. n-1 in turn, each writing its
+        median forecast into row i, scaled as the matrix was, where later
+        windows read it, and returns the (n - L, H, T, Q) predictions.
+        `step(i)` takes step i alone and writes nothing; IndexError for a
+        step before the first full window or past the slice. ValueError if
+        the matrix is shorter than one window."""
         cfg, L = self.config, self.config.lookback
         gain, offset = self.scaler.vectors(self.input_channels)
         # C order, so that a flattened window is a view that `strided_windows` can stride
@@ -441,28 +444,42 @@ class TrainedModel:
         else:
             windows = (strided_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
         plan = capture(forward, self.params, *(w[0] for w in windows))
-        run, sort = plan.run, cfg.n_quantiles > 1
-        shape = (cfg.horizon, cfg.n_targets, cfg.n_quantiles)
+        replay, n_steps = plan.run, min(map(len, windows))
+        H, T, Q = cfg.horizon, cfg.n_targets, cfg.n_quantiles
         cols = [self.input_channels.index(c) for c in self.target_channels]
-        gain_col, off_col = gain[cols][:, None], offset[cols][:, None]
-        targets = [(j, float(offset[j]), float(gain[j])) for j in cols]
+        # each output value's target gain and offset, in (H, T, Q) order
+        gains = [float(gain[j]) for _ in range(H) for j in cols for _ in range(Q)]
+        offsets = [float(offset[j]) for _ in range(H) for j in cols for _ in range(Q)]
+        rows, width = memoryview(scaled.reshape(-1)), scaled.shape[1]
+
+        def steps(first: int, stop: int, feed: bool) -> np.ndarray:
+            # in Python floats: the same IEEE double operations, in the same
+            # order, as numpy's, without a numpy call on a handful of values.
+            # `sorted` orders finite levels as np.sort does; a NaN it may
+            # leave in any slot, where the caller's finiteness check finds it
+            if feed:   # the median's slot and column of each target
+                mid = cfg.quantiles.index(0.5) if Q > 1 else 0
+                fed = [(t * Q + mid, j) for t, j in enumerate(cols)]
+            out = array("d")
+            for i, inputs in zip(range(first, stop),
+                                 zip(*(w[first - L: stop - L] for w in windows))):
+                y = list(map(add, map(truediv, replay(*inputs).tolist()[0], gains), offsets))
+                if Q > 1:
+                    y = [v for q in range(0, len(y), Q) for v in sorted(y[q: q + Q])]
+                out.extend(y)
+                if feed:
+                    for m, j in fed:
+                        rows[i * width + j] = (y[m] - offsets[m]) * gains[m]
+            return np.frombuffer(out).reshape(-1, H, T, Q)
 
         def step(i: int) -> np.ndarray:
-            if i < L:   # a negative window index would read a window from the end
-                raise IndexError(f"step {i} precedes the first full window (lookback {L})")
-            # the plan returns an array of its own: unscale and sort it in place
-            out = run(*[w[i - L] for w in windows]).reshape(shape)
-            out /= gain_col
-            out += off_col
-            if sort:
-                out.sort(axis=-1)
-            return out
+            if not L <= i < L + n_steps:
+                raise IndexError(f"step {i} precedes the first full window (lookback {L})"
+                                 if i < L else f"step {i} is past the slice's last window")
+            return steps(i, i + 1, False)[0]
 
-        def feed(i: int, values: np.ndarray) -> None:
-            for (j, off, g), value in zip(targets, values.tolist()):
-                scaled[i, j] = (value - off) * g
-
-        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, step=step, feed=feed)
+        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, step=step,
+                               run=partial(steps, L, len(scaled), True))
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
         """The first step of the rollout over one raw-unit (L, C) window, plus

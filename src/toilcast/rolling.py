@@ -38,7 +38,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     The first window seeds from measured targets; thereafter predicted
     targets are fed back while covariates stay measured. Quantile models
     feed back their median (alpha = 0.5) trace. `model.prepare` returns the
-    rollout over the slice, whose `step` and `feed` then run along it.
+    rollout over the slice, whose `run` takes every step of it.
     """
     cfg = model.config
     L = cfg.lookback
@@ -53,18 +53,10 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
         raise ValueError("autoregressive feedback needs the 0.5 quantile in the head")
     mid = alphas.index(0.5) if alphas else 0
 
-    n_out = N - L
-    # every step's (T, Q) output, in raw units; the median column is fed back
-    preds = np.empty((n_out, len(target_channels), max(1, len(alphas))))
-    points = preds[:, :, mid]
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rollout = model.prepare(valid.matrix(model.input_channels))
-        step, feed = rollout.step, rollout.feed
-        for k, i in enumerate(range(L, N)):
-            preds[k] = step(i)     # (1, T, Q)
-            feed(i, points[k])
+        preds = model.prepare(valid.matrix(model.input_channels)).run()[:, 0]   # (n, T, Q)
     finite = np.isfinite(preds).all(axis=(1, 2))
     if not finite.all():
         k = int(finite.argmin())
@@ -72,7 +64,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
                                  f"({format_instant(valid.timestamps[L + k])})")
 
     return ForecastTrace(model.family, valid.timestamps[L:].copy(), target_channels,
-                         points.copy(), preds if alphas else None, alphas)
+                         preds[:, :, mid].copy(), preds if alphas else None, alphas)
 
 
 def iec_predict(params: IecParams, valid: TransformerDataset,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,11 +58,19 @@ class TrainConfig:
 class TrainReport:
     epoch_losses: list[float]
     wall_time_s: float
-    param_checksum: str
+    # the parameters as training left them: Adam rebinds a parameter's `.data`
+    # and writes no array in place, so these arrays stay final
+    final_params: dict[str, Tensor] = field(repr=False, compare=False)
 
     @property
     def epochs_run(self) -> int:
         return len(self.epoch_losses)
+
+    @cached_property
+    def param_checksum(self) -> str:
+        """SHA-256 over the final parameters, computed on first read: a grid
+        trial's report is never read."""
+        return nn.param_checksum(self.final_params)
 
     def to_dict(self) -> dict:
         return {"epoch_losses": self.epoch_losses, "epochs_run": self.epochs_run,
@@ -142,7 +151,7 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
                 if stale >= cfg.patience:
                     break
     return TrainReport(epoch_losses, time.perf_counter() - t_start,
-                       nn.param_checksum(params))
+                       {name: Tensor(t.data) for name, t in params.items()})
 
 
 def fit_dataset(family: str, model_cfg, train_ds: TransformerDataset,

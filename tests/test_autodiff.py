@@ -441,12 +441,25 @@ def _rows(rng) -> tuple:
     return (1,) if rng.random() < 0.8 else ((3,), (1, 3))[rng.integers(2)]
 
 
+def _captured(fn, x, *operands) -> Plan:
+    """`fn(x, *operands)` captured with `x` as the input and the operands as
+    parameters, which keep their layouts."""
+    params = {str(k): Tensor(v) for k, v in enumerate(operands)}
+    return capture(lambda p, x: fn(x, *p.values()), params, x)
+
+
+def calls(plan: Plan, fwd) -> bool:
+    """Whether the plan's replay calls the forward `fwd`, bound as a default."""
+    return any(v is fwd for v in plan.run.__defaults__ or ())
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 class TestOneRowForms:
-    """The affine map, layer norm and causal convolution against their
-    multi-row forwards (tests/util.py), byte for byte. Most cases are one row;
-    the layouts, widths and row counts that the one-row forms leave to
-    numpy's multi-row calls are drawn too, and must match as well."""
+    """The one-row forms that a captured plan writes for the affine map, layer
+    norm and causal convolution, against their multi-row forwards
+    (tests/util.py), byte for byte. Most cases are one row; the layouts,
+    widths and row counts that keep the forward's call are drawn too, and
+    must match as well."""
 
     def test_affine(self):
         rng = np.random.default_rng(17)
@@ -454,8 +467,7 @@ class TestOneRowForms:
             k, n = _width(rng), _width(rng)
             x, w = _one_row_operand(rng, (*_rows(rng), k)), _one_row_operand(rng, (k, n))
             b = _one_row_operand(rng, (n,))
-            with no_grad():
-                got = affine(x, w, b).data
+            got = _captured(affine, x, w, b).run(x)
             assert got.tobytes() == affine_oracle(x, w, b).tobytes()
 
     def test_layer_norm(self):
@@ -466,8 +478,7 @@ class TestOneRowForms:
             x = _one_row_operand(rng, (*_rows(rng), n)) + rng.normal() * 10.0 ** rng.uniform(-4, 4)
             gamma, beta = _one_row_operand(rng, (n,)), _one_row_operand(rng, (n,))
             eps = float(rng.choice([1e-5, 1e-12, 0.1]))
-            with no_grad():
-                got = layer_norm(x, gamma, beta, eps).data
+            got = _captured(lambda x, g, b: layer_norm(x, g, b, eps), x, gamma, beta).run(x)
             assert got.tobytes() == layer_norm_oracle(x, gamma, beta, eps).tobytes()
 
     def test_causal_conv1d(self):
@@ -480,8 +491,8 @@ class TestOneRowForms:
             batch = 1 if rng.random() < 0.8 else 2
             x = _one_row_operand(rng, (batch, T, c_in))
             w, b = _one_row_operand(rng, (k, c_in, c_out)), _one_row_operand(rng, (c_out,))
-            with no_grad():
-                got = causal_conv1d(x, w, b, d, start, stride).data
+            plan = _captured(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
+            got = plan.run(x)
             assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
 
     def test_lone_values_keep_matmuls_bits(self):
@@ -490,12 +501,13 @@ class TestOneRowForms:
         for v in SUM_EDGES:
             for u in SUM_EDGES:
                 x, w, b = np.full((1, 1), v), np.full((1, 3), u), np.zeros(3)
-                assert autodiff._affine(x, w, b).tobytes() == affine_oracle(x, w, b).tobytes()
+                got = _captured(affine, x, w, b).run(x)
+                assert got.tobytes() == affine_oracle(x, w, b).tobytes()
                 x = np.array([[[1.0], [2.0], [v]]])
                 for w in (np.full((2, 1, 3), u), np.full((2, 1, 1), u)):
                     b = np.zeros(w.shape[2])
-                    with no_grad():   # the last position alone, so one row of one value
-                        got = causal_conv1d(x, w, b, 1, 2).data
+                    # the last position alone, so one row of one value
+                    got = _captured(lambda x, w, b: causal_conv1d(x, w, b, 1, 2), x, w, b).run(x)
                     assert got.tobytes() == causal_conv1d_oracle(x, w, b, 1, 2).tobytes()
 
     def test_one_row_forms_taken(self, monkeypatch):
@@ -507,24 +519,55 @@ class TestOneRowForms:
                 Spy.dots += 1
                 return np.asarray(self).dot(*args)
 
-        sums = []
-        monkeypatch.setattr(autodiff, "_sum_last", lambda x: sums.append(x.shape) or
-                            np.add.reduce(x, -1, keepdims=True))
         rng = np.random.default_rng(20)
         x, w, b = rng.normal(size=(2, 16)), rng.normal(size=(16, 8)), rng.normal(size=8)
-        autodiff._affine(x[:1].view(Spy), w, b)
-        autodiff._layer_norm(x[:1], x[0], x[1], 1e-5)
-        kernel, rows = w.reshape(2, 4, 16), slice(0, None, 1)
-        autodiff._causal_conv1d(x.reshape(1, 8, 4).view(Spy), kernel, x[1], rows,
-                                ((1, 1, slice(0, 7, 1)),))
-        assert Spy.dots == 3 and sums == []
+        gamma, beta, kernel = rng.normal(size=16), rng.normal(size=16), w.reshape(2, 4, 16)
+
+        def replay(rows, conv_x, w):
+            """Capture the three primitives on plain arrays, then replay them
+            on Spy views; returns the shapes `_sum_last` was called on."""
+            plans = [(_captured(affine, rows, w, b), rows),
+                     (_captured(layer_norm, rows, gamma, beta), rows),
+                     (_captured(causal_conv1d, conv_x, kernel, beta), conv_x)]
+            sums = []
+            with monkeypatch.context() as m:
+                m.setattr(autodiff, "_sum_last", lambda x: sums.append(x.shape) or
+                          np.add.reduce(x, -1, keepdims=True))
+                for plan, given in plans:
+                    plan.run(given.view(Spy))
+            return sums
+
+        assert replay(x[:1], x.reshape(1, 8, 4), w) == [] and Spy.dots == 3
         # several rows, a kernel that is not C-ordered: numpy's multi-row calls
-        autodiff._affine(x.view(Spy), w, b)
-        autodiff._affine(x[:1].view(Spy), np.asfortranarray(w), b)
-        autodiff._layer_norm(x, x[0], x[1], 1e-5)
-        autodiff._causal_conv1d(x.reshape(2, 4, 4).view(Spy), kernel, x[1], rows,
-                                ((1, 1, slice(0, 3, 1)),))
-        assert Spy.dots == 3 and sums == [(2, 16), (2, 16)]
+        assert replay(x, x.reshape(2, 4, 4), w) == [(2, 16), (2, 16)] and Spy.dots == 3
+        assert replay(x[:1], x.reshape(1, 8, 4), np.asfortranarray(w)) == []
+        assert Spy.dots == 3 + 2    # the layer norm and convolution keep their forms
+
+    # operands, drawn by `r`, that each fail a guard of the one-row forms
+    GUARD_FAILURES = {
+        "affine-F-kernel": (affine, lambda r: (r((1, 4)), np.asfortranarray(r((4, 3))), r(3))),
+        "affine-1-wide": (affine, lambda r: (r((1, 1)), r((1, 3)), r(3))),
+        "affine-2-rows": (affine, lambda r: (r((2, 4)), r((4, 3)), r(3))),
+        "layer-norm-2-rows": (layer_norm, lambda r: (r((2, 4)), r(4), r(4))),
+        "conv-1-wide": (causal_conv1d, lambda r: (r((1, 5, 1)), r((2, 1, 3)), r(3))),
+        "conv-strided-input": (causal_conv1d,
+                               lambda r: (r((1, 5, 8))[:, :, ::2], r((2, 4, 3)), r(3))),
+        "conv-F-kernel": (causal_conv1d,
+                          lambda r: (r((1, 5, 4)), np.asfortranarray(r((2, 4, 3))), r(3))),
+    }
+
+    @pytest.mark.parametrize("case", list(GUARD_FAILURES))
+    def test_guard_failing_operands_keep_the_call(self, case):
+        primitive, draw = self.GUARD_FAILURES[case]
+        fwd, oracle, extra = {affine: (autodiff._affine, affine_oracle, ()),
+                              layer_norm: (autodiff._layer_norm, layer_norm_oracle, (1e-5,)),
+                              causal_conv1d: (autodiff._causal_conv1d, causal_conv1d_oracle,
+                                              ())}[primitive]
+        rng = np.random.default_rng(22)
+        x, *operands = draw(lambda shape: rng.normal(size=shape))
+        plan = _captured(primitive, x, *operands)
+        assert calls(plan, fwd) and ".dot(" not in plan.source
+        assert plan.run(x).tobytes() == oracle(x, *operands, *extra).tobytes()
 
 
 class TestTake:

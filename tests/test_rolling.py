@@ -21,8 +21,9 @@ CHANNELS = ("top_oil", "ambient", "load_factor")
 
 class StubModel:
     """Duck-typed stand-in driven by a window -> scalar rule, with identity
-    scaling: the rollout's slice is a copy of the raw matrix, which its
-    `step` and `feed` receive first."""
+    scaling: its rollout's `run` calls `step` on a copy of the raw matrix at
+    every step and writes the step's median into the matrix, as a prepared
+    rollout does."""
 
     family = "stub"
     input_channels = CHANNELS
@@ -34,15 +35,19 @@ class StubModel:
         self.fn = fn
 
     def prepare(self, matrix):
-        rows = np.array(matrix, dtype=float)
-        return SimpleNamespace(step=partial(self.step, rows), feed=partial(self.feed, rows))
+        return SimpleNamespace(run=partial(self.run, np.array(matrix, dtype=float)))
+
+    def run(self, rows):
+        mid = self.quantiles.index(0.5) if self.quantiles else 0
+        out = []
+        for i in range(self.config.lookback, len(rows)):
+            out.append(self.step(rows, i))
+            rows[i, :1] = out[-1][0, :, mid]   # top_oil is the first input channel
+        return np.array(out)
 
     def step(self, rows, i):
         window = rows[i - self.config.lookback: i]
         return np.asarray([[[self.fn(window)]]], dtype=float)
-
-    def feed(self, rows, i, targets):
-        rows[i, :1] = targets   # top_oil is the first input channel
 
 
 class OracleModel(StubModel):
@@ -157,6 +162,41 @@ class TestAutoregressive:
         model = TrainedModel("ann", cfg, params, CHANNELS, ("top_oil",), scaler, seed=3)
         with pytest.raises(FloatingPointError, match=r"timestep 0 \("):
             autoregressive_predict(model, make_dataset(30, seed=6))
+
+    @pytest.mark.parametrize("slot", [0, 2], ids=["q01", "q99"])
+    def test_outer_level_nan_before_the_median_names_its_step(self, slot):
+        # a NaN in an outer level: np.sort moved it last, a sort of Python
+        # floats may leave it anywhere, and the step still fails by name
+        from toilcast.models import MlpConfig, TrainedModel, build_model
+
+        valid, L, k = make_dataset(30, seed=9), 5, 7
+        cfg = MlpConfig(n_layers=1, n_neurons=3, lookback=L, n_channels=3,
+                        activation="identity", quantiles=(0.01, 0.5, 0.99))
+        params = build_model("ann", cfg).init_params(3)
+        hidden, head = np.zeros((3 * L, 3)), np.zeros((3, 3))
+        last_top, last_load = 3 * (L - 1), 3 * (L - 1) + 2
+        # two equal units of the last load, whose difference is exactly 0
+        # until the load is 4, where each overflows 16-fold: inf - inf
+        hidden[last_load, :2] = 5e306
+        hidden[last_top, 2] = 1.0         # the median: the last top oil
+        head[:, slot], head[2, 1] = (16.0, -16.0, 0.0), 1.0
+        params["hidden0.w"].data, params["head.w"].data = hidden, head
+        params["head.b"].data = np.array([-1e3, 0.0, 1e3])
+        load = valid.load_factor.values.copy()
+        assert load.max() < 1.5
+        load[L + k - 1] = 4.0
+        valid = TransformerDataset.from_channels(valid.top_oil, valid.ambient,
+                                                 valid.load_factor.with_values(load))
+        model = TrainedModel("ann", cfg, params, CHANNELS, ("top_oil",), IDENTITY, seed=3)
+        when = re.escape(format_instant(valid.timestamps[L + k]))
+        with pytest.raises(FloatingPointError,
+                           match=rf"non-finite prediction at timestep {k} \({when}\)"):
+            autoregressive_predict(model, valid)
+        # one step earlier, the rollout is finite, levels in order
+        short = valid.slice_range(int(valid.timestamps[0]), int(valid.timestamps[L + k - 1]))
+        trace = autoregressive_predict(model, short)
+        assert np.array_equal(trace.quantiles[:, 0, ::2], np.tile([-1e3, 1e3], (k, 1)))
+        assert np.array_equal(trace.values[1:, 0], trace.values[:-1, 0])
 
     def test_quantile_feedback_requires_median(self):
         valid = make_dataset(30, seed=7)
@@ -503,6 +543,36 @@ class TestPreparedRollout:
             rollout.step(i)
         assert calls == []
 
+    @pytest.mark.parametrize("case", ["ann", "ann-q", "tcn", "tcn-wn", "tide", "tide-q"])
+    def test_batch_1_plans_call_no_primitive_forward(self, case):
+        # every affine map, layer norm and convolution of a rollout's plan is
+        # written out as its one-row form
+        from toilcast import autodiff
+
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        plan = model.prepare(make_dataset(20, seed=57).matrix(model.input_channels)).plan
+        forwards = (autodiff._affine, autodiff._layer_norm, autodiff._causal_conv1d)
+        assert not [v for v in plan.run.__defaults__ or () if any(v is f for f in forwards)]
+        assert ".dot(" in plan.source
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_point_rollout_replays_once_per_step(self, family, monkeypatch):
+        from toilcast import models
+        from toilcast.autodiff import capture
+
+        replays = []
+
+        def counting_capture(*args):
+            plan = capture(*args)
+            run = plan.run
+            plan.run = lambda *inputs: replays.append(len(inputs)) or run(*inputs)
+            return plan
+
+        monkeypatch.setattr(models, "capture", counting_capture)
+        trace = autoregressive_predict(make_model(family), make_dataset(30, seed=58))
+        assert len(trace) == 24 and replays == [2 if family == "tide" else 1] * 24
+
     def test_tide_projects_covariates_once_per_rollout(self, monkeypatch):
         from toilcast import nn
 
@@ -554,10 +624,9 @@ class TestPreparedRollout:
         mid = quantiles.index(0.5) if quantiles else 0
         gain, offset = model.scaler.vectors(model.input_channels)
         cols = [model.input_channels.index(c) for c in model.target_channels]
-        for i in range(6, 30):
-            point = rollout.step(i)[0, :, mid]
-            rollout.feed(i, point)
-            want[i, cols] = (point - offset[cols]) * gain[cols]
+        points = rollout.run()[:, 0, :, mid]
+        assert len(points) == 24
+        want[6:, cols] = (points - offset[cols]) * gain[cols]
         assert scaled.tobytes() == want.tobytes()
         assert all(w.tobytes() == kept.tobytes() for w, kept in zip(proj, want_proj))
         assert constants and all(v.tobytes() == kept.tobytes() for v, kept in constants)
@@ -598,6 +667,6 @@ class TestPreparedRollout:
         want = rollout.scaled.copy()
         cols = [inputs.index("top_oil"), inputs.index("temp_rise")]
         gain, offset = model.scaler.vectors(inputs)
-        want[9, cols] = (np.array([50.0, 30.0]) - offset[cols]) * gain[cols]
-        rollout.feed(9, np.array([50.0, 30.0]))
+        points = rollout.run()[:, 0, :, 0]
+        want[6:, cols] = (points - offset[cols]) * gain[cols]
         assert np.array_equal(rollout.scaled, want)

@@ -223,6 +223,23 @@ class TestLosses:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestLazyChecksum:
+    def test_checksum_is_of_the_parameters_training_left(self):
+        # read after the same parameters trained on: the checksum stays that
+        # of the arrays the first training ended with
+        from toilcast import nn
+
+        model, params = tiny_model(seed=5)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, learning_rate=1e-2, seed=5)
+        report = train(model, params, linear_windows(), cfg)
+        want = nn.param_checksum(params)
+        again = train(model, params, linear_windows(), cfg)
+        assert nn.param_checksum(params) != want
+        assert report.param_checksum == want
+        assert again.param_checksum == nn.param_checksum(params)
+        assert report.to_dict()["param_checksum"] == want
+
+
 class TestGridSearch:
     def make_data(self):
         return make_dataset(160, seed=4), make_dataset(60, start=1_700_000_000, seed=5)
@@ -237,6 +254,18 @@ class TestGridSearch:
         best = select_best(ranked)
         assert best.params == {"lookback": 8, "n_layers": 1, "n_neurons": 4}
         assert best.status == "ok"
+
+    def test_grid_computes_no_checksum(self, monkeypatch):
+        # grid_search discards its trials' reports, so no checksum is read
+        from toilcast import nn
+
+        hashed = []
+        monkeypatch.setattr(nn, "param_checksum", lambda params: hashed.append(params) or "")
+        train_ds, valid_ds = self.make_data()
+        grid = GridSpec("ann", {"n_neurons": (2, 4)}, lookbacks=(8,))
+        ranked = grid_search(grid, MlpConfig(n_layers=1, n_neurons=2, lookback=8), train_ds,
+                             valid_ds, IDENTITY, TrainConfig(batch_size=64, max_epochs=1))
+        assert [r.status for r in ranked] == ["ok", "ok"] and hashed == []
 
     def test_paper_grid_enumerates_27_trials(self):
         grid = GridSpec("ann", {"n_neurons": (32, 64, 128), "n_layers": (2, 4, 8)},
