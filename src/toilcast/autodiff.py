@@ -67,17 +67,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __pow__(self, n):
         return power(self, n)
@@ -451,8 +445,7 @@ class Plan:
     parameters, and the constants and forwards are bound as their defaults.
     A step that has a one-row form, or that is one operator, is written out
     in place of its forward's call. A replay takes inputs of the shapes and
-    layouts of the capture's, and returns an array that no input or constant
-    shares memory with, so the caller may write to it."""
+    layouts of the capture's."""
 
     def __init__(self, params: dict, inputs: tuple):
         self._vals, self._steps, self._n_inputs = [None] * len(inputs), [], len(inputs)
@@ -477,19 +470,15 @@ class Plan:
                            "a scalar nor a primitive's result; the forward read .data "
                            "outside a primitive")
 
-    def _step(self, fwd, slots: tuple, out: Tensor | None = None) -> int:
-        k = self._new(None, out)
-        self._computed.add(k)
-        self._steps.append((fwd, slots, k))
-        return k
-
     def _record(self, fwd, args, inputs, static, out: Tensor) -> None:
         slots = [self._slot(t, given) for t, given in zip(inputs, args)]
         if self._computed.isdisjoint(slots):
             self._new(out.data, out)        # constants in, constant out: folded
             return
         slots = (*slots, *(self._new(s) for s in static))
-        k = self._step(fwd, slots, out)
+        k = self._new(None, out)
+        self._computed.add(k)
+        self._steps.append((fwd, slots, k))
         if fwd in _FORMS:
             lines = _FORMS[fwd](self, k, slots, out.data, *(t.data for t in inputs), *static)
             if lines is not None:
@@ -551,12 +540,7 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
             out = forward(params, *tensors)
     finally:
         _capturing.reset(token)
-    k = plan._slot(out, out)
-    if any(isinstance(v, np.ndarray) and np.may_share_memory(out.data, v)
-           for v in (*(t.data for t in tensors), *plan._vals)):
-        # an input, a constant or a view of one: replay into an array of its own
-        k = plan._step(np.copy, (k,))
-    plan._out = k
+    plan._out = plan._slot(out, out)
     plan._compile()
     del plan._slots, plan._params, plan._computed, plan._forms
     if not np.array_equal(plan(*inputs), out.data, equal_nan=True):

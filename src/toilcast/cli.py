@@ -54,25 +54,24 @@ DEFAULT_GRID = {
     "tide": {"temporal_decoder_hidden": (8, 16), "decoder_output_dim": (2, 4, 8)},
 }
 
-# the keys each config section may hold
-SECTIONS = {"data": ("synth", "measurements", "ambient", "rated_current_a", "timezone"),
+# the keys the config root and each config section may hold
+SECTIONS = {"config": ("seed", "out_dir", "data", "split", "scaling", "quantiles", "multi_target",
+                       "models", "train", "grid", "iec_params", "iec_dt_min",
+                       "iec_enforce_timestep"),
+            "data": ("synth", "measurements", "ambient", "rated_current_a", "timezone"),
             "split": ("train", "valid"), "models": tuple(DEFAULT_TRAIN),
             "train": tuple(DEFAULT_TRAIN), "grid": (*DEFAULT_GRID, "lookbacks"),
             "scaling": tuple(DEFAULT_SCALING)}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _require(cfg: dict, key: str, default=...):
-    """The value at the dotted `key`, else `default` (no default: ConfigError).
+    """The value at the dotted `key`, else `default` (no default: ValueError).
     Each section it reaches must be an object with keys from `SECTIONS`."""
     parts, cur = key.split("."), cfg
     for i, part in enumerate(parts):
         if part not in cur:
             if default is ...:
-                raise ConfigError(f"config is missing required key '{key}'")
+                raise ValueError(f"config is missing required key '{key}'")
             return default
         section, cur = ".".join(parts[:i + 1]), cur[part]
         if section in SECTIONS:
@@ -82,20 +81,19 @@ def _require(cfg: dict, key: str, default=...):
 
 def _load_config(path: Path) -> dict:
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    check_object("config", cfg, SECTIONS["config"])
     env_seed = os.environ.get("TOILCAST_SEED")
     if env_seed is not None:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
-            raise ConfigError(f"TOILCAST_SEED must be an integer, got '{env_seed}'")
+            raise ValueError(f"TOILCAST_SEED must be an integer, got '{env_seed}'")
     cfg.setdefault("seed", 0)
     return cfg
 
@@ -104,7 +102,7 @@ def _path(cfg: dict, base: Path, key: str, default=...) -> Path:
     """The path at config `key`, relative to `base` unless it is absolute."""
     p = _require(cfg, key, default)
     if not isinstance(p, str):
-        raise ConfigError(f"{key} must be a path string, got {p!r}")
+        raise ValueError(f"{key} must be a path string, got {p!r}")
     return base / p
 
 
@@ -112,8 +110,8 @@ def _check_single_source(cfg: dict) -> dict:
     data = _require(cfg, "data")
     has_files = "measurements" in data or "ambient" in data
     if ("synth" in data) == has_files:
-        raise ConfigError("config data section must have exactly one source: "
-                          "either 'synth' or 'measurements'+'ambient'")
+        raise ValueError("config data section must have exactly one source: "
+                         "either 'synth' or 'measurements'+'ambient'")
     return data
 
 
@@ -122,7 +120,7 @@ def _synth_spec(cfg: dict) -> SynthSpec:
     try:
         return SynthSpec.from_config(_require(cfg, "data.synth"), seed=cfg["seed"])
     except ValueError as exc:
-        raise ConfigError(f"invalid data.synth spec: {exc}") from exc
+        raise ValueError(f"invalid data.synth spec: {exc}") from exc
 
 
 def _dataset(cfg: dict, base: Path):
@@ -141,7 +139,7 @@ def _split(cfg: dict, ds):
                                                   _require(cfg, "split.valid"),
                                                   _require(cfg, "data.timezone", None)))
     except ValueError as exc:
-        raise ConfigError(f"invalid split {s}: {exc}") from exc
+        raise ValueError(f"invalid split {s}: {exc}") from exc
 
 
 def _scaler(cfg: dict) -> AffineScaler:
@@ -157,7 +155,7 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
     try:
         return TrainConfig(**raw, seed=cfg["seed"], loss=loss, quantiles=_quantiles(cfg))
     except ValueError as exc:
-        raise ConfigError(f"invalid train.{family} settings: {exc}") from exc
+        raise ValueError(f"invalid train.{family} settings: {exc}") from exc
 
 
 def _quantiles(cfg: dict) -> tuple[float, ...]:
@@ -175,7 +173,7 @@ def _model_config(cfg: dict, family: str, loss: str):
             model_cfg = replace(model_cfg, n_channels=model_cfg.n_targets + 2)
         return model_cfg
     except ValueError as exc:
-        raise ConfigError(f"invalid models.{family} config: {exc}") from exc
+        raise ValueError(f"invalid models.{family} config: {exc}") from exc
 
 
 def _out_dir(cfg: dict, base: Path, flag: str | None) -> Path:
@@ -183,7 +181,7 @@ def _out_dir(cfg: dict, base: Path, flag: str | None) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -231,11 +229,11 @@ def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> in
     train_ds, valid_ds = _split(cfg, ds)
     raw = _require(cfg, f"grid.{family}", DEFAULT_GRID[family])
     if not raw:
-        raise ConfigError(f"empty grid for '{family}'")
+        raise ValueError(f"empty grid for '{family}'")
     try:
         grid = GridSpec(family, raw, _require(cfg, "grid.lookbacks", (24, 48, 96)))
     except ValueError as exc:
-        raise ConfigError(f"invalid grid settings: {exc}") from exc
+        raise ValueError(f"invalid grid settings: {exc}") from exc
     base_cfg = _model_config(cfg, family, loss)
     train_cfg = _train_config(cfg, family, loss)
 
@@ -268,7 +266,7 @@ def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> in
 def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
              use_iec: bool) -> int:
     if not checkpoints and not use_iec:
-        raise ConfigError("eval needs at least one checkpoint or --iec")
+        raise ValueError("eval needs at least one checkpoint or --iec")
     ds = _dataset(cfg, base)
     _, valid_ds = _split(cfg, ds)
     _describe("validation split", valid_ds)
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
         if args.command == "grid":
             return cmd_grid(cfg, base, out_dir, args.model, args.loss)
         return cmd_eval(cfg, base, out_dir, args.checkpoints, args.iec)
-    except (FileNotFoundError, ValueError) as exc:   # ValueError includes ConfigError
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, FloatingPointError) as exc:

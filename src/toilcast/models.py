@@ -396,6 +396,10 @@ class TrainedModel:
         if len(self.target_channels) != self.config.n_targets:
             raise ValueError(f"config expects {self.config.n_targets} targets, "
                              f"got {self.target_channels}")
+        if self.family == "tide" and \
+                self.input_channels[:len(self.target_channels)] != self.target_channels:
+            raise ValueError(f"TiDE reads its targets {self.target_channels} from the leading "
+                             f"input channels, got {self.input_channels}")
 
     @property
     def quantiles(self) -> tuple[float, ...]:
@@ -415,12 +419,14 @@ class TrainedModel:
         the matrix scaled once; `windows`, the plan's inputs at every step as
         read-only views onto it (TiDE: and onto every row's covariates,
         projected once); `plan`, the forward pass (TiDE: `decode`) captured
-        on the first window; and two functions bound to these. Step i replays
-        the plan on rows i-L .. i-1 (TiDE also reads the covariates of rows
-        i .. i+H-1) and gives (H, T, Q) predictions in raw units, quantile
-        levels sorted. `run()` takes steps L .. n-1 in turn, each writing its
-        median forecast into row i, scaled as the matrix was, where later
-        windows read it, and returns the (n - L, H, T, Q) predictions.
+        on the first window; `median`, the level fed back (the 0.5 quantile's,
+        0 for a point head, None if the head has no 0.5 level); and two
+        functions bound to these. Step i replays the plan on rows i-L .. i-1
+        (TiDE also reads the covariates of rows i .. i+H-1) and gives (H, T, Q)
+        predictions in raw units, quantile levels sorted. `run()` takes steps
+        L .. n-1 in turn, each writing its level `median` into row i, scaled
+        as the matrix was, where later windows read it, and returns the
+        (n - L, H, T, Q) predictions; ValueError if `median` is None.
         `step(i)` takes step i alone and writes nothing; IndexError for a
         step before the first full window or past the slice. ValueError if
         the matrix is shorter than one window."""
@@ -451,6 +457,8 @@ class TrainedModel:
         gains = [float(gain[j]) for _ in range(H) for j in cols for _ in range(Q)]
         offsets = [float(offset[j]) for _ in range(H) for j in cols for _ in range(Q)]
         rows, width = memoryview(scaled.reshape(-1)), scaled.shape[1]
+        levels = cfg.quantiles or (0.5,)   # a point head's one output is its median
+        median = levels.index(0.5) if 0.5 in levels else None
 
         def steps(first: int, stop: int, feed: bool) -> np.ndarray:
             # in Python floats: the same IEEE double operations, in the same
@@ -458,8 +466,10 @@ class TrainedModel:
             # `sorted` orders finite levels as np.sort does; a NaN it may
             # leave in any slot, where the caller's finiteness check finds it
             if feed:   # the median's slot and column of each target
-                mid = cfg.quantiles.index(0.5) if Q > 1 else 0
-                fed = [(t * Q + mid, j) for t, j in enumerate(cols)]
+                if median is None:
+                    raise ValueError("autoregressive feedback needs the 0.5 quantile in "
+                                     f"the head, got {cfg.quantiles}")
+                fed = [(t * Q + median, j) for t, j in enumerate(cols)]
             out = array("d")
             for i, inputs in zip(range(first, stop),
                                  zip(*(w[first - L: stop - L] for w in windows))):
@@ -478,8 +488,8 @@ class TrainedModel:
                                  if i < L else f"step {i} is past the slice's last window")
             return steps(i, i + 1, False)[0]
 
-        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, step=step,
-                               run=partial(steps, L, len(scaled), True))
+        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, median=median,
+                               step=step, run=partial(steps, L, len(scaled), True))
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
         """The first step of the rollout over one raw-unit (L, C) window, plus

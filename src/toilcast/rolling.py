@@ -48,23 +48,20 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     if N <= L:
         raise ValueError(f"validation slice has {N} points, need more than L={L}")
 
-    target_channels, alphas = model.target_channels, model.quantiles
-    if alphas and 0.5 not in alphas:
-        raise ValueError("autoregressive feedback needs the 0.5 quantile in the head")
-    mid = alphas.index(0.5) if alphas else 0
-
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        preds = model.prepare(valid.matrix(model.input_channels)).run()[:, 0]   # (n, T, Q)
+        rollout = model.prepare(valid.matrix(model.input_channels))
+        preds = rollout.run()[:, 0]   # (n, T, Q)
     finite = np.isfinite(preds).all(axis=(1, 2))
     if not finite.all():
         k = int(finite.argmin())
         raise FloatingPointError(f"non-finite prediction at timestep {k} "
                                  f"({format_instant(valid.timestamps[L + k])})")
 
-    return ForecastTrace(model.family, valid.timestamps[L:].copy(), target_channels,
-                         preds[:, :, mid].copy(), preds if alphas else None, alphas)
+    return ForecastTrace(model.family, valid.timestamps[L:].copy(), model.target_channels,
+                         preds[:, :, rollout.median].copy(),
+                         preds if model.quantiles else None, model.quantiles)
 
 
 def iec_predict(params: IecParams, valid: TransformerDataset,

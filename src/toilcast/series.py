@@ -12,7 +12,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -81,37 +81,29 @@ def check_object(owner: str, raw, keys, required: bool = False) -> dict:
 
 # -------- instants --------
 
-def _parse_offset(text: str) -> timezone:
-    t = text.strip()
-    if t.upper() in ("UTC", "Z", ""):
+def utc_offset(text: str | None) -> timezone:
+    """The zone of a UTC offset such as '+01:00', '+0100' or 'Z'; None and
+    'UTC' are UTC. ValueError naming the offset otherwise."""
+    if text is None or text == "UTC":
         return timezone.utc
-    sign = 1
-    if t[0] == "+":
-        t = t[1:]
-    elif t[0] == "-":
-        sign = -1
-        t = t[1:]
-    if ":" in t:
-        hh, mm = t.split(":")
-    else:
-        hh, mm = t[:2], t[2:] or "0"
-    return timezone(sign * timedelta(hours=int(hh), minutes=int(mm)))
+    try:
+        return datetime.strptime(text, "%z").tzinfo
+    except (TypeError, ValueError):
+        raise ValueError(f"UTC offset {text!r} must be 'UTC', 'Z' or of the form "
+                         "'+HH:MM' or '+HHMM'") from None
 
 
-def parse_instant(text: str, default_offset: str | None = None) -> int:
-    """Parse an ISO-8601 timestamp to epoch seconds (UTC).
-
-    Naive timestamps are interpreted in `default_offset` (e.g. '+01:00'),
-    or UTC when none is given.
-    """
-    if not isinstance(text, str) or not isinstance(default_offset or "", str):
-        raise ValueError(f"timestamp {text!r} and UTC offset {default_offset!r} must be strings")
+def parse_instant(text: str, zone: timezone = timezone.utc) -> int:
+    """Parse an ISO-8601 timestamp to epoch seconds (UTC); a naive timestamp
+    is read in `zone` (see `utc_offset`)."""
+    if not isinstance(text, str):
+        raise ValueError(f"timestamp {text!r} must be a string")
     t = text.strip()
     if t.endswith(("Z", "z")):
         t = t[:-1] + "+00:00"
     dt = datetime.fromisoformat(t)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=_parse_offset(default_offset or "UTC"))
+        dt = dt.replace(tzinfo=zone)
     return int(dt.timestamp())
 
 
@@ -177,37 +169,28 @@ class TimeSeries:
 
 CHANNELS = ("top_oil", "ambient", "load_factor", "temp_rise")
 
-_TEMP_RISE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TransformerDataset:
-    """Aligned 5-minute channels: top-oil [degC], ambient [degC], load factor
-    [p.u.], and temperature rise over ambient [K]."""
+    """Aligned 5-minute channels: top-oil [degC], ambient [degC] and load
+    factor [p.u.]; the temperature rise over ambient [K] is derived."""
 
     top_oil: TimeSeries
     ambient: TimeSeries
     load_factor: TimeSeries
-    temp_rise: TimeSeries
 
     def __post_init__(self):
         ts = self.top_oil.timestamps
-        for name in ("ambient", "load_factor", "temp_rise"):
+        for name in ("ambient", "load_factor"):
             other = getattr(self, name).timestamps
             if len(other) != len(ts) or (other != ts).any():
                 raise ValueError(f"channel '{name}' not aligned with top_oil grid")
-        rise = self.top_oil.values - self.ambient.values
-        err = np.nanmax(np.abs(rise - self.temp_rise.values))
-        if err > _TEMP_RISE_TOL:
-            raise ValueError(f"temp_rise differs from top_oil - ambient by {err:g}")
         if np.nanmin(self.load_factor.values) < 0:
             raise ValueError("load_factor must be >= 0")
 
-    @classmethod
-    def from_channels(cls, top_oil: TimeSeries, ambient: TimeSeries,
-                      load_factor: TimeSeries) -> "TransformerDataset":
-        rise = top_oil.with_values(top_oil.values - ambient.values)
-        return cls(top_oil, ambient, load_factor, rise)
+    @property
+    def temp_rise(self) -> TimeSeries:
+        return self.top_oil.with_values(self.top_oil.values - self.ambient.values)
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -227,7 +210,8 @@ class TransformerDataset:
         return getattr(self, name)
 
     def slice_range(self, start: int, end: int) -> "TransformerDataset":
-        return TransformerDataset(*(self.channel(c).slice_range(start, end) for c in CHANNELS))
+        return TransformerDataset(*(s.slice_range(start, end)
+                                    for s in (self.top_oil, self.ambient, self.load_factor)))
 
     def matrix(self, channels) -> np.ndarray:
         """Column-stacked channel values, shape (n, len(channels))."""
@@ -256,10 +240,12 @@ class SplitSpec:
     def from_isoformat(cls, train: list[str], valid: list[str],
                        default_offset: str | None = None) -> "SplitSpec":
         """From [start, end] lists of ISO-8601 instants, or ValueError."""
+        zone = utc_offset(default_offset)
+
         def pair(name, r):
             if not isinstance(r, (list, tuple)) or len(r) != 2:
                 raise ValueError(f"split.{name} must be a [start, end] list, got {r!r}")
-            return [parse_instant(t, default_offset) for t in r]
+            return [parse_instant(t, zone) for t in r]
         return cls(*pair("train", train), *pair("valid", valid))
 
 
@@ -323,10 +309,12 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
     value column, keyed by channel name.
 
     column_map maps CSV header names to channel names and must include a
-    'timestamp' entry. Rows whose timestamp does not parse are a ValueError
-    naming the path and those rows (0-based, excluding the header). Empty
-    and `nan` value cells become NaN (missing); any other cell that is not a
-    finite number is a ValueError naming the path, the row and the column.
+    'timestamp' entry; a naive timestamp is read at the UTC offset
+    `default_offset` (see `utc_offset`). Rows whose timestamp does not parse
+    are a ValueError naming the path and those rows (0-based, excluding the
+    header). Empty and `nan` value cells become NaN (missing); any other cell
+    that is not a finite number is a ValueError naming the path, the row and
+    the column.
     """
     path = Path(path)
     if not path.exists():
@@ -337,6 +325,7 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
     value_cols = {c: m for c, m in column_map.items() if m != "timestamp"}
     if not value_cols:
         raise ValueError("column_map must map at least one value column")
+    zone = utc_offset(default_offset)
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -349,7 +338,7 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
         rejected: list[int] = []
         for idx, row in enumerate(reader):
             try:
-                t = parse_instant(row[ts_col], default_offset)
+                t = parse_instant(row[ts_col], zone)
             except ValueError:
                 rejected.append(idx)
                 continue
@@ -539,4 +528,4 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     if not top_oil.is_uniform():
         raise ValueError(f"measurement grid is not uniform at {top_oil.step}-s cadence")
     ambient = resample_ambient_linear(amb, top_oil.timestamps)
-    return TransformerDataset.from_channels(top_oil, ambient, load)
+    return TransformerDataset(top_oil, ambient, load)

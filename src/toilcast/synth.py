@@ -142,7 +142,7 @@ def gen_dataset(spec: SynthSpec) -> tuple[TransformerDataset, TimeSeries, TimeSe
     if spec.measurement_noise_k > 0:
         noisy = noisy + noise_rng.normal(0.0, spec.measurement_noise_k, size=len(clean))
     top_oil = TimeSeries(K.timestamps, noisy, STEP_5MIN_S)
-    ds = TransformerDataset.from_channels(top_oil, Ta, K)
+    ds = TransformerDataset(top_oil, Ta, K)
     return ds, clean, hourly
 
 

@@ -289,6 +289,34 @@ class TestConfigValidation:
         assert "train.ann" in err and "'max_epoch'" in err and "'optimizer'" in err
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("quantile", [0.1, 0.5, 0.9]),
+                                            ("iec_dt_minutes", 1.0)])
+    def test_unknown_root_key_rejected(self, tmp_path, capsys, key, value):
+        # a misspelt root key would otherwise run on the default it meant to replace
+        cfg = base_config(tmp_path)
+        cfg[key] = value
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config has unknown keys [{key!r}]; expected 'seed'")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_root_rejected(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[1, 2]")
+        assert main(["synth", "--config", str(path)]) == 2
+        assert "config must be an object with keys 'seed'" in capsys.readouterr().err
+
+    def test_bad_timezone_names_the_offset(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["synth", "--config", write_config(tmp_path, cfg)]) == 0
+        del cfg["data"]["synth"]
+        cfg["data"].update(measurements=str(tmp_path / "out" / "measurements.csv"),
+                           ambient=str(tmp_path / "out" / "ambient.csv"),
+                           timezone="Europe/Paris")
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        assert "UTC offset 'Europe/Paris' must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
+
     def test_unparseable_timestamp_in_measurements_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["synth", "--config", write_config(tmp_path, cfg)]) == 0

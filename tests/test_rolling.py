@@ -22,8 +22,8 @@ CHANNELS = ("top_oil", "ambient", "load_factor")
 class StubModel:
     """Duck-typed stand-in driven by a window -> scalar rule, with identity
     scaling: its rollout's `run` calls `step` on a copy of the raw matrix at
-    every step and writes the step's median into the matrix, as a prepared
-    rollout does."""
+    every step and writes the step's level `median` into the matrix, as a
+    prepared rollout does."""
 
     family = "stub"
     input_channels = CHANNELS
@@ -35,14 +35,15 @@ class StubModel:
         self.fn = fn
 
     def prepare(self, matrix):
-        return SimpleNamespace(run=partial(self.run, np.array(matrix, dtype=float)))
+        median = self.quantiles.index(0.5) if self.quantiles else 0
+        return SimpleNamespace(run=partial(self.run, np.array(matrix, dtype=float), median),
+                               median=median)
 
-    def run(self, rows):
-        mid = self.quantiles.index(0.5) if self.quantiles else 0
+    def run(self, rows, median):
         out = []
         for i in range(self.config.lookback, len(rows)):
             out.append(self.step(rows, i))
-            rows[i, :1] = out[-1][0, :, mid]   # top_oil is the first input channel
+            rows[i, :1] = out[-1][0, :, median]   # top_oil is the first input channel
         return np.array(out)
 
     def step(self, rows, i):
@@ -110,7 +111,7 @@ class TestAutoregressive:
         zeroed_top = valid.top_oil.values.copy()
         zeroed_top[L:] = 0.0
         top = valid.top_oil.with_values(zeroed_top)
-        blinded = TransformerDataset.from_channels(top, valid.ambient, valid.load_factor)
+        blinded = TransformerDataset(top, valid.ambient, valid.load_factor)
         again = autoregressive_predict(model, blinded)
         assert np.array_equal(base.values, again.values)
 
@@ -123,7 +124,7 @@ class TestAutoregressive:
         bumped = valid.ambient.values.copy()
         bumped[t] += 5.0
         amb = valid.ambient.with_values(bumped)
-        pert = TransformerDataset.from_channels(valid.top_oil, amb, valid.load_factor)
+        pert = TransformerDataset(valid.top_oil, amb, valid.load_factor)
         out = autoregressive_predict(model, pert)
         # prediction index i reads covariates up to grid index i+L-1
         first_affected = t - L + 1
@@ -185,8 +186,8 @@ class TestAutoregressive:
         load = valid.load_factor.values.copy()
         assert load.max() < 1.5
         load[L + k - 1] = 4.0
-        valid = TransformerDataset.from_channels(valid.top_oil, valid.ambient,
-                                                 valid.load_factor.with_values(load))
+        valid = TransformerDataset(valid.top_oil, valid.ambient,
+                                   valid.load_factor.with_values(load))
         model = TrainedModel("ann", cfg, params, CHANNELS, ("top_oil",), IDENTITY, seed=3)
         when = re.escape(format_instant(valid.timestamps[L + k]))
         with pytest.raises(FloatingPointError,
@@ -200,10 +201,9 @@ class TestAutoregressive:
 
     def test_quantile_feedback_requires_median(self):
         valid = make_dataset(30, seed=7)
-        model = StubModel(5, lambda w: w[-1, 0])
-        model.quantiles = (0.1, 0.9)
-        with pytest.raises(ValueError, match="0.5"):
-            autoregressive_predict(model, valid)
+        with pytest.raises(ValueError, match=r"needs the 0.5 quantile in the head, "
+                                             r"got \(0.1, 0.9\)"):
+            autoregressive_predict(make_model("ann", (0.1, 0.9)), valid)
 
     def test_too_short_validation_rejected(self):
         valid = make_dataset(5, seed=8)
@@ -219,7 +219,7 @@ class TestIecPredict:
         top = TimeSeries(ts, np.full(n, ss))
         amb = TimeSeries(ts, np.full(n, 12.0))
         load = TimeSeries(ts, np.full(n, 0.8))
-        valid = TransformerDataset.from_channels(top, amb, load)
+        valid = TransformerDataset(top, amb, load)
         trace = iec_predict(P, valid)
         assert np.abs(trace.values[:, 0] - ss).max() <= 1e-9
 
@@ -342,7 +342,7 @@ class TestMultiTarget:
         # after the seed changes nothing
         top = valid.top_oil.values.copy()
         top[6:] = 0.0
-        blinded = TransformerDataset.from_channels(
+        blinded = TransformerDataset(
             valid.top_oil.with_values(top), valid.ambient, valid.load_factor)
         again = autoregressive_predict(model, blinded)
         assert np.array_equal(trace.values, again.values)
@@ -464,6 +464,48 @@ class TestPreparedRollout:
         with pytest.raises(IndexError):
             rollout.step(21)
         rollout.step(6)
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_one_level_head_without_a_median_feeds_nothing(self, family):
+        # a (0.9,) head has no median to feed back
+        model = make_model(family, (0.9,))
+        matrix = make_dataset(20, seed=55).matrix(model.input_channels)
+        rollout = model.prepare(matrix)
+        assert rollout.median is None
+        scaled = rollout.scaled.copy()
+        with pytest.raises(ValueError, match=r"needs the 0.5 quantile in the head, got \(0.9,\)"):
+            rollout.run()
+        assert np.array_equal(rollout.scaled, scaled)
+        # one step, or one window, still forecasts with any head
+        first = rollout.step(6)
+        assert first.shape == (1, 1, 1) and np.isfinite(first).all()
+        future = matrix[6:7, 1:] if family == "tide" else None
+        assert model.predict_window(matrix[:6], future).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("quantiles, median", [((), 0), ((0.5,), 0), ((0.01, 0.5, 0.99), 1),
+                                                   ((0.5, 0.9), 0)])
+    def test_median_is_the_fed_level(self, quantiles, median):
+        model = make_model("ann", quantiles)
+        valid = make_dataset(20, seed=56)
+        assert model.prepare(valid.matrix(model.input_channels)).median == median
+        trace = autoregressive_predict(model, valid)
+        want = reference_rollout(model, valid)
+        assert np.array_equal(trace.values, want[:, :, median])
+
+    @pytest.mark.parametrize("n_targets, inputs", [
+        (1, ("ambient", "top_oil", "load_factor")), (1, ("load_factor", "ambient", "top_oil")),
+        (2, ("top_oil", "ambient", "temp_rise", "load_factor")),
+        (2, ("temp_rise", "top_oil", "ambient", "load_factor"))])
+    def test_tide_targets_must_lead_its_inputs(self, n_targets, inputs):
+        # TiDE reads its targets from the leading columns, so another order
+        # would roll out on a covariate as if it were top-oil
+        model = make_model("tide", n_targets=n_targets)
+        with pytest.raises(ValueError, match=re.escape(
+                f"TiDE reads its targets {model.target_channels} from the leading input "
+                f"channels, got {inputs}")):
+            replace(model, input_channels=inputs)
+        # the ANN reads any order
+        replace(make_model("ann", n_targets=n_targets), input_channels=inputs)
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_fortran_ordered_matrix_gives_the_same_steps(self, family):

@@ -9,7 +9,8 @@ from toilcast.series import (CHANNELS, AffineScaler, SplitSpec, TimeSeries,
                              TransformerDataset, WindowSet, derive_load_factor,
                              fill_gaps_adjacent_mean, format_instant, ingest_measurements,
                              load_dataset, make_windows, parse_instant,
-                             resample_ambient_linear, scale_windows, split, strided_windows)
+                             resample_ambient_linear, scale_windows, split, strided_windows,
+                             utc_offset)
 from toilcast.synth import SynthSpec, gen_dataset, write_dataset_csvs
 from util import make_dataset
 
@@ -129,6 +130,16 @@ class TestLoadDataset:
                    f"(0-based, after the header; {len(rows)} in all)")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(paths["measurements"], paths["ambient"])
+
+    def test_temp_rise_is_top_oil_minus_ambient(self, tmp_path):
+        ds, clean, hourly = gen_dataset(SynthSpec(days=1, seed=3))
+        paths = write_dataset_csvs(tmp_path, ds, hourly, clean)
+        loaded = load_dataset(paths["measurements"], paths["ambient"])
+        ts = loaded.timestamps
+        for part in (loaded, loaded.slice_range(ts[7], ts[40])):
+            assert part.temp_rise.values.tobytes() == \
+                (part.top_oil.values - part.ambient.values).tobytes()
+            assert np.array_equal(part.temp_rise.timestamps, part.timestamps)
 
 
 def series_of(vals, step=300):
@@ -481,7 +492,33 @@ class TestInstants:
     def test_zulu_and_offset(self):
         base = parse_instant("2020-07-01T00:00:00Z")
         assert parse_instant("2020-07-01T02:00:00+02:00") == base
-        assert parse_instant("2020-07-01T00:00:00", "+01:00") == base - 3600
+        assert parse_instant("2020-07-01T00:00:00", utc_offset("+01:00")) == base - 3600
+
+    @pytest.mark.parametrize("text, hours", [("+01:00", 1), ("+0100", 1), ("-05:30", -5.5),
+                                             ("Z", 0), ("UTC", 0), (None, 0)])
+    def test_utc_offset_forms(self, text, hours):
+        naive = parse_instant("2020-07-01T00:00:00")
+        assert parse_instant("2020-07-01T00:00:00", utc_offset(text)) == naive - hours * 3600
+
+    @pytest.mark.parametrize("text", ["Europe/Paris", "+25:00", "+01", ""])
+    def test_bad_utc_offset_named(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"UTC offset {text!r} must be")):
+            utc_offset(text)
+
+    def test_bad_offset_named_for_naive_rows(self, tmp_path):
+        # the offset is parsed once per file, so the error names it, not every naive row
+        p = tmp_path / "m.csv"
+        write_csv(p, [("2020-07-01T00:00:00", "40.0"), ("2020-07-01T00:05:00", "41.0")])
+        with pytest.raises(ValueError, match=re.escape("UTC offset 'Europe/Paris' must be")):
+            ingest_measurements(p, COLMAP, default_offset="Europe/Paris")
+        got = ingest_measurements(p, COLMAP, default_offset="+0100")["top_oil"]
+        assert got.timestamps.tolist() == [parse_instant("2020-06-30T23:00:00Z"),
+                                           parse_instant("2020-06-30T23:05:00Z")]
+
+    def test_bad_offset_named_by_the_split(self):
+        with pytest.raises(ValueError, match=re.escape("UTC offset '+1:30' must be")):
+            SplitSpec.from_isoformat(["2020-07-01T00:00:00", "2020-07-02T00:00:00"],
+                                     ["2020-07-03T00:00:00", "2020-07-04T00:00:00"], "+1:30")
 
     def test_round_trip(self):
         t = parse_instant("2020-11-19T09:35:00Z")
@@ -490,26 +527,21 @@ class TestInstants:
     @pytest.mark.parametrize("text, offset", [(5, None), (None, None),
                                               ("2020-07-01T00:00:00", 1)])
     def test_non_string_timestamp_or_offset_rejected(self, text, offset):
-        with pytest.raises(ValueError, match=rf"timestamp {text!r} and UTC offset {offset!r} "
-                                             "must be strings"):
-            parse_instant(text, offset)
+        message = (f"timestamp {text!r} must be a string" if offset is None
+                   else f"UTC offset {offset!r} must be")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_instant(text, utc_offset(offset))
 
 
 class TestDatasetInvariants:
-    def test_temp_rise_mismatch_rejected(self):
-        ds = make_dataset(5)
-        bad = ds.temp_rise.with_values(ds.temp_rise.values + 1.0)
-        with pytest.raises(ValueError, match="temp_rise"):
-            TransformerDataset(ds.top_oil, ds.ambient, ds.load_factor, bad)
-
     def test_negative_load_rejected(self):
         ds = make_dataset(5)
         bad = ds.load_factor.with_values(ds.load_factor.values - 10.0)
         with pytest.raises(ValueError, match="load_factor"):
-            TransformerDataset(ds.top_oil, ds.ambient, bad, ds.temp_rise)
+            TransformerDataset(ds.top_oil, ds.ambient, bad)
 
     def test_misaligned_channel_rejected(self):
         ds = make_dataset(5)
         shifted = TimeSeries(ds.timestamps + 300, ds.ambient.values)
         with pytest.raises(ValueError, match="aligned"):
-            TransformerDataset.from_channels(ds.top_oil, shifted, ds.load_factor)
+            TransformerDataset(ds.top_oil, shifted, ds.load_factor)

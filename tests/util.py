@@ -20,7 +20,7 @@ def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
     top = TimeSeries(ts, 40.0 + 5.0 * rng.standard_normal(n), step)
     amb = TimeSeries(ts, 10.0 + 3.0 * rng.standard_normal(n), step)
     load = TimeSeries(ts, rng.uniform(0.1, 1.2, n), step)
-    return TransformerDataset.from_channels(top, amb, load)
+    return TransformerDataset(top, amb, load)
 
 
 def relu_oracle(a) -> np.ndarray:
