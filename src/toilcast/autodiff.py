@@ -2,15 +2,15 @@
 
 Every primitive is a numpy forward `fwd(*arrays, *static) -> out`, registered
 once in the table `_VJP` with its vector-Jacobian function, and runs through
-one generic `_apply`. The tape is lazy: `_apply` records the inputs and the
-VJP only when grad mode is on and some input requires a gradient, and its
+one generic `_apply`. The tape is lazy: `_apply` records a node (its inputs,
+its VJP and its call) only when some input requires a gradient, and its
 result then requires one too. Otherwise it returns a bare constant Tensor, so
-inference runs the same forward code without building a graph. `no_grad()`
-switches recording off for a block. `backward` replays the recorded graph in
-reverse topological order and returns gradients for a named parameter set.
-`capture` records one no-grad forward pass as a `Plan`: the primitive
-forwards it ran, compiled into one straight-line function that replays them
-on new inputs with numpy alone.
+the same forward code on constants builds no graph. `backward` walks the
+recorded graph in reverse topological order and returns gradients for a named
+parameter set. `capture` runs a forward pass once on inputs and parameters
+that require a gradient and compiles its tape into a `Plan`: one
+straight-line function that replays the recorded forwards on new inputs with
+numpy alone.
 Small, deterministic, CPU-only.
 """
 
@@ -18,38 +18,22 @@ from __future__ import annotations
 
 import math
 import operator
-from contextvars import ContextVar
 from functools import lru_cache, partial
 from types import CodeType, FunctionType
 
 import numpy as np
 
-_grad_enabled: ContextVar[bool] = ContextVar("toilcast_grad_enabled", default=True)
-_capturing: ContextVar[Plan | None] = ContextVar("toilcast_capturing", default=None)
-
-
-class no_grad:
-    """Record no tape nodes inside the block; restores the previous mode on
-    exit, also after an exception or when nested."""
-
-    def __enter__(self):
-        self._token = _grad_enabled.set(False)
-
-    def __exit__(self, *exc):
-        _grad_enabled.reset(self._token)
-
 
 class Tensor:
     """A numpy array plus the tape node that produced it."""
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "name", "_parents", "_vjp", "_call")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = ()
-        self._vjp = None
+        self._parents, self._vjp, self._call = (), None, None
 
     @property
     def shape(self):
@@ -91,20 +75,17 @@ def _label(t: Tensor) -> str:
 def _apply(fwd, n_in: int, *args) -> Tensor:
     """Run primitive `fwd` on the arrays of its first `n_in` arguments
     (Tensors, or literals as constants), then its static arguments. The
-    result records its inputs and VJP when grad mode is on and some input
-    requires a gradient; under `capture` the call is also recorded as a step."""
+    result records its node when some input requires a gradient."""
     inputs, static = tuple(map(as_tensor, args[:n_in])), args[n_in:]
     out = fwd(*[t.data for t in inputs], *static)
     t = Tensor.__new__(Tensor)
     t.data, t.name = out, None
-    if _grad_enabled.get() and any(p.requires_grad for p in inputs):
+    if any(p.requires_grad for p in inputs):
         t.requires_grad, t._parents = True, inputs
         t._vjp = partial(_VJP[fwd], out, *inputs, *static)
+        t._call = (fwd, args[:n_in], static)     # the arguments as given, for `capture`
     else:
-        t.requires_grad, t._parents, t._vjp = False, (), None
-    plan = _capturing.get()
-    if plan is not None:
-        plan._record(fwd, args[:n_in], inputs, static, t)
+        t.requires_grad, t._parents, t._vjp, t._call = False, (), None, None
     return t
 
 
@@ -434,7 +415,7 @@ _REPLAY_GLOBALS = {"_float": float, "_reduce": np.add.reduce, "_power": np.power
 
 
 class Plan:
-    """A forward pass recorded by `capture`, replayed with numpy alone.
+    """A forward pass compiled from its tape by `capture`, replayed with numpy.
 
     The record is one list of values and a list of steps. The values are the
     inputs, the constants (parameters, static arguments and results folded
@@ -447,42 +428,14 @@ class Plan:
     in place of its forward's call. A replay takes inputs of the shapes and
     layouts of the capture's."""
 
-    def __init__(self, params: dict, inputs: tuple):
-        self._vals, self._steps, self._n_inputs = [None] * len(inputs), [], len(inputs)
-        self._computed = set(range(len(inputs)))     # slots a replay fills
-        self._params = {id(p) for p in params.values()}
-        # id -> (slot, tensor); holding the tensor keeps its id unique while recording
-        self._slots = {id(t): (k, t) for k, t in enumerate(inputs)}
+    def __init__(self, n_inputs: int):
+        self._vals, self._steps, self._n_inputs = [None] * n_inputs, [], n_inputs
+        self._computed = set(range(n_inputs))     # slots a replay fills
         self._forms: dict[int, list[str]] = {}      # output slot -> one-row form's lines
 
-    def _new(self, value, t: Tensor | None = None) -> int:
+    def _new(self, value) -> int:
         self._vals.append(value)
-        if t is not None:
-            self._slots[id(t)] = (len(self._vals) - 1, t)
         return len(self._vals) - 1
-
-    def _slot(self, t: Tensor, given) -> int:
-        if id(t) in self._slots:
-            return self._slots[id(t)][0]
-        if id(t) in self._params or (t is not given and np.ndim(given) == 0):
-            return self._new(t.data, t)     # a parameter or a scalar literal
-        raise RuntimeError(f"capture: operand {_label(t)} is neither an input, a parameter, "
-                           "a scalar nor a primitive's result; the forward read .data "
-                           "outside a primitive")
-
-    def _record(self, fwd, args, inputs, static, out: Tensor) -> None:
-        slots = [self._slot(t, given) for t, given in zip(inputs, args)]
-        if self._computed.isdisjoint(slots):
-            self._new(out.data, out)        # constants in, constant out: folded
-            return
-        slots = (*slots, *(self._new(s) for s in static))
-        k = self._new(None, out)
-        self._computed.add(k)
-        self._steps.append((fwd, slots, k))
-        if fwd in _FORMS:
-            lines = _FORMS[fwd](self, k, slots, out.data, *(t.data for t in inputs), *static)
-            if lines is not None:
-                self._forms[k] = lines
 
     def _compile(self) -> None:
         """Bind `run`: the steps as straight-line code on the slots' names."""
@@ -523,26 +476,53 @@ def _compiled(source: str) -> CodeType:
 
 
 def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
-    """Record `forward(params, *inputs)`, run once with grad off on the inputs
-    as Tensors, as a Plan that repeats its numpy operations on new inputs.
+    """Run `forward(params, *inputs)` once, on Tensors over the inputs and
+    parameters that require a gradient, and compile the tape of its output
+    into a Plan that repeats its numpy operations on new inputs.
 
     The forward's control flow may depend on shapes, not on values. The
-    parameters, and results computed from constants alone, are bound as
+    parameters, and results computed from them alone, are bound as
     constants. Any other operand must be an input, a scalar or a primitive's
     result, or else RuntimeError says that the forward read `.data` outside a
     primitive; so does a plan whose replay on `inputs` differs from the forward.
     """
-    tensors = tuple(map(Tensor, inputs))
-    plan = Plan(params, tensors)
-    token = _capturing.set(plan)
-    try:
-        with no_grad():
-            out = forward(params, *tensors)
-    finally:
-        _capturing.reset(token)
-    plan._out = plan._slot(out, out)
+    tensors = tuple(Tensor(x, requires_grad=True) for x in inputs)
+    params = {k: Tensor(t.data, requires_grad=True, name=t.name) for k, t in params.items()}
+    out = forward(params, *tensors)
+    plan = Plan(len(tensors))
+    # id -> value slot; the tape holds every Tensor read, so their ids stay unique
+    slots = {id(t): k for k, t in enumerate(tensors)}
+    param_ids = {id(t) for t in params.values()}
+
+    def slot(t: Tensor, given) -> int:
+        if id(t) not in slots:
+            if id(t) not in param_ids and (t is given or np.ndim(given)):
+                raise RuntimeError(f"capture: operand {_label(t)} is neither an input, a "
+                                   "parameter, a scalar nor a primitive's result; the forward "
+                                   "read .data outside a primitive")
+            slots[id(t)] = plan._new(t.data)     # a parameter or a scalar literal
+        return slots[id(t)]
+
+    for node in _toposort(out):     # producers before consumers
+        if node._call is None:
+            continue
+        fwd, given, static = node._call
+        args = [slot(*a) for a in zip(node._parents, given)]
+        if plan._computed.isdisjoint(args):    # constants in, constant out: folded
+            slots[id(node)] = plan._new(node.data)
+            continue
+        args = (*args, *map(plan._new, static))
+        slots[id(node)] = k = plan._new(None)
+        plan._computed.add(k)
+        plan._steps.append((fwd, args, k))
+        if fwd in _FORMS:
+            lines = _FORMS[fwd](plan, k, args, node.data, *(p.data for p in node._parents),
+                                *static)
+            if lines is not None:
+                plan._forms[k] = lines
+    plan._out = slot(out, out)
     plan._compile()
-    del plan._slots, plan._params, plan._computed, plan._forms
+    del plan._computed, plan._forms
     if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
         raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")
     return plan
@@ -575,7 +555,7 @@ def backward(output: Tensor, params: dict[str, Tensor],
 
     Parameters that do not feed into the output get a zero gradient, and so
     does every parameter when the output requires no gradient at all (a
-    constant, or a result computed under `no_grad`). The output gradient
+    result computed from constants alone). The output gradient
     seed defaults to ones (i.e. d(sum)/d(params) for non-scalar outputs).
     """
     if not output.requires_grad:

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, no_grad, reshape
+from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, reshape
 from .metrics import validate_quantiles
 from .series import (CHANNELS, AffineScaler, check_count, check_flag, check_object, check_real,
                      strided_windows)
@@ -441,9 +441,8 @@ class TrainedModel:
                              f"{need} (lookback {L}"
                              + (f" + horizon {cfg.horizon})" if tide else ")"))
         if tide:
-            with no_grad():
-                proj = self.model.project(
-                    self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
+            proj = self.model.project(
+                self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
             forward = self.model.decode
             windows = (strided_windows(scaled, scaled[None, :L], L),
                        strided_windows(proj, proj[None, :need], need))
@@ -587,5 +586,5 @@ def load_checkpoint(path) -> TrainedModel:
             raise ValueError(f"{where} holds {len(raw)} bytes, shape {shape} needs "
                              f"{8 * math.prod(shape)}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        params[name] = Tensor(data.copy(), requires_grad=True, name=name)
+        params[name] = Tensor(data.copy(), name=name)   # as training leaves them: no gradient
     return model

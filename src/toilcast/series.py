@@ -272,7 +272,10 @@ class AffineScaler:
 
     def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:
         """Gain and offset arrays over `names`, to scale a matrix whose last
-        axis runs over those channels."""
+        axis runs over those channels; ValueError names any channel it lacks."""
+        missing = [n for n in names if n not in self.channels]
+        if missing:
+            raise ValueError(f"AffineScaler has no gain and offset for {missing}")
         pairs = [self.channels[n] for n in names]
         return np.array([g for g, _ in pairs]), np.array([o for _, o in pairs])
 

@@ -192,6 +192,8 @@ class GridSpec:
             return tuple(vals)
         raw = check_object(f"grid.{self.family}", self.param_values,
                            family_classes(self.family)[0].__dataclass_fields__)
+        if "lookback" in raw:   # each trial's look-back comes from `lookbacks`
+            raise ValueError(f"grid.{self.family}.lookback: give look-backs as grid.lookbacks")
         object.__setattr__(self, "param_values", {k: values(k, v) for k, v in raw.items()})
         # stored as ints: a numpy integer would not serialize into a trial's params JSON
         object.__setattr__(self, "lookbacks", tuple(

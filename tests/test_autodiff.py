@@ -3,8 +3,8 @@ import pytest
 
 from toilcast import autodiff, nn
 from toilcast.autodiff import (Plan, Tensor, absolute, add, affine, backward, capture,
-                               causal_conv1d, concat, layer_norm, maximum, mean,
-                               no_grad, power, relu, reshape, sigmoid, sum_axis, take, tanh)
+                               causal_conv1d, concat, layer_norm, maximum, mean, power,
+                               relu, reshape, sigmoid, sum_axis, take, tanh)
 from util import (affine_oracle, causal_conv1d_oracle, layer_norm_oracle, max_rel_err,
                   relu_oracle, replay_oracle)
 
@@ -589,33 +589,15 @@ class TestLazyTape:
     def test_constants_record_nothing(self):
         out = tanh(affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), 0.0))
         assert not out.requires_grad and out._parents == () and out._vjp is None
+        assert out._call is None
+        # so backward gives a parameter that does not feed it a zero gradient
+        w = Tensor(np.ones((3, 2)), requires_grad=True, name="w")
+        assert np.array_equal(backward(out, {"w": w})["w"], np.zeros((3, 2)))
 
     def test_gradient_flow_marks_results(self):
         w = Tensor(np.ones(3), requires_grad=True, name="w")
         out = add(Tensor(np.ones(3)), w)
         assert out.requires_grad and len(out._parents) == 2
-
-    def test_no_grad_records_nothing_and_backward_gives_zeros(self):
-        w = Tensor(np.ones((3, 2)), requires_grad=True, name="w")
-        with no_grad():
-            out = mean(relu(affine(Tensor(np.ones((4, 3))), w, 0.0)))
-        assert not out.requires_grad and out._parents == ()
-        assert np.array_equal(backward(out, {"w": w})["w"], np.zeros((3, 2)))
-
-    def test_no_grad_nests_and_restores(self):
-        w = Tensor(np.ones(2), requires_grad=True, name="w")
-        with no_grad():
-            with no_grad():
-                assert not (w * w).requires_grad
-            assert not (w * w).requires_grad
-        assert (w * w).requires_grad
-
-    def test_no_grad_restores_after_exception(self):
-        w = Tensor(np.ones(2), requires_grad=True, name="w")
-        with pytest.raises(ValueError, match="incompatible"):
-            with no_grad():
-                affine(w, Tensor(np.ones((3, 3))), 0.0)
-        assert (w * w).requires_grad
 
     def test_input_without_gradient_skipped(self):
         # the first layer's input takes no gradient, so its VJP returns None
@@ -638,9 +620,7 @@ class TestCapture:
 
         plan = capture(forward, self.PARAMS, np.ones((1, 3)))
         for x in np.random.default_rng(0).normal(size=(5, 1, 3)):
-            with no_grad():
-                want = forward(self.PARAMS, Tensor(x)).data
-            assert np.array_equal(plan(x), want)
+            assert np.array_equal(plan(x), forward(self.PARAMS, Tensor(x)).data)
 
     @pytest.mark.parametrize("forward", [
         lambda p, x: x,
@@ -653,8 +633,7 @@ class TestCapture:
     def test_replay_of_an_input_view_or_constant_equals_forward(self, forward):
         plan = capture(forward, self.PARAMS, np.ones((1, 3)))
         x = np.array([[0.5, -2.0, 3.0]])
-        with no_grad():
-            assert np.array_equal(plan(x), forward(self.PARAMS, Tensor(x)).data)
+        assert np.array_equal(plan(x), forward(self.PARAMS, Tensor(x)).data)
 
     @staticmethod
     def mixed_forward(p, x):
@@ -677,8 +656,7 @@ class TestCapture:
         one, two = (capture(self.mixed_forward, p, x) for p in (self.PARAMS, other))
         assert one.run.__code__ is two.run.__code__
         for plan, p in ((one, self.PARAMS), (two, other)):
-            with no_grad():
-                assert np.array_equal(plan(x), self.mixed_forward(p, Tensor(x)).data)
+            assert np.array_equal(plan(x), self.mixed_forward(p, Tensor(x)).data)
         assert not np.array_equal(one(x), two(x))
 
     def test_wrong_number_of_inputs_rejected(self):
@@ -695,6 +673,33 @@ class TestCapture:
 
         with pytest.raises(RuntimeError, match="outside a primitive"):
             capture(forward, self.PARAMS, np.ones((1, 3)))
+
+    def test_scalar_tensor_from_data_rejected(self):
+        # a literal scalar is a constant, but a 0-d Tensor made from `.data`
+        # is a value the replay would not recompute
+        def forward(p, x):
+            h = affine(x, p["w"], p["b"])
+            return h * Tensor(h.data[0, 0])
+
+        with pytest.raises(RuntimeError, match="outside a primitive"):
+            capture(forward, self.PARAMS, np.ones((1, 3)))
+
+    def test_parameters_without_gradient_captured(self):
+        # a trained model's parameters take no gradient; capture wraps them,
+        # so a weight-norm kernel computed from them alone still folds
+        from toilcast.models import TcnConfig, build_model
+
+        model = build_model("tcn", TcnConfig(kernel=2, n_filters=3, lookback=6,
+                                             weight_norm=True))
+        params = model.init_params(3)
+        bare = {k: Tensor(t.data, name=t.name) for k, t in params.items()}
+        xs = np.random.default_rng(3).normal(size=(6, 1, 18))
+        plans = [capture(model.forward, p, xs[0]) for p in (params, bare)]
+        assert plans[0].source == plans[1].source
+        assert not any(calls(plans[1], f) for f in autodiff._VJP if f not in autodiff._FORMS)
+        for x in xs:
+            want = model.forward(bare, Tensor(x)).data
+            assert plans[1](x).tobytes() == want.tobytes() == plans[0](x).tobytes()
 
     def test_replay_that_differs_from_the_forward_rejected(self, monkeypatch):
         monkeypatch.setattr(Plan, "__call__", lambda self, *inputs: np.zeros((1, 2)))

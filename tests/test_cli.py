@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from toilcast.cli import _train_config, main
-from toilcast.models import load_checkpoint
+from toilcast.models import load_checkpoint, save_checkpoint
+from toilcast.series import AffineScaler
 
 ORIGIN_DAY1 = "2020-07-01T00:00:00+00:00"
 
@@ -178,6 +180,14 @@ class TestGridCommand:
         assert rows[0] == "trial_id,family,params_json,lookback,val_mae,val_mse,status,error"
         assert len(rows) == 2
         assert rows[1].endswith("ok,")
+
+    def test_lookback_in_the_model_grid_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["grid"] = {"ann": {"lookback": [6, 12]}, "lookbacks": [8]}
+        assert main(["grid", "--config", write_config(tmp_path, cfg), "--model", "ann"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid.lookbacks" in err
+        assert not (tmp_path / "out" / "grid_ann_point.csv").exists()
 
     def test_failed_trial_row_names_error(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -546,3 +556,18 @@ def test_corrupted_checkpoint_exits_2_naming_the_entry(tmp_path, capsys, trained
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o" / "evaluation_report.json").exists()
+
+
+def test_checkpoint_scaling_without_an_input_channel_exits_2(tmp_path, capsys, trained_ann):
+    # a checkpoint, its hash intact, whose scaling omits an input channel
+    # used to end the rollout with a bare KeyError traceback and exit 1
+    cfg_path, doc = trained_ann
+    good = tmp_path / "good.checkpoint.json"
+    good.write_text(json.dumps(doc))
+    model = load_checkpoint(good)
+    scaler = AffineScaler({n: v for n, v in model.scaler.channels.items() if n != "ambient"})
+    ckpt = tmp_path / "bad.checkpoint.json"
+    save_checkpoint(ckpt, replace(model, scaler=scaler))
+    assert main(["eval", "--config", cfg_path, str(ckpt), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no gain and offset for ['ambient']" in err

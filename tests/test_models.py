@@ -301,6 +301,8 @@ class TestTrainedModel:
         assert set(back.params) == set(tm.params)
         for name in tm.params:
             assert np.array_equal(back.params[name].data, tm.params[name].data)
+        # as a trained model's: so a TiDE rollout's projection records no tape
+        assert not any(t.requires_grad for t in back.params.values())
         window = RNG.normal(40.0, 5.0, size=(4, 3))
         assert np.array_equal(back.predict_window(window), tm.predict_window(window))
 
@@ -375,6 +377,8 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_predict_window_records_no_tape(self, family, monkeypatch):
+        # beyond the tape of preparing its one window, whose values do not
+        # change which nodes are recorded, the step records nothing
         tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
         # `_apply` looks up a primitive's VJP only to record a tape node
         taped = []
@@ -385,8 +389,15 @@ class TestTrainedModel:
                 return super().__getitem__(fwd)
 
         monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
-        out = tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
-        assert out.shape == (1, 1, 3) and taped == []
+        tapes = []
+        for _ in range(2):
+            taped.clear()
+            out = tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
+            tapes.append(taped.copy())
+        taped.clear()
+        tm.prepare(np.zeros((4 + (tm.config.horizon if family == "tide" else 0), 3)))
+        assert out.shape == (1, 1, 3) and tapes[0] == tapes[1] == taped
+        assert autodiff._affine in taped
 
     @pytest.mark.parametrize("family", ["ann", "tide"])
     def test_predict_window_matches_channel_loop(self, family):

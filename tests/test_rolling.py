@@ -379,7 +379,7 @@ def reference_rollout(model, valid):
     window (and TiDE's future covariates) at every step, run `forward`,
     unscale, sort the quantiles and feed the raw median back. Returns the
     (n, T, Q) predictions."""
-    from toilcast.autodiff import Tensor, no_grad
+    from toilcast.autodiff import Tensor
 
     cfg, L = model.config, model.config.lookback
     ins, tgts = model.input_channels, model.target_channels
@@ -396,8 +396,7 @@ def reference_rollout(model, valid):
         fut = None
         if model.family == "tide":
             fut = Tensor(((cov[i: i + 1] - cov_off) * cov_gain).reshape(1, -1))
-        with no_grad():
-            y = model.model.forward(model.params, x, fut)
+        y = model.model.forward(model.params, x, fut)
         raw = y.data.reshape(1, cfg.n_targets, cfg.n_quantiles)
         raw = np.sort(raw / tgt_gain[:, None] + tgt_off[:, None], axis=-1)
         out.append(raw[0])
@@ -436,15 +435,12 @@ class TestPreparedRollout:
 
     @pytest.mark.parametrize("case", ["ann", "tcn", "tide"])
     def test_windows_are_the_plain_views(self, case):
-        from toilcast.autodiff import no_grad
-
         model = make_model(*ROLLOUT_CASES[case][:3])
         rollout = model.prepare(make_dataset(30, seed=52).matrix(model.input_channels))
         scaled, windows = rollout.scaled, rollout.windows
         proj = None
         if case == "tide":
-            with no_grad():
-                proj = model.model.project(model.params, np.ascontiguousarray(scaled[:, 1:])).data
+            proj = model.model.project(model.params, np.ascontiguousarray(scaled[:, 1:])).data
         L = model.config.lookback   # 6: one window per step i = L .. 29
         assert [len(w) for w in windows] == ([25, 24] if case == "tide" else [25])
         scaled[L, 0] = 1e3   # what feed writes, the later windows show
@@ -518,7 +514,7 @@ class TestPreparedRollout:
 
     @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
     def test_replay_equals_forward(self, case):
-        from toilcast.autodiff import Tensor, no_grad
+        from toilcast.autodiff import Tensor
 
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
@@ -528,9 +524,8 @@ class TestPreparedRollout:
         L, T = model.config.lookback, model.config.n_targets
         for i in range(L, valid.n):
             future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if family == "tide" else None
-            with no_grad():
-                want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
-                                           future)
+            want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
+                                       future)
             assert np.array_equal(plan(*(w[i - L] for w in windows)), want.data)
 
     @pytest.mark.parametrize("family, method", [("ann", "forward"), ("tcn", "forward"),
@@ -556,6 +551,8 @@ class TestPreparedRollout:
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_rollout_records_no_tape(self, family, monkeypatch):
+        # the steps replay the plan and record nothing: a rollout records the
+        # tape of its capture (TiDE: and of its one projection) whatever its length
         from toilcast import autodiff
 
         # `_apply` looks up a primitive's VJP only to record a tape node
@@ -568,7 +565,18 @@ class TestPreparedRollout:
 
         monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
         model = make_model(family, Q)
-        assert len(autoregressive_predict(model, make_dataset(30, seed=41))) == 24
+        tapes = []
+        for n in (30, 60):
+            taped.clear()
+            assert len(autoregressive_predict(model, make_dataset(n, seed=41))) == n - 6
+            tapes.append(taped.copy())
+        taped.clear()
+        rollout = model.prepare(make_dataset(30, seed=41).matrix(model.input_channels))
+        assert tapes[0] == tapes[1] == taped and autodiff._affine in taped
+        taped.clear()
+        for _ in range(2):
+            for i in range(6, 30):
+                rollout.step(i)
         assert taped == []
 
     def test_tide_q_step_calls_no_row_sum_helper(self, monkeypatch):

@@ -449,6 +449,13 @@ class TestScaler:
             back = scale_windows(ws, sc).inputs / np.tile(gain, 4) + np.tile(offset, 4)
             assert np.abs(back - ws.inputs).max() <= 1e-9
 
+    def test_vectors_name_the_missing_channels(self):
+        # used to raise a bare KeyError: 'ambient'
+        sc = AffineScaler({"top_oil": (0.01, 0.0)})
+        with pytest.raises(ValueError, match=re.escape(
+                "AffineScaler has no gain and offset for ['ambient', 'load_factor']")):
+            sc.vectors(("top_oil", "ambient", "load_factor"))
+
     def test_zero_gain_rejected(self):
         with pytest.raises(ValueError, match="gain"):
             AffineScaler({"top_oil": (0.0, 1.0)})

@@ -283,6 +283,13 @@ class TestGridSearch:
                                              rf"integer, got {re.escape(repr(lookback))}"):
             GridSpec("ann", {"n_neurons": (4,)}, lookbacks=(8, lookback))
 
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_lookback_axis_in_the_model_values_rejected(self, family):
+        # {"lookback": (6, 12)} used to give two identical trials at look-back 24
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid.{family}.lookback: give look-backs as grid.lookbacks")):
+            GridSpec(family, {"lookback": (6, 12)}, lookbacks=(24,))
+
     def test_numpy_integer_lookbacks_accepted(self):
         grid = GridSpec("ann", {"n_neurons": (4,)}, lookbacks=(np.int64(8), np.uint32(16)))
         assert [json.loads(TrialResult(0, "ann", c, c["lookback"], None, None, "ok")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toilcast.autodiff import backward, no_grad
+from toilcast.autodiff import backward
 from toilcast.iec import check_timestep, load_bracket
 from toilcast.metrics import _pair, pinball
 from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
@@ -92,9 +92,8 @@ def rollout_oracle(model, valid) -> np.ndarray:
     scaled, plan = rollout.scaled, rollout.plan
     proj = None
     if model.family == "tide":
-        with no_grad():
-            proj = model.model.project(model.params,
-                                       np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
+        proj = model.model.project(model.params,
+                                   np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
     gain, offset = model.scaler.vectors(model.input_channels)
     cols = [model.input_channels.index(c) for c in model.target_channels]
     mid = model.quantiles.index(0.5) if model.quantiles else 0
