@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 from .iec import IecParams
@@ -326,7 +327,8 @@ def _write_predictions_csv(path: Path, trace, valid_ds) -> None:
     for name in extra_targets:
         header += [f"measured_{name}", f"predicted_{name}"]
     if trace.quantiles is not None:
-        header += [f"q{round(a * 100):02d}" for a in trace.alphas]
+        # a level's decimal digits, at least two: 0.01 -> q01, 0.5 -> q50, 0.025 -> q025
+        header += ["q" + format(Decimal(repr(a)), "f")[2:].ljust(2, "0") for a in trace.alphas]
     measured = {name: valid_ds.channel(name).values[offset:]
                 for name in trace.target_channels}
     with open(path, "w", newline="") as fh:

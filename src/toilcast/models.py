@@ -13,9 +13,8 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, truediv
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -414,32 +413,39 @@ class TrainedModel:
         """The fingerprint of everything but the parameters."""
         return config_fingerprint(self)
 
-    def prepare(self, matrix: np.ndarray) -> SimpleNamespace:
-        """The rollout over a raw-unit (n, C) input matrix. It holds `scaled`,
-        the matrix scaled once; `windows`, the plan's inputs at every step as
-        read-only views onto it (TiDE: and onto every row's covariates,
-        projected once); `plan`, the forward pass (TiDE: `decode`) captured
-        on the first window; `median`, the level fed back (the 0.5 quantile's,
-        0 for a point head, None if the head has no 0.5 level); and two
-        functions bound to these. Step i replays the plan on rows i-L .. i-1
-        (TiDE also reads the covariates of rows i .. i+H-1) and gives (H, T, Q)
-        predictions in raw units, quantile levels sorted. `run()` takes steps
-        L .. n-1 in turn, each writing its level `median` into row i, scaled
-        as the matrix was, where later windows read it, and returns the
-        (n - L, H, T, Q) predictions; ValueError if `median` is None.
-        `step(i)` takes step i alone and writes nothing; IndexError for a
-        step before the first full window or past the slice. ValueError if
-        the matrix is shorter than one window."""
+    @cached_property
+    def median(self) -> int | None:
+        """The output slot a rollout feeds back: the 0.5 level's, 0 for a
+        point head, None if the head has no 0.5 level."""
+        levels = self.quantiles or (0.5,)   # a point head's one output is its median
+        return levels.index(0.5) if 0.5 in levels else None
+
+    def forecast(self, matrix: np.ndarray, feed: bool = True) -> np.ndarray:
+        """The (n, H, T, Q) predictions in raw units, quantile levels sorted,
+        over a raw-unit (N, C) input matrix. The matrix is scaled once into a
+        copy, and the forward pass (TiDE: `decode`, on covariates projected
+        once) is captured on its first window. Step i replays it on rows
+        i-L .. i-1 (TiDE also reads the covariates of rows i .. i+H-1). With
+        `feed`, steps L .. N-1 run in turn, each writing its `median` level
+        into row i of the copy, where later windows read it; ValueError if
+        `median` is None. Without, one step runs on every measured window.
+        ValueError if the matrix is shorter than one window."""
         cfg, L = self.config, self.config.lookback
+        H, T, Q = cfg.horizon, cfg.n_targets, cfg.n_quantiles
+        cols = [self.input_channels.index(c) for c in self.target_channels]
+        if feed:   # the median's slot and column of each target
+            if self.median is None:
+                raise ValueError("autoregressive feedback needs the 0.5 quantile in "
+                                 f"the head, got {cfg.quantiles}")
+            fed = [(t * Q + self.median, j) for t, j in enumerate(cols)]
         gain, offset = self.scaler.vectors(self.input_channels)
         # C order, so that a flattened window is a view that `strided_windows` can stride
         scaled = np.ascontiguousarray((np.asarray(matrix, dtype=np.float64) - offset) * gain)
         forward, tide = self.model.forward, self.family == "tide"
-        need = L + (cfg.horizon if tide else 0)
+        need = L + (H if tide else 0)
         if len(scaled) < need:
-            raise ValueError(f"prepare: the slice has {len(scaled)} rows, one window needs "
-                             f"{need} (lookback {L}"
-                             + (f" + horizon {cfg.horizon})" if tide else ")"))
+            raise ValueError(f"forecast: the slice has {len(scaled)} rows, one window needs "
+                             f"{need} (lookback {L}" + (f" + horizon {H})" if tide else ")"))
         if tide:
             proj = self.model.project(
                 self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
@@ -448,51 +454,30 @@ class TrainedModel:
                        strided_windows(proj, proj[None, :need], need))
         else:
             windows = (strided_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
-        plan = capture(forward, self.params, *(w[0] for w in windows))
-        replay, n_steps = plan.run, min(map(len, windows))
-        H, T, Q = cfg.horizon, cfg.n_targets, cfg.n_quantiles
-        cols = [self.input_channels.index(c) for c in self.target_channels]
+        replay = capture(forward, self.params, *(w[0] for w in windows)).run
+        stop = len(scaled) if feed else L + min(map(len, windows))
         # each output value's target gain and offset, in (H, T, Q) order
         gains = [float(gain[j]) for _ in range(H) for j in cols for _ in range(Q)]
         offsets = [float(offset[j]) for _ in range(H) for j in cols for _ in range(Q)]
         rows, width = memoryview(scaled.reshape(-1)), scaled.shape[1]
-        levels = cfg.quantiles or (0.5,)   # a point head's one output is its median
-        median = levels.index(0.5) if 0.5 in levels else None
-
-        def steps(first: int, stop: int, feed: bool) -> np.ndarray:
-            # in Python floats: the same IEEE double operations, in the same
-            # order, as numpy's, without a numpy call on a handful of values.
-            # `sorted` orders finite levels as np.sort does; a NaN it may
-            # leave in any slot, where the caller's finiteness check finds it
-            if feed:   # the median's slot and column of each target
-                if median is None:
-                    raise ValueError("autoregressive feedback needs the 0.5 quantile in "
-                                     f"the head, got {cfg.quantiles}")
-                fed = [(t * Q + median, j) for t, j in enumerate(cols)]
-            out = array("d")
-            for i, inputs in zip(range(first, stop),
-                                 zip(*(w[first - L: stop - L] for w in windows))):
-                y = list(map(add, map(truediv, replay(*inputs).tolist()[0], gains), offsets))
-                if Q > 1:
-                    y = [v for q in range(0, len(y), Q) for v in sorted(y[q: q + Q])]
-                out.extend(y)
-                if feed:
-                    for m, j in fed:
-                        rows[i * width + j] = (y[m] - offsets[m]) * gains[m]
-            return np.frombuffer(out).reshape(-1, H, T, Q)
-
-        def step(i: int) -> np.ndarray:
-            if not L <= i < L + n_steps:
-                raise IndexError(f"step {i} precedes the first full window (lookback {L})"
-                                 if i < L else f"step {i} is past the slice's last window")
-            return steps(i, i + 1, False)[0]
-
-        return SimpleNamespace(scaled=scaled, windows=windows, plan=plan, median=median,
-                               step=step, run=partial(steps, L, len(scaled), True))
+        # in Python floats: the same IEEE double operations, in the same order,
+        # as numpy's, without a numpy call on a handful of values. `sorted`
+        # orders finite levels as np.sort does; a NaN it may leave in any
+        # slot, where the caller's finiteness check finds it
+        out = array("d")
+        for i, inputs in zip(range(L, stop), zip(*windows)):
+            y = list(map(add, map(truediv, replay(*inputs).tolist()[0], gains), offsets))
+            if Q > 1:
+                y = [v for q in range(0, len(y), Q) for v in sorted(y[q: q + Q])]
+            out.extend(y)
+            if feed:
+                for m, j in fed:
+                    rows[i * width + j] = (y[m] - offsets[m]) * gains[m]
+        return np.frombuffer(out).reshape(-1, H, T, Q)
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
-        """The first step of the rollout over one raw-unit (L, C) window, plus
-        for TiDE the (H, n_covariates) covariates over the forecast steps."""
+        """The forecast from one raw-unit (L, C) window, plus for TiDE the
+        (H, n_covariates) covariates over the forecast steps."""
         cfg = self.config
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (cfg.lookback, len(self.input_channels)):
@@ -501,9 +486,12 @@ class TrainedModel:
         if self.family == "tide":
             if future is None:
                 raise ValueError("TiDE prediction needs covariates over the forecast steps")
+            if np.size(future) != cfg.horizon * cfg.n_covariates:
+                raise ValueError(f"future covariates cover {np.size(future)} values, need "
+                                 f"horizon*n_covariates = {cfg.horizon * cfg.n_covariates}")
             window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
             window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
-        return self.prepare(window).step(cfg.lookback)
+        return self.forecast(window, feed=False)[0]
 
 
 def _description(model: TrainedModel) -> dict:

@@ -37,8 +37,8 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
 
     The first window seeds from measured targets; thereafter predicted
     targets are fed back while covariates stay measured. Quantile models
-    feed back their median (alpha = 0.5) trace. `model.prepare` returns the
-    rollout over the slice, whose `run` takes every step of it.
+    feed back their median (alpha = 0.5) trace: one `model.forecast` over
+    the slice.
     """
     cfg = model.config
     L = cfg.lookback
@@ -51,8 +51,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     # an overflow inside a step surfaces as the non-finite check below, which
     # names the step, rather than as a numpy warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rollout = model.prepare(valid.matrix(model.input_channels))
-        preds = rollout.run()[:, 0]   # (n, T, Q)
+        preds = model.forecast(valid.matrix(model.input_channels))[:, 0]   # (n, T, Q)
     finite = np.isfinite(preds).all(axis=(1, 2))
     if not finite.all():
         k = int(finite.argmin())
@@ -60,7 +59,7 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
                                  f"({format_instant(valid.timestamps[L + k])})")
 
     return ForecastTrace(model.family, valid.timestamps[L:].copy(), model.target_channels,
-                         preds[:, :, rollout.median].copy(),
+                         preds[:, :, model.median].copy(),
                          preds if model.quantiles else None, model.quantiles)
 
 

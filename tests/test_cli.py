@@ -2,11 +2,14 @@ import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from toilcast.cli import _train_config, main
+from toilcast.cli import _train_config, _write_predictions_csv, main
 from toilcast.models import load_checkpoint, save_checkpoint
+from toilcast.rolling import ForecastTrace
 from toilcast.series import AffineScaler
+from util import make_dataset
 
 ORIGIN_DAY1 = "2020-07-01T00:00:00+00:00"
 
@@ -139,6 +142,23 @@ class TestEvalCommand:
         header = (tmp_path / "out" / "predictions_ann_quantile.csv") \
             .read_text().splitlines()[0]
         assert header == "timestamp,measured,predicted,q01,q50,q99"
+
+    @pytest.mark.parametrize("alphas, names", [
+        ((0.01, 0.5, 0.99), "q01,q50,q99"), ((0.1, 0.5, 0.9), "q10,q50,q90"),
+        ((0.025, 0.5, 0.975), "q025,q50,q975"), ((0.001, 0.004, 0.5), "q001,q004,q50"),
+        ((1e-05, 0.5, 0.99999), "q00001,q50,q99999")],
+        ids=["percents", "tenths", "half-percents", "tenths-of-percents", "exponent-levels"])
+    def test_quantile_columns_name_each_level(self, tmp_path, alphas, names):
+        # rounded percents named 0.025 and 0.975 q02 and q98, and both 0.001 and 0.004 q00
+        valid = make_dataset(10, seed=3)
+        y = valid.top_oil.values[4:]
+        quants = np.stack([y + k for k in range(len(alphas))], axis=-1)[:, None, :]
+        trace = ForecastTrace("m", valid.timestamps[4:], ("top_oil",), y[:, None], quants,
+                              alphas)
+        _write_predictions_csv(tmp_path / "p.csv", trace, valid)
+        rows = list(csv.reader((tmp_path / "p.csv").read_text().splitlines()))
+        assert rows[0] == ["timestamp", "measured", "predicted", *names.split(",")]
+        assert [float(v) for v in rows[1][3:]] == quants[0, 0].tolist()
 
     def test_eval_without_inputs_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))

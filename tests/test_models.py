@@ -284,6 +284,16 @@ class TestTrainedModel:
         with pytest.raises(ValueError, match="covariates"):
             tm.predict_window(RNG.normal(size=(4, 3)), None)
 
+    @pytest.mark.parametrize("future", [[5.0], np.zeros((1, 3)), np.zeros((2, 2))])
+    def test_tide_future_of_the_wrong_size_rejected(self, future):
+        # one value was broadcast into both covariates: [5.0] forecast as [5.0, 5.0]
+        tm = make_trained(family="tide")
+        window = RNG.normal(40.0, 5.0, size=(4, 3))
+        with pytest.raises(ValueError, match=rf"future covariates cover {np.size(future)} "
+                                             r"values, need horizon\*n_covariates = 2"):
+            tm.predict_window(window, future)
+        assert tm.predict_window(window, [5.0, 5.0]).shape == (1, 1, 1)
+
     def test_wrong_window_shape_rejected(self):
         tm = make_trained()
         with pytest.raises(ValueError, match="window shape"):
@@ -377,7 +387,7 @@ class TestTrainedModel:
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_predict_window_records_no_tape(self, family, monkeypatch):
-        # beyond the tape of preparing its one window, whose values do not
+        # beyond the tape of capturing on its one window, whose values do not
         # change which nodes are recorded, the step records nothing
         tm = make_trained(quantiles=(0.01, 0.5, 0.99), family=family)
         # `_apply` looks up a primitive's VJP only to record a tape node
@@ -395,7 +405,7 @@ class TestTrainedModel:
             out = tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
             tapes.append(taped.copy())
         taped.clear()
-        tm.prepare(np.zeros((4 + (tm.config.horizon if family == "tide" else 0), 3)))
+        tm.forecast(np.zeros((4 + (tm.config.horizon if family == "tide" else 0), 3)), feed=False)
         assert out.shape == (1, 1, 3) and tapes[0] == tapes[1] == taped
         assert autodiff._affine in taped
 

@@ -1,7 +1,6 @@
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,9 +20,9 @@ CHANNELS = ("top_oil", "ambient", "load_factor")
 
 class StubModel:
     """Duck-typed stand-in driven by a window -> scalar rule, with identity
-    scaling: its rollout's `run` calls `step` on a copy of the raw matrix at
-    every step and writes the step's level `median` into the matrix, as a
-    prepared rollout does."""
+    scaling: its `forecast` calls `step` on a copy of the raw matrix at every
+    step and writes the step's level `median` into the copy, as a
+    TrainedModel's does."""
 
     family = "stub"
     input_channels = CHANNELS
@@ -34,16 +33,15 @@ class StubModel:
         self.config = SimpleNamespace(lookback=lookback, horizon=1)
         self.fn = fn
 
-    def prepare(self, matrix):
-        median = self.quantiles.index(0.5) if self.quantiles else 0
-        return SimpleNamespace(run=partial(self.run, np.array(matrix, dtype=float), median),
-                               median=median)
+    @property
+    def median(self):
+        return self.quantiles.index(0.5) if self.quantiles else 0
 
-    def run(self, rows, median):
-        out = []
+    def forecast(self, matrix):
+        rows, out = np.array(matrix, dtype=float), []
         for i in range(self.config.lookback, len(rows)):
             out.append(self.step(rows, i))
-            rows[i, :1] = out[-1][0, :, median]   # top_oil is the first input channel
+            rows[i, :1] = out[-1][0, :, self.median]   # top_oil is the first input channel
         return np.array(out)
 
     def step(self, rows, i):
@@ -402,8 +400,6 @@ def reference_rollout(model, valid):
         out.append(raw[0])
         feed[i, cols] = raw[0, :, mid]
     return np.array(out)
-
-
 Q = (0.01, 0.5, 0.99)
 # case -> (family, quantiles, n_targets, config overrides); "tcn-deep" stacks
 # more blocks than the look-back needs, which leaves one-row matrix products
@@ -416,6 +412,44 @@ ROLLOUT_CASES = {"ann": ("ann", (), 1, {}), "ann-q": ("ann", Q, 1, {}),
                  "ann-tanh": ("ann", (), 1, {"activation": "tanh"}),
                  "ann-sigmoid": ("ann", (), 1, {"activation": "sigmoid"}),
                  "ann-identity": ("ann", (), 1, {"activation": "identity"})}
+# heads with no 0.5 level: they forecast without feed, and cannot roll out
+NO_MEDIAN_CASES = {"ann-q90": ("ann", (0.9,), 1, {}), "tcn-q90": ("tcn", (0.9,), 1, {}),
+                   "tide-q90": ("tide", (0.9,), 1, {})}
+
+
+def scaled_slice(model, matrix):
+    """The raw matrix scaled by numpy, and for TiDE its covariates projected."""
+    gain, offset = model.scaler.vectors(model.input_channels)
+    scaled = (matrix - offset) * gain
+    proj = None
+    if model.family == "tide":
+        proj = model.model.project(
+            model.params, np.ascontiguousarray(scaled[:, model.config.n_targets:])).data
+    return scaled, proj
+
+
+def traced_forecast(model, matrix, feed=True, on_capture=None):
+    """`model.forecast(matrix, feed)`, the one plan it captured, and the inputs
+    of each replay as the views it was given; `on_capture(plan)` runs once the
+    plan is captured, before any step."""
+    from toilcast import models
+    from toilcast.autodiff import capture
+
+    plans, inputs = [], []
+
+    def capturing(*args):
+        plans.append(capture(*args))
+        run = plans[-1].run
+        plans[-1].run = lambda *xs: inputs.append(xs) or run(*xs)
+        if on_capture is not None:
+            on_capture(plans[-1])
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "capture", capturing)
+        out = model.forecast(matrix, feed)
+    (plan,) = plans
+    return out, plan, inputs
 
 
 class TestPreparedRollout:
@@ -436,54 +470,60 @@ class TestPreparedRollout:
     @pytest.mark.parametrize("case", ["ann", "tcn", "tide"])
     def test_windows_are_the_plain_views(self, case):
         model = make_model(*ROLLOUT_CASES[case][:3])
-        rollout = model.prepare(make_dataset(30, seed=52).matrix(model.input_channels))
-        scaled, windows = rollout.scaled, rollout.windows
-        proj = None
-        if case == "tide":
-            proj = model.model.project(model.params, np.ascontiguousarray(scaled[:, 1:])).data
-        L = model.config.lookback   # 6: one window per step i = L .. 29
-        assert [len(w) for w in windows] == ([25, 24] if case == "tide" else [25])
-        scaled[L, 0] = 1e3   # what feed writes, the later windows show
-        for i in range(L, 30):
-            for got, want in zip(windows, window_views(model, scaled, proj, i), strict=True):
-                got = got[i - L]
+        matrix = make_dataset(30, seed=52).matrix(model.input_channels)
+        _, _, inputs = traced_forecast(model, matrix, feed=False)
+        scaled, proj = scaled_slice(model, matrix)
+        L = model.config.lookback   # 6: one window per step i = L .. 30 (TiDE: .. 29)
+        assert len(inputs) == (24 if case == "tide" else 25)
+        for i, views in enumerate(inputs, start=L):
+            for got, want in zip(views, window_views(model, scaled, proj, i), strict=True):
                 assert got.shape == want.shape and got.strides == want.strides
                 assert np.array_equal(got, want) and not got.flags.writeable
+        # views onto one scaled copy, not copies of the windows
+        assert np.shares_memory(inputs[0][0], inputs[1][0])
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
-    def test_step_outside_the_slice_rejected(self, family):
+    def test_one_step_per_measured_window(self, family):
+        # without feed, the first step reads rows 0 .. L-1 and the last the
+        # slice's last window: rows n-L .. n-1 (TiDE: and covariate row n-1)
         model = make_model(family)   # look-back 6
-        rollout = model.prepare(make_dataset(20, seed=54).matrix(model.input_channels))
-        for i in (0, 5):
-            with pytest.raises(IndexError, match=rf"step {i} precedes the first full window"):
-                rollout.step(i)
-        with pytest.raises(IndexError):
-            rollout.step(21)
-        rollout.step(6)
+        matrix = make_dataset(20, seed=54).matrix(model.input_channels)
+        out, _, inputs = traced_forecast(model, matrix, feed=False)
+        tide = family == "tide"
+        assert out.shape == (14 if tide else 15, 1, 1, 1) and len(inputs) == len(out)
+        for k in (0, len(out) - 1):
+            future = matrix[k + 6: k + 7, 1:] if tide else None
+            assert model.predict_window(matrix[k: k + 6], future).tobytes() == \
+                out[k].tobytes()
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
-    def test_one_level_head_without_a_median_feeds_nothing(self, family):
-        # a (0.9,) head has no median to feed back
+    def test_one_level_head_without_a_median_feeds_nothing(self, family, monkeypatch):
+        # a (0.9,) head has no median to feed back: it fails before capture
+        from toilcast import models
+
         model = make_model(family, (0.9,))
         matrix = make_dataset(20, seed=55).matrix(model.input_channels)
-        rollout = model.prepare(matrix)
-        assert rollout.median is None
-        scaled = rollout.scaled.copy()
-        with pytest.raises(ValueError, match=r"needs the 0.5 quantile in the head, got \(0.9,\)"):
-            rollout.run()
-        assert np.array_equal(rollout.scaled, scaled)
-        # one step, or one window, still forecasts with any head
-        first = rollout.step(6)
-        assert first.shape == (1, 1, 1) and np.isfinite(first).all()
+        kept = matrix.copy()
+        assert model.median is None
+        with monkeypatch.context() as mp:
+            mp.setattr(models, "capture", lambda *args: pytest.fail("captured a plan"))
+            with pytest.raises(ValueError,
+                               match=r"needs the 0.5 quantile in the head, got \(0.9,\)"):
+                model.forecast(matrix)
+        assert matrix.tobytes() == kept.tobytes()
+        # a step from each window, or from one window, still forecasts with any head
+        steps = model.forecast(matrix, feed=False)
+        assert steps.shape == (14 if family == "tide" else 15, 1, 1, 1)
+        assert np.isfinite(steps).all() and matrix.tobytes() == kept.tobytes()
         future = matrix[6:7, 1:] if family == "tide" else None
-        assert model.predict_window(matrix[:6], future).tobytes() == first.tobytes()
+        assert model.predict_window(matrix[:6], future).tobytes() == steps[0].tobytes()
 
     @pytest.mark.parametrize("quantiles, median", [((), 0), ((0.5,), 0), ((0.01, 0.5, 0.99), 1),
                                                    ((0.5, 0.9), 0)])
     def test_median_is_the_fed_level(self, quantiles, median):
         model = make_model("ann", quantiles)
         valid = make_dataset(20, seed=56)
-        assert model.prepare(valid.matrix(model.input_channels)).median == median
+        assert model.median == median
         trace = autoregressive_predict(model, valid)
         want = reference_rollout(model, valid)
         assert np.array_equal(trace.values, want[:, :, median])
@@ -508,25 +548,33 @@ class TestPreparedRollout:
         # the windows stride over the scaled slice, which must be laid out by rows
         model = make_model(family, Q)
         matrix = make_dataset(30, seed=53).matrix(model.input_channels)
-        rows, cols = model.prepare(matrix), model.prepare(np.asfortranarray(matrix))
-        for i in range(6, 29):
-            assert rows.step(i).tobytes() == cols.step(i).tobytes()
+        for feed in (False, True):
+            assert model.forecast(matrix, feed).tobytes() == \
+                model.forecast(np.asfortranarray(matrix), feed).tobytes()
 
-    @pytest.mark.parametrize("case", list(ROLLOUT_CASES))
+    @pytest.mark.parametrize("case", [*ROLLOUT_CASES, *NO_MEDIAN_CASES])
     def test_replay_equals_forward(self, case):
+        # without feed, each step replays the plan on a measured window: the
+        # bytes of `forward` on that window, unscaled and sorted
         from toilcast.autodiff import Tensor
 
-        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        family, quantiles, n_targets, overrides = {**ROLLOUT_CASES, **NO_MEDIAN_CASES}[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        valid = make_dataset(40, seed=43)
-        rollout = model.prepare(valid.matrix(model.input_channels))
-        scaled, windows, plan = rollout.scaled, rollout.windows, rollout.plan
-        L, T = model.config.lookback, model.config.n_targets
-        for i in range(L, valid.n):
-            future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if family == "tide" else None
+        matrix = make_dataset(40, seed=43).matrix(model.input_channels)
+        got = model.forecast(matrix, feed=False)
+        scaled, _ = scaled_slice(model, matrix)
+        gain, offset = model.scaler.vectors(model.input_channels)
+        cols = [model.input_channels.index(c) for c in model.target_channels]
+        L, T, tide = model.config.lookback, n_targets, family == "tide"
+        assert len(got) == 40 - L + (0 if tide else 1)
+        for i in range(L, L + len(got)):
+            future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if tide else None
             want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
-                                       future)
-            assert np.array_equal(plan(*(w[i - L] for w in windows)), want.data)
+                                       future).data.reshape(1, T, -1)
+            want = np.sort(want / gain[cols][:, None] + offset[cols][:, None], axis=-1)
+            assert got[i - L].tobytes() == want.tobytes()
+            future = matrix[i: i + 1, T:] if tide else None
+            assert model.predict_window(matrix[i - L: i], future).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family, method", [("ann", "forward"), ("tcn", "forward"),
                                                 ("tide", "decode")])
@@ -542,28 +590,37 @@ class TestPreparedRollout:
         monkeypatch.setattr(cls, method, counting)
         trace = autoregressive_predict(model, make_dataset(30, seed=44))
         assert len(trace) == 24 and len(calls) == 1
+        model.forecast(make_dataset(30, seed=44).matrix(model.input_channels), feed=False)
+        assert len(calls) == 2
 
     def test_weight_norm_kernel_folded_at_capture(self):
-        valid = make_dataset(20, seed=45)
-        plans = [make_model("tcn", weight_norm=wn).prepare(valid.matrix(CHANNELS)).plan
+        matrix = make_dataset(20, seed=45).matrix(CHANNELS)
+        plans = [traced_forecast(make_model("tcn", weight_norm=wn), matrix, False)[1]
                  for wn in (False, True)]
         assert len(plans[0]._steps) == len(plans[1]._steps)
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_rollout_records_no_tape(self, family, monkeypatch):
-        # the steps replay the plan and record nothing: a rollout records the
-        # tape of its capture (TiDE: and of its one projection) whatever its length
-        from toilcast import autodiff
+        # the steps replay the plan and record nothing: a forecast records the
+        # tape of its capture (TiDE: and of its one projection) whatever its
+        # length, and all of it before the first step
+        from toilcast import autodiff, models
 
         # `_apply` looks up a primitive's VJP only to record a tape node
-        taped = []
+        taped, at_capture = [], []
 
         class WatchedTable(dict):
             def __getitem__(self, fwd):
                 taped.append(fwd)
                 return super().__getitem__(fwd)
 
+        def capturing(*args):
+            plan = autodiff.capture(*args)
+            at_capture.append(len(taped))
+            return plan
+
         monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
+        monkeypatch.setattr(models, "capture", capturing)
         model = make_model(family, Q)
         tapes = []
         for n in (30, 60):
@@ -571,13 +628,9 @@ class TestPreparedRollout:
             assert len(autoregressive_predict(model, make_dataset(n, seed=41))) == n - 6
             tapes.append(taped.copy())
         taped.clear()
-        rollout = model.prepare(make_dataset(30, seed=41).matrix(model.input_channels))
+        model.forecast(make_dataset(60, seed=41).matrix(model.input_channels), feed=False)
         assert tapes[0] == tapes[1] == taped and autodiff._affine in taped
-        taped.clear()
-        for _ in range(2):
-            for i in range(6, 30):
-                rollout.step(i)
-        assert taped == []
+        assert at_capture == [len(tapes[0])] * 3
 
     def test_tide_q_step_calls_no_row_sum_helper(self, monkeypatch):
         # the 3-wide layer norms of this quantile TiDE (its temporal and last
@@ -586,12 +639,15 @@ class TestPreparedRollout:
         from toilcast import autodiff
 
         model = make_model("tide", Q)
-        rollout = model.prepare(make_dataset(30, seed=56).matrix(model.input_channels))
         calls, sum_last = [], autodiff._sum_last
-        monkeypatch.setattr(autodiff, "_sum_last", lambda x: calls.append(x.shape) or sum_last(x))
-        for i in range(6, 30):
-            rollout.step(i)
-        assert calls == []
+
+        def watch(plan):
+            monkeypatch.setattr(autodiff, "_sum_last",
+                                lambda x: calls.append(x.shape) or sum_last(x))
+
+        out, _, _ = traced_forecast(model, make_dataset(30, seed=56).matrix(model.input_channels),
+                                    on_capture=watch)
+        assert len(out) == 24 and calls == []
 
     @pytest.mark.parametrize("case", ["ann", "ann-q", "tcn", "tcn-wn", "tide", "tide-q"])
     def test_batch_1_plans_call_no_primitive_forward(self, case):
@@ -601,7 +657,7 @@ class TestPreparedRollout:
 
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        plan = model.prepare(make_dataset(20, seed=57).matrix(model.input_channels)).plan
+        plan = traced_forecast(model, make_dataset(20, seed=57).matrix(model.input_channels))[1]
         forwards = (autodiff._affine, autodiff._layer_norm, autodiff._causal_conv1d)
         assert not [v for v in plan.run.__defaults__ or () if any(v is f for f in forwards)]
         assert ".dot(" in plan.source
@@ -639,18 +695,21 @@ class TestPreparedRollout:
         assert len(trace) == 34
         # the projection runs over the slice, the temporal block at capture
         assert prefixes.count("proj") == 1 and prefixes.count("temporal") == 1
+        model.forecast(make_dataset(40, seed=42).matrix(model.input_channels), feed=False)
+        assert prefixes.count("proj") == 2 and prefixes.count("temporal") == 2
 
     @pytest.mark.parametrize("case", ["ann", "ann-q", "tcn-q", "tide-q"])
     def test_held_step_results_stay_distinct(self, case):
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        rollout = model.prepare(make_dataset(20, seed=48).matrix(model.input_channels))
-        first = rollout.step(6)
+        matrix = make_dataset(20, seed=48).matrix(model.input_channels)
+        first = model.forecast(matrix, feed=False)
         kept = first.copy()
-        second = rollout.step(7)
-        again = rollout.step(6)
+        second = model.forecast(matrix, feed=False)
+        again = model.forecast(matrix[1:], feed=False)
         assert not np.shares_memory(first, second) and not np.shares_memory(first, again)
-        assert first.tobytes() == kept.tobytes() == again.tobytes()
+        assert first.tobytes() == kept.tobytes() == second.tobytes()
+        assert first[1:].tobytes() == again.tobytes()
 
     @pytest.mark.parametrize("case", ["ann-q", "tcn-q", "tide-q", "tcn-wn"])
     def test_second_rollout_gives_the_same_bytes(self, case):
@@ -664,22 +723,30 @@ class TestPreparedRollout:
 
     @pytest.mark.parametrize("case", ["ann-q", "tcn-q", "tide-q", "tcn-wn"])
     def test_steps_write_only_what_feed_writes(self, case):
+        # each window reads the scaled slice with the fed medians in its
+        # target columns, and nothing else written: not the raw matrix, not
+        # TiDE's projected covariates, not the plan's constants
         family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
         model = make_model(family, quantiles, n_targets, **overrides)
-        rollout = model.prepare(make_dataset(30, seed=50).matrix(model.input_channels))
-        scaled, windows, plan = rollout.scaled, rollout.windows, rollout.plan
-        constants = [(v, v.copy()) for v in plan._vals if isinstance(v, np.ndarray)]
-        # TiDE's second windows read its projected covariates
-        want, proj, want_proj = scaled.copy(), windows[1:], [w.copy() for w in windows[1:]]
+        matrix = make_dataset(30, seed=50).matrix(model.input_channels)
+        kept, constants = matrix.copy(), []
+
+        def keep_constants(plan):
+            constants.extend((v, v.copy()) for v in plan._vals if isinstance(v, np.ndarray))
+
+        out, _, inputs = traced_forecast(model, matrix, on_capture=keep_constants)
+        want, proj = scaled_slice(model, matrix)
         mid = quantiles.index(0.5) if quantiles else 0
         gain, offset = model.scaler.vectors(model.input_channels)
         cols = [model.input_channels.index(c) for c in model.target_channels]
-        points = rollout.run()[:, 0, :, mid]
-        assert len(points) == 24
+        points = out[:, 0, :, mid]
+        assert len(points) == len(inputs) == 24
         want[6:, cols] = (points - offset[cols]) * gain[cols]
-        assert scaled.tobytes() == want.tobytes()
-        assert all(w.tobytes() == kept.tobytes() for w, kept in zip(proj, want_proj))
-        assert constants and all(v.tobytes() == kept.tobytes() for v, kept in constants)
+        for i, views in enumerate(inputs, start=6):
+            for got, expected in zip(views, window_views(model, want, proj, i), strict=True):
+                assert got.tobytes() == expected.tobytes()
+        assert matrix.tobytes() == kept.tobytes()
+        assert constants and all(v.tobytes() == c.tobytes() for v, c in constants)
 
     @pytest.mark.parametrize("family", ["ann", "tide"])
     def test_a_new_scaler_takes_a_new_model(self, family):
@@ -704,19 +771,21 @@ class TestPreparedRollout:
     def test_slice_shorter_than_a_window_rejected(self, family, rows):
         model = make_model(family)   # look-back 6; TiDE also reads 1 forecast row
         matrix = make_dataset(rows, seed=47).matrix(model.input_channels)
-        with pytest.raises(ValueError, match=rf"slice has {rows - 1} rows, one window "
-                                             rf"needs {rows} \(lookback 6"):
-            model.prepare(matrix[:-1])
-        model.prepare(matrix)
+        for feed in (False, True):
+            with pytest.raises(ValueError, match=rf"forecast: the slice has {rows - 1} rows, "
+                                                 rf"one window needs {rows} \(lookback 6"):
+                model.forecast(matrix[:-1], feed)
+        assert len(model.forecast(matrix, feed=False)) == 1
 
     @pytest.mark.parametrize("inputs", [("top_oil", "temp_rise", "ambient", "load_factor"),
                                         ("top_oil", "ambient", "temp_rise", "load_factor")])
     def test_feed_writes_the_target_columns(self, inputs):
         model = replace(make_model("ann", n_targets=2), input_channels=inputs)
-        rollout = model.prepare(make_dataset(20, seed=46).matrix(inputs))
-        want = rollout.scaled.copy()
+        matrix = make_dataset(20, seed=46).matrix(inputs)
+        out, _, inputs_seen = traced_forecast(model, matrix)
+        want, _ = scaled_slice(model, matrix)
         cols = [inputs.index("top_oil"), inputs.index("temp_rise")]
         gain, offset = model.scaler.vectors(inputs)
-        points = rollout.run()[:, 0, :, 0]
-        want[6:, cols] = (points - offset[cols]) * gain[cols]
-        assert np.array_equal(rollout.scaled, want)
+        want[6:, cols] = (out[:, 0, :, 0] - offset[cols]) * gain[cols]
+        assert [got.tobytes() for (got,) in inputs_seen] == \
+            [want[i - 6: i].tobytes() for i in range(6, 20)]

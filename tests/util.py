@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toilcast.autodiff import backward
+from toilcast.autodiff import backward, capture
 from toilcast.iec import check_timestep, load_bracket
 from toilcast.metrics import _pair, pinball
 from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
@@ -83,18 +83,21 @@ def window_views(model, scaled, proj, i) -> tuple:
 
 def rollout_oracle(model, valid) -> np.ndarray:
     """The rollout of a TrainedModel as a per-step loop over `replay_oracle`:
-    the window as plain views, the output unscaled and sorted by numpy, a
-    finiteness check, and the median scaled by numpy and written back into
-    the slice. Returns the (n, T, Q) predictions; FloatingPointError names
-    the first non-finite step. The oracle of `autoregressive_predict`."""
+    the slice scaled here by numpy, the forward (TiDE: `decode`, on the
+    covariates projected here) captured here on the first window, the window
+    as plain views, the output unscaled and sorted by numpy, a finiteness
+    check, and the median scaled by numpy and written back into the slice.
+    Returns the (n, T, Q) predictions; FloatingPointError names the first
+    non-finite step. The oracle of `autoregressive_predict`."""
     cfg, L = model.config, model.config.lookback
-    rollout = model.prepare(valid.matrix(model.input_channels))
-    scaled, plan = rollout.scaled, rollout.plan
-    proj = None
+    gain, offset = model.scaler.vectors(model.input_channels)
+    scaled = (valid.matrix(model.input_channels) - offset) * gain
+    forward, proj = model.model.forward, None
     if model.family == "tide":
+        forward = model.model.decode
         proj = model.model.project(model.params,
                                    np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
-    gain, offset = model.scaler.vectors(model.input_channels)
+    plan = capture(forward, model.params, *window_views(model, scaled, proj, L))
     cols = [model.input_channels.index(c) for c in model.target_channels]
     mid = model.quantiles.index(0.5) if model.quantiles else 0
     out = []
