@@ -7,6 +7,9 @@ One JSON config drives every command; flags override config scalars:
     toilcast grid  --config run.json --model ann [--loss point|quantile]
     toilcast eval  --config run.json [CHECKPOINT ...] [--iec]
 
+Paths inside the config are read against the config's folder; paths on the
+command line (the config, --out, checkpoints) against the working directory.
+
 Exit codes: 0 success, 2 config/validation error, 3 numeric failure.
 """
 
@@ -29,7 +32,7 @@ from .series import (AffineScaler, SplitSpec, check_flag, check_object, format_i
                      load_dataset, split)
 from .svgplot import line_plot_svg
 from .synth import SynthSpec, gen_dataset, write_dataset_csvs
-from .training import (DivergenceError, GridSpec, TrainConfig, fit_dataset,
+from .training import (COVARIATES, TARGET_CHANNELS_MULTI, GridSpec, TrainConfig, fit_dataset,
                        grid_search, select_best)
 
 DEFAULT_SCALING = {
@@ -107,38 +110,31 @@ def _path(cfg: dict, base: Path, key: str, default=...) -> Path:
     return base / p
 
 
-def _check_single_source(cfg: dict) -> dict:
+def _synth_spec(cfg: dict) -> SynthSpec | None:
+    """The synth source's spec, None for measurement files; the config names exactly one."""
     data = _require(cfg, "data")
     has_files = "measurements" in data or "ambient" in data
     if ("synth" in data) == has_files:
         raise ValueError("config data section must have exactly one source: "
                          "either 'synth' or 'measurements'+'ambient'")
-    return data
-
-
-def _synth_spec(cfg: dict) -> SynthSpec:
-    _check_single_source(cfg)
+    if has_files:
+        return None
     try:
-        return SynthSpec.from_config(_require(cfg, "data.synth"), seed=cfg["seed"])
+        return SynthSpec.from_config(data["synth"], seed=cfg["seed"])
     except ValueError as exc:
         raise ValueError(f"invalid data.synth spec: {exc}") from exc
 
 
-def _dataset(cfg: dict, base: Path):
-    data = _check_single_source(cfg)
-    if "synth" in data:
-        return gen_dataset(_synth_spec(cfg))[0]
-    return load_dataset(_path(cfg, base, "data.measurements"), _path(cfg, base, "data.ambient"),
-                        rated_current_a=data.get("rated_current_a"),
-                        default_offset=data.get("timezone"))
-
-
-def _split(cfg: dict, ds):
+def _splits(cfg: dict, base: Path):
+    """The (train, validation) datasets of the config's data source and split."""
+    spec, data = _synth_spec(cfg), cfg["data"]
+    ds = gen_dataset(spec)[0] if spec else load_dataset(
+        _path(cfg, base, "data.measurements"), _path(cfg, base, "data.ambient"),
+        rated_current_a=data.get("rated_current_a"), default_offset=data.get("timezone"))
     s = _require(cfg, "split")
     try:
-        return split(ds, SplitSpec.from_isoformat(_require(cfg, "split.train"),
-                                                  _require(cfg, "split.valid"),
-                                                  _require(cfg, "data.timezone", None)))
+        return split(ds, SplitSpec.from_isoformat(
+            _require(cfg, "split.train"), _require(cfg, "split.valid"), data.get("timezone")))
     except ValueError as exc:
         raise ValueError(f"invalid split {s}: {exc}") from exc
 
@@ -160,18 +156,18 @@ def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
 
 
 def _quantiles(cfg: dict) -> tuple[float, ...]:
-    return validate_quantiles(cfg.get("quantiles", [0.01, 0.5, 0.99]))
+    return validate_quantiles(cfg.get("quantiles", TrainConfig.quantiles))
 
 
 def _model_config(cfg: dict, family: str, loss: str):
     raw = _require(cfg, f"models.{family}", {})
     given = {"quantiles": _quantiles(cfg)} if loss == "quantile" else {}
     if check_flag("config", "multi_target", cfg.get("multi_target", False)):
-        given["n_targets"] = 2
+        given["n_targets"] = len(TARGET_CHANNELS_MULTI)
     try:
         model_cfg = replace(config_from_dict(family, raw), **given)
-        if family != "tide" and "n_channels" not in raw:   # the targets and two covariates
-            model_cfg = replace(model_cfg, n_channels=model_cfg.n_targets + 2)
+        if family != "tide" and "n_channels" not in raw:   # the targets and the covariates
+            model_cfg = replace(model_cfg, n_channels=model_cfg.n_targets + len(COVARIATES))
         return model_cfg
     except ValueError as exc:
         raise ValueError(f"invalid models.{family} config: {exc}") from exc
@@ -189,7 +185,8 @@ def _out_dir(cfg: dict, base: Path, flag: str | None) -> Path:
 # -------- commands --------
 
 def cmd_synth(cfg: dict, base: Path, out_dir: Path) -> int:
-    spec = _synth_spec(cfg)
+    # with measurement files, _require raises the missing-key error
+    spec = _synth_spec(cfg) or _require(cfg, "data.synth")
     ds, clean, hourly = gen_dataset(spec)
     paths = write_dataset_csvs(out_dir, ds, hourly, clean)
     print(f"wrote {ds.n} samples over {spec.days} days "
@@ -206,8 +203,7 @@ def _describe(name: str, ds) -> None:
 
 
 def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> int:
-    ds = _dataset(cfg, base)
-    train_ds, _ = _split(cfg, ds)
+    train_ds, _ = _splits(cfg, base)
     _describe("train split", train_ds)
     model_cfg = _model_config(cfg, family, loss)
     train_cfg = _train_config(cfg, family, loss)
@@ -215,9 +211,7 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
     ckpt = out_dir / f"{family}_{loss}.checkpoint.json"
     save_checkpoint(ckpt, trained)
     report_path = out_dir / f"{family}_{loss}.train_report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(report_path, report.to_dict())
     print(f"trained {family} ({loss}) for {report.epochs_run} epochs, "
           f"final loss {report.epoch_losses[-1]:.6g}")
     print(f"  checkpoint: {ckpt}")
@@ -226,13 +220,12 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
 
 
 def cmd_grid(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> int:
-    ds = _dataset(cfg, base)
-    train_ds, valid_ds = _split(cfg, ds)
+    train_ds, valid_ds = _splits(cfg, base)
     raw = _require(cfg, f"grid.{family}", DEFAULT_GRID[family])
     if not raw:
         raise ValueError(f"empty grid for '{family}'")
     try:
-        grid = GridSpec(family, raw, _require(cfg, "grid.lookbacks", (24, 48, 96)))
+        grid = GridSpec(family, raw, _require(cfg, "grid.lookbacks", GridSpec.lookbacks))
     except ValueError as exc:
         raise ValueError(f"invalid grid settings: {exc}") from exc
     base_cfg = _model_config(cfg, family, loss)
@@ -268,13 +261,12 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
              use_iec: bool) -> int:
     if not checkpoints and not use_iec:
         raise ValueError("eval needs at least one checkpoint or --iec")
-    ds = _dataset(cfg, base)
-    _, valid_ds = _split(cfg, ds)
+    _, valid_ds = _splits(cfg, base)
     _describe("validation split", valid_ds)
 
     traces = []
     for ck in checkpoints:
-        model = load_checkpoint(base / ck)
+        model = load_checkpoint(ck)
         trace = autoregressive_predict(model, valid_ds)
         trace.model_id = Path(ck).stem.replace(".checkpoint", "")
         traces.append(trace)
@@ -287,9 +279,7 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
 
     report = evaluate(traces, valid_ds)
     report_path = out_dir / "evaluation_report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(report_path, report.to_dict())
 
     # report keys are the model ids made unique, one per trace in order
     keyed = list(zip(report.models, traces))
@@ -297,10 +287,10 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
         _write_predictions_csv(out_dir / f"predictions_{key}.csv", trace, valid_ds)
 
     band = None
-    for trace in traces:
-        if trace.quantiles is not None and len(trace.alphas) >= 2:
-            band = {"lower": trace.quantiles[:, 0, 0], "upper": trace.quantiles[:, 0, -1],
-                    "label": f"PI [{trace.alphas[0]:g}, {trace.alphas[-1]:g}]"}
+    for trace in traces:   # the first quantile trace's scored interval
+        if trace.interval is not None:
+            (lo, hi), lower, upper = trace.interval
+            band = {"lower": lower, "upper": upper, "label": f"PI [{lo:g}, {hi:g}]"}
             break
     series = [{"label": "measured", "values": valid_ds.top_oil.values,
                "color": "#333333"}]
@@ -318,6 +308,12 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
                 line += f" | PICP {entry['picp']:.3f} width {entry['mean_interval_width']:.3f}"
             print(line)
     return 0
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _write_predictions_csv(path: Path, trace, valid_ds) -> None:
@@ -383,7 +379,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

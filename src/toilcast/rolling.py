@@ -31,6 +31,14 @@ class ForecastTrace:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    @property
+    def interval(self) -> tuple[tuple[float, float], np.ndarray, np.ndarray] | None:
+        """The primary target's outermost quantile pair, as ((lower level,
+        upper level), lower, upper); None without two quantile levels."""
+        if self.quantiles is None or len(self.alphas) < 2:
+            return None
+        return (self.alphas[0], self.alphas[-1]), self.quantiles[:, 0, 0], self.quantiles[:, 0, -1]
+
 
 def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
     """Roll a one-step model over the validation slice.
@@ -104,14 +112,12 @@ def evaluate(traces: list[ForecastTrace], valid: TransformerDataset,
             truth = valid.channel(name).values[offset:]
             entry["targets"][name] = {"mae": mae(truth, trace.values[:, j]),
                                       "mse": mse(truth, trace.values[:, j])}
-        if trace.quantiles is not None and len(trace.alphas) >= 2:
-            primary = trace.target_channels[0]
-            truth = valid.channel(primary).values[offset:]
-            lower = trace.quantiles[:, 0, 0]
-            upper = trace.quantiles[:, 0, -1]
+        if trace.interval is not None:
+            levels, lower, upper = trace.interval
+            truth = valid.channel(trace.target_channels[0]).values[offset:]
             entry["picp"] = picp(truth, lower, upper)
             entry["mean_interval_width"] = mean_interval_width(lower, upper)
-            entry["interval_levels"] = [trace.alphas[0], trace.alphas[-1]]
+            entry["interval_levels"] = list(levels)
         key, n = trace.model_id, 1
         while key in models:  # keep report keys unique
             key, n = f"{trace.model_id}_{n}", n + 1

@@ -200,10 +200,6 @@ class TransformerDataset:
     def n(self) -> int:
         return len(self.top_oil)
 
-    @property
-    def step(self) -> int:
-        return self.top_oil.step
-
     def channel(self, name: str) -> TimeSeries:
         if name not in CHANNELS:
             raise KeyError(f"unknown channel '{name}' (expected one of {CHANNELS})")

@@ -23,7 +23,7 @@ TARGET_CHANNELS_MULTI = ("top_oil", "temp_rise")
 COVARIATES = ("ambient", "load_factor")
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(FloatingPointError):
     """Raised when training hits a non-finite loss."""
 
     def __init__(self, epoch: int, batch: int):
@@ -234,8 +234,8 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
                 valid_ds: TransformerDataset, scaler: AffineScaler,
                 train_cfg: TrainConfig, on_trial=None) -> list[TrialResult]:
     """Train and score every grid configuration. A trial that fails with a
-    ValueError, FloatingPointError or DivergenceError is recorded, with the
-    exception type, and the search goes on; any other exception propagates.
+    ValueError or FloatingPointError (DivergenceError is one) is recorded, with
+    the exception type, and the search goes on; any other exception propagates.
     Scoring is autoregressive validation MAE on the primary target (the
     median trace for quantile models). Results return ranked ascending.
     """
@@ -258,7 +258,7 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
                                  mae(truth, trace.values[:, 0]),
                                  mse(truth, trace.values[:, 0]), "ok",
                                  n_params=nn.n_params(trained.params))
-        except (ValueError, FloatingPointError, DivergenceError) as exc:
+        except (ValueError, FloatingPointError) as exc:
             # a trial's invalid config or numeric failure; a bug still raises
             result = TrialResult(trial_id, grid.family, combo, combo["lookback"],
                                  None, None, "failed",

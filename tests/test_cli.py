@@ -182,6 +182,18 @@ class TestEvalCommand:
         assert second.splitlines()[0] == alone.splitlines()[0] and second != alone
         assert ">ann_point_1<" in (out / "eval_plot.svg").read_text()
 
+    def test_checkpoint_path_is_read_against_the_working_directory(self, tmp_path,
+                                                                    monkeypatch):
+        # a relative checkpoint argument was read against the config's folder
+        cfg_path, ckpt = self.run_train(tmp_path, base_config(tmp_path))
+        work = tmp_path / "work"
+        (work / "ck").mkdir(parents=True)
+        ckpt.rename(work / "ck" / ckpt.name)
+        monkeypatch.chdir(work)
+        assert main(["eval", "--config", cfg_path, f"ck/{ckpt.name}"]) == 0
+        report = json.loads((tmp_path / "out" / "evaluation_report.json").read_text())
+        assert list(report["models"]) == ["ann_point"]
+
     def test_tide_checkpoint_evaluates(self, tmp_path):
         cfg = base_config(tmp_path)
         cfg_path, ckpt = self.run_train(tmp_path, cfg, family="tide")

@@ -68,6 +68,14 @@ class TestTrain:
             train(model, params, ws, TrainConfig(batch_size=64, max_epochs=2,
                                                  learning_rate=1e-2))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergent_training_raises_a_floating_point_error(self):
+        # the grid and the CLI catch numeric failures as FloatingPointError alone
+        model, params = tiny_model()
+        with pytest.raises(FloatingPointError, match="non-finite training loss"):
+            train(model, params, linear_windows(),
+                  TrainConfig(batch_size=16, max_epochs=5, learning_rate=1e300))
+
     def test_quantile_head_mismatch_rejected(self):
         model, params = tiny_model()
         with pytest.raises(ValueError, match="quantiles"):
