@@ -311,9 +311,15 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
     positions before the start read zeros, so the taps are added only where
     they reach into the sequence.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3:
         raise ValueError(f"causal_conv1d expects (B, T, C) input, got {x.data.shape}")
+    if w.data.ndim != 3:
+        raise ValueError(f"causal_conv1d: kernel {_label(w)} must be (k, C_in, C_out), "
+                         f"got {w.data.shape}")
+    if b.data.shape != w.data.shape[2:]:
+        raise ValueError(f"causal_conv1d: bias {_label(b)} must have shape "
+                         f"({w.data.shape[2]},), got {b.data.shape}")
     B, T, C = x.data.shape
     if T == 0:
         raise ValueError("causal_conv1d: empty sequence")

@@ -29,7 +29,7 @@ from .metrics import validate_quantiles
 from .models import config_from_dict, load_checkpoint, save_checkpoint
 from .rolling import autoregressive_predict, evaluate, iec_predict
 from .series import (AffineScaler, SplitSpec, check_flag, check_object, format_instant,
-                     load_dataset, split)
+                     load_dataset, split, write_csv, write_json)
 from .svgplot import line_plot_svg
 from .synth import SynthSpec, gen_dataset, write_dataset_csvs
 from .training import (COVARIATES, TARGET_CHANNELS_MULTI, GridSpec, TrainConfig, fit_dataset,
@@ -140,8 +140,11 @@ def _splits(cfg: dict, base: Path):
 
 
 def _scaler(cfg: dict) -> AffineScaler:
-    return AffineScaler.from_config({name: _require(cfg, f"scaling.{name}", default)
-                                     for name, default in DEFAULT_SCALING.items()})
+    """The config's scaling, each channel's fields over that channel's default."""
+    def entry(name, default):
+        given = _require(cfg, f"scaling.{name}", {})
+        return {**default, **given} if isinstance(given, dict) else given
+    return AffineScaler.from_config({n: entry(n, d) for n, d in DEFAULT_SCALING.items()})
 
 
 def _train_config(cfg: dict, family: str, loss: str) -> TrainConfig:
@@ -211,7 +214,7 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
     ckpt = out_dir / f"{family}_{loss}.checkpoint.json"
     save_checkpoint(ckpt, trained)
     report_path = out_dir / f"{family}_{loss}.train_report.json"
-    _write_json(report_path, report.to_dict())
+    write_json(report_path, report.to_dict())
     print(f"trained {family} ({loss}) for {report.epochs_run} epochs, "
           f"final loss {report.epoch_losses[-1]:.6g}")
     print(f"  checkpoint: {ckpt}")
@@ -279,7 +282,7 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
 
     report = evaluate(traces, valid_ds)
     report_path = out_dir / "evaluation_report.json"
-    _write_json(report_path, report.to_dict())
+    write_json(report_path, report.to_dict())
 
     # report keys are the model ids made unique, one per trace in order
     keyed = list(zip(report.models, traces))
@@ -310,34 +313,19 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
     return 0
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _write_predictions_csv(path: Path, trace, valid_ds) -> None:
     offset = valid_ds.n - len(trace)
-    header = ["timestamp", "measured", "predicted"]
-    extra_targets = list(trace.target_channels[1:])
-    for name in extra_targets:
-        header += [f"measured_{name}", f"predicted_{name}"]
+    header, columns = ["timestamp"], []
+    for j, name in enumerate(trace.target_channels):   # the first target unsuffixed
+        suffix = f"_{name}" if j else ""
+        header += [f"measured{suffix}", f"predicted{suffix}"]
+        columns += [valid_ds.channel(name).values[offset:], trace.values[:, j]]
     if trace.quantiles is not None:
         # a level's decimal digits, at least two: 0.01 -> q01, 0.5 -> q50, 0.025 -> q025
         header += ["q" + format(Decimal(repr(a)), "f")[2:].ljust(2, "0") for a in trace.alphas]
-    measured = {name: valid_ds.channel(name).values[offset:]
-                for name in trace.target_channels}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, ts in enumerate(trace.timestamps):
-            row = [format_instant(ts), repr(float(measured[trace.target_channels[0]][i])),
-                   repr(float(trace.values[i, 0]))]
-            for j, name in enumerate(extra_targets, start=1):
-                row += [repr(float(measured[name][i])), repr(float(trace.values[i, j]))]
-            if trace.quantiles is not None:
-                row += [repr(float(q)) for q in trace.quantiles[i, 0, :]]
-            writer.writerow(row)
+        columns += list(trace.quantiles[:, 0, :].T)
+    write_csv(path, header, ([format_instant(ts), *(repr(float(v)) for v in values)]
+                             for ts, *values in zip(trace.timestamps, *columns)))
 
 
 def main(argv=None) -> int:

@@ -54,16 +54,19 @@ class IecParams:
 
 
 def load_bracket(K, p: IecParams):
-    """[(1 + K^2 psi) / (1 + psi)]^chi — equals 1 at rated load (K=1)."""
+    """[(1 + K^2 psi) / (1 + psi)]^chi — equals 1 at rated load (K=1).
+    ValueError naming the first K (and its row) that is not finite and >= 0."""
     K = np.asarray(K, dtype=np.float64)
+    if not ((K >= 0) & (K < np.inf)).all():
+        row = int(np.argmin((K >= 0) & (K < np.inf)))
+        raise ValueError(f"load factor K must be finite and >= 0, got {K.flat[row]}"
+                         + (f" at row {row}" if K.ndim else ""))
     return ((1.0 + K * K * p.psi) / (1.0 + p.psi)) ** p.chi
 
 
 def steady_state(K: float, t_ambient: float, p: IecParams) -> float:
     """Top-oil temperature [degC] the ODE settles to for constant load and
     ambient."""
-    if np.any(np.asarray(K) < 0):
-        raise ValueError("load factor K must be >= 0")
     return t_ambient + p.delta_t_or_k * float(load_bracket(K, p))
 
 
@@ -79,10 +82,16 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     The output has one value per input instant, starting at t0. Each
     interval between instants is integrated in sub-steps of dt, which must
     equal or evenly divide its length; load and ambient are held constant
-    (left endpoint) across the sub-steps of each interval.
+    (left endpoint) across the sub-steps of each interval. Load, ambient and
+    t0 must be finite and the load >= 0 (`load_bracket`); ValueError names
+    the series and row.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
+    t0 = check_real("simulate", "t0", t0)
+    if not np.isfinite(Ta.values).all():
+        row = int(np.argmin(np.isfinite(Ta.values)))
+        raise ValueError(f"simulate: ambient at row {row} is {Ta.values[row]}, not finite")
     # check_timestep first: it rejects a bad dt even when the rule is not enforced
     if not check_timestep(dt_min, p) and enforce_timestep:
         raise ValueError(
@@ -104,7 +113,7 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     # its last state stored; array('d') keeps no float objects alive
     drive = memoryview((load_bracket(K.values, p) * p.delta_t_or_k)[:-1])
     ta = memoryview(np.ascontiguousarray(Ta.values[:-1], dtype=np.float64))
-    t_oil = float(t0)
+    t_oil = t0
     states = array("d", [t_oil])
     if (n_sub == 1).all():   # one sub-step each: no inner loop to set up
         for d, a in zip(drive, ta):

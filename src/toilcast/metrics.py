@@ -57,22 +57,21 @@ def pinball(y, y_hat, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def picp(y, lower, upper) -> float:
-    """Fraction of true values inside [lower, upper], bounds inclusive."""
-    y = np.asarray(y, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if not (y.shape == lower.shape == upper.shape):
-        raise ValueError("y, lower, upper must have equal shapes")
+def _interval(lower, upper):
+    lower, upper = _pair(lower, upper)
     if (lower > upper).any():
         raise ValueError("crossed interval bounds: sort each row of quantiles first")
+    return lower, upper
+
+
+def picp(y, lower, upper) -> float:
+    """Fraction of true values inside [lower, upper], bounds inclusive."""
+    lower, upper = _interval(lower, upper)
+    y, lower = _pair(y, lower)
     return float(np.mean((y >= lower) & (y <= upper)))
 
 
 def mean_interval_width(lower, upper) -> float:
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
-    if (lower > upper).any():
-        raise ValueError("crossed interval bounds: sort each row of quantiles first")
+    lower, upper = _interval(lower, upper)
     return float(np.mean(upper - lower))
 

@@ -22,7 +22,7 @@ from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, reshape
 from .metrics import validate_quantiles
 from .series import (CHANNELS, AffineScaler, check_count, check_flag, check_object, check_real,
-                     strided_windows)
+                     strided_windows, write_json)
 
 
 class _ModelConfig:
@@ -264,6 +264,15 @@ class Tcn(_Family):
 
 # -------- TiDE --------
 
+def _future_covariates(cfg: TideConfig, future, convert):
+    """`convert(future)`, or ValueError unless its last axis holds horizon * n_covariates values."""
+    need = cfg.horizon * cfg.n_covariates
+    n = 0 if future is None else (future := convert(future)).shape[-1]
+    if n != need:
+        raise ValueError(f"future covariates cover {n} values, need horizon*n_covariates = {need}")
+    return future
+
+
 class Tide(_Family):
     """Dense encoder-decoder with per-step covariate projection, a temporal
     decoder over each horizon step, and a global linear residual of the
@@ -306,13 +315,7 @@ class Tide(_Family):
 
     def forward(self, params: dict, x, future=None, rng=None) -> Tensor:
         cfg = self.cfg
-        if future is None:
-            raise ValueError("TiDE requires covariates over the forecast steps")
-        x = as_tensor(x)
-        future = as_tensor(future)
-        if future.shape[-1] != cfg.horizon * cfg.n_covariates:
-            raise ValueError(f"future covariates cover {future.shape[-1]} values, "
-                             f"need horizon*n_covariates = {cfg.horizon * cfg.n_covariates}")
+        x, future = as_tensor(x), _future_covariates(cfg, future, as_tensor)
         B, T, r = x.shape[0], cfg.n_targets, cfg.n_covariates
         x3 = reshape(x, (B, cfg.lookback, T + r))
         cov = concat([x3[:, :, T:], reshape(future, (B, cfg.horizon, r))], axis=1)
@@ -484,13 +487,9 @@ class TrainedModel:
             raise ValueError(f"window shape {window.shape} != "
                              f"({cfg.lookback}, {len(self.input_channels)})")
         if self.family == "tide":
-            if future is None:
-                raise ValueError("TiDE prediction needs covariates over the forecast steps")
-            if np.size(future) != cfg.horizon * cfg.n_covariates:
-                raise ValueError(f"future covariates cover {np.size(future)} values, need "
-                                 f"horizon*n_covariates = {cfg.horizon * cfg.n_covariates}")
+            future = _future_covariates(cfg, future, lambda f: np.reshape(f, (1, -1)))
             window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
-            window[cfg.lookback:, cfg.n_targets:] = np.reshape(future, (cfg.horizon, -1))
+            window[cfg.lookback:, cfg.n_targets:] = future.reshape(cfg.horizon, -1)
         return self.forecast(window, feed=False)[0]
 
 
@@ -531,9 +530,7 @@ def save_checkpoint(path, model: TrainedModel) -> None:
         }
         for name, t in sorted(model.params.items())
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> TrainedModel:

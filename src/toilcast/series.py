@@ -8,6 +8,7 @@ per-channel affine scaling, and sliding-window extraction all live here.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 import operator
@@ -173,7 +174,8 @@ CHANNELS = ("top_oil", "ambient", "load_factor", "temp_rise")
 @dataclass(frozen=True)
 class TransformerDataset:
     """Aligned 5-minute channels: top-oil [degC], ambient [degC] and load
-    factor [p.u.]; the temperature rise over ambient [K] is derived."""
+    factor [p.u.], every sample finite; the temperature rise over ambient
+    [K] is derived."""
 
     top_oil: TimeSeries
     ambient: TimeSeries
@@ -181,11 +183,15 @@ class TransformerDataset:
 
     def __post_init__(self):
         ts = self.top_oil.timestamps
-        for name in ("ambient", "load_factor"):
-            other = getattr(self, name).timestamps
-            if len(other) != len(ts) or (other != ts).any():
+        for name in ("top_oil", "ambient", "load_factor"):
+            s = getattr(self, name)
+            if s is not self.top_oil and (len(s) != len(ts) or (s.timestamps != ts).any()):
                 raise ValueError(f"channel '{name}' not aligned with top_oil grid")
-        if np.nanmin(self.load_factor.values) < 0:
+            if not np.isfinite(s.values).all():
+                row = int(np.argmin(np.isfinite(s.values)))
+                raise ValueError(f"channel '{name}' holds {s.values[row]} at "
+                                 f"{format_instant(ts[row])}; every sample must be finite")
+        if self.load_factor.values.min() < 0:
             raise ValueError("load_factor must be >= 0")
 
     @property
@@ -301,6 +307,19 @@ class WindowSet:
 
 
 # -------- operations --------
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON with sorted keys, one-space indents and a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: the header row, then `rows`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_S,
                         default_offset: str | None = None) -> dict[str, TimeSeries]:

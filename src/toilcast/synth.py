@@ -8,7 +8,6 @@ measurements the real study used.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from .iec import IecParams, simulate, steady_state
 from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset, check_count,
                      check_object, check_real, check_real_fields, format_instant, parse_instant,
-                     resample_ambient_linear)
+                     resample_ambient_linear, write_csv)
 
 DEFAULT_ORIGIN = "2020-07-01T00:00:00+00:00"
 
@@ -146,13 +145,6 @@ def gen_dataset(spec: SynthSpec) -> tuple[TransformerDataset, TimeSeries, TimeSe
     return ds, clean, hourly
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_dataset_csvs(out_dir, ds: TransformerDataset, hourly: TimeSeries,
                        clean: TimeSeries) -> dict[str, Path]:
     """Write the measurement/ambient CSV pair the loader reads, plus the
@@ -165,12 +157,12 @@ def write_dataset_csvs(out_dir, ds: TransformerDataset, hourly: TimeSeries,
         "clean": out / "clean_top_oil.csv",
     }
     stamps = [format_instant(t) for t in ds.timestamps]
-    _write_csv(paths["measurements"], ["timestamp", "top_oil_c", "load_factor"],
-               ((s, repr(float(v)), repr(float(k)))
-                for s, v, k in zip(stamps, ds.top_oil.values, ds.load_factor.values)))
-    _write_csv(paths["ambient"], ["timestamp", "ambient_c"],
-               ((format_instant(t), repr(float(v)))
-                for t, v in zip(hourly.timestamps, hourly.values)))
-    _write_csv(paths["clean"], ["timestamp", "clean_top_oil_c"],
-               ((s, repr(float(v))) for s, v in zip(stamps, clean.values)))
+    write_csv(paths["measurements"], ["timestamp", "top_oil_c", "load_factor"],
+              ((s, repr(float(v)), repr(float(k)))
+               for s, v, k in zip(stamps, ds.top_oil.values, ds.load_factor.values)))
+    write_csv(paths["ambient"], ["timestamp", "ambient_c"],
+              ((format_instant(t), repr(float(v)))
+               for t, v in zip(hourly.timestamps, hourly.values)))
+    write_csv(paths["clean"], ["timestamp", "clean_top_oil_c"],
+              ((s, repr(float(v))) for s, v in zip(stamps, clean.values)))
     return paths

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,22 @@ class TestConv:
         got, want = backward(out, params, g), backward(full, params, g_full)
         for name in params:
             assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("shape", [(1,), (5, 3), (1, 3), ()])
+    def test_bias_of_the_wrong_shape_named(self, shape):
+        # a (1,) bias used to broadcast, and its gradient came back (3,)
+        x, w = Tensor(np.ones((1, 5, 2))), Tensor(np.ones((2, 2, 3)))
+        b = Tensor(np.zeros(shape), name="c.b")
+        with pytest.raises(ValueError, match=re.escape(
+                f"causal_conv1d: bias 'c.b' must have shape (3,), got {shape}")):
+            causal_conv1d(x, w, b)
+
+    def test_kernel_that_is_not_3d_named(self):
+        # used to fail inside numpy with "operands could not be broadcast"
+        with pytest.raises(ValueError, match=re.escape(
+                "causal_conv1d: kernel 'c.w' must be (k, C_in, C_out), got (2, 2)")):
+            causal_conv1d(Tensor(np.ones((1, 5, 2))), Tensor(np.ones((2, 2)), name="c.w"),
+                          Tensor(np.zeros(2)))
 
     @pytest.mark.parametrize("start, stride, named", [(0, 0, r"stride \(0\)"),
                                                       (1, -2, r"stride \(-2\)"),

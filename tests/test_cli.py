@@ -435,6 +435,15 @@ class TestConfigValidation:
         cfg["models"]["tcn"]["n_channels"] = 7    # given: kept as written
         assert _model_config(cfg, "tcn", "point").n_channels == 7
 
+    def test_partial_scaling_keeps_the_channels_other_default(self, tmp_path):
+        # an offset alone used to reset the top-oil gain to 1.0
+        from toilcast.cli import _scaler
+        cfg = base_config(tmp_path)
+        cfg["scaling"] = {"top_oil": {"offset": 10.0}, "ambient": {"gain": 0.5}}
+        channels = _scaler(cfg).channels
+        assert channels["top_oil"] == (0.01, 10.0) and channels["ambient"] == (0.5, 0.0)
+        assert channels["load_factor"] == (1.0, 0.0)
+
     def test_non_finite_scaling_names_the_channel(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["scaling"] = {"ambient": {"gain": float("nan")}}   # written as JSON NaN

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from toilcast.iec import IecParams, check_timestep, simulate, steady_state
+from toilcast.iec import IecParams, check_timestep, load_bracket, simulate, steady_state
 from toilcast.series import TimeSeries
 from util import simulate_oracle
 
@@ -32,6 +34,11 @@ class TestSteadyState:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError, match="K"):
             steady_state(-0.1, 20.0, P)
+
+    def test_non_finite_load_rejected(self):
+        # a NaN load used to give a NaN steady state
+        with pytest.raises(ValueError, match="load factor K must be finite and >= 0, got nan$"):
+            steady_state(np.nan, 20.0, P)
 
 
 class TestStep:
@@ -175,6 +182,31 @@ class TestSimulate:
         with pytest.raises(ValueError, match="before row 3"):
             simulate(K, Ta, 20.0, 5.0, P)
 
+    @pytest.mark.parametrize("name, value", [("load", np.nan), ("load", np.inf),
+                                             ("ambient", np.nan), ("ambient", -np.inf)])
+    def test_non_finite_input_names_the_series_and_row(self, name, value):
+        # a NaN load used to surface as "solver diverged at step 3 (dt too large?)"
+        K, Ta = const_series(1.0, 6), const_series(20.0, 6)
+        (K if name == "load" else Ta).values[2] = value
+        message = (f"load factor K must be finite and >= 0, got {value} at row 2"
+                   if name == "load" else f"simulate: ambient at row 2 is {value}, not finite")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(K, Ta, 30.0, 5.0, P)
+
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(ValueError, match="simulate.t0 must be finite, got nan"):
+            simulate(const_series(1.0, 6), const_series(20.0, 6), np.nan, 5.0, P)
+
+    def test_negative_load_names_the_row(self):
+        # -0.8 used to run as +0.8: the load enters the bracket squared
+        K = const_series(0.8, 6)
+        K.values[2] = -0.8
+        message = "load factor K must be finite and >= 0, got -0.8 at row 2"
+        with pytest.raises(ValueError, match=message):
+            simulate(K, const_series(20.0, 6), 30.0, 5.0, P)
+        with pytest.raises(ValueError, match=message):
+            load_bracket(K.values, P)
+
     def test_dt_must_divide_series_step(self):
         K = const_series(1.0, 10)
         Ta = const_series(20.0, 10)
@@ -207,9 +239,10 @@ def same_outcome(a, b):
 
 
 class TestFlatLoopMatchesNestedOracle:
-    """`simulate` runs one flat loop over every sub-step; the oracle loops per
-    interval, then per sub-step. Both do the same float operations in the same
-    order, so every value and every message agrees bit for bit."""
+    """`simulate` runs one loop over the intervals, with a nested loop over
+    the sub-steps only when some interval has more than one; the oracle always
+    loops per interval, then per sub-step. Both do the same float operations
+    in the same order, so every value and every message agrees bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 31])
     @pytest.mark.parametrize("dt", [5.0, 2.5, 1.0])

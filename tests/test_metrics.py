@@ -163,6 +163,20 @@ class TestIntervals:
     def test_width_mean(self):
         assert mean_interval_width(np.array([0.0, 0.0]), np.array([1.0, 3.0])) == 2.0
 
+    def test_unequal_bound_shapes_rejected_alike(self):
+        # the width used to broadcast one upper bound over three lower ones and return 1.0
+        lower, upper = np.zeros(3), np.array([1.0])
+        with pytest.raises(ValueError, match=r"length mismatch: \(3,\) vs \(1,\)"):
+            mean_interval_width(lower, upper)
+        with pytest.raises(ValueError, match=r"length mismatch: \(3,\) vs \(1,\)"):
+            picp(np.zeros(3), lower, upper)
+        with pytest.raises(ValueError, match=r"length mismatch: \(2,\) vs \(3,\)"):
+            picp(np.zeros(2), lower, np.ones(3))
+
+    def test_crossed_bounds_rejected_by_the_width_too(self):
+        with pytest.raises(ValueError, match="crossed interval bounds: sort"):
+            mean_interval_width(np.array([2.0]), np.array([1.0]))
+
 
 class TestLossKind:
     @pytest.mark.parametrize("alphas", [0.5, "0.5", None, {0.5: 1}],

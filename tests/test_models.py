@@ -193,6 +193,15 @@ class TestTide:
             m.forward(m.init_params(0), RNG.normal(size=(1, 18)),
                       RNG.normal(size=(1, 2)))  # needs 2 steps * 2 covariates
 
+    def test_forward_and_predict_window_reject_missing_covariates_alike(self):
+        # the forward and the trained model's window check are one check, with one text
+        tm = make_trained(family="tide")
+        message = r"future covariates cover 0 values, need horizon\*n_covariates = 2"
+        with pytest.raises(ValueError, match=message):
+            tm.model.forward(tm.params, RNG.normal(size=(1, 12)))
+        with pytest.raises(ValueError, match=message):
+            tm.predict_window(RNG.normal(size=(4, 3)))
+
 
 class TestShapeContract:
     @pytest.mark.parametrize("quantiles", [(), (0.01, 0.5, 0.99)])

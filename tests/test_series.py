@@ -547,6 +547,20 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="load_factor"):
             TransformerDataset(ds.top_oil, ds.ambient, bad)
 
+    @pytest.mark.parametrize("name", ["top_oil", "ambient", "load_factor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_names_the_channel_and_instant(self, name, value):
+        # a NaN top-oil sample used to reach training as a non-finite gradient,
+        # and evaluation as an MAE of NaN
+        ds = make_dataset(6)
+        channels = {n: getattr(ds, n) for n in ("top_oil", "ambient", "load_factor")}
+        values = channels[name].values.copy()
+        values[[3, 5]] = value
+        channels[name] = channels[name].with_values(values)
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel '{name}' holds {value} at {format_instant(ds.timestamps[3])}")):
+            TransformerDataset(**channels)
+
     def test_misaligned_channel_rejected(self):
         ds = make_dataset(5)
         shifted = TimeSeries(ds.timestamps + 300, ds.ambient.values)

@@ -7,7 +7,8 @@ import numpy as np
 from toilcast.autodiff import backward, capture
 from toilcast.iec import check_timestep, load_bracket
 from toilcast.metrics import _pair, pinball
-from toilcast.series import CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset
+from toilcast.series import (CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset,
+                             check_real)
 
 IDENTITY = AffineScaler({n: (1.0, 0.0) for n in CHANNELS})
 
@@ -120,6 +121,10 @@ def simulate_oracle(K, Ta, t0, dt_min, p, enforce_timestep=True) -> TimeSeries:
     messages. The oracle of `iec.simulate`."""
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
+    t0 = check_real("simulate", "t0", t0)
+    for row, value in enumerate(Ta.values.tolist()):
+        if not np.isfinite(value):
+            raise ValueError(f"simulate: ambient at row {row} is {value}, not finite")
     if not check_timestep(dt_min, p) and enforce_timestep:
         raise ValueError(
             f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
