@@ -555,22 +555,19 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # producers before consumers
 
 
-def backward(output: Tensor, params: dict[str, Tensor],
-             output_grad=None) -> dict[str, np.ndarray]:
+def backward(output: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Gradients of `output` with respect to each named parameter.
 
     Parameters that do not feed into the output get a zero gradient, and so
     does every parameter when the output requires no gradient at all (a
-    result computed from constants alone). The output gradient
-    seed defaults to ones (i.e. d(sum)/d(params) for non-scalar outputs).
+    result computed from constants alone). The output gradient is seeded
+    with ones: a non-scalar output gives d(sum)/d(params).
     """
     if not output.requires_grad:
         return {name: np.zeros_like(t.data) for name, t in params.items()}
     if output._vjp is None:
         raise RuntimeError("backward called on a leaf tensor; run a forward pass first")
-    seed = np.ones_like(output.data) if output_grad is None else \
-        np.broadcast_to(np.asarray(output_grad, dtype=np.float64), output.data.shape)
-    acc: dict[int, np.ndarray] = {id(output): np.array(seed, dtype=np.float64)}
+    acc: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
     for node in reversed(_toposort(output)):
         if node._vjp is None or id(node) not in acc:
             continue  # a leaf keeps its gradient for the parameter lookup below

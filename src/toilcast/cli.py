@@ -60,8 +60,7 @@ DEFAULT_GRID = {
 
 # the keys the config root and each config section may hold
 SECTIONS = {"config": ("seed", "out_dir", "data", "split", "scaling", "quantiles", "multi_target",
-                       "models", "train", "grid", "iec_params", "iec_dt_min",
-                       "iec_enforce_timestep"),
+                       "models", "train", "grid", "iec_params", "iec_dt_min"),
             "data": ("synth", "measurements", "ambient", "rated_current_a", "timezone"),
             "split": ("train", "valid"), "models": tuple(DEFAULT_TRAIN),
             "train": tuple(DEFAULT_TRAIN), "grid": (*DEFAULT_GRID, "lookbacks"),
@@ -215,8 +214,8 @@ def cmd_train(cfg: dict, base: Path, out_dir: Path, family: str, loss: str) -> i
     save_checkpoint(ckpt, trained)
     report_path = out_dir / f"{family}_{loss}.train_report.json"
     write_json(report_path, report.to_dict())
-    print(f"trained {family} ({loss}) for {report.epochs_run} epochs, "
-          f"final loss {report.epoch_losses[-1]:.6g}")
+    print(f"trained {family} ({loss}) for {report.epochs_run} epochs in "
+          f"{report.wall_time_s:.1f} s, final loss {report.epoch_losses[-1]:.6g}")
     print(f"  checkpoint: {ckpt}")
     print(f"  report: {report_path}")
     return 0
@@ -275,10 +274,7 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
         traces.append(trace)
     if use_iec:
         params = IecParams.from_json(_path(cfg, base, "iec_params"))
-        enforce = check_flag("config", "iec_enforce_timestep",
-                             cfg.get("iec_enforce_timestep", True))
-        traces.append(iec_predict(params, valid_ds, dt_min=cfg.get("iec_dt_min", 5.0),
-                                  enforce_timestep=enforce))
+        traces.append(iec_predict(params, valid_ds, dt_min=cfg.get("iec_dt_min", 5.0)))
 
     report = evaluate(traces, valid_ds)
     report_path = out_dir / "evaluation_report.json"

@@ -67,24 +67,21 @@ def load_bracket(K, p: IecParams):
 def steady_state(K: float, t_ambient: float, p: IecParams) -> float:
     """Top-oil temperature [degC] the ODE settles to for constant load and
     ambient."""
+    t_ambient = check_real("steady_state", "t_ambient", t_ambient)
     return t_ambient + p.delta_t_or_k * float(load_bracket(K, p))
 
 
-def check_timestep(dt_min: float, p: IecParams) -> bool:
-    """True iff dt, a finite number > 0, satisfies the step rule dt <= tau_w / 2."""
-    return check_real("iec", "dt_min", dt_min, "> 0") <= p.tau_w_min / 2.0
-
-
-def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecParams,
-             enforce_timestep: bool = True) -> TimeSeries:
+def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float,
+             p: IecParams) -> TimeSeries:
     """Integrate the top-oil trajectory over aligned load and ambient series.
 
     The output has one value per input instant, starting at t0. Each
     interval between instants is integrated in sub-steps of dt, which must
-    equal or evenly divide its length; load and ambient are held constant
-    (left endpoint) across the sub-steps of each interval. Load, ambient and
-    t0 must be finite and the load >= 0 (`load_bracket`); ValueError names
-    the series and row.
+    meet the step rule dt <= tau_w / 2 and equal or evenly divide the
+    interval's length; load and ambient are held constant (left endpoint)
+    across the sub-steps of each interval. Load, ambient and t0 must be
+    finite and the load >= 0 (`load_bracket`); ValueError names the series
+    and row.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
@@ -92,20 +89,18 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     if not np.isfinite(Ta.values).all():
         row = int(np.argmin(np.isfinite(Ta.values)))
         raise ValueError(f"simulate: ambient at row {row} is {Ta.values[row]}, not finite")
-    # check_timestep first: it rejects a bad dt even when the rule is not enforced
-    if not check_timestep(dt_min, p) and enforce_timestep:
-        raise ValueError(
-            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
-            "(pass enforce_timestep=False to override)"
-        )
-    gaps_s = np.diff(K.timestamps) if len(K) > 1 else np.array([K.step])
+    if check_real("iec", "dt_min", dt_min, "> 0") > p.tau_w_min / 2.0:
+        raise ValueError(f"dt={dt_min} min violates the step rule dt <= tau_w/2 = "
+                         f"{p.tau_w_min / 2.0} min; use a smaller dt that evenly divides "
+                         "the series step")
+    gaps_s = np.diff(K.timestamps)
     n_sub = gaps_s / (dt_min * 60.0)
     uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
     if uneven.any():
         row = int(np.argmax(uneven)) + 1
         raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
                          f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
-    n_sub = np.round(n_sub[:len(K) - 1]).astype(np.int64)
+    n_sub = np.round(n_sub).astype(np.int64)
 
     alpha = dt_min / (p.k11 * p.tau_o_min)
     # the Euler loop over Python floats from memoryviews (the same IEEE
@@ -128,4 +123,4 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float, p: IecPara
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
         raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
-    return TimeSeries(K.timestamps, out, K.step)
+    return TimeSeries(K.timestamps, out)

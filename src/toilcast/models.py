@@ -256,11 +256,6 @@ class Tcn(_Family):
         h = self._features(params, x, rng, last_only=True)
         return nn.linear(h[:, -1, :], params, "head")
 
-    def forward_sequence(self, params: dict, x) -> Tensor:
-        """Per-timestep head readout, (B, L, n_outputs); used to probe
-        causality."""
-        return nn.linear(self._features(params, x), params, "head")
-
 
 # -------- TiDE --------
 

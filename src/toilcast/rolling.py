@@ -8,7 +8,7 @@ always used. The IEC solver free-runs from the first measured top-oil value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,12 +72,11 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
 
 
 def iec_predict(params: IecParams, valid: TransformerDataset,
-                dt_min: float = 5.0, enforce_timestep: bool = True) -> ForecastTrace:
+                dt_min: float = 5.0) -> ForecastTrace:
     """IEC solver trace: seeded at the first measured top-oil value, then
     free-running on measured load factor and ambient."""
     t0 = float(valid.top_oil.values[0])
-    traj = simulate(valid.load_factor, valid.ambient, t0, dt_min, params,
-                    enforce_timestep)
+    traj = simulate(valid.load_factor, valid.ambient, t0, dt_min, params)
     return ForecastTrace("iec", valid.timestamps.copy(), ("top_oil",),
                          traj.values.reshape(-1, 1))
 
@@ -88,14 +87,13 @@ class EvaluationReport:
     quantile models."""
 
     models: dict[str, dict]
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     def to_dict(self) -> dict:
         return {"models": self.models, "metadata": self.metadata}
 
 
-def evaluate(traces: list[ForecastTrace], valid: TransformerDataset,
-             metadata: dict | None = None) -> EvaluationReport:
+def evaluate(traces: list[ForecastTrace], valid: TransformerDataset) -> EvaluationReport:
     """Score every trace against the measured validation channels.
 
     Quantile traces report point metrics from the median and PICP / mean
@@ -123,8 +121,6 @@ def evaluate(traces: list[ForecastTrace], valid: TransformerDataset,
             key, n = f"{trace.model_id}_{n}", n + 1
         models[key] = entry
 
-    meta = {"data_start": format_instant(valid.timestamps[0]),
-            "data_end": format_instant(valid.timestamps[-1]),
-            "n_points": int(valid.n)}
-    meta.update(metadata or {})
-    return EvaluationReport(models, meta)
+    return EvaluationReport(models, {"data_start": format_instant(valid.timestamps[0]),
+                                     "data_end": format_instant(valid.timestamps[-1]),
+                                     "n_points": int(valid.n)})

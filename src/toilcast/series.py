@@ -116,16 +116,14 @@ def format_instant(epoch_s: int) -> str:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Timestamped values on a nominally uniform grid.
+    """Timestamped values.
 
     timestamps: int64 epoch seconds (UTC), strictly increasing.
     values: float64, same length; NaN marks a missing sample.
-    step: nominal spacing in seconds.
     """
 
     timestamps: np.ndarray
     values: np.ndarray
-    step: int = STEP_5MIN_S
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -148,14 +146,11 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def is_uniform(self) -> bool:
-        return len(self) == 1 or bool((np.diff(self.timestamps) == self.step).all())
-
     def has_missing(self) -> bool:
         return bool(np.isnan(self.values).any())
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
-        return TimeSeries(self.timestamps, values, self.step)
+        return TimeSeries(self.timestamps, values)
 
     def slice_range(self, start: int, end: int) -> "TimeSeries":
         """Inclusive [start, end] sub-series by instant."""
@@ -165,7 +160,7 @@ class TimeSeries:
             raise ValueError(
                 f"empty slice [{format_instant(start)}, {format_instant(end)}]"
             )
-        return TimeSeries(self.timestamps[i0:i1], self.values[i0:i1], self.step)
+        return TimeSeries(self.timestamps[i0:i1], self.values[i0:i1])
 
 
 CHANNELS = ("top_oil", "ambient", "load_factor", "temp_rise")
@@ -208,7 +203,7 @@ class TransformerDataset:
 
     def channel(self, name: str) -> TimeSeries:
         if name not in CHANNELS:
-            raise KeyError(f"unknown channel '{name}' (expected one of {CHANNELS})")
+            raise ValueError(f"unknown channel '{name}' (expected one of {CHANNELS})")
         return getattr(self, name)
 
     def slice_range(self, start: int, end: int) -> "TransformerDataset":
@@ -265,11 +260,11 @@ class AffineScaler:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AffineScaler":
-        """From {channel: {"gain": g, "offset": o}}; a missing gain is 1 and a
-        missing offset 0."""
+        """From {channel: {"gain": g, "offset": o}}; each channel given needs
+        both fields."""
         def pair(name, c):
-            c = check_object(f"AffineScaler.{name}", c, ("gain", "offset"))
-            return c.get("gain", 1.0), c.get("offset", 0.0)
+            c = check_object(f"AffineScaler.{name}", c, ("gain", "offset"), required=True)
+            return c["gain"], c["offset"]
         return cls({n: pair(n, c) for n, c in check_object("scaling", cfg, CHANNELS).items()})
 
     def vectors(self, names) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +316,7 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_S,
+def ingest_measurements(path, column_map: dict[str, str],
                         default_offset: str | None = None) -> dict[str, TimeSeries]:
     """Load a CSV of timestamped measurements into one TimeSeries per mapped
     value column, keyed by channel name.
@@ -378,7 +373,7 @@ def ingest_measurements(path, column_map: dict[str, str], step: int = STEP_5MIN_
     if not stamps:
         raise ValueError(f"no rows in {path}")
     ts = np.asarray(stamps, dtype=np.int64)
-    return {m: TimeSeries(ts, np.asarray(v), step) for m, v in values.items()}
+    return {m: TimeSeries(ts, np.asarray(v)) for m, v in values.items()}
 
 
 def fill_gaps_adjacent_mean(s: TimeSeries) -> TimeSeries:
@@ -417,8 +412,7 @@ def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
         )
     vals = np.interp(grid.astype(np.float64), hourly.timestamps.astype(np.float64),
                      hourly.values)
-    step = int(grid[1] - grid[0]) if len(grid) > 1 else STEP_5MIN_S
-    return TimeSeries(grid, vals, step)
+    return TimeSeries(grid, vals)
 
 
 def derive_load_factor(current: TimeSeries, rated_current: float) -> TimeSeries:
@@ -520,13 +514,13 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     else:
         raise ValueError(f"measurements file needs a current_a or load_factor column, got {header}")
 
-    meas = ingest_measurements(measurements_path, col_map, STEP_5MIN_S, default_offset)
+    meas = ingest_measurements(measurements_path, col_map, default_offset)
     amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
-                              STEP_HOUR_S, default_offset)["ambient"]
+                              default_offset)["ambient"]
     # Hourly rows with missing readings are dropped; interpolation then spans them.
     present = ~np.isnan(amb.values)
     if not present.all():
-        amb = TimeSeries(amb.timestamps[present], amb.values[present], amb.step)
+        amb = TimeSeries(amb.timestamps[present], amb.values[present])
 
     top_oil = fill_gaps_adjacent_mean(meas["top_oil"])
     if "current" in meas:
@@ -543,7 +537,7 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
         raise ValueError("measurement and ambient spans do not overlap")
     top_oil = top_oil.slice_range(t0, t1)
     load = load.slice_range(t0, t1)
-    if not top_oil.is_uniform():
-        raise ValueError(f"measurement grid is not uniform at {top_oil.step}-s cadence")
+    if (np.diff(top_oil.timestamps) != STEP_5MIN_S).any():
+        raise ValueError(f"measurement grid is not uniform at {STEP_5MIN_S}-s cadence")
     ambient = resample_ambient_linear(amb, top_oil.timestamps)
     return TransformerDataset(top_oil, ambient, load)

@@ -120,10 +120,10 @@ def gen_profiles(spec: SynthSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
             x = ap.ar_coeff * x + e
             states.append(x)
         noise = np.frombuffer(states)
-    hourly = TimeSeries(hourly_ts, base + noise, STEP_HOUR_S)
+    hourly = TimeSeries(hourly_ts, base + noise)
     Ta = resample_ambient_linear(hourly, grid)
 
-    return TimeSeries(grid, K, STEP_5MIN_S), Ta, hourly
+    return TimeSeries(grid, K), Ta, hourly
 
 
 def gen_dataset(spec: SynthSpec) -> tuple[TransformerDataset, TimeSeries, TimeSeries]:
@@ -140,7 +140,7 @@ def gen_dataset(spec: SynthSpec) -> tuple[TransformerDataset, TimeSeries, TimeSe
     noisy = clean.values
     if spec.measurement_noise_k > 0:
         noisy = noisy + noise_rng.normal(0.0, spec.measurement_noise_k, size=len(clean))
-    top_oil = TimeSeries(K.timestamps, noisy, STEP_5MIN_S)
+    top_oil = TimeSeries(K.timestamps, noisy)
     ds = TransformerDataset(top_oil, Ta, K)
     return ds, clean, hourly
 

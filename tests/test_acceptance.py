@@ -48,8 +48,8 @@ def test_c1_ode_fidelity():
         n = int(round(horizon_min / dt_min)) + 1
         dt_s = int(round(dt_min * 60))
         ts = np.arange(n, dtype=np.int64) * dt_s
-        K = TimeSeries(ts, np.full(n, 1.0), dt_s)
-        Ta = TimeSeries(ts, np.full(n, 20.0), dt_s)
+        K = TimeSeries(ts, np.full(n, 1.0))
+        Ta = TimeSeries(ts, np.full(n, 20.0))
         traj = simulate(K, Ta, t0, dt_min, p)
         exact = t_ss + (t0 - t_ss) * np.exp(-(ts / 60.0) / (p.k11 * p.tau_o_min))
         return float(np.abs(traj.values - exact).max())
@@ -189,11 +189,12 @@ def test_c4_tcn_causality():
         model = Tcn(cfg)
         params = model.init_params(i)
         x = rng.normal(size=(1, cfg.lookback * 2))
-        base = model.forward_sequence(params, x).data
+        base = nn.linear(model._features(params, x), params, "head").data
         for t in sorted(rng.choice(cfg.lookback, size=3, replace=False)):
             bumped = x.reshape(1, cfg.lookback, 2).copy()
             bumped[0, t, :] += rng.normal(1.0, 0.5, size=2)
-            out = model.forward_sequence(params, bumped.reshape(1, -1)).data
+            out = nn.linear(model._features(params, bumped.reshape(1, -1)), params,
+                            "head").data
             if not np.array_equal(out[0, :t], base[0, :t]):
                 violations += 1
     elapsed = time.perf_counter() - t_start
@@ -251,7 +252,7 @@ def benchmark_split():
 
 def run_point_benchmark(tmp_path, tag: str):
     """Criterion 6 pipeline; returns (mae value, iec mae, checkpoint bytes,
-    train/eval report JSON with wall-time dropped, elapsed seconds)."""
+    train/eval report JSON, elapsed seconds)."""
     t_start = time.perf_counter()
     train_ds, valid_ds = benchmark_split()
     cfg = MlpConfig(n_layers=4, n_neurons=64, lookback=48, n_channels=3)
@@ -262,14 +263,11 @@ def run_point_benchmark(tmp_path, tag: str):
     perturbed = replace(SPEC.iec, delta_t_or_k=SPEC.iec.delta_t_or_k * 1.3,
                         tau_o_min=SPEC.iec.tau_o_min * 1.3)
     iec_trace = iec_predict(perturbed, valid_ds)
-    eval_report = evaluate([trace, iec_trace], valid_ds,
-                           metadata={"config_hash": trained.config_hash})
+    eval_report = evaluate([trace, iec_trace], valid_ds)
 
     ckpt = tmp_path / f"bench_{tag}.checkpoint.json"
     save_checkpoint(ckpt, trained)
-    train_doc = train_report.to_dict()
-    train_doc.pop("wall_time_s")
-    blob = json.dumps({"train": train_doc, "eval": eval_report.to_dict()},
+    blob = json.dumps({"train": train_report.to_dict(), "eval": eval_report.to_dict()},
                       sort_keys=True)
     model_mae = eval_report.models["ann"]["targets"]["top_oil"]["mae"]
     iec_mae = eval_report.models["iec"]["targets"]["top_oil"]["mae"]
@@ -351,5 +349,5 @@ def test_c9_determinism(point_benchmark, tmp_path):
     ok = ckpt_a == ckpt_b and blob_a == blob_b
     report("criterion 9: determinism", ok,
            f"repeated criterion-6 run: checkpoint bytes identical: "
-           f"{ckpt_a == ckpt_b}, reports identical (wall time excluded): "
+           f"{ckpt_a == ckpt_b}, reports identical: "
            f"{blob_a == blob_b}")

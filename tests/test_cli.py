@@ -160,6 +160,20 @@ class TestEvalCommand:
         assert rows[0] == ["timestamp", "measured", "predicted", *names.split(",")]
         assert [float(v) for v in rows[1][3:]] == quants[0, 0].tolist()
 
+    def test_short_winding_time_constant_runs_on_a_smaller_dt(self, tmp_path, capsys):
+        # tau_w = 4 min bounds dt at 2 min; 1 min meets the rule and divides the 5-min step
+        cfg = base_config(tmp_path)
+        (tmp_path / "iec.json").write_text(json.dumps(
+            {"psi": 5.0, "delta_t_or_k": 38.3, "chi": 0.8, "k11": 1.0,
+             "tau_o_min": 180.0, "tau_w_min": 4.0}))
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["eval", "--config", cfg_path, "--iec"]) == 2
+        assert "violates the step rule" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, dict(cfg, iec_dt_min=1.0))
+        assert main(["eval", "--config", cfg_path, "--iec"]) == 0
+        report = json.loads((tmp_path / "out" / "evaluation_report.json").read_text())
+        assert list(report["models"]) == ["iec"]
+
     def test_eval_without_inputs_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(tmp_path))
         assert main(["eval", "--config", cfg_path]) == 2
@@ -264,15 +278,19 @@ class TestIdempotence:
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         ckpt = out / "ann_point.checkpoint.json"
+        train_report = out / "ann_point.train_report.json"
 
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 0
         first_ckpt = ckpt.read_bytes()
+        first_train_report = train_report.read_bytes()
         assert main(["eval", "--config", cfg_path, str(ckpt)]) == 0
         first_report = (out / "evaluation_report.json").read_bytes()
         first_svg = (out / "eval_plot.svg").read_bytes()
 
         assert main(["train", "--config", cfg_path, "--model", "ann"]) == 0
         assert ckpt.read_bytes() == first_ckpt
+        # the wall time goes to the summary line, not into the report
+        assert train_report.read_bytes() == first_train_report
         assert main(["eval", "--config", cfg_path, str(ckpt)]) == 0
         assert (out / "evaluation_report.json").read_bytes() == first_report
         assert (out / "eval_plot.svg").read_bytes() == first_svg
@@ -332,7 +350,8 @@ class TestConfigValidation:
         assert not (tmp_path / "out" / "ann_point.checkpoint.json").exists()
 
     @pytest.mark.parametrize("key, value", [("quantile", [0.1, 0.5, 0.9]),
-                                            ("iec_dt_minutes", 1.0)])
+                                            ("iec_dt_minutes", 1.0),
+                                            ("iec_enforce_timestep", False)])
     def test_unknown_root_key_rejected(self, tmp_path, capsys, key, value):
         # a misspelt root key would otherwise run on the default it meant to replace
         cfg = base_config(tmp_path)
@@ -486,13 +505,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value, message", [
         ("iec_dt_min", float("nan"), "iec.dt_min must be finite and > 0, got nan"),
-        ("iec_dt_min", "5", "iec.dt_min must be finite and > 0, got '5'"),
-        ("iec_enforce_timestep", "false",
-         "config.iec_enforce_timestep must be true or false, got 'false'")])
+        ("iec_dt_min", "5", "iec.dt_min must be finite and > 0, got '5'")])
     def test_iec_settings_are_taken_as_written(self, tmp_path, capsys, key, value, message):
-        # a NaN dt with the step rule off used to score a constant IEC trace and exit 0
         cfg = base_config(tmp_path)
-        cfg["iec_enforce_timestep"] = False
         cfg[key] = value
         assert main(["eval", "--config", write_config(tmp_path, cfg), "--iec"]) == 2
         assert message in capsys.readouterr().err

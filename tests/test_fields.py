@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from toilcast.iec import IecParams, check_timestep
+from toilcast.iec import IecParams, simulate
 from toilcast.metrics import pinball, validate_quantiles
 from toilcast.models import TcnConfig, TideConfig
 from toilcast.series import (AffineScaler, TimeSeries, check_object, derive_load_factor,
@@ -31,7 +31,7 @@ def _profile(cls, name):
 REALS = [
     *[(f"IecParams.{k}", lambda v, k=k: IecParams(**dict(IEC, **{k: v})),
        ("> 0", "<= 2") if k == "chi" else ("> 0",)) for k in IEC],
-    ("iec.dt_min", lambda v: check_timestep(v, IecParams(**IEC)), ("> 0",)),
+    ("iec.dt_min", lambda v: simulate(CURRENT, CURRENT, 30.0, v, IecParams(**IEC)), ("> 0",)),
     ("AffineScaler.ambient.gain", lambda v: AffineScaler({"ambient": (v, 0.0)}), ("!= 0",)),
     ("AffineScaler.ambient.offset", lambda v: AffineScaler({"ambient": (0.01, v)}), ()),
     ("derive_load_factor.rated_current", lambda v: derive_load_factor(CURRENT, v), ("> 0",)),
@@ -89,7 +89,8 @@ def test_whole_json_numbers_are_stored_as_floats():
     params = IecParams(**dict(IEC, psi=5, k11=1))
     assert (params.psi, params.k11) == (5.0, 1.0)
     assert all(type(getattr(params, k)) is float for k in IEC)
-    assert AffineScaler.from_config({"ambient": {"gain": 1}}).channels["ambient"] == (1.0, 0.0)
+    scaler = AffineScaler.from_config({"ambient": {"gain": 1, "offset": 0}})
+    assert [type(v) for v in scaler.channels["ambient"]] == [float, float]
 
 
 @pytest.mark.parametrize("make, field", [

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from toilcast.iec import IecParams, check_timestep, load_bracket, simulate, steady_state
+from toilcast.iec import IecParams, load_bracket, simulate, steady_state
 from toilcast.series import TimeSeries
 from util import simulate_oracle
 
@@ -13,7 +13,7 @@ P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
 
 def const_series(value, n, dt_s=300):
     ts = (np.arange(n, dtype=np.int64)) * dt_s
-    return TimeSeries(ts, np.full(n, float(value)), dt_s)
+    return TimeSeries(ts, np.full(n, float(value)))
 
 
 class TestSteadyState:
@@ -40,6 +40,13 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="load factor K must be finite and >= 0, got nan$"):
             steady_state(np.nan, 20.0, P)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ambient_rejected(self, value):
+        # an infinite ambient used to give an infinite steady state, a NaN one NaN
+        with pytest.raises(ValueError, match=re.escape(
+                f"steady_state.t_ambient must be finite, got {value!r}")):
+            steady_state(1.0, value, P)
+
 
 class TestStep:
     """One Euler update: a two-point `simulate` run whose interval is dt."""
@@ -65,18 +72,22 @@ class TestStep:
 
 
 class TestCheckTimestep:
+    """`simulate` holds dt to the step rule dt <= tau_w / 2 (tau_w = 10 min)."""
+
     def test_boundary_accepted(self):
-        assert check_timestep(5.0, P) is True
+        assert len(simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 5.0, P)) == 3
 
     def test_boundary_exceeded(self):
-        assert check_timestep(6.0, P) is False
+        with pytest.raises(ValueError, match="dt=6.0 min violates the step rule"):
+            simulate(const_series(1.0, 3, dt_s=360), const_series(20.0, 3, dt_s=360),
+                     30.0, 6.0, P)
 
     def test_small_step(self):
-        assert check_timestep(0.5, P) is True
+        assert len(simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 0.5, P)) == 3
 
     def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            check_timestep(0.0, P)
+        with pytest.raises(ValueError, match=r"iec\.dt_min must be finite and > 0"):
+            simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 0.0, P)
 
 
 def closed_form(t_min, t0, t_ss, p):
@@ -115,14 +126,14 @@ class TestSimulate:
         rng = np.random.default_rng(5)
         n = 80
         ts5 = np.arange(n, dtype=np.int64) * 300
-        K5 = TimeSeries(ts5, rng.uniform(0.2, 1.1, n), 300)
-        Ta5 = TimeSeries(ts5, rng.uniform(5.0, 20.0, n), 300)
+        K5 = TimeSeries(ts5, rng.uniform(0.2, 1.1, n))
+        Ta5 = TimeSeries(ts5, rng.uniform(5.0, 20.0, n))
         sub = simulate(K5, Ta5, 40.0, 2.5, P)  # two sub-steps per interval
 
         # same trajectory on an explicit 2.5-minute grid with held inputs
         ts_f = np.arange(2 * (n - 1) + 1, dtype=np.int64) * 150
-        K_f = TimeSeries(ts_f, np.repeat(K5.values, 2)[:len(ts_f)], 150)
-        Ta_f = TimeSeries(ts_f, np.repeat(Ta5.values, 2)[:len(ts_f)], 150)
+        K_f = TimeSeries(ts_f, np.repeat(K5.values, 2)[:len(ts_f)])
+        Ta_f = TimeSeries(ts_f, np.repeat(Ta5.values, 2)[:len(ts_f)])
         fine = simulate(K_f, Ta_f, 40.0, 2.5, P)
         assert np.array_equal(sub.values, fine.values[::2])
 
@@ -130,11 +141,11 @@ class TestSimulate:
         rng = np.random.default_rng(0)
         n = 300
         ts = np.arange(n, dtype=np.int64) * 300
-        K = TimeSeries(ts, rng.uniform(0.2, 1.2, n), 300)
-        Ta = TimeSeries(ts, rng.uniform(0.0, 20.0, n), 300)
+        K = TimeSeries(ts, rng.uniform(0.2, 1.2, n))
+        Ta = TimeSeries(ts, rng.uniform(0.0, 20.0, n))
         c = 7.5
         base = simulate(K, Ta, 30.0, 5.0, P)
-        shifted = simulate(K, TimeSeries(ts, Ta.values + c, 300), 30.0 + c, 5.0, P)
+        shifted = simulate(K, TimeSeries(ts, Ta.values + c), 30.0 + c, 5.0, P)
         assert np.abs(shifted.values - (base.values + c)).max() <= 1e-9
 
     def test_monotone_relaxation(self):
@@ -151,25 +162,29 @@ class TestSimulate:
 
     def test_misaligned_inputs_rejected(self):
         K = const_series(1.0, 10)
-        Ta = TimeSeries(K.timestamps + 300, np.full(10, 20.0), 300)
+        Ta = TimeSeries(K.timestamps + 300, np.full(10, 20.0))
         with pytest.raises(ValueError, match="aligned"):
             simulate(K, Ta, 30.0, 5.0, P)
 
-    def test_step_rule_enforced_with_override(self):
+    def test_step_rule_enforced(self):
+        # the message used to point to an override of the rule; a dt that
+        # meets it and divides the 5-minute step always exists
         K = const_series(1.0, 10)
         Ta = const_series(20.0, 10)
         tight = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0,
                           tau_o_min=180.0, tau_w_min=4.0)
-        with pytest.raises(ValueError, match="tau_w"):
+        with pytest.raises(ValueError) as exc_info:
             simulate(K, Ta, 30.0, 5.0, tight)
-        traj = simulate(K, Ta, 30.0, 5.0, tight, enforce_timestep=False)
-        assert len(traj) == 10
+        assert str(exc_info.value) == ("dt=5.0 min violates the step rule dt <= tau_w/2 = "
+                                       "2.0 min; use a smaller dt that evenly divides the "
+                                       "series step")
+        assert len(simulate(K, Ta, 30.0, 1.0, tight)) == 10
 
     def test_non_uniform_grid_substeps_each_interval(self):
         # a 50-minute gap after two 5-minute steps is 10 Euler steps, not one
         ts = np.array([0, 300, 600, 3600], dtype=np.int64)
-        K = TimeSeries(ts, np.ones(4), 300)
-        Ta = TimeSeries(ts, np.full(4, 20.0), 300)
+        K = TimeSeries(ts, np.ones(4))
+        Ta = TimeSeries(ts, np.full(4, 20.0))
         traj = simulate(K, Ta, 20.0, 5.0, P)
         uniform = simulate(const_series(1.0, 13), const_series(20.0, 13), 20.0, 5.0, P)
         assert np.array_equal(traj.values, uniform.values[[0, 1, 2, 12]])
@@ -177,8 +192,8 @@ class TestSimulate:
 
     def test_interval_dt_does_not_divide_is_named(self):
         ts = np.array([0, 300, 600, 1000], dtype=np.int64)
-        K = TimeSeries(ts, np.ones(4), 300)
-        Ta = TimeSeries(ts, np.full(4, 20.0), 300)
+        K = TimeSeries(ts, np.ones(4))
+        Ta = TimeSeries(ts, np.full(4, 20.0))
         with pytest.raises(ValueError, match="before row 3"):
             simulate(K, Ta, 20.0, 5.0, P)
 
@@ -220,15 +235,15 @@ def random_inputs(seed, n, keep=1.0):
     rng = np.random.default_rng(seed)
     ts = 300 * np.arange(n, dtype=np.int64)
     rows = np.flatnonzero(np.r_[True, rng.random(n - 1) < keep])
-    K = TimeSeries(ts[rows], rng.uniform(0.0, 1.5, n)[rows], 300)
-    Ta = TimeSeries(ts[rows], rng.normal(15.0, 8.0, n)[rows], 300)
+    K = TimeSeries(ts[rows], rng.uniform(0.0, 1.5, n)[rows])
+    Ta = TimeSeries(ts[rows], rng.normal(15.0, 8.0, n)[rows])
     return K, Ta, float(rng.uniform(10.0, 90.0))
 
 
-def outcome(solver, *args, **kw):
+def outcome(solver, *args):
     """The trajectory a solver returns, or the type and message it raises."""
     try:
-        return solver(*args, **kw).values
+        return solver(*args).values
     except (ValueError, FloatingPointError) as exc:
         return type(exc), str(exc)
 
@@ -250,7 +265,7 @@ class TestFlatLoopMatchesNestedOracle:
         K, Ta, t0 = random_inputs(seed, 400)
         new, old = simulate(K, Ta, t0, dt, P), simulate_oracle(K, Ta, t0, dt, P)
         assert np.array_equal(new.values, old.values)
-        assert np.array_equal(new.timestamps, old.timestamps) and new.step == old.step
+        assert np.array_equal(new.timestamps, old.timestamps)
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 31])
     @pytest.mark.parametrize("dt", [5.0, 2.5])
@@ -282,33 +297,33 @@ class TestFlatLoopMatchesNestedOracle:
         assert "diverged at step" in str(new.value)
 
     @pytest.mark.parametrize("case", ["misaligned", "step rule", "uneven row", "uneven step",
-                                      "override", "non-finite input", "non-finite start"])
+                                      "smaller dt", "non-finite input", "non-finite start"])
     def test_checks_and_messages_are_unchanged(self, case):
         K, Ta, t0 = random_inputs(11, 50)
-        dt, p, kw = 5.0, P, {}
+        dt, p = 5.0, P
         tight = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
                           tau_w_min=4.0)
         if case == "misaligned":
-            Ta = TimeSeries(Ta.timestamps + 300, Ta.values, 300)
+            Ta = TimeSeries(Ta.timestamps + 300, Ta.values)
         elif case == "step rule":
             p = tight
         elif case == "uneven row":
             ts = K.timestamps.copy()
             ts[20:] += 100
-            K, Ta = TimeSeries(ts, K.values, 300), TimeSeries(ts, Ta.values, 300)
+            K, Ta = TimeSeries(ts, K.values), TimeSeries(ts, Ta.values)
         elif case == "uneven step":
             dt = 3.0
-        elif case == "override":
-            p, kw = tight, {"enforce_timestep": False}
+        elif case == "smaller dt":
+            p, dt = tight, 1.0
         elif case == "non-finite start":
             t0 = np.nan
         else:
             values = Ta.values.copy()
             values[30] = np.inf
-            Ta = TimeSeries(Ta.timestamps, values, 300)
-        new = outcome(simulate, K, Ta, t0, dt, p, **kw)
-        assert same_outcome(new, outcome(simulate_oracle, K, Ta, t0, dt, p, **kw))
-        assert isinstance(new, np.ndarray) == (case == "override")
+            Ta = TimeSeries(Ta.timestamps, values)
+        new = outcome(simulate, K, Ta, t0, dt, p)
+        assert same_outcome(new, outcome(simulate_oracle, K, Ta, t0, dt, p))
+        assert isinstance(new, np.ndarray) == (case == "smaller dt")
 
 
 class TestParams:

@@ -92,11 +92,11 @@ class TestTcn:
         t = Tcn(cfg)
         params = t.init_params(5)
         x = RNG.normal(size=(1, 24))
-        base = t.forward_sequence(params, x).data
+        base = nn.linear(t._features(params, x), params, "head").data
         for step in (3, 7, 11):
             bumped = x.reshape(1, 12, 2).copy()
             bumped[0, step, :] += 5.0
-            out = t.forward_sequence(params, bumped.reshape(1, 24)).data
+            out = nn.linear(t._features(params, bumped.reshape(1, 24)), params, "head").data
             assert np.array_equal(out[0, :step], base[0, :step])
             assert not np.array_equal(out[0, step:], base[0, step:])
 
@@ -123,7 +123,7 @@ class TestTcn:
             # every product keeps at least two rows at these sizes: same
             # BLAS route, same bits
             assert np.array_equal(got.data, want.data)
-        seq = t.forward_sequence(params, x).data[:, -1]
+        seq = nn.linear(t._features(params, x), params, "head").data[:, -1]
         assert np.abs(got.data - seq).max() <= 1e-13  # 3-D head: another route
         g_got = autodiff.backward(mean(got), params)
         g_want = autodiff.backward(mean(want), params)

@@ -229,13 +229,13 @@ class TestIecPredict:
         assert err <= 1e-9  # identical solver, identical inputs
         assert err <= 0.05
 
-    def test_timestep_rule_override(self):
+    def test_timestep_rule_met_by_a_smaller_dt(self):
         spec = SynthSpec(days=1, seed=13, measurement_noise_k=0.0)
         ds, _, _ = gen_dataset(spec)
         tight = replace(spec.iec, tau_w_min=4.0)  # 5-min data violates dt <= tau_w/2
         with pytest.raises(ValueError, match="tau_w"):
             iec_predict(tight, ds)
-        trace = iec_predict(tight, ds, enforce_timestep=False)
+        trace = iec_predict(tight, ds, dt_min=1.0)
         assert len(trace) == ds.n
 
     def test_misspecified_params_strictly_worse(self):
@@ -314,9 +314,10 @@ class TestEvaluate:
     def test_metadata_span(self):
         valid = make_dataset(30, seed=25)
         trace = autoregressive_predict(StubModel(5, lambda w: w[-1, 0]), valid)
-        report = evaluate([trace], valid, metadata={"config_hash": "abc"})
-        assert report.metadata["n_points"] == 30
-        assert report.metadata["config_hash"] == "abc"
+        report = evaluate([trace], valid)
+        assert report.metadata == {"data_start": format_instant(valid.timestamps[0]),
+                                   "data_end": format_instant(valid.timestamps[-1]),
+                                   "n_points": 30}
 
 
 class TestMultiTarget:

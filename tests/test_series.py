@@ -131,6 +131,14 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(paths["measurements"], paths["ambient"])
 
+    def test_measurement_grid_off_the_5_minute_cadence_rejected(self, tmp_path):
+        ds, clean, hourly = gen_dataset(SynthSpec(days=1, seed=3))
+        paths = write_dataset_csvs(tmp_path, ds, hourly, clean)
+        lines = paths["measurements"].read_text().splitlines()
+        paths["measurements"].write_text("\n".join(lines[:11] + lines[12:]) + "\n")
+        with pytest.raises(ValueError, match="measurement grid is not uniform at 300-s cadence"):
+            load_dataset(paths["measurements"], paths["ambient"])
+
     def test_temp_rise_is_top_oil_minus_ambient(self, tmp_path):
         ds, clean, hourly = gen_dataset(SynthSpec(days=1, seed=3))
         paths = write_dataset_csvs(tmp_path, ds, hourly, clean)
@@ -144,7 +152,7 @@ class TestLoadDataset:
 
 def series_of(vals, step=300):
     ts = START + step * np.arange(len(vals), dtype=np.int64)
-    return TimeSeries(ts, np.asarray(vals, dtype=float), step)
+    return TimeSeries(ts, np.asarray(vals, dtype=float))
 
 
 class TestFillGaps:
@@ -467,17 +475,20 @@ class TestScaler:
                                              r"finite"):
             AffineScaler({"top_oil": (0.01, 0.0), "ambient": pair})
 
-    def test_from_config_fills_missing_gain_and_offset(self):
-        sc = AffineScaler.from_config({"top_oil": {"gain": 0.01}, "ambient": {"offset": 5},
-                                       "load_factor": {}})
-        assert sc.channels == {"top_oil": (0.01, 0.0), "ambient": (1.0, 5.0),
-                               "load_factor": (1.0, 0.0)}
+    def test_from_config_requires_gain_and_offset(self):
+        # {"offset": 0.0} used to be read as gain 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                "AffineScaler.top_oil is missing keys ['gain']")):
+            AffineScaler.from_config({"top_oil": {"offset": 0.0}})
+        sc = AffineScaler.from_config({"top_oil": {"gain": 0.01, "offset": 0},
+                                       "ambient": {"gain": 1, "offset": 5}})
+        assert sc.channels == {"top_oil": (0.01, 0.0), "ambient": (1.0, 5.0)}
 
     @pytest.mark.parametrize("entry", [5, 0.01, None, [0.01, 0.0], "gain"])
     def test_from_config_entry_must_be_an_object(self, entry):
         with pytest.raises(ValueError, match=r"AffineScaler\.ambient must be an object with "
                                              r"keys 'gain' and 'offset', got "):
-            AffineScaler.from_config({"top_oil": {"gain": 0.01}, "ambient": entry})
+            AffineScaler.from_config({"top_oil": {"gain": 0.01, "offset": 0.0}, "ambient": entry})
 
     def test_from_config_misspelt_key_names_channel_and_key(self):
         # {"gian": 0.01} used to be read as gain 1.0
@@ -560,6 +571,11 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match=re.escape(
                 f"channel '{name}' holds {value} at {format_instant(ds.timestamps[3])}")):
             TransformerDataset(**channels)
+
+    def test_unknown_channel_is_a_value_error(self):
+        # used to raise KeyError, which no `except ValueError` on the way caught
+        with pytest.raises(ValueError, match=re.escape("unknown channel 'oil' (expected one of")):
+            make_dataset(5).channel("oil")
 
     def test_misaligned_channel_rejected(self):
         ds = make_dataset(5)

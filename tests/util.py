@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from toilcast.autodiff import backward, capture
-from toilcast.iec import check_timestep, load_bracket
+from toilcast.autodiff import Tensor, backward, capture
+from toilcast.iec import load_bracket
 from toilcast.metrics import _pair, pinball
 from toilcast.series import (CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset,
                              check_real)
@@ -13,14 +13,13 @@ from toilcast.series import (CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, Tr
 IDENTITY = AffineScaler({n: (1.0, 0.0) for n in CHANNELS})
 
 
-def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0,
-                 step: int = STEP_5MIN_S) -> TransformerDataset:
-    """Random but valid dataset on a uniform grid."""
+def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0) -> TransformerDataset:
+    """Random but valid dataset on the 5-minute grid."""
     rng = np.random.default_rng(seed)
-    ts = start + step * np.arange(n, dtype=np.int64)
-    top = TimeSeries(ts, 40.0 + 5.0 * rng.standard_normal(n), step)
-    amb = TimeSeries(ts, 10.0 + 3.0 * rng.standard_normal(n), step)
-    load = TimeSeries(ts, rng.uniform(0.1, 1.2, n), step)
+    ts = start + STEP_5MIN_S * np.arange(n, dtype=np.int64)
+    top = TimeSeries(ts, 40.0 + 5.0 * rng.standard_normal(n))
+    amb = TimeSeries(ts, 10.0 + 3.0 * rng.standard_normal(n))
+    load = TimeSeries(ts, rng.uniform(0.1, 1.2, n))
     return TransformerDataset(top, amb, load)
 
 
@@ -115,7 +114,7 @@ def rollout_oracle(model, valid) -> np.ndarray:
     return np.array(out)
 
 
-def simulate_oracle(K, Ta, t0, dt_min, p, enforce_timestep=True) -> TimeSeries:
+def simulate_oracle(K, Ta, t0, dt_min, p) -> TimeSeries:
     """The IEC Euler solver as a loop per interval with a nested loop per
     sub-step, each state stored into a numpy array, with the same checks and
     messages. The oracle of `iec.simulate`."""
@@ -125,12 +124,11 @@ def simulate_oracle(K, Ta, t0, dt_min, p, enforce_timestep=True) -> TimeSeries:
     for row, value in enumerate(Ta.values.tolist()):
         if not np.isfinite(value):
             raise ValueError(f"simulate: ambient at row {row} is {value}, not finite")
-    if not check_timestep(dt_min, p) and enforce_timestep:
-        raise ValueError(
-            f"dt={dt_min} min violates the step rule dt <= tau_w/2 = {p.tau_w_min / 2.0} min "
-            "(pass enforce_timestep=False to override)"
-        )
-    gaps_s = np.diff(K.timestamps) if len(K) > 1 else np.array([K.step])
+    if check_real("iec", "dt_min", dt_min, "> 0") > p.tau_w_min / 2.0:
+        raise ValueError(f"dt={dt_min} min violates the step rule dt <= tau_w/2 = "
+                         f"{p.tau_w_min / 2.0} min; use a smaller dt that evenly divides "
+                         "the series step")
+    gaps_s = np.diff(K.timestamps)
     n_sub = gaps_s / (dt_min * 60.0)
     uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
     if uneven.any():
@@ -152,7 +150,7 @@ def simulate_oracle(K, Ta, t0, dt_min, p, enforce_timestep=True) -> TimeSeries:
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
         raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
-    return TimeSeries(K.timestamps, out, K.step)
+    return TimeSeries(K.timestamps, out)
 
 
 def ar1_oracle(eps, ar_coeff) -> np.ndarray:
@@ -171,6 +169,16 @@ def mql(y, y_hat, alpha) -> float:
     y, y_hat = _pair(y, y_hat)
     alphas = (alpha,) if np.isscalar(alpha) else tuple(alpha)
     return float(np.mean([np.mean(pinball(y, y_hat, a)) for a in alphas]))
+
+
+def seeded_backward(output, params, seed) -> dict[str, np.ndarray]:
+    """`backward` with the output gradient `seed` in place of ones: the
+    gradients of sum(output * seed). The product's VJP passes `seed` on
+    unchanged, so the bytes are those of a backward pass seeded with it; the
+    product's own value, which may overflow, is never read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = output * Tensor(seed)
+    return backward(weighted, params)
 
 
 def finite_difference_grads(make_loss, params, h: float = 1e-5) -> dict[str, np.ndarray]:
