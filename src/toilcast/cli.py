@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -29,7 +28,7 @@ from .metrics import validate_quantiles
 from .models import config_from_dict, load_checkpoint, save_checkpoint
 from .rolling import autoregressive_predict, evaluate, iec_predict
 from .series import (AffineScaler, SplitSpec, check_flag, check_object, format_instant,
-                     load_dataset, split, write_csv, write_json)
+                     load_dataset, read_json, split, write_csv, write_json)
 from .svgplot import line_plot_svg
 from .synth import SynthSpec, gen_dataset, write_dataset_csvs
 from .training import (COVARIATES, TARGET_CHANNELS_MULTI, GridSpec, TrainConfig, fit_dataset,
@@ -60,7 +59,7 @@ DEFAULT_GRID = {
 
 # the keys the config root and each config section may hold
 SECTIONS = {"config": ("seed", "out_dir", "data", "split", "scaling", "quantiles", "multi_target",
-                       "models", "train", "grid", "iec_params", "iec_dt_min"),
+                       "models", "train", "grid", "iec_params"),
             "data": ("synth", "measurements", "ambient", "rated_current_a", "timezone"),
             "split": ("train", "valid"), "models": tuple(DEFAULT_TRAIN),
             "train": tuple(DEFAULT_TRAIN), "grid": (*DEFAULT_GRID, "lookbacks"),
@@ -83,14 +82,7 @@ def _require(cfg: dict, key: str, default=...):
 
 
 def _load_config(path: Path) -> dict:
-    if not path.exists():
-        raise ValueError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    check_object("config", cfg, SECTIONS["config"])
+    cfg = check_object("config", read_json(path), SECTIONS["config"])
     env_seed = os.environ.get("TOILCAST_SEED")
     if env_seed is not None:
         try:
@@ -274,7 +266,7 @@ def cmd_eval(cfg: dict, base: Path, out_dir: Path, checkpoints: list[str],
         traces.append(trace)
     if use_iec:
         params = IecParams.from_json(_path(cfg, base, "iec_params"))
-        traces.append(iec_predict(params, valid_ds, dt_min=cfg.get("iec_dt_min", 5.0)))
+        traces.append(iec_predict(params, valid_ds))
 
     report = evaluate(traces, valid_ds)
     report_path = out_dir / "evaluation_report.json"

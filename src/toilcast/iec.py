@@ -11,14 +11,13 @@ file since they are transformer-specific.
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
 
-from .series import TimeSeries, check_object, check_real, check_real_fields
+from .series import TimeSeries, check_object, check_real, check_real_fields, read_json
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,7 @@ class IecParams:
 
     @classmethod
     def from_json(cls, path) -> "IecParams":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         if isinstance(raw, dict):   # a `comment` may sit beside the six constants
             raw.pop("comment", None)
         return cls(**check_object(f"IEC parameter file {path}", raw,
@@ -71,17 +69,15 @@ def steady_state(K: float, t_ambient: float, p: IecParams) -> float:
     return t_ambient + p.delta_t_or_k * float(load_bracket(K, p))
 
 
-def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float,
-             p: IecParams) -> TimeSeries:
+def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, p: IecParams) -> TimeSeries:
     """Integrate the top-oil trajectory over aligned load and ambient series.
 
     The output has one value per input instant, starting at t0. Each
-    interval between instants is integrated in sub-steps of dt, which must
-    meet the step rule dt <= tau_w / 2 and equal or evenly divide the
-    interval's length; load and ambient are held constant (left endpoint)
-    across the sub-steps of each interval. Load, ambient and t0 must be
-    finite and the load >= 0 (`load_bracket`); ValueError names the series
-    and row.
+    interval between instants is cut into the fewest equal sub-steps that
+    meet the step rule dt <= tau_w / 2, so any strictly increasing grid
+    integrates; load and ambient are held constant (left endpoint) across
+    the sub-steps of each interval. Load, ambient and t0 must be finite and
+    the load >= 0 (`load_bracket`); ValueError names the series and row.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
@@ -89,20 +85,10 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float,
     if not np.isfinite(Ta.values).all():
         row = int(np.argmin(np.isfinite(Ta.values)))
         raise ValueError(f"simulate: ambient at row {row} is {Ta.values[row]}, not finite")
-    if check_real("iec", "dt_min", dt_min, "> 0") > p.tau_w_min / 2.0:
-        raise ValueError(f"dt={dt_min} min violates the step rule dt <= tau_w/2 = "
-                         f"{p.tau_w_min / 2.0} min; use a smaller dt that evenly divides "
-                         "the series step")
     gaps_s = np.diff(K.timestamps)
-    n_sub = gaps_s / (dt_min * 60.0)
-    uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
-    if uneven.any():
-        row = int(np.argmax(uneven)) + 1
-        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
-                         f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
-    n_sub = np.round(n_sub).astype(np.int64)
+    n_sub = np.ceil(gaps_s / (30.0 * p.tau_w_min)).astype(np.int64)
+    alpha = gaps_s / n_sub / 60.0 / (p.k11 * p.tau_o_min)   # dt [min] / (k11 tau_o)
 
-    alpha = dt_min / (p.k11 * p.tau_o_min)
     # the Euler loop over Python floats from memoryviews (the same IEEE
     # doubles as numpy's), each interval's inputs held over its sub-steps and
     # its last state stored; array('d') keeps no float objects alive
@@ -110,17 +96,18 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, dt_min: float,
     ta = memoryview(np.ascontiguousarray(Ta.values[:-1], dtype=np.float64))
     t_oil = t0
     states = array("d", [t_oil])
-    if (n_sub == 1).all():   # one sub-step each: no inner loop to set up
+    if len(gaps_s) and (gaps_s == gaps_s[0]).all() and n_sub[0] == 1:
+        step = float(alpha[0])   # a uniform grid in one sub-step each: no inner loop
         for d, a in zip(drive, ta):
-            t_oil += alpha * (d - (t_oil - a))
+            t_oil += step * (d - (t_oil - a))
             states.append(t_oil)
     else:
-        for d, a, m in zip(drive, ta, n_sub.tolist()):
+        for d, a, m, step in zip(drive, ta, n_sub.tolist(), alpha.tolist()):
             for _ in repeat(None, m):
-                t_oil += alpha * (d - (t_oil - a))
+                t_oil += step * (d - (t_oil - a))
             states.append(t_oil)
     out = np.frombuffer(states)
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
-        raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
+        raise FloatingPointError(f"solver diverged at step {bad}")
     return TimeSeries(K.timestamps, out)

@@ -22,7 +22,7 @@ from . import nn
 from .autodiff import Tensor, as_tensor, capture, causal_conv1d, concat, reshape
 from .metrics import validate_quantiles
 from .series import (CHANNELS, AffineScaler, check_count, check_flag, check_object, check_real,
-                     strided_windows, write_json)
+                     read_json, strided_windows, write_json)
 
 
 class _ModelConfig:
@@ -536,8 +536,7 @@ def load_checkpoint(path) -> TrainedModel:
     architecture initializes; otherwise ValueError names the field or
     parameter that differs.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     check_object(str(path), doc, CHECKPOINT_KEYS, required=True)

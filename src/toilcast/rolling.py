@@ -71,12 +71,11 @@ def autoregressive_predict(model, valid: TransformerDataset) -> ForecastTrace:
                          preds if model.quantiles else None, model.quantiles)
 
 
-def iec_predict(params: IecParams, valid: TransformerDataset,
-                dt_min: float = 5.0) -> ForecastTrace:
+def iec_predict(params: IecParams, valid: TransformerDataset) -> ForecastTrace:
     """IEC solver trace: seeded at the first measured top-oil value, then
     free-running on measured load factor and ambient."""
     t0 = float(valid.top_oil.values[0])
-    traj = simulate(valid.load_factor, valid.ambient, t0, dt_min, params)
+    traj = simulate(valid.load_factor, valid.ambient, t0, params)
     return ForecastTrace("iec", valid.timestamps.copy(), ("top_oil",),
                          traj.values.reshape(-1, 1))
 

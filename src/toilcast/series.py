@@ -303,6 +303,16 @@ class WindowSet:
 
 # -------- operations --------
 
+def read_json(path):
+    """The JSON document in the file at `path`; ValueError naming the path
+    if the file does not hold valid JSON, or is not text."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def write_json(path, doc) -> None:
     """Write `doc` as JSON with sorted keys, one-space indents and a final newline."""
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

@@ -72,7 +72,8 @@ class SynthSpec:
         for key, part in (("iec", IecParams), ("load", LoadProfile), ("ambient", AmbientProfile)):
             if key in kwargs:
                 kwargs[key] = part(**check_object(f"SynthSpec.{key}", kwargs[key],
-                                                  part.__dataclass_fields__))
+                                                  part.__dataclass_fields__,
+                                                  required=part is IecParams))
         return cls(**kwargs)
 
 
@@ -135,7 +136,7 @@ def gen_dataset(spec: SynthSpec) -> tuple[TransformerDataset, TimeSeries, TimeSe
     """
     K, Ta, hourly = gen_profiles(spec)
     t0 = steady_state(float(K.values[0]), float(Ta.values[0]), spec.iec)
-    clean = simulate(K, Ta, t0, 5.0, spec.iec)
+    clean = simulate(K, Ta, t0, spec.iec)
     noise_rng = _stream(spec, 2)
     noisy = clean.values
     if spec.measurement_noise_k > 0:

@@ -43,14 +43,14 @@ def test_c1_ode_fidelity():
     t_ss = steady_state(1.0, 20.0, p)
     t0 = t_ss + 4.0
 
-    def max_err(dt_min):
+    def max_err(spacing_min):   # one sub-step per interval: the grid spacing is the step
         horizon_min = 10.0 * p.k11 * p.tau_o_min
-        n = int(round(horizon_min / dt_min)) + 1
-        dt_s = int(round(dt_min * 60))
+        n = int(round(horizon_min / spacing_min)) + 1
+        dt_s = int(round(spacing_min * 60))
         ts = np.arange(n, dtype=np.int64) * dt_s
         K = TimeSeries(ts, np.full(n, 1.0))
         Ta = TimeSeries(ts, np.full(n, 20.0))
-        traj = simulate(K, Ta, t0, dt_min, p)
+        traj = simulate(K, Ta, t0, p)
         exact = t_ss + (t0 - t_ss) * np.exp(-(ts / 60.0) / (p.k11 * p.tau_o_min))
         return float(np.abs(traj.values - exact).max())
 

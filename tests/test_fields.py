@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from toilcast.iec import IecParams, simulate
+from toilcast.iec import IecParams
 from toilcast.metrics import pinball, validate_quantiles
 from toilcast.models import TcnConfig, TideConfig
 from toilcast.series import (AffineScaler, TimeSeries, check_object, derive_load_factor,
@@ -31,7 +31,6 @@ def _profile(cls, name):
 REALS = [
     *[(f"IecParams.{k}", lambda v, k=k: IecParams(**dict(IEC, **{k: v})),
        ("> 0", "<= 2") if k == "chi" else ("> 0",)) for k in IEC],
-    ("iec.dt_min", lambda v: simulate(CURRENT, CURRENT, 30.0, v, IecParams(**IEC)), ("> 0",)),
     ("AffineScaler.ambient.gain", lambda v: AffineScaler({"ambient": (v, 0.0)}), ("!= 0",)),
     ("AffineScaler.ambient.offset", lambda v: AffineScaler({"ambient": (0.01, v)}), ()),
     ("derive_load_factor.rated_current", lambda v: derive_load_factor(CURRENT, v), ("> 0",)),
@@ -150,6 +149,8 @@ READERS = [
      "SynthSpec.load must be"),
     ("SynthSpec.iec", lambda raw, _: SynthSpec.from_config({"iec": raw}), {"psi": 5.0, "x": 1},
      "SynthSpec.iec has unknown keys ['x']"),
+    ("SynthSpec.iec-missing", lambda raw, _: SynthSpec.from_config({"days": 1, "iec": raw}),
+     {"tau_w_min": 4.0}, "SynthSpec.iec is missing keys ['psi', 'delta_t_or_k', "),
     ("scaling", lambda raw, _: AffineScaler.from_config(raw), 5, "scaling must be"),
     ("scaling-channel", lambda raw, _: AffineScaler.from_config(raw), {"top_oill": {}},
      "scaling has unknown keys ['top_oill']"),

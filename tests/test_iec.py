@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,16 @@ P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
 def const_series(value, n, dt_s=300):
     ts = (np.arange(n, dtype=np.int64)) * dt_s
     return TimeSeries(ts, np.full(n, float(value)))
+
+
+def held_input_run(K, Ta, t0, p, step_s):
+    """`simulate` on an explicit grid of `step_s` seconds from K's first
+    instant, each point holding the inputs of the interval it falls in, read
+    back at K's instants."""
+    ts = np.arange(K.timestamps[0], K.timestamps[-1] + 1, step_s)
+    left = np.searchsorted(K.timestamps, ts, side="right") - 1
+    fine = simulate(TimeSeries(ts, K.values[left]), TimeSeries(ts, Ta.values[left]), t0, p)
+    return fine.values[np.searchsorted(ts, K.timestamps)]
 
 
 class TestSteadyState:
@@ -49,11 +60,11 @@ class TestSteadyState:
 
 
 class TestStep:
-    """One Euler update: a two-point `simulate` run whose interval is dt."""
+    """One Euler update: a two-point `simulate` run whose interval is one sub-step."""
 
     def test_steady_state_is_fixed_point(self):
         ss = steady_state(0.8, 15.0, P)
-        out = simulate(const_series(0.8, 2), const_series(15.0, 2), ss, 5.0, P)
+        out = simulate(const_series(0.8, 2), const_series(15.0, 2), ss, P)
         assert abs(out.values[1] - ss) <= 1e-9
 
     def test_hand_update(self):
@@ -62,32 +73,33 @@ class TestStep:
         p = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=100.0,
                       tau_w_min=10.0)
         out = simulate(const_series(1.0, 2, dt_s=60), const_series(20.0, 2, dt_s=60),
-                       20.0, 1.0, p)
+                       20.0, p)
         assert out.values[1] == pytest.approx(20.0 + 0.01 * 38.3, abs=1e-12)
-
-    def test_negative_dt_rejected(self):
-        for dt_min in (-1.0, 0.0):
-            with pytest.raises(ValueError, match=r"iec\.dt_min must be finite and > 0"):
-                simulate(const_series(0.9, 2), const_series(12.0, 2), 47.3, dt_min, P)
 
 
 class TestCheckTimestep:
-    """`simulate` holds dt to the step rule dt <= tau_w / 2 (tau_w = 10 min)."""
+    """`simulate` meets the step rule dt <= tau_w / 2 (tau_w = 10 min) by
+    cutting each interval into the fewest equal sub-steps that do."""
 
     def test_boundary_accepted(self):
-        assert len(simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 5.0, P)) == 3
+        # an interval of exactly tau_w / 2 is one Euler update of 5 / 180 of the way
+        traj = simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, P)
+        assert traj.values[1] == pytest.approx(30.0 + 5.0 / 180.0 * (38.3 - 10.0), abs=1e-12)
 
     def test_boundary_exceeded(self):
-        with pytest.raises(ValueError, match="dt=6.0 min violates the step rule"):
-            simulate(const_series(1.0, 3, dt_s=360), const_series(20.0, 3, dt_s=360),
-                     30.0, 6.0, P)
+        # a 6-minute interval used to raise; it is now two sub-steps of 3 minutes
+        K, Ta = const_series(1.0, 3, dt_s=360), const_series(20.0, 3, dt_s=360)
+        traj = simulate(K, Ta, 30.0, P)
+        assert np.array_equal(traj.values, held_input_run(K, Ta, 30.0, P, 180))
+        half = 30.0 + 3.0 / 180.0 * (38.3 - 10.0)
+        assert traj.values[1] == pytest.approx(half + 3.0 / 180.0 * (38.3 - (half - 20.0)),
+                                               abs=1e-12)
 
     def test_small_step(self):
-        assert len(simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 0.5, P)) == 3
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match=r"iec\.dt_min must be finite and > 0"):
-            simulate(const_series(1.0, 3), const_series(20.0, 3), 30.0, 0.0, P)
+        # tau_w = 1 min cuts each 5-minute interval into ten sub-steps of 30 s
+        K, Ta, p = const_series(1.0, 3), const_series(20.0, 3), replace(P, tau_w_min=1.0)
+        assert np.array_equal(simulate(K, Ta, 30.0, p).values,
+                              held_input_run(K, Ta, 30.0, p, 30))
 
 
 def closed_form(t_min, t0, t_ss, p):
@@ -99,18 +111,19 @@ class TestSimulate:
         ss = steady_state(0.7, 10.0, P)
         K = const_series(0.7, 200)
         Ta = const_series(10.0, 200)
-        traj = simulate(K, Ta, ss, 5.0, P)
+        traj = simulate(K, Ta, ss, P)
         assert np.abs(traj.values - ss).max() <= 1e-9
 
-    def run_vs_closed_form(self, dt_min):
+    def run_vs_closed_form(self, spacing_min):
+        # one sub-step per interval: the grid spacing is the step
         t_ss = steady_state(1.0, 20.0, P)
         t0 = t_ss + 4.0
         horizon_min = 10.0 * P.k11 * P.tau_o_min
-        n = int(round(horizon_min / dt_min)) + 1
-        dt_s = int(round(dt_min * 60))
+        n = int(round(horizon_min / spacing_min)) + 1
+        dt_s = int(round(spacing_min * 60))
         K = const_series(1.0, n, dt_s)
         Ta = const_series(20.0, n, dt_s)
-        traj = simulate(K, Ta, t0, dt_min, P)
+        traj = simulate(K, Ta, t0, P)
         exact = closed_form(K.timestamps / 60.0, t0, t_ss, P)
         return float(np.abs(traj.values - exact).max())
 
@@ -128,13 +141,14 @@ class TestSimulate:
         ts5 = np.arange(n, dtype=np.int64) * 300
         K5 = TimeSeries(ts5, rng.uniform(0.2, 1.1, n))
         Ta5 = TimeSeries(ts5, rng.uniform(5.0, 20.0, n))
-        sub = simulate(K5, Ta5, 40.0, 2.5, P)  # two sub-steps per interval
+        p = replace(P, tau_w_min=5.0)
+        sub = simulate(K5, Ta5, 40.0, p)  # two sub-steps per interval
 
         # same trajectory on an explicit 2.5-minute grid with held inputs
         ts_f = np.arange(2 * (n - 1) + 1, dtype=np.int64) * 150
         K_f = TimeSeries(ts_f, np.repeat(K5.values, 2)[:len(ts_f)])
         Ta_f = TimeSeries(ts_f, np.repeat(Ta5.values, 2)[:len(ts_f)])
-        fine = simulate(K_f, Ta_f, 40.0, 2.5, P)
+        fine = simulate(K_f, Ta_f, 40.0, p)
         assert np.array_equal(sub.values, fine.values[::2])
 
     def test_ambient_shift_equivariance(self):
@@ -144,8 +158,8 @@ class TestSimulate:
         K = TimeSeries(ts, rng.uniform(0.2, 1.2, n))
         Ta = TimeSeries(ts, rng.uniform(0.0, 20.0, n))
         c = 7.5
-        base = simulate(K, Ta, 30.0, 5.0, P)
-        shifted = simulate(K, TimeSeries(ts, Ta.values + c), 30.0 + c, 5.0, P)
+        base = simulate(K, Ta, 30.0, P)
+        shifted = simulate(K, TimeSeries(ts, Ta.values + c), 30.0 + c, P)
         assert np.abs(shifted.values - (base.values + c)).max() <= 1e-9
 
     def test_monotone_relaxation(self):
@@ -156,7 +170,7 @@ class TestSimulate:
         K = const_series(0.5, n)
         Ta = const_series(10.0, n)
         for t0 in (t_ss + 25.0, t_ss - 25.0):
-            traj = simulate(K, Ta, t0, 5.0, P)
+            traj = simulate(K, Ta, t0, P)
             gap = np.abs(traj.values - t_ss)
             assert (np.diff(gap) <= 1e-12).all()
 
@@ -164,38 +178,41 @@ class TestSimulate:
         K = const_series(1.0, 10)
         Ta = TimeSeries(K.timestamps + 300, np.full(10, 20.0))
         with pytest.raises(ValueError, match="aligned"):
-            simulate(K, Ta, 30.0, 5.0, P)
+            simulate(K, Ta, 30.0, P)
 
     def test_step_rule_enforced(self):
-        # the message used to point to an override of the rule; a dt that
-        # meets it and divides the 5-minute step always exists
-        K = const_series(1.0, 10)
-        Ta = const_series(20.0, 10)
-        tight = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0,
-                          tau_o_min=180.0, tau_w_min=4.0)
-        with pytest.raises(ValueError) as exc_info:
-            simulate(K, Ta, 30.0, 5.0, tight)
-        assert str(exc_info.value) == ("dt=5.0 min violates the step rule dt <= tau_w/2 = "
-                                       "2.0 min; use a smaller dt that evenly divides the "
-                                       "series step")
-        assert len(simulate(K, Ta, 30.0, 1.0, tight)) == 10
+        # tau_w = 4 min bounds dt at 2 min, which used to be an error on
+        # 5-minute data: each interval is now three sub-steps of 100 s
+        rng = np.random.default_rng(3)
+        ts = np.arange(10, dtype=np.int64) * 300
+        K, Ta = TimeSeries(ts, rng.uniform(0.2, 1.2, 10)), TimeSeries(ts, rng.uniform(5, 20, 10))
+        tight = replace(P, tau_w_min=4.0)
+        traj = simulate(K, Ta, 30.0, tight)
+        assert np.array_equal(traj.values, held_input_run(K, Ta, 30.0, tight, 100))
+        assert not np.array_equal(traj.values, simulate(K, Ta, 30.0, P).values)
 
     def test_non_uniform_grid_substeps_each_interval(self):
         # a 50-minute gap after two 5-minute steps is 10 Euler steps, not one
         ts = np.array([0, 300, 600, 3600], dtype=np.int64)
         K = TimeSeries(ts, np.ones(4))
         Ta = TimeSeries(ts, np.full(4, 20.0))
-        traj = simulate(K, Ta, 20.0, 5.0, P)
-        uniform = simulate(const_series(1.0, 13), const_series(20.0, 13), 20.0, 5.0, P)
+        traj = simulate(K, Ta, 20.0, P)
+        uniform = simulate(const_series(1.0, 13), const_series(20.0, 13), 20.0, P)
         assert np.array_equal(traj.values, uniform.values[[0, 1, 2, 12]])
         assert traj.values[-1] == pytest.approx(30.99, abs=0.01)
 
-    def test_interval_dt_does_not_divide_is_named(self):
+    def test_interval_of_any_length_integrates(self):
+        # a 400-s interval used to be an error, as 5 minutes does not divide
+        # it: it is now two sub-steps of 200 s, the held-input run on a 200-s grid
         ts = np.array([0, 300, 600, 1000], dtype=np.int64)
-        K = TimeSeries(ts, np.ones(4))
-        Ta = TimeSeries(ts, np.full(4, 20.0))
-        with pytest.raises(ValueError, match="before row 3"):
-            simulate(K, Ta, 20.0, 5.0, P)
+        K = TimeSeries(ts, np.array([1.0, 0.6, 1.2, 0.8]))
+        Ta = TimeSeries(ts, np.array([20.0, 18.0, 15.0, 17.0]))
+        traj = simulate(K, Ta, 20.0, P)
+        assert np.array_equal(traj.values[:3], simulate(K.slice_range(0, 600),
+                                                        Ta.slice_range(0, 600), 20.0, P).values)
+        last = held_input_run(K.slice_range(600, 1000), Ta.slice_range(600, 1000),
+                              traj.values[2], P, 200)
+        assert traj.values[-1] == last[-1]
 
     @pytest.mark.parametrize("name, value", [("load", np.nan), ("load", np.inf),
                                              ("ambient", np.nan), ("ambient", -np.inf)])
@@ -206,11 +223,11 @@ class TestSimulate:
         message = (f"load factor K must be finite and >= 0, got {value} at row 2"
                    if name == "load" else f"simulate: ambient at row 2 is {value}, not finite")
         with pytest.raises(ValueError, match=re.escape(message)):
-            simulate(K, Ta, 30.0, 5.0, P)
+            simulate(K, Ta, 30.0, P)
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError, match="simulate.t0 must be finite, got nan"):
-            simulate(const_series(1.0, 6), const_series(20.0, 6), np.nan, 5.0, P)
+            simulate(const_series(1.0, 6), const_series(20.0, 6), np.nan, P)
 
     def test_negative_load_names_the_row(self):
         # -0.8 used to run as +0.8: the load enters the bracket squared
@@ -218,15 +235,16 @@ class TestSimulate:
         K.values[2] = -0.8
         message = "load factor K must be finite and >= 0, got -0.8 at row 2"
         with pytest.raises(ValueError, match=message):
-            simulate(K, const_series(20.0, 6), 30.0, 5.0, P)
+            simulate(K, const_series(20.0, 6), 30.0, P)
         with pytest.raises(ValueError, match=message):
             load_bracket(K.values, P)
 
     def test_dt_must_divide_series_step(self):
-        K = const_series(1.0, 10)
-        Ta = const_series(20.0, 10)
-        with pytest.raises(ValueError, match="divide"):
-            simulate(K, Ta, 30.0, 3.0, P)
+        # tau_w = 4.5 min allows 2.25 min, which does not divide 5 minutes:
+        # the step taken is the 100 s that does, not 2.25 min and a remainder
+        K, Ta, p = const_series(1.0, 10), const_series(20.0, 10), replace(P, tau_w_min=4.5)
+        assert np.array_equal(simulate(K, Ta, 30.0, p).values,
+                              held_input_run(K, Ta, 30.0, p, 100))
 
 
 def random_inputs(seed, n, keep=1.0):
@@ -254,16 +272,21 @@ def same_outcome(a, b):
 
 
 class TestFlatLoopMatchesNestedOracle:
-    """`simulate` runs one loop over the intervals, with a nested loop over
-    the sub-steps only when some interval has more than one; the oracle always
-    loops per interval, then per sub-step. Both do the same float operations
-    in the same order, so every value and every message agrees bit for bit."""
+    """`simulate` runs one loop over the intervals of a uniform grid taken in
+    one sub-step each, and a nested loop over the sub-steps otherwise; the
+    oracle always loops per interval, then per sub-step, working out each
+    interval's sub-steps in Python. Both do the same float operations in the
+    same order, so every value and every message agrees bit for bit.
+
+    `dt` is the sub-step on the 5-minute grid: tau_w = 2 dt gives 1, 2, 3
+    and 5 sub-steps per interval."""
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 31])
-    @pytest.mark.parametrize("dt", [5.0, 2.5, 1.0])
+    @pytest.mark.parametrize("dt", [5.0, 2.5, 5 / 3, 1.0])
     def test_uniform_grid(self, seed, dt):
         K, Ta, t0 = random_inputs(seed, 400)
-        new, old = simulate(K, Ta, t0, dt, P), simulate_oracle(K, Ta, t0, dt, P)
+        p = replace(P, tau_w_min=2 * dt)
+        new, old = simulate(K, Ta, t0, p), simulate_oracle(K, Ta, t0, p)
         assert np.array_equal(new.values, old.values)
         assert np.array_equal(new.timestamps, old.timestamps)
 
@@ -271,15 +294,17 @@ class TestFlatLoopMatchesNestedOracle:
     @pytest.mark.parametrize("dt", [5.0, 2.5])
     def test_grid_with_dropped_rows(self, seed, dt):
         K, Ta, t0 = random_inputs(seed, 400, keep=0.7)
+        p = replace(P, tau_w_min=2 * dt)
         assert (np.diff(K.timestamps) > 300).any()
-        assert np.array_equal(simulate(K, Ta, t0, dt, P).values,
-                              simulate_oracle(K, Ta, t0, dt, P).values)
+        assert np.array_equal(simulate(K, Ta, t0, p).values,
+                              simulate_oracle(K, Ta, t0, p).values)
 
     @pytest.mark.parametrize("dt", [5.0, 2.5, 1.0])
     def test_one_point_series(self, dt):
         K, Ta, t0 = random_inputs(7, 1)
-        traj = simulate(K, Ta, t0, dt, P)
-        assert np.array_equal(traj.values, simulate_oracle(K, Ta, t0, dt, P).values)
+        p = replace(P, tau_w_min=2 * dt)
+        traj = simulate(K, Ta, t0, p)
+        assert np.array_equal(traj.values, simulate_oracle(K, Ta, t0, p).values)
         assert traj.values.tolist() == [t0]
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 31])
@@ -287,43 +312,45 @@ class TestFlatLoopMatchesNestedOracle:
     def test_diverging_run_names_the_same_step(self, seed, dt):
         # alpha = dt / tau_o > 2: the Euler update overshoots and grows until inf - inf
         fast = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=1.0,
-                         tau_w_min=10.0)
+                         tau_w_min=2 * dt)
         K, Ta, t0 = random_inputs(seed, 1200, keep=0.9)
         with pytest.raises(FloatingPointError) as new:
-            simulate(K, Ta, t0, dt, fast)
+            simulate(K, Ta, t0, fast)
         with pytest.raises(FloatingPointError) as old:
-            simulate_oracle(K, Ta, t0, dt, fast)
+            simulate_oracle(K, Ta, t0, fast)
         assert str(new.value) == str(old.value)
         assert "diverged at step" in str(new.value)
 
     @pytest.mark.parametrize("case", ["misaligned", "step rule", "uneven row", "uneven step",
                                       "smaller dt", "non-finite input", "non-finite start"])
     def test_checks_and_messages_are_unchanged(self, case):
+        # the step rule and an interval that 5 minutes does not divide used to
+        # be errors; now they, and a grid of random gaps, integrate
         K, Ta, t0 = random_inputs(11, 50)
-        dt, p = 5.0, P
-        tight = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
-                          tau_w_min=4.0)
+        p = P
         if case == "misaligned":
             Ta = TimeSeries(Ta.timestamps + 300, Ta.values)
         elif case == "step rule":
-            p = tight
+            p = replace(P, tau_w_min=4.0)
         elif case == "uneven row":
             ts = K.timestamps.copy()
             ts[20:] += 100
             K, Ta = TimeSeries(ts, K.values), TimeSeries(ts, Ta.values)
         elif case == "uneven step":
-            dt = 3.0
+            ts = np.cumsum(np.random.default_rng(5).integers(1, 1000, 50))
+            K, Ta = TimeSeries(ts, K.values), TimeSeries(ts, Ta.values)
         elif case == "smaller dt":
-            p, dt = tight, 1.0
+            p = replace(P, tau_w_min=1.0)
         elif case == "non-finite start":
             t0 = np.nan
         else:
             values = Ta.values.copy()
             values[30] = np.inf
             Ta = TimeSeries(Ta.timestamps, values)
-        new = outcome(simulate, K, Ta, t0, dt, p)
-        assert same_outcome(new, outcome(simulate_oracle, K, Ta, t0, dt, p))
-        assert isinstance(new, np.ndarray) == (case == "smaller dt")
+        new = outcome(simulate, K, Ta, t0, p)
+        assert same_outcome(new, outcome(simulate_oracle, K, Ta, t0, p))
+        assert isinstance(new, np.ndarray) == (
+            case in ("step rule", "uneven row", "uneven step", "smaller dt"))
 
 
 class TestParams:

@@ -11,7 +11,7 @@ from toilcast.rolling import (ForecastTrace, autoregressive_predict, evaluate,
                               iec_predict)
 from toilcast.series import AffineScaler, TimeSeries, TransformerDataset, format_instant
 from toilcast.synth import SynthSpec, gen_dataset
-from util import IDENTITY, make_dataset, rollout_oracle, window_views
+from util import IDENTITY, make_dataset, rollout_oracle, simulate_oracle, window_views
 
 P = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0,
               tau_w_min=10.0)
@@ -230,13 +230,15 @@ class TestIecPredict:
         assert err <= 0.05
 
     def test_timestep_rule_met_by_a_smaller_dt(self):
+        # tau_w = 4 min bounds dt at 2 min, under the 5-minute step: this used
+        # to be an error, and is now three sub-steps of 100 s per interval
         spec = SynthSpec(days=1, seed=13, measurement_noise_k=0.0)
         ds, _, _ = gen_dataset(spec)
-        tight = replace(spec.iec, tau_w_min=4.0)  # 5-min data violates dt <= tau_w/2
-        with pytest.raises(ValueError, match="tau_w"):
-            iec_predict(tight, ds)
-        trace = iec_predict(tight, ds, dt_min=1.0)
-        assert len(trace) == ds.n
+        tight = replace(spec.iec, tau_w_min=4.0)
+        trace = iec_predict(tight, ds)
+        oracle = simulate_oracle(ds.load_factor, ds.ambient, ds.top_oil.values[0], tight)
+        assert np.array_equal(trace.values[:, 0], oracle.values)
+        assert not np.array_equal(trace.values, iec_predict(spec.iec, ds).values)
 
     def test_misspecified_params_strictly_worse(self):
         spec = SynthSpec(days=3, seed=12, measurement_noise_k=0.0)

@@ -9,8 +9,8 @@ from toilcast.series import (CHANNELS, AffineScaler, SplitSpec, TimeSeries,
                              TransformerDataset, WindowSet, derive_load_factor,
                              fill_gaps_adjacent_mean, format_instant, ingest_measurements,
                              load_dataset, make_windows, parse_instant,
-                             resample_ambient_linear, scale_windows, split, strided_windows,
-                             utc_offset)
+                             read_json, resample_ambient_linear, scale_windows, split,
+                             strided_windows, utc_offset)
 from toilcast.synth import SynthSpec, gen_dataset, write_dataset_csvs
 from util import make_dataset
 
@@ -582,3 +582,11 @@ class TestDatasetInvariants:
         shifted = TimeSeries(ds.timestamps + 300, ds.ambient.values)
         with pytest.raises(ValueError, match="aligned"):
             TransformerDataset(ds.top_oil, shifted, ds.load_factor)
+
+
+@pytest.mark.parametrize("content", [b'{"psi": 5.0, }', b"\xff\xfe{}"], ids=["json", "bytes"])
+def test_read_json_names_the_file(tmp_path, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"{path} is not valid JSON: ")):
+        read_json(path)

@@ -86,6 +86,16 @@ class TestDataset:
         assert np.array_equal(a.ambient.values, b.ambient.values)
         assert (a.top_oil.values != b.top_oil.values).any()
 
+    def test_short_winding_time_constant_generates_data(self):
+        # tau_w = 4 min bounds dt at 2 min, under the 5-minute step: this used
+        # to fail, as no synth setting reached the solver's step
+        spec = SynthSpec(days=2, seed=8, measurement_noise_k=0.0,
+                         iec=replace(SynthSpec().iec, tau_w_min=4.0))
+        ds, clean, _ = gen_dataset(spec)
+        t0 = steady_state(float(ds.load_factor.values[0]), float(ds.ambient.values[0]), spec.iec)
+        assert np.array_equal(clean.values,
+                              simulate_oracle(ds.load_factor, ds.ambient, t0, spec.iec).values)
+
     def test_temp_rise_consistency(self):
         ds, _, _ = gen_dataset(SynthSpec(days=2, seed=7))
         assert np.abs(ds.temp_rise.values
@@ -118,7 +128,7 @@ class TestFlatLoopsMatchOracles:
         assert np.array_equal(ds.ambient.values, Ta.values)
         K = ds.load_factor
         t0 = steady_state(float(K.values[0]), float(Ta.values[0]), spec.iec)
-        expected = simulate_oracle(K, Ta, t0, 5.0, spec.iec).values
+        expected = simulate_oracle(K, Ta, t0, spec.iec).values
         assert np.array_equal(clean.values, expected)
         noise = _stream(spec, 2).normal(0.0, spec.measurement_noise_k, size=len(expected))
         assert np.array_equal(ds.top_oil.values, expected + noise)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from toilcast.autodiff import Tensor, backward, capture
@@ -114,42 +116,34 @@ def rollout_oracle(model, valid) -> np.ndarray:
     return np.array(out)
 
 
-def simulate_oracle(K, Ta, t0, dt_min, p) -> TimeSeries:
+def simulate_oracle(K, Ta, t0, p) -> TimeSeries:
     """The IEC Euler solver as a loop per interval with a nested loop per
-    sub-step, each state stored into a numpy array, with the same checks and
-    messages. The oracle of `iec.simulate`."""
+    sub-step, each interval's sub-step count and step worked out in Python
+    from its length, each state stored into a numpy array, with the same
+    checks and messages. The oracle of `iec.simulate`."""
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
     t0 = check_real("simulate", "t0", t0)
     for row, value in enumerate(Ta.values.tolist()):
         if not np.isfinite(value):
             raise ValueError(f"simulate: ambient at row {row} is {value}, not finite")
-    if check_real("iec", "dt_min", dt_min, "> 0") > p.tau_w_min / 2.0:
-        raise ValueError(f"dt={dt_min} min violates the step rule dt <= tau_w/2 = "
-                         f"{p.tau_w_min / 2.0} min; use a smaller dt that evenly divides "
-                         "the series step")
-    gaps_s = np.diff(K.timestamps)
-    n_sub = gaps_s / (dt_min * 60.0)
-    uneven = (np.abs(n_sub - np.round(n_sub)) > 1e-9) | (n_sub < 1)
-    if uneven.any():
-        row = int(np.argmax(uneven)) + 1
-        raise ValueError(f"dt={dt_min} min must equal or evenly divide the series step; "
-                         f"the interval before row {row} is {gaps_s[row - 1] / 60.0} min")
-    n_sub = np.round(n_sub).astype(int).tolist()
-    alpha = dt_min / (p.k11 * p.tau_o_min)
     drive = (load_bracket(K.values, p) * p.delta_t_or_k).tolist()
     ta = Ta.values.tolist()
+    ts = K.timestamps.tolist()
     out = np.empty(len(K), dtype=np.float64)
     out[0] = t_oil = float(t0)
     for i in range(1, len(K)):
+        gap_s = ts[i] - ts[i - 1]
+        n_sub = math.ceil(gap_s / (30.0 * p.tau_w_min))   # dt = gap / n <= tau_w / 2
+        alpha = gap_s / n_sub / 60.0 / (p.k11 * p.tau_o_min)
         d = drive[i - 1]
         a = ta[i - 1]
-        for _ in range(n_sub[i - 1]):
+        for _ in range(n_sub):
             t_oil += alpha * (d - (t_oil - a))
         out[i] = t_oil
     if not np.isfinite(out).all():
         bad = int(np.argmax(~np.isfinite(out)))
-        raise FloatingPointError(f"solver diverged at step {bad} (dt too large?)")
+        raise FloatingPointError(f"solver diverged at step {bad}")
     return TimeSeries(K.timestamps, out)
 
 
