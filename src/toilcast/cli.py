@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         if args.command == "grid":
             return cmd_grid(cfg, base, out_dir, args.model, args.loss)
         return cmd_eval(cfg, base, out_dir, args.checkpoints, args.iec)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

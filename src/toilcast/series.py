@@ -112,6 +112,18 @@ def format_instant(epoch_s: int) -> str:
     return datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).isoformat()
 
 
+def _order_fault(ts: np.ndarray) -> str | None:
+    """What is wrong with the order of the instants `ts`: the first row that
+    repeats or goes back from the one before it; None if they strictly increase."""
+    deltas = np.diff(ts)
+    if (deltas > 0).all():
+        return None
+    bad = int(np.argmax(deltas <= 0)) + 1
+    if deltas[bad - 1] == 0:
+        return f"duplicated timestamp {format_instant(ts[bad])} at row {bad}"
+    return f"non-monotonic timestamp at row {bad} ({format_instant(ts[bad])})"
+
+
 # -------- core types --------
 
 @dataclass(frozen=True)
@@ -136,18 +148,11 @@ class TimeSeries:
             raise ValueError(f"length mismatch: {len(ts)} timestamps, {len(vals)} values")
         if len(ts) == 0:
             raise ValueError("empty series")
-        deltas = np.diff(ts)
-        if (deltas <= 0).any():
-            bad = int(np.argmax(deltas <= 0)) + 1
-            if deltas[bad - 1] == 0:
-                raise ValueError(f"duplicated timestamp {format_instant(ts[bad])} at row {bad}")
-            raise ValueError(f"non-monotonic timestamp at row {bad} ({format_instant(ts[bad])})")
+        if fault := _order_fault(ts):
+            raise ValueError(fault)
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def has_missing(self) -> bool:
-        return bool(np.isnan(self.values).any())
 
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         return TimeSeries(self.timestamps, values)
@@ -326,83 +331,81 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def ingest_measurements(path, column_map: dict[str, str],
-                        default_offset: str | None = None) -> dict[str, TimeSeries]:
-    """Load a CSV of timestamped measurements into one TimeSeries per mapped
-    value column, keyed by channel name.
+def read_csv(path, default_offset: str | None = None):
+    """Read the CSV table at `path` in one pass: (header, timestamps, column).
 
-    column_map maps CSV header names to channel names and must include a
-    'timestamp' entry; a naive timestamp is read at the UTC offset
-    `default_offset` (see `utc_offset`). Rows whose timestamp does not parse
-    are a ValueError naming the path and those rows (0-based, excluding the
-    header). Empty and `nan` value cells become NaN (missing); any other cell
-    that is not a finite number is a ValueError naming the path, the row and
-    the column.
+    `header` is the header row as `csv` parses it, quotes taken off;
+    `timestamps` the epoch seconds of the `timestamp` column, a naive one
+    read at the UTC offset `default_offset` (see `utc_offset`); `column(name)`
+    the float64 values of the column `name`, an empty or `nan` cell read as
+    NaN (missing). ValueError naming the path for a file that `csv` cannot
+    read as text, for a missing column, for the rows (0-based, after the
+    header) whose timestamp does not parse, for a table with no rows or whose
+    timestamps do not strictly increase, and, with the row and the column,
+    for a cell that is not a finite number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"measurement file not found: {path}")
-    ts_col = next((col for col, mapped in column_map.items() if mapped == "timestamp"), None)
-    if ts_col is None:
-        raise ValueError("column_map must map one column to 'timestamp'")
-    value_cols = {c: m for c, m in column_map.items() if m != "timestamp"}
-    if not value_cols:
-        raise ValueError("column_map must map at least one value column")
     zone = utc_offset(default_offset)
-
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in column_map:
-            if col not in header:
-                raise ValueError(f"missing column '{col}' in {path} (header: {header})")
-        stamps: list[int] = []
-        values: dict[str, list[float]] = {m: [] for m in value_cols.values()}
-        rejected: list[int] = []
-        for idx, row in enumerate(reader):
-            try:
-                t = parse_instant(row[ts_col], zone)
-            except ValueError:
-                rejected.append(idx)
-                continue
-            stamps.append(t)
-            for col, mapped in value_cols.items():
-                cell = (row[col] or "").strip()
-                try:
-                    value = float(cell or "nan")
-                except ValueError:
-                    value = None
-                if value is None or math.isinf(value):
-                    raise ValueError(f"{path}: row {idx}, column '{col}' holds {cell!r}, "
-                                     "not a finite number")
-                values[mapped].append(value)
+        try:
+            rows = list(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path} is not a CSV table: {exc}") from None
+    header = reader.fieldnames or []
 
+    def cells(name):
+        if name not in header:
+            raise ValueError(f"missing column '{name}' in {path} (header: {header})")
+        return [(row[name] or "").strip() for row in rows]
+
+    stamps, rejected = [], []
+    for idx, text in enumerate(cells("timestamp")):
+        try:
+            stamps.append(parse_instant(text, zone))
+        except ValueError:
+            rejected.append(idx)
     if rejected:
         raise ValueError(f"{path}: the timestamp does not parse on rows {rejected[:10]} "
                          f"(0-based, after the header; {len(rejected)} in all)")
     if not stamps:
         raise ValueError(f"no rows in {path}")
     ts = np.asarray(stamps, dtype=np.int64)
-    return {m: TimeSeries(ts, np.asarray(v)) for m, v in values.items()}
+    if fault := _order_fault(ts):
+        raise ValueError(f"{path}: {fault}")
+
+    def column(name) -> np.ndarray:
+        values = []
+        for idx, cell in enumerate(cells(name)):
+            try:
+                values.append(float(cell or "nan"))
+            except ValueError:
+                values.append(math.inf)
+            if math.isinf(values[-1]):
+                raise ValueError(f"{path}: row {idx}, column '{name}' holds {cell!r}, "
+                                 "not a finite number")
+        return np.array(values)
+    return header, ts, column
 
 
-def fill_gaps_adjacent_mean(s: TimeSeries) -> TimeSeries:
-    """Replace missing (NaN) interior values.
+def fill_gaps_adjacent_mean(values: np.ndarray) -> np.ndarray:
+    """Replace missing (NaN) interior values of evenly spaced samples.
 
     A single missing sample becomes the arithmetic mean of its present
     neighbors; a run of k missing samples is filled linearly between the
     bounding present values, which reduces to the neighbor mean at k=1.
-    The first and last samples must be present (no extrapolation).
+    The first and last samples must be present (no extrapolation). With
+    none missing, `values` itself is returned.
     """
-    missing = np.isnan(s.values)
+    missing = np.isnan(values)
     if not missing.any():
-        return s
+        return values
     if missing[0] or missing[-1]:
-        raise ValueError("cannot fill gaps at series boundary (no extrapolation)")
-    idx = np.arange(len(s))
-    out = s.values.copy()
-    out[missing] = np.interp(idx[missing], idx[~missing], s.values[~missing])
-    return s.with_values(out)
+        raise ValueError("the first or last value is missing, and a gap at the series "
+                         "boundary cannot be filled (no extrapolation)")
+    idx = np.arange(len(values))
+    out = values.copy()
+    out[missing] = np.interp(idx[missing], idx[~missing], values[~missing])
+    return out
 
 
 def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
@@ -412,7 +415,7 @@ def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
     error (no extrapolation).
     """
     grid = np.asarray(grid, dtype=np.int64)
-    if hourly.has_missing():
+    if np.isnan(hourly.values).any():
         raise ValueError("hourly series has missing values; repair before resampling")
     if grid.min() < hourly.timestamps[0] or grid.max() > hourly.timestamps[-1]:
         raise ValueError(
@@ -423,12 +426,6 @@ def resample_ambient_linear(hourly: TimeSeries, grid: np.ndarray) -> TimeSeries:
     vals = np.interp(grid.astype(np.float64), hourly.timestamps.astype(np.float64),
                      hourly.values)
     return TimeSeries(grid, vals)
-
-
-def derive_load_factor(current: TimeSeries, rated_current: float) -> TimeSeries:
-    """Load factor K [p.u.] = measured current / rated current."""
-    check_real("derive_load_factor", "rated_current", rated_current, "> 0")
-    return current.with_values(current.values / rated_current)
 
 
 def split(ds: TransformerDataset, spec: SplitSpec) -> tuple[TransformerDataset, TransformerDataset]:
@@ -510,44 +507,46 @@ def load_dataset(measurements_path, ambient_path, rated_current_a: float | None 
     """Load the standard CSV pair into a repaired, aligned dataset.
 
     The measurements file provides top_oil_c plus either current_a (divided
-    by `rated_current_a`) or load_factor. The ambient file provides hourly
+    by `rated_current_a`, which must then be > 0) or load_factor; current_a
+    is taken when the header has both. The ambient file provides hourly
     ambient_c readings which are linearly interpolated onto the measurement
     grid; measurements outside the ambient span are dropped (no extrapolation).
-    A row whose timestamp does not parse, in either file, is a ValueError.
+    Each file is read once, by `read_csv`, whose errors name the file.
     """
-    with open(measurements_path, newline="") as fh:
-        header = (fh.readline() or "").strip().split(",")
-    if "current_a" in header:
-        col_map = {"timestamp": "timestamp", "top_oil_c": "top_oil", "current_a": "current"}
-    elif "load_factor" in header:
-        col_map = {"timestamp": "timestamp", "top_oil_c": "top_oil", "load_factor": "load_factor"}
-    else:
-        raise ValueError(f"measurements file needs a current_a or load_factor column, got {header}")
+    header, stamps, column = read_csv(measurements_path, default_offset)
+    load_column = next((c for c in ("current_a", "load_factor") if c in header), None)
+    if load_column is None:
+        raise ValueError(f"{measurements_path} needs a current_a or load_factor column, "
+                         f"got header {header}")
 
-    meas = ingest_measurements(measurements_path, col_map, default_offset)
-    amb = ingest_measurements(ambient_path, {"timestamp": "timestamp", "ambient_c": "ambient"},
-                              default_offset)["ambient"]
+    def repaired(name):
+        values = column(name)
+        try:
+            return fill_gaps_adjacent_mean(values)
+        except ValueError as exc:
+            raise ValueError(f"{measurements_path}: column '{name}': {exc}") from None
+
+    top_oil, load = repaired("top_oil_c"), repaired(load_column)
+    if load_column == "current_a":
+        load /= check_real("load_dataset", "rated_current_a", rated_current_a, "> 0")
+
+    _, hourly_stamps, ambient_column = read_csv(ambient_path, default_offset)
+    readings = ambient_column("ambient_c")
     # Hourly rows with missing readings are dropped; interpolation then spans them.
-    present = ~np.isnan(amb.values)
-    if not present.all():
-        amb = TimeSeries(amb.timestamps[present], amb.values[present])
-
-    top_oil = fill_gaps_adjacent_mean(meas["top_oil"])
-    if "current" in meas:
-        if rated_current_a is None:
-            raise ValueError("rated_current_a is required when the file carries current_a")
-        load = derive_load_factor(fill_gaps_adjacent_mean(meas["current"]), rated_current_a)
-    else:
-        load = fill_gaps_adjacent_mean(meas["load_factor"])
+    present = ~np.isnan(readings)
+    if not present.any():
+        raise ValueError(f"{ambient_path}: column 'ambient_c' holds no reading")
+    hourly = TimeSeries(hourly_stamps[present], readings[present])
 
     # Trim the grid to the ambient span so interpolation never extrapolates.
-    t0 = max(top_oil.timestamps[0], amb.timestamps[0])
-    t1 = min(top_oil.timestamps[-1], amb.timestamps[-1])
-    if t0 > t1:
-        raise ValueError("measurement and ambient spans do not overlap")
-    top_oil = top_oil.slice_range(t0, t1)
-    load = load.slice_range(t0, t1)
-    if (np.diff(top_oil.timestamps) != STEP_5MIN_S).any():
-        raise ValueError(f"measurement grid is not uniform at {STEP_5MIN_S}-s cadence")
-    ambient = resample_ambient_linear(amb, top_oil.timestamps)
-    return TransformerDataset(top_oil, ambient, load)
+    i0 = int(np.searchsorted(stamps, hourly.timestamps[0]))
+    i1 = int(np.searchsorted(stamps, hourly.timestamps[-1], side="right"))
+    if i1 <= i0:
+        raise ValueError(f"the spans of {measurements_path} and {ambient_path} do not overlap")
+    grid = stamps[i0:i1]
+    if (np.diff(grid) != STEP_5MIN_S).any():
+        raise ValueError(f"{measurements_path}: measurement grid is not uniform at "
+                         f"{STEP_5MIN_S}-s cadence")
+    return TransformerDataset(TimeSeries(grid, top_oil[i0:i1]),
+                              resample_ambient_linear(hourly, grid),
+                              TimeSeries(grid, load[i0:i1]))

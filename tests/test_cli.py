@@ -635,3 +635,22 @@ def test_malformed_json_file_exits_2_naming_it(tmp_path, capsys, reader):
                                        "name enclosed in double quotes: line 1 column 14 "
                                        "(char 13)\n")
     assert not (tmp_path / "out" / "evaluation_report.json").exists()
+
+
+@pytest.mark.parametrize("reader", ["config", "iec_params", "checkpoint", "measurements"])
+def test_directory_in_place_of_a_file_exits_2_naming_it(tmp_path, capsys, reader):
+    # an IsADirectoryError used to end in a traceback and exit 1
+    cfg = base_config(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if reader == "iec_params":
+        cfg["iec_params"] = str(folder)
+    if reader == "measurements":
+        del cfg["data"]["synth"]
+        cfg["data"].update(measurements=str(folder), ambient=str(folder))
+    cfg_path = str(folder) if reader == "config" else write_config(tmp_path, cfg)
+    argv = ["eval", "--config", cfg_path, *([str(folder)] if reader == "checkpoint" else ["--iec"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"Is a directory: '{folder}'" in err
+    assert not (tmp_path / "out" / "evaluation_report.json").exists()

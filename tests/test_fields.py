@@ -5,6 +5,7 @@ field and the value."""
 
 import json
 import re
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -13,14 +14,17 @@ import pytest
 from toilcast.iec import IecParams
 from toilcast.metrics import pinball, validate_quantiles
 from toilcast.models import TcnConfig, TideConfig
-from toilcast.series import (AffineScaler, TimeSeries, check_object, derive_load_factor,
-                             make_windows)
+from toilcast.series import AffineScaler, check_object, make_windows
 from toilcast.synth import AmbientProfile, LoadProfile, SynthSpec
 from toilcast.training import GridSpec, TrainConfig
-from util import make_dataset
+from util import load_current, make_dataset
 
 IEC = dict(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0, tau_o_min=180.0, tau_w_min=10.0)
-CURRENT = TimeSeries(np.array([0, 300]), np.array([100.0, 200.0]))
+
+
+def _load_current(rated):
+    with tempfile.TemporaryDirectory() as folder:
+        return load_current(folder, [100.0, 200.0], rated)
 
 
 def _profile(cls, name):
@@ -33,7 +37,7 @@ REALS = [
        ("> 0", "<= 2") if k == "chi" else ("> 0",)) for k in IEC],
     ("AffineScaler.ambient.gain", lambda v: AffineScaler({"ambient": (v, 0.0)}), ("!= 0",)),
     ("AffineScaler.ambient.offset", lambda v: AffineScaler({"ambient": (0.01, v)}), ()),
-    ("derive_load_factor.rated_current", lambda v: derive_load_factor(CURRENT, v), ("> 0",)),
+    ("load_dataset.rated_current_a", _load_current, ("> 0",)),
     ("TrainConfig.learning_rate", lambda v: TrainConfig(learning_rate=v), (">= 0",)),
     ("TcnConfig.dropout", lambda v: TcnConfig(dropout=v), (">= 0", "< 1")),
     ("TideConfig.dropout", lambda v: TideConfig(dropout=v), (">= 0", "< 1")),

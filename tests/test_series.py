@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from toilcast.series import (CHANNELS, AffineScaler, SplitSpec, TimeSeries,
-                             TransformerDataset, WindowSet, derive_load_factor,
-                             fill_gaps_adjacent_mean, format_instant, ingest_measurements,
-                             load_dataset, make_windows, parse_instant,
-                             read_json, resample_ambient_linear, scale_windows, split,
+                             TransformerDataset, WindowSet, fill_gaps_adjacent_mean,
+                             format_instant, load_dataset, make_windows, parse_instant,
+                             read_csv, read_json, resample_ambient_linear, scale_windows, split,
                              strided_windows, utc_offset)
 from toilcast.synth import SynthSpec, gen_dataset, write_dataset_csvs
-from util import make_dataset
+from util import load_current, make_dataset
 
 START = 1_600_000_000  # on the 5-minute grid
 
@@ -24,7 +23,17 @@ def write_csv(path, rows, header=("timestamp", "top_oil_c")):
         w.writerows(rows)
 
 
-COLMAP = {"timestamp": "timestamp", "top_oil_c": "top_oil"}
+def synth_csvs(folder, days=1, seed=3):
+    """A synthetic dataset and the paths of the CSV pair it was written to."""
+    ds, clean, hourly = gen_dataset(SynthSpec(days=days, seed=seed))
+    return ds, write_dataset_csvs(folder, ds, hourly, clean)
+
+
+def edit_rows(path, edit):
+    """Rewrite the CSV at `path` with `edit` applied to its list of data
+    rows (0-based, after the header), each a line of text."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
 
 
 class TestIngest:
@@ -32,16 +41,19 @@ class TestIngest:
         p = tmp_path / "m.csv"
         stamps = [format_instant(START + 300 * i) for i in range(3)]
         write_csv(p, [(s, str(40.0 + i)) for i, s in enumerate(stamps)])
-        got = ingest_measurements(p, COLMAP)["top_oil"]
-        assert len(got) == 3
-        assert np.array_equal(got.values, [40.0, 41.0, 42.0])
+        header, ts, column = read_csv(p)
+        assert header == ["timestamp", "top_oil_c"]
+        assert ts.tolist() == [START, START + 300, START + 600]
+        assert np.array_equal(column("top_oil_c"), [40.0, 41.0, 42.0])
 
     def test_duplicate_timestamp_named(self, tmp_path):
-        p = tmp_path / "m.csv"
-        t = format_instant(START + 300)
-        write_csv(p, [(format_instant(START), "1"), (t, "2"), (t, "3")])
-        with pytest.raises(ValueError, match="duplicated"):
-            ingest_measurements(p, COLMAP)
+        for name in ("measurements", "ambient"):
+            _, paths = synth_csvs(tmp_path / name)
+            edit_rows(paths[name], lambda rows: rows[:5] + rows[4:])
+            t = paths[name].read_text().splitlines()[6].split(",")[0]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{paths[name]}: duplicated timestamp {t} at row 5")):
+                load_dataset(paths["measurements"], paths["ambient"])
 
     def test_190_day_file_point_count(self, tmp_path):
         n = 190 * 288 + 1
@@ -51,7 +63,8 @@ class TestIngest:
             w.writerow(["timestamp", "top_oil_c"])
             for i in range(n):
                 w.writerow([format_instant(START + 300 * i), "40.0"])
-        assert len(ingest_measurements(p, COLMAP)["top_oil"]) == 54_721
+        _, ts, column = read_csv(p)
+        assert len(ts) == len(column("top_oil_c")) == 54_721
 
     def test_unparseable_rows_rejected_with_index(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -59,42 +72,49 @@ class TestIngest:
                       (format_instant(START + 300), "3")])
         message = f"{p}: the timestamp does not parse on rows [1] (0-based, after the header"
         with pytest.raises(ValueError, match=re.escape(message)):
-            ingest_measurements(p, COLMAP)
+            read_csv(p)
 
     def test_row_without_a_timestamp_cell_rejected(self, tmp_path):
         # the timestamp of a short row reads as None: an AttributeError traceback
         p = tmp_path / "m.csv"
         write_csv(p, [("1", format_instant(START)), ("2",)], header=("top_oil_c", "timestamp"))
         with pytest.raises(ValueError, match=re.escape("does not parse on rows [1]")):
-            ingest_measurements(p, COLMAP)
+            read_csv(p)
 
     def test_missing_file_and_column(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            ingest_measurements(tmp_path / "absent.csv", COLMAP)
+            read_csv(tmp_path / "absent.csv")
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1")], header=("timestamp", "other"))
-        with pytest.raises(ValueError, match="top_oil_c"):
-            ingest_measurements(p, COLMAP)
+        column = read_csv(p)[2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing column 'top_oil_c' in {p} (header: ['timestamp', 'other'])")):
+            column("top_oil_c")
+        write_csv(p, [(format_instant(START), "1")], header=("time", "top_oil_c"))
+        with pytest.raises(ValueError, match=re.escape(f"missing column 'timestamp' in {p}")):
+            read_csv(p)
 
     def test_non_monotonic_reports_row(self, tmp_path):
-        p = tmp_path / "m.csv"
-        write_csv(p, [(format_instant(START + 600), "1"), (format_instant(START), "2")])
-        with pytest.raises(ValueError, match="row 1"):
-            ingest_measurements(p, COLMAP)
+        for name in ("measurements", "ambient"):
+            _, paths = synth_csvs(tmp_path / name)
+            edit_rows(paths[name], lambda rows: rows[:3] + [rows[4], rows[3]] + rows[5:])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{paths[name]}: non-monotonic timestamp at row 4")):
+                load_dataset(paths["measurements"], paths["ambient"])
 
     def test_empty_cell_becomes_missing(self, tmp_path):
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1"), (format_instant(START + 300), ""),
                       (format_instant(START + 600), "3")])
-        got = ingest_measurements(p, COLMAP)["top_oil"]
-        assert np.isnan(got.values[1]) and got.has_missing()
+        got = read_csv(p)[2]("top_oil_c")
+        assert got[[0, 2]].tolist() == [1.0, 3.0] and np.isnan(got[1])
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", " nan "])
     def test_nan_cell_becomes_missing(self, tmp_path, cell):
         p = tmp_path / "m.csv"
         write_csv(p, [(format_instant(START), "1"), (format_instant(START + 300), cell)])
-        got = ingest_measurements(p, COLMAP)["top_oil"]
-        assert got.values[0] == 1.0 and np.isnan(got.values[1])
+        got = read_csv(p)[2]("top_oil_c")
+        assert got[0] == 1.0 and np.isnan(got[1])
 
     @pytest.mark.parametrize("cell", ["abc", "inf", "-inf", "1e999", "4O.5"])
     def test_cell_that_is_not_a_finite_number_named(self, tmp_path, cell):
@@ -103,9 +123,29 @@ class TestIngest:
         write_csv(p, [(format_instant(START + 300 * i), "40.0", "10.0") for i in range(3)]
                   + [(format_instant(START + 900), "41.0", cell)],
                   header=("timestamp", "top_oil_c", "ambient_c"))
+        column = read_csv(p)[2]
+        assert column("top_oil_c").tolist() == [40.0, 40.0, 40.0, 41.0]
         message = f"{p}: row 3, column 'ambient_c' holds '{cell}', not a finite number"
         with pytest.raises(ValueError, match=re.escape(message)):
-            ingest_measurements(p, {**COLMAP, "ambient_c": "ambient"})
+            column("ambient_c")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"timestamp,top_oil_c\n\xff\xfe,1\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"timestamp,top_oil_c\n2020-07-01T00:00:00Z," + b"4" * 200_000 + b"\n",
+         "field larger than field limit"),
+    ], ids=["bytes", "long-field"])
+    def test_file_csv_cannot_read_is_named(self, tmp_path, content, message):
+        # each used to raise the bare error: no file named, and csv.Error a traceback
+        p = tmp_path / "m.csv"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{p} is not a CSV table: {message}")):
+            read_csv(p)
+
+    def test_quoted_header_is_unquoted(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text(f'"timestamp","top_oil_c"\n{format_instant(START)},40.5\n')
+        header, ts, column = read_csv(p)
+        assert header == ["timestamp", "top_oil_c"] and column("top_oil_c").tolist() == [40.5]
 
 
 def corrupt_timestamp(path, row):
@@ -139,6 +179,57 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="measurement grid is not uniform at 300-s cadence"):
             load_dataset(paths["measurements"], paths["ambient"])
 
+    @pytest.mark.parametrize("edit", ["quoted-header", "crlf"])
+    def test_quoted_header_and_crlf_load_as_the_plain_file(self, tmp_path, edit):
+        # a quoted header used to fail as a file without a load column
+        _, plain = synth_csvs(tmp_path / "plain")
+        _, paths = synth_csvs(tmp_path / "edited")
+        for path in (paths["measurements"], paths["ambient"]):
+            header, rest = path.read_text().split("\n", 1)
+            if edit == "crlf":
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            else:
+                path.write_text(",".join(f'"{name}"' for name in header.split(",")) + "\n"
+                                + rest)
+        want = load_dataset(plain["measurements"], plain["ambient"])
+        got = load_dataset(paths["measurements"], paths["ambient"])
+        assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        for name in ("top_oil", "ambient", "load_factor"):
+            assert got.channel(name).values.tobytes() == want.channel(name).values.tobytes()
+
+    @pytest.mark.parametrize("column", ["top_oil_c", "load_factor"])
+    @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+    def test_boundary_gap_names_the_file_and_column(self, tmp_path, column, row):
+        # used to say only "cannot fill gaps at series boundary (no extrapolation)"
+        _, paths = synth_csvs(tmp_path)
+        path = paths["measurements"]
+        j = path.read_text().splitlines()[0].split(",").index(column)
+
+        def blank(rows):
+            cells = rows[row].split(",")
+            cells[j] = ""
+            rows[row] = ",".join(cells)
+            return rows
+        edit_rows(path, blank)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: column '{column}': the first or last value is missing")):
+            load_dataset(path, paths["ambient"])
+
+    def test_ambient_without_a_reading_names_the_file(self, tmp_path):
+        # used to say only "empty series"
+        _, paths = synth_csvs(tmp_path)
+        edit_rows(paths["ambient"], lambda rows: [r[:r.index(",") + 1] for r in rows])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{paths['ambient']}: column 'ambient_c' holds no reading")):
+            load_dataset(paths["measurements"], paths["ambient"])
+
+    def test_spans_that_do_not_overlap_name_both_files(self, tmp_path):
+        _, paths = synth_csvs(tmp_path)
+        edit_rows(paths["ambient"], lambda rows: [r.replace("2020-07-", "2020-09-") for r in rows])
+        with pytest.raises(ValueError, match=re.escape(
+                f"the spans of {paths['measurements']} and {paths['ambient']} do not overlap")):
+            load_dataset(paths["measurements"], paths["ambient"])
+
     def test_temp_rise_is_top_oil_minus_ambient(self, tmp_path):
         ds, clean, hourly = gen_dataset(SynthSpec(days=1, seed=3))
         paths = write_dataset_csvs(tmp_path, ds, hourly, clean)
@@ -157,21 +248,21 @@ def series_of(vals, step=300):
 
 class TestFillGaps:
     def test_single_gap_neighbor_mean(self):
-        out = fill_gaps_adjacent_mean(series_of([50.0, np.nan, 54.0]))
-        assert np.array_equal(out.values, [50.0, 52.0, 54.0])
+        out = fill_gaps_adjacent_mean(np.array([50.0, np.nan, 54.0]))
+        assert np.array_equal(out, [50.0, 52.0, 54.0])
 
     def test_no_gaps_identity(self):
-        s = series_of([1.0, 2.0, 3.0])
-        assert fill_gaps_adjacent_mean(s) is s
+        values = np.array([1.0, 2.0, 3.0])
+        assert fill_gaps_adjacent_mean(values) is values
 
     def test_run_of_gaps_linear(self):
-        out = fill_gaps_adjacent_mean(series_of([10.0, np.nan, np.nan, 16.0]))
-        assert np.allclose(out.values, [10.0, 12.0, 14.0, 16.0], rtol=0, atol=1e-12)
+        out = fill_gaps_adjacent_mean(np.array([10.0, np.nan, np.nan, 16.0]))
+        assert np.allclose(out, [10.0, 12.0, 14.0, 16.0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("vals", [[np.nan, 1.0, 2.0], [1.0, 2.0, np.nan]])
     def test_boundary_gap_rejected(self, vals):
         with pytest.raises(ValueError, match="boundary"):
-            fill_gaps_adjacent_mean(series_of(vals))
+            fill_gaps_adjacent_mean(np.array(vals))
 
     def test_random_gaps_properties(self):
         # seeded random NaN patterns, from none missing to most of the interior
@@ -182,8 +273,8 @@ class TestFillGaps:
             vals = rng.normal(40.0, 10.0, n)
             missing = rng.random(n) < rng.uniform(0.0, 0.9)
             missing[[0, -1]] = False
-            s = series_of(np.where(missing, np.nan, vals))
-            out = fill_gaps_adjacent_mean(s).values
+            holed = np.where(missing, np.nan, vals)
+            out = fill_gaps_adjacent_mean(holed.copy())
             assert np.array_equal(out[~missing], vals[~missing])
             idx = np.arange(n)
             assert np.array_equal(out[missing],
@@ -193,10 +284,10 @@ class TestFillGaps:
             assert (np.abs(out[lone] - mean) <= np.spacing(np.abs(mean))).all()
             lone_gaps += len(lone)
             for end in (0, n - 1):
-                holed = s.values.copy()
-                holed[end] = np.nan
+                edge = holed.copy()
+                edge[end] = np.nan
                 with pytest.raises(ValueError, match="boundary"):
-                    fill_gaps_adjacent_mean(s.with_values(holed))
+                    fill_gaps_adjacent_mean(edge)
         assert lone_gaps > 100
 
 
@@ -234,20 +325,39 @@ class TestResample:
 
 
 class TestLoadFactor:
-    def test_rated_gives_unity(self):
-        out = derive_load_factor(series_of([400.0]), 400.0)
-        assert out.values[0] == 1.0
+    """A current_a file loads as current_a / rated_current_a."""
 
-    def test_zero_current(self):
-        assert derive_load_factor(series_of([0.0]), 400.0).values[0] == 0.0
+    def test_rated_gives_unity(self, tmp_path):
+        assert load_current(tmp_path, [400.0] * 13, 400.0).load_factor.values.tolist() == \
+            [1.0] * 13
 
-    def test_overload(self):
-        assert derive_load_factor(series_of([500.0]), 400.0).values[0] == 1.25
+    def test_zero_current(self, tmp_path):
+        assert load_current(tmp_path, [0.0], 400.0).load_factor.values.tolist() == [0.0]
 
-    @pytest.mark.parametrize("rated", [0.0, -5.0])
-    def test_bad_rated(self, rated):
-        with pytest.raises(ValueError, match="rated"):
-            derive_load_factor(series_of([1.0]), rated)
+    def test_overload(self, tmp_path):
+        assert load_current(tmp_path, [500.0], 400.0).load_factor.values.tolist() == [1.25]
+
+    def test_load_is_current_over_rated_bit_for_bit(self, tmp_path):
+        current = np.random.default_rng(5).uniform(0.0, 600.0, 40)
+        current[[7, 20, 21]] = np.nan
+        ds = load_current(tmp_path, current, 437.3)
+        assert ds.load_factor.values.tobytes() == \
+            (fill_gaps_adjacent_mean(current) / 437.3).tobytes()
+
+    @pytest.mark.parametrize("rated", [0.0, -5.0, None])
+    def test_bad_rated(self, tmp_path, rated):
+        with pytest.raises(ValueError, match=re.escape(
+                f"load_dataset.rated_current_a must be finite and > 0, got {rated!r}")):
+            load_current(tmp_path, [1.0], rated)
+
+    def test_header_without_a_load_column_names_both(self, tmp_path):
+        _, paths = synth_csvs(tmp_path)
+        path = paths["measurements"]
+        path.write_text(path.read_text().replace("load_factor", "load", 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path} needs a current_a or load_factor column, "
+                "got header ['timestamp', 'top_oil_c', 'load']")):
+            load_dataset(path, paths["ambient"])
 
 
 class TestSplit:
@@ -528,9 +638,8 @@ class TestInstants:
         p = tmp_path / "m.csv"
         write_csv(p, [("2020-07-01T00:00:00", "40.0"), ("2020-07-01T00:05:00", "41.0")])
         with pytest.raises(ValueError, match=re.escape("UTC offset 'Europe/Paris' must be")):
-            ingest_measurements(p, COLMAP, default_offset="Europe/Paris")
-        got = ingest_measurements(p, COLMAP, default_offset="+0100")["top_oil"]
-        assert got.timestamps.tolist() == [parse_instant("2020-06-30T23:00:00Z"),
+            read_csv(p, default_offset="Europe/Paris")
+        assert read_csv(p, default_offset="+0100")[1].tolist() == [parse_instant("2020-06-30T23:00:00Z"),
                                            parse_instant("2020-06-30T23:05:00Z")]
 
     def test_bad_offset_named_by_the_split(self):

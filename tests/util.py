@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from toilcast.autodiff import Tensor, backward, capture
 from toilcast.iec import load_bracket
 from toilcast.metrics import _pair, pinball
-from toilcast.series import (CHANNELS, STEP_5MIN_S, AffineScaler, TimeSeries, TransformerDataset,
-                             check_real)
+from toilcast.series import (CHANNELS, STEP_5MIN_S, STEP_HOUR_S, AffineScaler, TimeSeries,
+                             TransformerDataset, check_real, format_instant, load_dataset,
+                             write_csv)
 
 IDENTITY = AffineScaler({n: (1.0, 0.0) for n in CHANNELS})
 
@@ -23,6 +25,22 @@ def make_dataset(n: int, start: int = 1_600_000_000, seed: int = 0) -> Transform
     amb = TimeSeries(ts, 10.0 + 3.0 * rng.standard_normal(n))
     load = TimeSeries(ts, rng.uniform(0.1, 1.2, n))
     return TransformerDataset(top, amb, load)
+
+
+def load_current(folder, current, rated_current_a, start: int = 1_600_000_000):
+    """`load_dataset` with `rated_current_a` on a measurements CSV whose
+    current_a column holds `current` (written with repr, NaN as an empty
+    cell) at 5-minute steps from `start`, top-oil 40 degC throughout, and an
+    ambient CSV of hourly 10 degC readings that spans it; both in `folder`."""
+    m, a = Path(folder) / "current.csv", Path(folder) / "ambient.csv"
+    ts = start + STEP_5MIN_S * np.arange(len(current))
+    write_csv(m, ["timestamp", "top_oil_c", "current_a"],
+              ((format_instant(t), "40.0", "" if np.isnan(c) else repr(float(c)))
+               for t, c in zip(ts, current)))
+    write_csv(a, ["timestamp", "ambient_c"],
+              ((format_instant(t), "10.0") for t in range(start, ts[-1] + STEP_HOUR_S,
+                                                           STEP_HOUR_S)))
+    return load_dataset(m, a, rated_current_a=rated_current_a)
 
 
 def relu_oracle(a) -> np.ndarray:
