@@ -349,18 +349,18 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
 
 # -------- captured forward passes --------
 
-# A captured step of the affine map, layer norm or causal convolution on one
-# row replays as numpy's own arithmetic in fewer, cheaper calls, written into
-# the plan's code. Where matmul sends a row to BLAS, `ndarray.dot` makes the
-# same call with less set-up, if the kernel, and a convolution's input, is
-# C-ordered (dot copies another layout, and BLAS can round the copy otherwise)
-# and the rows are at least 2 wide (dot scales by a lone value without BLAS,
-# so 0 * inf gives 0, not NaN). Each form takes the plan, the step's output
-# slot, its argument slots, and the recorded output and arguments; it returns
-# the step's lines, or None where the operands fail its guard and the step
-# keeps its forward's call. A replay sees the shapes and layouts of the
-# capture, so the guard is decided once. tests/util.py holds the multi-row
-# forwards as the oracles of these forms.
+# A captured step of the affine map, layer norm, causal convolution, relu or
+# concatenation replays as numpy's own arithmetic in fewer, cheaper calls,
+# written into the plan's code. Where matmul sends a row to BLAS,
+# `ndarray.dot` makes the same call with less set-up, if the kernel, and a
+# convolution's input, is C-ordered (dot copies another layout, and BLAS can
+# round the copy otherwise) and the rows are at least 2 wide (dot scales by a
+# lone value without BLAS, so 0 * inf gives 0, not NaN). Each form takes the
+# plan, the step's output slot, its argument slots, and the recorded output
+# and arguments; it returns the step's lines, or None where the operands fail
+# its guard and the step keeps its forward's call or expression. A replay
+# sees the shapes and layouts of the capture, so the guard is decided once.
+# tests/util.py holds the multi-row forwards as the oracles of these forms.
 
 def _shaped(plan, j: int, shape: tuple) -> str:
     """The name of argument slot j for an operation on arrays of `shape`. A
@@ -372,25 +372,63 @@ def _shaped(plan, j: int, shape: tuple) -> str:
     return f"s{plan._new(np.reshape(plan._vals[j], shape))}"
 
 
+def _pairwise(terms: list) -> str:
+    """`np.add.reduce` over at most 128 values as one Python expression of
+    their `terms`, in numpy's order: below 8 values one by one onto 0.0;
+    from 8, eight interleaved partial sums combined pairwise, then the
+    values left over, then the total onto 0.0. Wider rows numpy splits in
+    halves first."""
+    n = len(terms)
+    if n < 8:
+        return " + ".join(["0.0", *terms])
+    r = terms[:8]
+    for i in range(8, n - n % 8, 8):
+        r = [f"({a} + {b})" for a, b in zip(r, terms[i:i + 8])]
+    pairs = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return f"0.0 + ({' + '.join([pairs, *terms[n - n % 8:]])})"
+
+
+def _row_sum(total: str, row: str, n: int, term: str, numpy_sum: str) -> list[str]:
+    """Lines that set the Python float `total` to `numpy_sum`, an
+    `np.add.reduce` over the `term` (a format of one value's name) of each
+    of the n values of the (1, n) array `row`, with numpy's bits: the values
+    as Python floats, summed in numpy's order. A NaN total is numpy's own, so
+    that its sign and payload are numpy's. Over 32 values numpy sums: from
+    about 40, Python's adds cost more than numpy's call."""
+    if n > 32:
+        return [f"{total} = _float({numpy_sum})"]
+    names = [f"r{i}" for i in range(n)]
+    return [f"{', '.join(names)}, = {row}.tolist()[0]",
+            f"{total} = {_pairwise([term.format(v) for v in names])}",
+            f"if {total} != {total}: {total} = _float({numpy_sum})"]
+
+
 def _affine_form(plan, k, slots, out, x, w, b):
     if x.ndim == w.ndim == 2 and len(x) == 1 < len(w) and w.flags.c_contiguous \
             and out.shape == (1, w.shape[1]):
         x, w = (f"s{j}" for j in slots[:2])
-        return [f"s{k} = {x}.dot({w})", f"s{k} += {_shaped(plan, slots[2], out.shape)}"]
+        b = _shaped(plan, slots[2], out.shape)
+        # one value: the forward's own sum, which sets up less than an add in
+        # place and keeps the NaN that x @ w + b keeps of NaN + NaN
+        if out.size == 1:
+            return [f"s{k} = {x}.dot({w}) + {b}"]
+        return [f"s{k} = {x}.dot({w})", f"s{k} += {b}"]
     return None
 
 
 def _layer_norm_form(plan, k, slots, out, x, gamma, beta, eps):
     if x.ndim != 2 or len(x) != 1 or out.shape != x.shape:
         return None
-    # the sums on the 1-D row and the moments in Python floats; the power
-    # stays numpy's, whose SIMD loop can round unlike Python's **
+    # the sums and moments in Python floats; the power stays numpy's, whose
+    # SIMD loop can round unlike Python's **
     x, eps = f"s{slots[0]}", f"s{slots[3]}"
     gamma, beta = (_shaped(plan, j, out.shape) for j in slots[1:3])
-    inv = repr(1.0 / out.shape[1])
-    return [f"s{k} = {x} - _float(_reduce({x}[0])) * {inv}",
-            f"v{k} = _float(_reduce((s{k} * s{k})[0])) * {inv}",
-            f"s{k} *= _float(_power(_array(v{k} + {eps}), -0.5))",
+    n = out.shape[1]
+    inv = repr(1.0 / n)
+    return [*_row_sum(f"m{k}", x, n, "{}", f"_reduce({x}[0])"),
+            f"s{k} = {x} - m{k} * {inv}",
+            *_row_sum(f"v{k}", f"s{k}", n, "{0} * {0}", f"_reduce((s{k} * s{k})[0])"),
+            f"s{k} *= _float(_power(_array(v{k} * {inv} + {eps}), -0.5))",
             f"s{k} *= {gamma}", f"s{k} += {beta}"]
 
 
@@ -400,20 +438,46 @@ def _causal_conv1d_form(plan, k, slots, out, x, w, b, rows, taps):
             or slots[1] in plan._computed:
         return None
     const = lambda value: f"s{plan._new(value)}"
-    x, b = f"s{slots[0]}", f"s{slots[2]}"
-    lines = [f"x{k} = {x}[0]", f"s{k} = x{k}[{const(rows)}].dot({const(w[0])})", f"s{k} += {b}"]
+    lines = [f"x{k} = s{slots[0]}[0]", f"s{k} = x{k}[{const(rows)}].dot({const(w[0])})"]
+    if out.size == 1:     # one value: the forward's own sum, as in the affine form
+        lines[-1] += f" + s{slots[2]}"
+    elif slots[2] not in plan._computed and len(b) > 1 and b.flags.c_contiguous:
+        # a constant bias tiled to the product's shape adds in the loop that
+        # adds the broadcast row; a strided or one-value bias goes to another
+        # loop, which can keep the other NaN of NaN + NaN
+        lines.append(f"s{k} += {const(np.tile(b, (out.shape[1], 1)))}")
+    else:
+        lines.append(f"s{k} += s{slots[2]}")
     for i, j0, src in taps:
         lines.append(f"s{k}{f'[{j0}:]' if j0 else ''} += x{k}[{const(src)}].dot({const(w[i])})")
     return [*lines, f"s{k} = s{k}[None]"]
 
 
+def _fmax_form(plan, k, slots, out, a, zero):
+    # relu's zero bound as an array, which numpy need not convert on each call
+    return [f"s{k} = _fmax(s{slots[0]}, s{plan._new(np.array(zero))})"]
+
+
+def _concat_form(plan, k, slots, out, *args):
+    # one operand that a step makes afresh on each replay is the copy's own
+    # value; an input, a view of one or a constant is still copied, so that a
+    # replay never returns its input's memory or a constant's
+    if len(slots) != 2:
+        return None
+    made = {j: (fwd, operands) for fwd, operands, j in plan._steps}
+    j = slots[0]
+    while j in made and made[j][0] in (operator.getitem, _reshape):
+        j = made[j][1][0]
+    return [f"s{k} = s{slots[0]}"] if j in made else None
+
+
 _FORMS = {_affine: _affine_form, _layer_norm: _layer_norm_form,
-          _causal_conv1d: _causal_conv1d_form}
+          _causal_conv1d: _causal_conv1d_form, np.fmax: _fmax_form, _concat: _concat_form}
 # forwards that a replay writes as the expression they evaluate, made from
 # their argument names
 _EXPRESSIONS = {operator.add: "{} + {}".format, operator.sub: "{} - {}".format,
                 operator.mul: "{} * {}".format, operator.getitem: "{}[{}]".format,
-                _reshape: "{}.reshape({})".format, np.fmax: "_fmax({}, {})".format,
+                _reshape: "{}.reshape({})".format,
                 _concat: lambda *args: f"_concatenate(({', '.join(args[:-1])},), {args[-1]})"}
 # the names the forms and expressions call
 _REPLAY_GLOBALS = {"_float": float, "_reduce": np.add.reduce, "_power": np.power,
@@ -430,8 +494,8 @@ class Plan:
     record into `run`, one function whose body makes the steps' numpy calls
     in order on local variables, its text in `source`: the inputs are its
     parameters, and the constants and forwards are bound as their defaults.
-    A step that has a one-row form, or that is one operator, is written out
-    in place of its forward's call. A replay takes inputs of the shapes and
+    A step that has a form, or that is one operator, is written out in
+    place of its forward's call. A replay takes inputs of the shapes and
     layouts of the capture's."""
 
     def __init__(self, n_inputs: int):

@@ -28,32 +28,48 @@ def _pair(y, y_hat):
     return y, y_hat
 
 
+def _no_overflow(metric: str, fn, a, b):
+    """`fn(a, b)` computed with overflow ignored; FloatingPointError naming
+    `metric` where the result is infinite though the values it reads are
+    finite (all of them, for a mean), so float64 overflowed on the way."""
+    with np.errstate(over="ignore"):
+        out = fn(a, b)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if np.ndim(out) == 0:
+        finite = finite.all()
+    if (np.isinf(out) & finite).any():
+        raise FloatingPointError(f"{metric}: finite inputs overflow float64 (largest |value| "
+                                 f"{max(np.abs(a).max(), np.abs(b).max()):.3g})")
+    return out
+
+
 def mae(y, y_hat) -> float:
-    y, y_hat = _pair(y, y_hat)
-    return float(np.mean(np.abs(y - y_hat)))
+    """Mean absolute error; FloatingPointError when finite inputs overflow it."""
+    return float(_no_overflow("mae", lambda y, y_hat: np.mean(np.abs(y - y_hat)),
+                              *_pair(y, y_hat)))
 
 
 def mse(y, y_hat) -> float:
     """Mean squared error; FloatingPointError when finite inputs overflow it."""
-    y, y_hat = _pair(y, y_hat)
-    with np.errstate(over="ignore"):
-        err = y - y_hat
-        out = float(np.mean(err ** 2))
-    if np.isinf(out) and np.isfinite(y).all() and np.isfinite(y_hat).all():
-        raise FloatingPointError(f"mse: the squared error of finite inputs overflows "
-                                 f"float64 (largest |y - y_hat| {np.abs(err).max():.3g})")
-    return out
+    return float(_no_overflow("mse", lambda y, y_hat: np.mean((y - y_hat) ** 2),
+                              *_pair(y, y_hat)))
 
 
 def pinball(y, y_hat, alpha: float):
     """max(alpha * (y - y_hat), (alpha - 1) * (y - y_hat)).
 
     Underestimates cost alpha per unit, overestimates 1 - alpha; the
-    minimizing constant is the alpha-quantile.
+    minimizing constant is the alpha-quantile. FloatingPointError where
+    finite inputs overflow it.
     """
     check_real("pinball", "alpha", alpha, "> 0", "< 1")
-    d = np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64)
-    out = np.maximum(alpha * d, (alpha - 1.0) * d)
+
+    def loss(y, y_hat):
+        d = y - y_hat
+        return np.maximum(alpha * d, (alpha - 1.0) * d)
+
+    out = _no_overflow("pinball", loss, np.asarray(y, dtype=np.float64),
+                       np.asarray(y_hat, dtype=np.float64))
     return float(out) if out.ndim == 0 else out
 
 
@@ -72,6 +88,7 @@ def picp(y, lower, upper) -> float:
 
 
 def mean_interval_width(lower, upper) -> float:
-    lower, upper = _interval(lower, upper)
-    return float(np.mean(upper - lower))
+    """Mean of upper - lower; FloatingPointError when finite bounds overflow it."""
+    return float(_no_overflow("mean_interval_width", lambda lower, upper: np.mean(upper - lower),
+                              *_interval(lower, upper)))
 

@@ -460,6 +460,21 @@ def _rows(rng) -> tuple:
     return (1,) if rng.random() < 0.8 else ((3,), (1, 3))[rng.integers(2)]
 
 
+# the row sums' edge values: zeros of both signs, infinities, NaN of both
+# signs, and values near the ends of the exponent range
+ROW_SUM_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300,
+                          1e-300, -1e-300, 1.0])
+
+
+def _row_sum_draw(rng, n):
+    """One (1, n) row over 16 decades, with edge values in none, some or all
+    of its places, laid out as `_layouts` draws."""
+    x = rng.normal(size=(1, n)) * 10.0 ** rng.integers(-8, 8, size=(1, n))
+    mask = rng.random((1, n)) < rng.choice([0.0, 0.1, 0.5, 1.0])
+    x[mask] = rng.choice(ROW_SUM_EDGES, size=int(mask.sum()))
+    return _layouts(x)[rng.integers(4)]
+
+
 def _captured(fn, x, *operands) -> Plan:
     """`fn(x, *operands)` captured with `x` as the input and the operands as
     parameters, which keep their layouts."""
@@ -474,11 +489,11 @@ def calls(plan: Plan, fwd) -> bool:
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 class TestOneRowForms:
-    """The one-row forms that a captured plan writes for the affine map, layer
-    norm and causal convolution, against their multi-row forwards
-    (tests/util.py), byte for byte. Most cases are one row; the layouts,
-    widths and row counts that keep the forward's call are drawn too, and
-    must match as well."""
+    """The forms that a captured plan writes for the affine map, layer norm,
+    causal convolution, relu and concatenation, against their multi-row
+    forwards (tests/util.py) or numpy's own calls, byte for byte. Most cases
+    are one row; the layouts, widths and row counts that keep the forward's
+    call are drawn too, and must match as well."""
 
     def test_affine(self):
         rng = np.random.default_rng(17)
@@ -490,9 +505,10 @@ class TestOneRowForms:
             assert got.tobytes() == affine_oracle(x, w, b).tobytes()
 
     def test_layer_norm(self):
+        # past 32 values the row sums are numpy's own
         rng = np.random.default_rng(18)
         for _ in range(ONE_ROW_CASES):
-            n = _width(rng)
+            n = _width(rng, 130)
             # an offset as large as the spread, or far larger
             x = _one_row_operand(rng, (*_rows(rng), n)) + rng.normal() * 10.0 ** rng.uniform(-4, 4)
             gamma, beta = _one_row_operand(rng, (n,)), _one_row_operand(rng, (n,))
@@ -513,6 +529,87 @@ class TestOneRowForms:
             plan = _captured(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
             got = plan.run(x)
             assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
+
+    @pytest.mark.parametrize("width", range(1, 131))
+    def test_row_sum_equals_numpy(self, width):
+        # the generated sum and sum of squares against np.add.reduce, NaN's
+        # sign and payload included, with numpy's own sum for a NaN total and
+        # for rows over 32 values; the expression alone, which keeps numpy's
+        # order up to 128 values, against it too, NaN's bits aside
+        numpy_sums = []
+        scope = dict(autodiff._REPLAY_GLOBALS,
+                     _reduce=lambda v: numpy_sums.append(v.shape) or np.add.reduce(v))
+        body = [*autodiff._row_sum("t", "x", width, "{}", "_reduce(x[0])"),
+                *autodiff._row_sum("q", "x", width, "{0} * {0}", "_reduce((x * x)[0])")]
+        code = "\n    ".join(["def row_sums(x):", *body, "return t, q"])
+        exec(compile(code, "<row sums>", "exec"), scope)
+        expression = eval("lambda r: " + autodiff._pairwise([f"r[{i}]" for i in range(width)])) \
+            if width <= 128 else None
+        rng = np.random.default_rng(500 + width)
+        for _ in range(200):
+            x = _row_sum_draw(rng, width)
+            numpy_sums.clear()
+            got = np.array(scope["row_sums"](x))
+            want = np.array([np.add.reduce(x[0]), np.add.reduce((x * x)[0])])
+            assert got.tobytes() == want.tobytes()
+            assert len(numpy_sums) == (2 if width > 32 else np.isnan(want).sum())
+            if expression is not None:
+                total = np.array(expression(x[0].tolist()))
+                assert_same_bits(total, want[0])
+
+    def test_causal_conv1d_with_a_non_finite_bias(self):
+        # NaN of both signs in the product and in a C-ordered, strided or
+        # one-value bias: each keeps the NaN that the broadcast add keeps
+        rng = np.random.default_rng(23)
+        edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+        for _ in range(300):
+            T, k, d = int(rng.integers(1, 25)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            c_in, c_out = int(rng.integers(2, 17)), int(rng.integers(1, 17))
+            start, stride = int(rng.integers(0, T)), int(rng.integers(1, 3))
+            x = rng.choice(edges, size=(1, T, c_in)) * rng.normal(size=(1, T, c_in))
+            w = rng.normal(size=(k, c_in, c_out))
+            b = _layouts(rng.choice(edges, size=(1, c_out)))[rng.integers(4)][0]
+            plan = _captured(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
+            assert not calls(plan, autodiff._causal_conv1d)
+            got = plan.run(x)
+            assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
+
+    def test_affine_with_one_output_value(self):
+        # NaN of either sign in the product and in the bias: the one-value sum
+        # keeps the NaN that x @ w + b keeps
+        rng = np.random.default_rng(24)
+        edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0])
+        for _ in range(ONE_ROW_CASES // 4):
+            k = int(rng.integers(2, 65))
+            x = _layouts(rng.choice(edges, size=(1, k)) * rng.normal(size=(1, k)))[rng.integers(4)]
+            w = _one_row_operand(rng, (k, 1))
+            b = rng.choice(edges, size=((1,), (1, 1))[rng.integers(2)])
+            plan = _captured(affine, x, w, b)
+            assert plan.run(x).tobytes() == affine_oracle(x, w, b).tobytes()
+            assert w.flags.c_contiguous == (".dot(" in plan.source) and "+=" not in plan.source
+
+    def test_relu_of_signed_zeros_and_nan(self):
+        # the zero bound as a 0-d array gives fmax's bytes with a Python zero
+        a = np.array([[-0.0, 0.0, np.nan, -np.nan, -1.0, 2.0, np.inf, -np.inf, 5e-324]])
+        plan = _captured(relu, a)
+        assert any(isinstance(v, np.ndarray) and v.shape == () for v in plan.run.__defaults__)
+        for x in (a, a[:, ::-1], a * -1.0):
+            assert plan.run(x).tobytes() == np.fmax(x, 0.0).tobytes()
+
+    @pytest.mark.parametrize("forward, copies", [
+        (lambda x: concat([x], axis=1), True),
+        (lambda x: concat([x[:, 1:]], axis=1), True),
+        (lambda x: concat([reshape(x, (3, 1))], axis=0), True),
+        (lambda x: concat([reshape(x * 2.0, (3, 1))], axis=0), False),
+        (lambda x: concat([x * 2.0, x], axis=1), True),
+    ], ids=["input", "input-slice", "input-view", "fresh", "two-operands"])
+    def test_one_operand_concatenate_never_returns_the_input(self, forward, copies):
+        x = np.array([[0.5, -0.0, np.nan]])
+        plan = _captured(forward, x)
+        assert ("_concatenate" in plan.source) == copies
+        got = plan.run(x)
+        assert not np.shares_memory(got, x)
+        assert got.tobytes() == forward(Tensor(x)).data.tobytes()
 
     def test_lone_values_keep_matmuls_bits(self):
         # `dot` scales by a lone value without BLAS, which turns 0 * inf into

@@ -32,6 +32,29 @@ class TestPointMetrics:
             with pytest.raises(FloatingPointError, match="mse"):
                 mse([0.0], [1e200])
 
+    @pytest.mark.parametrize("metric, args", [
+        ("mae", ([1e308], [-1e308])),
+        ("mae", ([1e308, 1e308], [0.0, 0.0])),      # the differences fit, their sum does not
+        ("mse", ([1e308], [-1e308])),
+        ("mean_interval_width", ([-1e308], [1e308])),
+        ("pinball", ([1e308, 0.0], [-1e308, 0.0], 0.5)),
+    ], ids=["mae", "mae-sum", "mse", "mean_interval_width", "pinball"])
+    def test_finite_inputs_that_overflow_raise_naming_the_metric(self, metric, args):
+        fn = {"mae": mae, "mse": mse, "mean_interval_width": mean_interval_width,
+              "pinball": pinball}[metric]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=f"^{metric}: .*1e\\+308"):
+                fn(*args)
+
+    def test_non_finite_inputs_keep_their_non_finite_result(self):
+        # an infinite input is not an overflow: the metric is infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert mae([np.inf, 1e308], [0.0, -1e308]) == np.inf
+            assert mean_interval_width([0.0, -1e308], [np.inf, 1e308]) == np.inf
+            assert list(pinball([np.inf, 1.0], [0.0, 0.0], 0.5)) == [np.inf, 0.5]
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             mae([1.0], [1.0, 2.0])
