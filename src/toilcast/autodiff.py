@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from functools import lru_cache, partial
 from types import CodeType, FunctionType
 
@@ -267,12 +268,17 @@ take = partial(_apply, operator.getitem, 1)
 mean = partial(_apply, _mean, 1)
 
 
+# relu's zero: a 0-d array, which numpy need not convert on each call, shared read-only
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def relu(a) -> Tensor:
-    """max(a, 0) as the one ufunc `np.fmax(a, 0.0)`, which a replayed plan
+    """max(a, 0) as the one ufunc `np.fmax(a, 0)`, which a replayed plan
     calls with no Python frame. `np.maximum` would keep NaN where `fmax`, like
     `np.where(a > 0, a, 0.0)`, gives 0; the two forms differ only in the sign
     of the zero that an input of -0.0 gives."""
-    return _apply(np.fmax, 1, a, 0.0)
+    return _apply(np.fmax, 1, a, _ZERO)
 
 
 def _matmul_operands(a, b) -> tuple[Tensor, Tensor]:
@@ -349,18 +355,18 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
 
 # -------- captured forward passes --------
 
-# A captured step of the affine map, layer norm, causal convolution, relu or
-# concatenation replays as numpy's own arithmetic in fewer, cheaper calls,
-# written into the plan's code. Where matmul sends a row to BLAS,
-# `ndarray.dot` makes the same call with less set-up, if the kernel, and a
-# convolution's input, is C-ordered (dot copies another layout, and BLAS can
-# round the copy otherwise) and the rows are at least 2 wide (dot scales by a
-# lone value without BLAS, so 0 * inf gives 0, not NaN). Each form takes the
-# plan, the step's output slot, its argument slots, and the recorded output
-# and arguments; it returns the step's lines, or None where the operands fail
-# its guard and the step keeps its forward's call or expression. A replay
-# sees the shapes and layouts of the capture, so the guard is decided once.
-# tests/util.py holds the multi-row forwards as the oracles of these forms.
+# A captured step of the affine map, layer norm or causal convolution replays
+# as numpy's own arithmetic in fewer, cheaper calls, written into the plan's
+# code. Where matmul sends a row to BLAS, `ndarray.dot` makes the same call
+# with less set-up, if the kernel, and a convolution's input, is C-ordered
+# (dot copies another layout, and BLAS can round the copy otherwise) and the
+# rows are at least 2 wide (dot scales by a lone value without BLAS, so
+# 0 * inf gives 0, not NaN). Each form takes the plan, the step's output
+# slot, its argument slots, and the recorded output and arguments; it returns
+# the step's lines, or None where the operands fail its guard and the step
+# keeps its forward's call or expression. A replay sees the shapes and
+# layouts of the capture, so the guard is decided once. tests/util.py holds
+# the multi-row forwards as the oracles of these forms.
 
 def _shaped(plan, j: int, shape: tuple) -> str:
     """The name of argument slot j for an operation on arrays of `shape`. A
@@ -453,31 +459,13 @@ def _causal_conv1d_form(plan, k, slots, out, x, w, b, rows, taps):
     return [*lines, f"s{k} = s{k}[None]"]
 
 
-def _fmax_form(plan, k, slots, out, a, zero):
-    # relu's zero bound as an array, which numpy need not convert on each call
-    return [f"s{k} = _fmax(s{slots[0]}, s{plan._new(np.array(zero))})"]
-
-
-def _concat_form(plan, k, slots, out, *args):
-    # one operand that a step makes afresh on each replay is the copy's own
-    # value; an input, a view of one or a constant is still copied, so that a
-    # replay never returns its input's memory or a constant's
-    if len(slots) != 2:
-        return None
-    made = {j: (fwd, operands) for fwd, operands, j in plan._steps}
-    j = slots[0]
-    while j in made and made[j][0] in (operator.getitem, _reshape):
-        j = made[j][1][0]
-    return [f"s{k} = s{slots[0]}"] if j in made else None
-
-
 _FORMS = {_affine: _affine_form, _layer_norm: _layer_norm_form,
-          _causal_conv1d: _causal_conv1d_form, np.fmax: _fmax_form, _concat: _concat_form}
+          _causal_conv1d: _causal_conv1d_form}
 # forwards that a replay writes as the expression they evaluate, made from
 # their argument names
 _EXPRESSIONS = {operator.add: "{} + {}".format, operator.sub: "{} - {}".format,
                 operator.mul: "{} * {}".format, operator.getitem: "{}[{}]".format,
-                _reshape: "{}.reshape({})".format,
+                _reshape: "{}.reshape({})".format, np.fmax: "_fmax({}, {})".format,
                 _concat: lambda *args: f"_concatenate(({', '.join(args[:-1])},), {args[-1]})"}
 # the names the forms and expressions call
 _REPLAY_GLOBALS = {"_float": float, "_reduce": np.add.reduce, "_power": np.power,
@@ -493,7 +481,8 @@ class Plan:
     value slots of its arguments and its output slot. `capture` compiles the
     record into `run`, one function whose body makes the steps' numpy calls
     in order on local variables, its text in `source`: the inputs are its
-    parameters, and the constants and forwards are bound as their defaults.
+    parameters, and the constants its code names and the forwards it calls
+    are bound as their defaults.
     A step that has a form, or that is one operator, is written out in
     place of its forward's call. A replay takes inputs of the shapes and
     layouts of the capture's."""
@@ -509,11 +498,7 @@ class Plan:
 
     def _compile(self) -> None:
         """Bind `run`: the steps as straight-line code on the slots' names."""
-        n = self._n_inputs
-        consts = [k for k in range(n, len(self._vals)) if k not in self._computed]
-        names = [f"s{k}" for k in (*range(n), *consts)]
-        defaults = [self._vals[k] for k in consts]
-        body = []
+        body, calls = [], {}
         for fwd, slots, k in self._steps:
             args = [f"s{j}" for j in slots]
             if k in self._forms:
@@ -521,14 +506,17 @@ class Plan:
             elif fwd in _EXPRESSIONS:
                 body.append(f"s{k} = " + _EXPRESSIONS[fwd](*args))
             else:
-                names.append(f"f{k}")
-                defaults.append(fwd)
+                calls[f"f{k}"] = fwd
                 body.append(f"s{k} = f{k}({', '.join(args)})")
+        body.append(f"return s{self._out}")
+        # the constants the code names: a form may read an argument through its own
+        named = {int(j) for j in re.findall(r"\bs(\d+)\b", "\n".join(body))}
+        consts = sorted(named - self._computed)
+        names = [*(f"s{k}" for k in (*range(self._n_inputs), *consts)), *calls]
         self.source = "\n".join([f"def replay({', '.join(names)}):",
-                                  *(f"    {line}" for line in body),
-                                  f"    return s{self._out}"])
+                                  *(f"    {line}" for line in body)])
         self.run = FunctionType(_compiled(self.source), _REPLAY_GLOBALS, "replay",
-                                tuple(defaults))
+                                (*(self._vals[k] for k in consts), *calls.values()))
 
     def __call__(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != self._n_inputs:

@@ -334,12 +334,11 @@ class Tide(_Family):
             g = self._block(g, params, f"decoder{i}", rng)
         D = reshape(g, (B, H, cfg.decoder_output_dim))
 
-        steps = []
+        steps = []     # each horizon step's (B, T * n_quantiles) values
         for t in range(H):
             td_in = concat([D[:, t, :], proj[:, L + t, :]], axis=1)
-            y_t = self._block(td_in, params, "temporal", rng)
-            steps.append(reshape(y_t, (B, 1, T * cfg.n_quantiles)))
-        decoded = reshape(concat(steps, axis=1), (B, cfg.n_outputs))
+            steps.append(self._block(td_in, params, "temporal", rng))
+        decoded = steps[0] if H == 1 else concat(steps, axis=1)
 
         return decoded + nn.linear(y_flat, params, "global")
 
@@ -532,9 +531,9 @@ def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint written by `save_checkpoint`.
 
     The stored config hash must equal the fingerprint recomputed from the
-    file, and the parameter names and shapes must be the ones the
-    architecture initializes; otherwise ValueError names the field or
-    parameter that differs.
+    file, the parameter names and shapes must be the ones the architecture
+    initializes, and every parameter value must be finite; otherwise
+    ValueError names the field or parameter at fault.
     """
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
@@ -565,5 +564,7 @@ def load_checkpoint(path) -> TrainedModel:
             raise ValueError(f"{where} holds {len(raw)} bytes, shape {shape} needs "
                              f"{8 * math.prod(shape)}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():
+            raise ValueError(f"{where} holds a non-finite value; parameters must be finite")
         params[name] = Tensor(data.copy(), name=name)   # as training leaves them: no gradient
     return model

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -57,7 +56,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-    wall_time_s: float   # left out of to_dict: a seed fixes the report's bytes, not the clock
     # the parameters as training left them: Adam rebinds a parameter's `.data`
     # and writes no array in place, so these arrays stay final
     final_params: dict[str, Tensor] = field(repr=False, compare=False)
@@ -119,7 +117,6 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
         else None
     opt_state = nn.AdamState(learning_rate=cfg.learning_rate)
 
-    t_start = time.perf_counter()
     epoch_losses: list[float] = []
     best = np.inf
     stale = 0
@@ -150,8 +147,7 @@ def train(model, params: dict[str, Tensor], windows: WindowSet,
                 stale += 1
                 if stale >= cfg.patience:
                     break
-    return TrainReport(epoch_losses, time.perf_counter() - t_start,
-                       {name: Tensor(t.data) for name, t in params.items()})
+    return TrainReport(epoch_losses, {name: Tensor(t.data) for name, t in params.items()})
 
 
 def fit_dataset(family: str, model_cfg, train_ds: TransformerDataset,

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 from dataclasses import replace
@@ -563,6 +564,16 @@ def trained_ann(tmp_path_factory):
     return cfg_path, json.loads((tmp_path / "out" / "ann_point.checkpoint.json").read_text())
 
 
+def _first_value(name, value):
+    """An edit that sets the first value of parameter `name` to `value`."""
+    def edit(doc):
+        entry = doc["params"][name]
+        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+        data[0] = value
+        entry["data"] = base64.b64encode(data.tobytes()).decode()
+    return edit
+
+
 CORRUPTIONS = {
     "config": (lambda d: d.update(config=5), "MlpConfig must be an object with keys "),
     "quantiles-0.5": (lambda d: d["config"].update(quantiles=0.5),
@@ -586,6 +597,11 @@ CORRUPTIONS = {
     "activation": (lambda d: d["config"].update(activation=["relu"]),
                    "MlpConfig.activation must be one of ['identity', 'relu', 'sigmoid', "
                    "'tanh'], got ['relu']"),
+    # used to load, then fail the rollout's first step and exit 3
+    "head.w-nan": (_first_value("head.w", np.nan),
+                   "bad.checkpoint.json: parameter 'head.w' holds a non-finite value"),
+    "head.w-inf": (_first_value("head.w", -np.inf),
+                   "bad.checkpoint.json: parameter 'head.w' holds a non-finite value"),
 }
 
 

@@ -193,6 +193,32 @@ class TestTide:
             m.forward(m.init_params(0), RNG.normal(size=(1, 18)),
                       RNG.normal(size=(1, 2)))  # needs 2 steps * 2 covariates
 
+    @pytest.mark.parametrize("quantiles", [(), (0.01, 0.5, 0.99)])
+    def test_one_step_forecast_is_the_temporal_blocks_output(self, quantiles):
+        # at horizon 1 the decoded forecast is the temporal block's own
+        # (B, T * Q) output: no concatenate or reshape of it reaches the tape
+        cfg = TideConfig(temporal_width=2, decoder_output_dim=3, lookback=4, n_covariates=2,
+                         quantiles=quantiles, use_layer_norm=True)
+        m = Tide(cfg)
+        params = m.init_params(0)
+        out = m.forward(params, RNG.normal(size=(3, 12)), RNG.normal(size=(3, 2)))
+        # the nodes that read the temporal block's parameters, and all after them
+        after = {id(t) for name, t in params.items() if name.startswith("temporal.")}
+        forwards = []
+        for node in autodiff._toposort(out):
+            if node._call is not None and any(id(p) in after for p in node._parents):
+                after.add(id(node))
+                forwards.append(node._call[0])
+        assert forwards.count(autodiff._affine) == 3    # the block's three linear maps
+        assert autodiff._concat not in forwards and autodiff._reshape not in forwards
+        # its rollout plan: the last concatenate is the temporal block's input
+        tm = make_trained(quantiles, family="tide")
+        x3 = RNG.normal(size=(1, 4, 3))
+        proj = tm.model.project(tm.params, RNG.normal(size=(1, 5, 2))).data
+        source = autodiff.capture(tm.model.decode, tm.params, x3, proj).source
+        assert source.count("_concatenate") == 2
+        assert ".reshape(" not in source[source.rindex("_concatenate"):]
+
     def test_forward_and_predict_window_reject_missing_covariates_alike(self):
         # the forward and the trained model's window check are one check, with one text
         tm = make_trained(family="tide")

@@ -1,12 +1,14 @@
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from toilcast.iec import IecParams, steady_state
+from toilcast.models import load_checkpoint
 from toilcast.rolling import (ForecastTrace, autoregressive_predict, evaluate,
                               iec_predict)
 from toilcast.series import AffineScaler, TimeSeries, TransformerDataset, format_instant
@@ -415,6 +417,9 @@ ROLLOUT_CASES = {"ann": ("ann", (), 1, {}), "ann-q": ("ann", Q, 1, {}),
                  "ann-tanh": ("ann", (), 1, {"activation": "tanh"}),
                  "ann-sigmoid": ("ann", (), 1, {"activation": "sigmoid"}),
                  "ann-identity": ("ann", (), 1, {"activation": "identity"})}
+# the benchmark's four trained checkpoints, by rollout label
+BENCHMARK_CHECKPOINTS = {name: Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+                         / f"{name}.checkpoint.json" for name in ("ann", "ann-q", "tcn", "tide")}
 # heads with no 0.5 level: they forecast without feed, and cannot roll out
 NO_MEDIAN_CASES = {"ann-q90": ("ann", (0.9,), 1, {}), "tcn-q90": ("tcn", (0.9,), 1, {}),
                    "tide-q90": ("tide", (0.9,), 1, {})}
@@ -664,6 +669,23 @@ class TestPreparedRollout:
         forwards = (autodiff._affine, autodiff._layer_norm, autodiff._causal_conv1d)
         assert not [v for v in plan.run.__defaults__ or () if any(v is f for f in forwards)]
         assert ".dot(" in plan.source
+
+    @pytest.mark.parametrize("case", [*BENCHMARK_CHECKPOINTS, "tcn-wn"])
+    def test_replay_takes_only_what_its_body_reads(self, case):
+        # a constant that no line of the plan names is not bound, such as a
+        # convolution's kernel, which its form reads through the taps it binds,
+        # or a weight-normed kernel folded at capture
+        if case in BENCHMARK_CHECKPOINTS:
+            model = load_checkpoint(BENCHMARK_CHECKPOINTS[case])
+        else:
+            family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+            model = make_model(family, quantiles, n_targets, **overrides)
+        matrix = make_dataset(60, seed=59).matrix(model.input_channels)
+        plan = traced_forecast(model, matrix, feed=False)[1]
+        # the replay's parameters, and the names its body reads
+        header, body = (set(re.findall(r"\b[sf]\d+\b", text))
+                        for text in plan.source.split("\n", 1))
+        assert header - body == set()
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_point_rollout_replays_once_per_step(self, family, monkeypatch):

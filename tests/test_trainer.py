@@ -6,12 +6,12 @@ import pytest
 
 from toilcast import autodiff, metrics, training
 from toilcast.autodiff import Tensor
-from toilcast.models import Mlp, MlpConfig, build_model, config_from_dict
+from toilcast.models import Mlp, MlpConfig, Tide, build_model, config_from_dict
 from toilcast.series import WindowSet, make_windows, scale_windows
 from toilcast.training import (DivergenceError, GridSpec, TrainConfig, TrialResult,
                                fit_dataset, grid_search, point_loss, quantile_loss,
                                rank_trials, select_best, train)
-from util import IDENTITY, make_dataset, mql
+from util import IDENTITY, make_dataset, mql, stacked_decode
 
 
 def linear_windows(n=64, seed=0):
@@ -171,6 +171,32 @@ class TestTrain:
             reports.append(train(m, m.init_params(tc.seed), ws, tc))
         assert reports[0].epoch_losses == reports[1].epoch_losses
         assert reports[0].param_checksum == reports[1].param_checksum
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize("loss", ["point", "quantile"])
+    def test_tide_trains_as_its_stacked_decode(self, loss, horizon, monkeypatch):
+        # TiDE's decode, which concatenates its steps' rows, trains to the
+        # losses and parameters of the one that stacked (B, 1, T * Q) blocks
+        # (tests/util.py), dropout's masks included
+        q = (0.1, 0.5, 0.9)
+        inputs, targets = ("top_oil", "ambient", "load_factor"), ("top_oil",)
+        ws = scale_windows(make_windows(make_dataset(400, seed=9), 8, horizon, inputs, targets,
+                                        inputs[1:]), IDENTITY)
+        cfg = config_from_dict("tide", {"temporal_width": 3, "decoder_output_dim": 2,
+                                        "hidden_size": 8, "lookback": 8, "horizon": horizon,
+                                        "use_layer_norm": True, "dropout": 0.1,
+                                        "quantiles": q if loss == "quantile" else ()})
+        tc = TrainConfig(batch_size=64, max_epochs=2, learning_rate=1e-3, seed=3, loss=loss,
+                         quantiles=q)
+
+        def run():
+            m = build_model("tide", cfg)
+            r = train(m, m.init_params(tc.seed), ws, tc)
+            return r.param_checksum, [x.hex() for x in r.epoch_losses]
+
+        rows = run()
+        monkeypatch.setattr(Tide, "decode", stacked_decode)
+        assert rows == run()
 
     def test_fast_reductions_train_as_numpys(self, monkeypatch):
         # oracle: the same training with both sum helpers put back to numpy's

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from toilcast.autodiff import Tensor, backward, capture
+from toilcast import nn
+from toilcast.autodiff import Tensor, backward, capture, concat, reshape
 from toilcast.iec import load_bracket
 from toilcast.metrics import _pair, pinball
 from toilcast.series import (CHANNELS, STEP_5MIN_S, STEP_HOUR_S, AffineScaler, TimeSeries,
@@ -89,6 +90,27 @@ def replay_oracle(plan, *inputs) -> np.ndarray:
     for fwd, slots, k in plan._steps:
         vals[k] = fwd(*[vals[s] for s in slots])
     return vals[plan._out]
+
+
+def stacked_decode(tide, params, x3, proj, rng=None) -> Tensor:
+    """TiDE's decode as it once joined its horizon steps: each temporal
+    block's output reshaped to (B, 1, T * Q), the steps concatenated along
+    axis 1, one step alone too, and the stack flattened. The oracle of
+    `Tide.decode`, which concatenates the steps' (B, T * Q) rows."""
+    cfg = tide.cfg
+    B, L, H, T = x3.shape[0], cfg.lookback, cfg.horizon, cfg.n_targets
+    y_flat = reshape(x3[:, :, :T], (B, L * T))
+    e = concat([y_flat, reshape(proj, (B, (L + H) * cfg.temporal_width))], axis=1)
+    for i in range(cfg.n_encoder_layers):
+        e = tide._block(e, params, f"encoder{i}", rng)
+    for i in range(cfg.n_decoder_layers):
+        e = tide._block(e, params, f"decoder{i}", rng)
+    D = reshape(e, (B, H, cfg.decoder_output_dim))
+    steps = [reshape(tide._block(concat([D[:, t, :], proj[:, L + t, :]], axis=1), params,
+                                 "temporal", rng), (B, 1, T * cfg.n_quantiles))
+             for t in range(H)]
+    decoded = reshape(concat(steps, axis=1), (B, cfg.n_outputs))
+    return decoded + nn.linear(y_flat, params, "global")
 
 
 def window_views(model, scaled, proj, i) -> tuple:
