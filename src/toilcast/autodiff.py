@@ -364,7 +364,9 @@ def causal_conv1d(x, w, b, dilation: int = 1, start: int = 0, stride: int = 1) -
 # 0 * inf gives 0, not NaN). Each form takes the plan, the step's output
 # slot, its argument slots, and the recorded output and arguments; it returns
 # the step's lines, or None where the operands fail its guard and the step
-# keeps its forward's call or expression. A replay sees the shapes and
+# keeps its forward's call. A step that owns a buffer (`k in plan._bound`)
+# makes its first write into it with `out=`, and each product it adds in
+# place into a scratch buffer of its own. A replay sees the shapes and
 # layouts of the capture, so the guard is decided once. tests/util.py holds
 # the multi-row forwards as the oracles of these forms.
 
@@ -376,6 +378,28 @@ def _shaped(plan, j: int, shape: tuple) -> str:
     if j in plan._computed or np.size(plan._vals[j]) != math.prod(shape):
         return f"s{j}"
     return f"s{plan._new(np.reshape(plan._vals[j], shape))}"
+
+
+def _at(plan, base: tuple, key) -> tuple:
+    """`base[key]` for a (name, bound array or None) pair, as such a pair:
+    bound once at capture where the array is bound and the result is a view
+    of it, else the expression, evaluated per replay, with a slice key bound
+    as a constant."""
+    name, array = base
+    if array is not None:
+        view = array[key]
+        if np.shares_memory(view, array):
+            return f"s{plan._bind(view)}", view
+    index = repr(key) if isinstance(key, int) else f"s{plan._new(key)}"
+    return f"{name}[{index}]", None
+
+
+def _out(plan, k: int, shape: tuple | None = None) -> str:
+    """The out argument of a write by step k: its buffer, or with `shape` a
+    new scratch buffer; none where the step makes its result afresh."""
+    if k not in plan._bound:
+        return ""
+    return f", s{k}" if shape is None else f", s{plan._bind(np.full(shape, np.nan))}"
 
 
 def _pairwise(terms: list) -> str:
@@ -417,8 +441,8 @@ def _affine_form(plan, k, slots, out, x, w, b):
         # one value: the forward's own sum, which sets up less than an add in
         # place and keeps the NaN that x @ w + b keeps of NaN + NaN
         if out.size == 1:
-            return [f"s{k} = {x}.dot({w}) + {b}"]
-        return [f"s{k} = {x}.dot({w})", f"s{k} += {b}"]
+            return [f"s{k} = _add({x}.dot({w}{_out(plan, k, out.shape)}), {b}{_out(plan, k)})"]
+        return [f"s{k} = {x}.dot({w}{_out(plan, k)})", f"s{k} += {b}"]
     return None
 
 
@@ -427,12 +451,13 @@ def _layer_norm_form(plan, k, slots, out, x, gamma, beta, eps):
         return None
     # the sums and moments in Python floats; the power stays numpy's, whose
     # SIMD loop can round unlike Python's **
+    row = _at(plan, plan._named(slots[0]), 0)[0]
     x, eps = f"s{slots[0]}", f"s{slots[3]}"
     gamma, beta = (_shaped(plan, j, out.shape) for j in slots[1:3])
     n = out.shape[1]
     inv = repr(1.0 / n)
-    return [*_row_sum(f"m{k}", x, n, "{}", f"_reduce({x}[0])"),
-            f"s{k} = {x} - m{k} * {inv}",
+    return [*_row_sum(f"m{k}", x, n, "{}", f"_reduce({row})"),
+            f"s{k} = _subtract({x}, m{k} * {inv}{_out(plan, k)})",
             *_row_sum(f"v{k}", f"s{k}", n, "{0} * {0}", f"_reduce((s{k} * s{k})[0])"),
             f"s{k} *= _float(_power(_array(v{k} * {inv} + {eps}), -0.5))",
             f"s{k} *= {gamma}", f"s{k} += {beta}"]
@@ -444,32 +469,72 @@ def _causal_conv1d_form(plan, k, slots, out, x, w, b, rows, taps):
             or slots[1] in plan._computed:
         return None
     const = lambda value: f"s{plan._new(value)}"
-    lines = [f"x{k} = s{slots[0]}[0]", f"s{k} = x{k}[{const(rows)}].dot({const(w[0])})"]
+    lines, x = [], _at(plan, plan._named(slots[0]), 0)
+    if x[1] is None:     # a view of an input, taken once per replay
+        lines, x = [f"x{k} = {x[0]}"], (f"x{k}", None)
+    # the product's rows: a view of the step's buffer, or a fresh product
+    own = k in plan._bound
+    y = _at(plan, plan._named(k), 0) if own else (f"s{k}", None)
+    product = f"{_at(plan, x, rows)[0]}.dot({const(w[0])}"
+    o = f", {y[0]}" if own else ""
     if out.size == 1:     # one value: the forward's own sum, as in the affine form
-        lines[-1] += f" + s{slots[2]}"
-    elif slots[2] not in plan._computed and len(b) > 1 and b.flags.c_contiguous:
+        lines.append(f"{y[0]} = _add({product}{_out(plan, k, out.shape[1:])}), s{slots[2]}{o})")
+    else:
+        lines.append(f"{y[0]} = {product}{o})")
         # a constant bias tiled to the product's shape adds in the loop that
         # adds the broadcast row; a strided or one-value bias goes to another
         # loop, which can keep the other NaN of NaN + NaN
-        lines.append(f"s{k} += {const(np.tile(b, (out.shape[1], 1)))}")
-    else:
-        lines.append(f"s{k} += s{slots[2]}")
+        tiled = slots[2] not in plan._computed and len(b) > 1 and b.flags.c_contiguous
+        bias = const(np.tile(b, (out.shape[1], 1))) if tiled else f"s{slots[2]}"
+        lines.append(f"{y[0]} += {bias}")
     for i, j0, src in taps:
-        lines.append(f"s{k}{f'[{j0}:]' if j0 else ''} += x{k}[{const(src)}].dot({const(w[i])})")
-    return [*lines, f"s{k} = s{k}[None]"]
+        rows_j0 = _at(plan, y, slice(j0, None))[0] if j0 else y[0]
+        product = f"{_at(plan, x, src)[0]}.dot({const(w[i])}"
+        lines.append(f"{rows_j0} += {product}{_out(plan, k, (out.shape[1] - j0, out.shape[2]))})")
+    return lines if own else [*lines, f"s{k} = s{k}[None]"]
 
 
 _FORMS = {_affine: _affine_form, _layer_norm: _layer_norm_form,
           _causal_conv1d: _causal_conv1d_form}
-# forwards that a replay writes as the expression they evaluate, made from
-# their argument names
-_EXPRESSIONS = {operator.add: "{} + {}".format, operator.sub: "{} - {}".format,
-                operator.mul: "{} * {}".format, operator.getitem: "{}[{}]".format,
-                _reshape: "{}.reshape({})".format, np.fmax: "_fmax({}, {})".format,
-                _concat: lambda *args: f"_concatenate(({', '.join(args[:-1])},), {args[-1]})"}
+# forwards that a replay writes as one numpy call made from their argument
+# names, `o` the out argument of a step that owns its buffer
+_EXPRESSIONS = {operator.add: "_add({}, {}{o})".format,
+                operator.sub: "_subtract({}, {}{o})".format,
+                operator.mul: "_multiply({}, {}{o})".format, np.fmax: "_fmax({}, {}{o})".format,
+                _concat: lambda *args, o: f"_concatenate(({', '.join(args[:-1])},), {args[-1]}{o})"}
+# forwards that give a view of their first argument where numpy can: bound
+# once at capture on a buffer, else written as the expression
+_VIEWS = {operator.getitem: "{}[{}]".format, _reshape: "{}.reshape({})".format}
 # the names the forms and expressions call
 _REPLAY_GLOBALS = {"_float": float, "_reduce": np.add.reduce, "_power": np.power,
-                   "_array": np.array, "_fmax": np.fmax, "_concatenate": np.concatenate}
+                   "_array": np.array, "_add": np.add, "_subtract": np.subtract,
+                   "_multiply": np.multiply, "_fmax": np.fmax, "_concatenate": np.concatenate}
+
+
+def _write(plan, k: int, args: tuple, node: Tensor, fresh: bool) -> list[str] | None:
+    """The lines of the step that gives `node` in slot k, or None where it
+    keeps its forward's call. A view of a bound slot is bound in turn, and
+    writes nothing; any other step with a form or an expression owns a
+    buffer, NaN until its first write, unless it is `fresh`."""
+    fwd, _, static = node._call
+    if fwd in _VIEWS:
+        base = plan._bound.get(args[0])
+        if base is not None:
+            view = fwd(base, *static)
+            if np.shares_memory(view, base):
+                plan._bound[k] = view
+                return []
+        return [f"s{k} = " + _VIEWS[fwd](*(f"s{j}" for j in args))]
+    if fwd not in _FORMS and fwd not in _EXPRESSIONS:
+        return None
+    if not fresh and isinstance(node.data, np.ndarray):
+        plan._bound[k] = np.full_like(node.data, np.nan)
+    if fwd in _EXPRESSIONS:
+        return [f"s{k} = " + _EXPRESSIONS[fwd](*(f"s{j}" for j in args), o=_out(plan, k))]
+    lines = _FORMS[fwd](plan, k, args, node.data, *(p.data for p in node._parents), *static)
+    if lines is None:
+        plan._bound.pop(k, None)
+    return lines
 
 
 class Plan:
@@ -481,42 +546,57 @@ class Plan:
     value slots of its arguments and its output slot. `capture` compiles the
     record into `run`, one function whose body makes the steps' numpy calls
     in order on local variables, its text in `source`: the inputs are its
-    parameters, and the constants its code names and the forwards it calls
-    are bound as their defaults.
+    parameters, and the constants and buffers its code names and the
+    forwards it calls are bound as their defaults.
     A step that has a form, or that is one operator, is written out in
-    place of its forward's call. A replay takes inputs of the shapes and
-    layouts of the capture's."""
+    place of its forward's call, and owns a buffer that each replay
+    overwrites: its first write fills it with `out=`. A view of a buffer is
+    bound once as a view. Views of the inputs, the steps whose forward is
+    called and the output step are made afresh on every replay, so a replay
+    returns an array of its own. The buffers make a plan not re-entrant: one
+    replay must end before the next begins. A replay takes inputs of the
+    shapes and layouts of the capture's."""
 
     def __init__(self, n_inputs: int):
         self._vals, self._steps, self._n_inputs = [None] * n_inputs, [], n_inputs
         self._computed = set(range(n_inputs))     # slots a replay fills
-        self._forms: dict[int, list[str]] = {}      # output slot -> one-row form's lines
+        self._bound: dict[int, np.ndarray] = {}     # slot -> buffer, or view of one
+        self._lines: dict[int, list[str]] = {}      # output slot -> written-out step
 
     def _new(self, value) -> int:
         self._vals.append(value)
         return len(self._vals) - 1
 
+    def _named(self, j: int) -> tuple:
+        return f"s{j}", self._bound.get(j)
+
+    def _bind(self, array: np.ndarray) -> int:
+        """A new slot bound to `array`, which a replay writes or reads through."""
+        k = self._new(None)
+        self._computed.add(k)
+        self._bound[k] = array
+        return k
+
     def _compile(self) -> None:
         """Bind `run`: the steps as straight-line code on the slots' names."""
         body, calls = [], {}
         for fwd, slots, k in self._steps:
-            args = [f"s{j}" for j in slots]
-            if k in self._forms:
-                body += self._forms[k]
-            elif fwd in _EXPRESSIONS:
-                body.append(f"s{k} = " + _EXPRESSIONS[fwd](*args))
+            if k in self._lines:
+                body += self._lines[k]
             else:
                 calls[f"f{k}"] = fwd
-                body.append(f"s{k} = f{k}({', '.join(args)})")
+                body.append(f"s{k} = f{k}({', '.join(f's{j}' for j in slots)})")
         body.append(f"return s{self._out}")
-        # the constants the code names: a form may read an argument through its own
+        # the constants and buffers the code names: a form may read an
+        # argument through its own
         named = {int(j) for j in re.findall(r"\bs(\d+)\b", "\n".join(body))}
-        consts = sorted(named - self._computed)
-        names = [*(f"s{k}" for k in (*range(self._n_inputs), *consts)), *calls]
+        bound = sorted(j for j in named if j in self._bound or j not in self._computed)
+        names = [*(f"s{k}" for k in (*range(self._n_inputs), *bound)), *calls]
         self.source = "\n".join([f"def replay({', '.join(names)}):",
                                   *(f"    {line}" for line in body)])
         self.run = FunctionType(_compiled(self.source), _REPLAY_GLOBALS, "replay",
-                                (*(self._vals[k] for k in consts), *calls.values()))
+                                (*(self._bound.get(j, self._vals[j]) for j in bound),
+                                 *calls.values()))
 
     def __call__(self, *inputs: np.ndarray) -> np.ndarray:
         if len(inputs) != self._n_inputs:
@@ -540,9 +620,12 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
 
     The forward's control flow may depend on shapes, not on values. The
     parameters, and results computed from them alone, are bound as
-    constants. Any other operand must be an input, a scalar or a primitive's
-    result, or else RuntimeError says that the forward read `.data` outside a
-    primitive; so does a plan whose replay on `inputs` differs from the forward.
+    constants. The plan owns a buffer per written-out step, so it is not
+    re-entrant; each replay still returns a fresh array (or the input or
+    constant the forward returns). Any other operand must be an input, a
+    scalar or a primitive's result, or else RuntimeError says that the
+    forward read `.data` outside a primitive; so does a plan whose replay on
+    `inputs` differs from the forward in any byte.
     """
     tensors = tuple(Tensor(x, requires_grad=True) for x in inputs)
     params = {k: Tensor(t.data, requires_grad=True, name=t.name) for k, t in params.items()}
@@ -561,6 +644,12 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
             slots[id(t)] = plan._new(t.data)     # a parameter or a scalar literal
         return slots[id(t)]
 
+    # the output, and the results it is a view of, are made afresh by each replay
+    fresh, t = {id(out)}, out
+    while t._call is not None and t._call[0] in _VIEWS \
+            and np.shares_memory(t.data, t._parents[0].data):
+        t = t._parents[0]
+        fresh.add(id(t))
     for node in _toposort(out):     # producers before consumers
         if node._call is None:
             continue
@@ -573,15 +662,14 @@ def capture(forward, params: dict, *inputs: np.ndarray) -> Plan:
         slots[id(node)] = k = plan._new(None)
         plan._computed.add(k)
         plan._steps.append((fwd, args, k))
-        if fwd in _FORMS:
-            lines = _FORMS[fwd](plan, k, args, node.data, *(p.data for p in node._parents),
-                                *static)
-            if lines is not None:
-                plan._forms[k] = lines
+        lines = _write(plan, k, args, node, id(node) in fresh)
+        if lines is not None:
+            plan._lines[k] = lines
     plan._out = slot(out, out)
     plan._compile()
-    del plan._computed, plan._forms
-    if not np.array_equal(plan(*inputs), out.data, equal_nan=True):
+    del plan._computed, plan._bound, plan._lines
+    got, want = np.asarray(plan(*inputs)), out.data
+    if got.shape != want.shape or got.tobytes() != want.tobytes():
         raise RuntimeError("capture: replaying the plan does not reproduce the forward pass")
     return plan
 

@@ -332,11 +332,12 @@ class Tide(_Family):
         g = e
         for i in range(cfg.n_decoder_layers):
             g = self._block(g, params, f"decoder{i}", rng)
-        D = reshape(g, (B, H, cfg.decoder_output_dim))
+        # at H = 1 the temporal block reads the decoder output itself
+        D = reshape(g, (B, H, cfg.decoder_output_dim)) if H > 1 else None
 
         steps = []     # each horizon step's (B, T * n_quantiles) values
         for t in range(H):
-            td_in = concat([D[:, t, :], proj[:, L + t, :]], axis=1)
+            td_in = concat([g if D is None else D[:, t, :], proj[:, L + t, :]], axis=1)
             steps.append(self._block(td_in, params, "temporal", rng))
         decoded = steps[0] if H == 1 else concat(steps, axis=1)
 

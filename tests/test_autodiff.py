@@ -482,6 +482,14 @@ def _captured(fn, x, *operands) -> Plan:
     return capture(lambda p, x: fn(x, *p.values()), params, x)
 
 
+def _replays(fn, x, *operands) -> list[bytes]:
+    """The bytes of `fn(x, *operands)` replayed on `x` by two captured
+    plans: one whose output it is, made afresh, and one in which it writes
+    into a buffer of its own that a concatenate then copies out."""
+    return [_captured(fn, x, *operands).run(x).tobytes(),
+            _captured(lambda *a: concat([fn(*a)], axis=0), x, *operands).run(x).tobytes()]
+
+
 def calls(plan: Plan, fwd) -> bool:
     """Whether the plan's replay calls the forward `fwd`, bound as a default."""
     return any(v is fwd for v in plan.run.__defaults__ or ())
@@ -493,7 +501,8 @@ class TestOneRowForms:
     and causal convolution, and its relu and concatenation, against their
     multi-row forwards (tests/util.py) or numpy's own calls, byte for byte.
     Most cases are one row; the layouts, widths and row counts that keep the
-    forward's call are drawn too, and must match as well."""
+    forward's call are drawn too, and must match as well. Each form is
+    replayed both as a plan's fresh output and writing into its own buffer."""
 
     def test_affine(self):
         rng = np.random.default_rng(17)
@@ -501,8 +510,7 @@ class TestOneRowForms:
             k, n = _width(rng), _width(rng)
             x, w = _one_row_operand(rng, (*_rows(rng), k)), _one_row_operand(rng, (k, n))
             b = _one_row_operand(rng, (n,))
-            got = _captured(affine, x, w, b).run(x)
-            assert got.tobytes() == affine_oracle(x, w, b).tobytes()
+            assert _replays(affine, x, w, b) == [affine_oracle(x, w, b).tobytes()] * 2
 
     def test_layer_norm(self):
         # past 32 values the row sums are numpy's own
@@ -513,8 +521,8 @@ class TestOneRowForms:
             x = _one_row_operand(rng, (*_rows(rng), n)) + rng.normal() * 10.0 ** rng.uniform(-4, 4)
             gamma, beta = _one_row_operand(rng, (n,)), _one_row_operand(rng, (n,))
             eps = float(rng.choice([1e-5, 1e-12, 0.1]))
-            got = _captured(lambda x, g, b: layer_norm(x, g, b, eps), x, gamma, beta).run(x)
-            assert got.tobytes() == layer_norm_oracle(x, gamma, beta, eps).tobytes()
+            got = _replays(lambda x, g, b: layer_norm(x, g, b, eps), x, gamma, beta)
+            assert got == [layer_norm_oracle(x, gamma, beta, eps).tobytes()] * 2
 
     def test_causal_conv1d(self):
         rng = np.random.default_rng(19)
@@ -526,9 +534,8 @@ class TestOneRowForms:
             batch = 1 if rng.random() < 0.8 else 2
             x = _one_row_operand(rng, (batch, T, c_in))
             w, b = _one_row_operand(rng, (k, c_in, c_out)), _one_row_operand(rng, (c_out,))
-            plan = _captured(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
-            got = plan.run(x)
-            assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
+            got = _replays(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
+            assert got == [causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()] * 2
 
     @pytest.mark.parametrize("width", range(1, 131))
     def test_row_sum_equals_numpy(self, width):
@@ -571,8 +578,8 @@ class TestOneRowForms:
             b = _layouts(rng.choice(edges, size=(1, c_out)))[rng.integers(4)][0]
             plan = _captured(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
             assert not calls(plan, autodiff._causal_conv1d)
-            got = plan.run(x)
-            assert got.tobytes() == causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()
+            got = _replays(lambda x, w, b: causal_conv1d(x, w, b, d, start, stride), x, w, b)
+            assert got == [causal_conv1d_oracle(x, w, b, d, start, stride).tobytes()] * 2
 
     def test_affine_with_one_output_value(self):
         # NaN of either sign in the product and in the bias: the one-value sum
@@ -585,7 +592,7 @@ class TestOneRowForms:
             w = _one_row_operand(rng, (k, 1))
             b = rng.choice(edges, size=((1,), (1, 1))[rng.integers(2)])
             plan = _captured(affine, x, w, b)
-            assert plan.run(x).tobytes() == affine_oracle(x, w, b).tobytes()
+            assert _replays(affine, x, w, b) == [affine_oracle(x, w, b).tobytes()] * 2
             assert w.flags.c_contiguous == (".dot(" in plan.source) and "+=" not in plan.source
 
     def test_relu_of_signed_zeros_and_nan(self):
@@ -612,20 +619,36 @@ class TestOneRowForms:
         assert not np.shares_memory(got, x)
         assert got.tobytes() == forward(Tensor(x)).data.tobytes()
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "relu", "concat"])
+    def test_expressions_written_into_a_buffer(self, op):
+        # an operator, relu and a concatenate that write with out= into the
+        # step's buffer give the bytes of the fresh result: NaN of both
+        # signs, signed zeros, infinities, layouts and broadcast rows drawn
+        fn = {"add": lambda x, c: x + c, "sub": lambda x, c: x - c, "mul": lambda x, c: x * c,
+              "relu": lambda x, c: relu(x), "concat": lambda x, c: concat([x, c], axis=-1)}[op]
+        rng = np.random.default_rng(25)
+        edges = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 5e-324])
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            x, c = (_layouts(rng.choice(edges, size=(1, n)) * rng.normal(size=(1, n)))
+                    [rng.integers(4)] for _ in range(2))
+            if op != "concat" and rng.random() < 0.3:
+                c = c[0]
+            assert _replays(fn, x, c) == [fn(Tensor(x), Tensor(c)).data.tobytes()] * 2
+
     def test_lone_values_keep_matmuls_bits(self):
         # `dot` scales by a lone value without BLAS, which turns 0 * inf into
         # 0: rows one value wide must keep matmul, which gives NaN
         for v in SUM_EDGES:
             for u in SUM_EDGES:
                 x, w, b = np.full((1, 1), v), np.full((1, 3), u), np.zeros(3)
-                got = _captured(affine, x, w, b).run(x)
-                assert got.tobytes() == affine_oracle(x, w, b).tobytes()
+                assert _replays(affine, x, w, b) == [affine_oracle(x, w, b).tobytes()] * 2
                 x = np.array([[[1.0], [2.0], [v]]])
                 for w in (np.full((2, 1, 3), u), np.full((2, 1, 1), u)):
                     b = np.zeros(w.shape[2])
                     # the last position alone, so one row of one value
-                    got = _captured(lambda x, w, b: causal_conv1d(x, w, b, 1, 2), x, w, b).run(x)
-                    assert got.tobytes() == causal_conv1d_oracle(x, w, b, 1, 2).tobytes()
+                    got = _replays(lambda x, w, b: causal_conv1d(x, w, b, 1, 2), x, w, b)
+                    assert got == [causal_conv1d_oracle(x, w, b, 1, 2).tobytes()] * 2
 
     def test_one_row_forms_taken(self, monkeypatch):
         class Spy(np.ndarray):
@@ -822,6 +845,89 @@ class TestCapture:
         monkeypatch.setattr(Plan, "__call__", lambda self, *inputs: np.zeros((1, 2)))
         with pytest.raises(RuntimeError, match="does not reproduce"):
             capture(lambda p, x: affine(x, p["w"], p["b"]), self.PARAMS, np.ones((1, 3)))
+
+    def test_replay_that_differs_only_in_a_zeros_sign_rejected(self, monkeypatch):
+        # equal values one bit apart: the replay gives 0.0 for -0.0 and back
+        monkeypatch.setattr(Plan, "__call__", lambda self, *inputs: -self.run(*inputs))
+        with pytest.raises(RuntimeError, match="does not reproduce"):
+            capture(lambda p, x: affine(x, p["w"], p["b"]) * 0.0, self.PARAMS, np.ones((1, 3)))
+
+    def test_step_that_misses_its_first_write_rejected(self, monkeypatch):
+        # each buffer is NaN until its step writes it, whatever its memory
+        # held before, so an affine map that only adds its bias into its
+        # buffer fails capture
+        first_replay, call = [], Plan.__call__
+
+        def recording(plan, *inputs):
+            if not first_replay:
+                first_replay.extend((v, v.copy()) for v in plan.run.__defaults__
+                                    if isinstance(v, np.ndarray))
+            return call(plan, *inputs)
+
+        monkeypatch.setattr(Plan, "__call__", recording)
+        capture(self.mixed_forward, self.PARAMS, np.ones((1, 3)))
+        written = [was for v, was in first_replay if v.tobytes() != was.tobytes()]
+        assert written and all(np.isnan(was).all() for was in written)
+        form = autodiff._FORMS[autodiff._affine]
+        monkeypatch.setitem(autodiff._FORMS, autodiff._affine, lambda *args: form(*args)[1:])
+        with pytest.raises(RuntimeError, match="does not reproduce"):
+            capture(lambda p, x: affine(x, p["w"], p["b"]) * 2.0, self.PARAMS, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("forward", [
+        mixed_forward,
+        lambda p, x: affine(x, p["w"], p["b"])[:, 1:],
+        lambda p, x: reshape(relu(affine(x, p["w"], p["b"]))[:, ::-1], (2,)),
+        lambda p, x: relu(affine(x, p["w"], p["b"])) * 2.0,
+    ], ids=["concatenate", "view-of-a-form", "views-of-an-operator", "operator"])
+    def test_replays_return_arrays_of_their_own(self, forward):
+        # the output step, and the steps it is a view of, make a fresh array
+        # on every replay, which the next replay leaves as it was
+        plan = capture(forward, self.PARAMS, np.ones((1, 3)))
+        x, y = np.random.default_rng(4).normal(size=(2, 1, 3))
+        one = plan(x)
+        kept = one.copy()
+        two = plan(y)
+        assert not np.shares_memory(one, two) and one.tobytes() == kept.tobytes()
+        assert two.tobytes() == forward(self.PARAMS, Tensor(y)).data.tobytes()
+
+    @pytest.mark.parametrize("family", ["tcn", "tide"])
+    def test_replay_leaves_nothing_to_the_next(self, family):
+        # a plan replayed on window A and then on B gives on B the bytes of
+        # a plan captured on B: each replay writes every buffer in full
+        from toilcast.models import TcnConfig, TideConfig, build_model
+
+        rng = np.random.default_rng(5)
+        if family == "tcn":
+            model = build_model("tcn", TcnConfig(kernel=2, n_filters=3, lookback=6))
+            params, forward = model.init_params(3), model.forward
+            a, b = ((rng.normal(size=(1, 18)),) for _ in range(2))
+        else:
+            model = build_model("tide", TideConfig(temporal_width=2, decoder_output_dim=3,
+                                                   hidden_size=8, lookback=6,
+                                                   use_layer_norm=True))
+            params, forward = model.init_params(3), model.decode
+            a, b = ((rng.normal(size=(1, 6, 3)),
+                     model.project(params, rng.normal(size=(1, 7, 2))).data) for _ in range(2))
+        plan = capture(forward, params, *a)
+        plan(*a)
+        assert plan(*b).tobytes() == capture(forward, params, *b)(*b).tobytes()
+        if family == "tcn":     # a tap that adds onto the product from its second row on
+            assert any(j0 >= 1 for fwd, args, _ in plan._steps if fwd is autodiff._causal_conv1d
+                       for _, j0, _ in plan._vals[args[4]])
+
+    @pytest.mark.parametrize("key", [np.array([1, 0, 1]), slice(1, None)],
+                             ids=["integer-array", "slice"])
+    def test_only_views_of_a_step_are_bound(self, key):
+        # numpy copies on an integer-array index, so that getitem of a step's
+        # buffer is made on every replay; a slice is a view, bound at capture
+        def forward(p, x):
+            return relu(affine(x, p["w"], p["b"]))[:, key] * 2.0
+
+        plan = capture(forward, self.PARAMS, np.ones((1, 3)))
+        per_replay = re.search(r"^    s\d+ = s\d+\[s\d+\]$", plan.source, re.M)
+        assert bool(per_replay) == isinstance(key, np.ndarray)
+        for x in np.random.default_rng(6).normal(size=(3, 1, 3)):
+            assert plan(x).tobytes() == forward(self.PARAMS, Tensor(x)).data.tobytes()
 
 
 class TestAdam:

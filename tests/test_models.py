@@ -219,6 +219,28 @@ class TestTide:
         assert source.count("_concatenate") == 2
         assert ".reshape(" not in source[source.rindex("_concatenate"):]
 
+    @pytest.mark.parametrize("quantiles", [(), (0.01, 0.5, 0.99)])
+    def test_one_step_temporal_block_reads_the_decoder_output(self, quantiles, monkeypatch):
+        # at horizon 1 the temporal block's concatenate reads the last decoder
+        # block's output itself: no reshape or getitem between them on a
+        # training tape, which dropout draws from its generator
+        cfg = TideConfig(temporal_width=2, decoder_output_dim=3, lookback=4, n_covariates=2,
+                         quantiles=quantiles, use_layer_norm=True, dropout=0.1)
+        m = Tide(cfg)
+        params = {k: Tensor(t.data, requires_grad=True, name=t.name)
+                  for k, t in m.init_params(0).items()}
+        blocks, block = {}, m._block
+
+        def recording(h, params, prefix, rng):
+            blocks[prefix] = (h, block(h, params, prefix, rng))
+            return blocks[prefix][1]
+
+        monkeypatch.setattr(m, "_block", recording)
+        m.forward(params, RNG.normal(size=(3, 12)), RNG.normal(size=(3, 2)),
+                  rng=np.random.default_rng(1))
+        td_in, decoded = blocks["temporal"][0], blocks["decoder1"][1]
+        assert td_in._call[0] is autodiff._concat and td_in._parents[0] is decoded
+
     def test_forward_and_predict_window_reject_missing_covariates_alike(self):
         # the forward and the trained model's window check are one check, with one text
         tm = make_trained(family="tide")

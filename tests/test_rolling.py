@@ -670,22 +670,42 @@ class TestPreparedRollout:
         assert not [v for v in plan.run.__defaults__ or () if any(v is f for f in forwards)]
         assert ".dot(" in plan.source
 
-    @pytest.mark.parametrize("case", [*BENCHMARK_CHECKPOINTS, "tcn-wn"])
-    def test_replay_takes_only_what_its_body_reads(self, case):
-        # a constant that no line of the plan names is not bound, such as a
-        # convolution's kernel, which its form reads through the taps it binds,
-        # or a weight-normed kernel folded at capture
+    @staticmethod
+    def benchmark_plan(case):
+        """The plan that a forecast without feed captures for a benchmark
+        fixture, or for a rollout case."""
         if case in BENCHMARK_CHECKPOINTS:
             model = load_checkpoint(BENCHMARK_CHECKPOINTS[case])
         else:
             family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
             model = make_model(family, quantiles, n_targets, **overrides)
         matrix = make_dataset(60, seed=59).matrix(model.input_channels)
-        plan = traced_forecast(model, matrix, feed=False)[1]
+        return traced_forecast(model, matrix, feed=False)[1]
+
+    @pytest.mark.parametrize("case", [*BENCHMARK_CHECKPOINTS, "tcn-wn"])
+    def test_replay_takes_only_what_its_body_reads(self, case):
+        # a constant or buffer that no line of the plan names is not bound,
+        # such as a convolution's kernel, which its form reads through the
+        # taps it binds, or a weight-normed kernel folded at capture
+        plan = self.benchmark_plan(case)
         # the replay's parameters, and the names its body reads
         header, body = (set(re.findall(r"\b[sf]\d+\b", text))
                         for text in plan.source.split("\n", 1))
         assert header - body == set()
+
+    @pytest.mark.parametrize("case", [*BENCHMARK_CHECKPOINTS, "tcn-wn"])
+    def test_replay_makes_no_view_of_a_bound_array(self, case):
+        # every view of a step's buffer or of a constant (a convolution's rows
+        # and taps, a residual's skip slice, a [0] or [None]) is bound once
+        # at capture; a replay indexes or reshapes only an input, or a view
+        # of one that it made
+        plan = self.benchmark_plan(case)
+        body, inputs = plan.source.split("\n", 1)[1], {f"s{k}" for k in range(plan._n_inputs)}
+        for name, base in re.findall(r"^ +(s\d+) = (s\d+)(?:\[|\.reshape\()", body, re.M):
+            if base in inputs:
+                inputs.add(name)
+        viewed = set(re.findall(r"\b(s\d+)(?:\[|\.reshape\()", body))
+        assert "[None]" not in body and viewed <= inputs
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_point_rollout_replays_once_per_step(self, family, monkeypatch):
