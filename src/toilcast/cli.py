@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .iec import IecParams
 from .metrics import validate_quantiles
-from .models import config_from_dict, load_checkpoint, save_checkpoint
+from .models import FAMILIES, config_from_dict, load_checkpoint, save_checkpoint
 from .rolling import autoregressive_predict, evaluate, iec_predict
 from .series import (AffineScaler, SplitSpec, check_flag, check_object, format_instant,
                      load_dataset, read_json, split, write_csv, write_json)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
                                ("grid", "hyperparameter grid search")):
         p = sub.add_parser(command, help=help_text)
         add_common(p)
-        p.add_argument("--model", required=True, choices=("ann", "tcn", "tide"))
+        p.add_argument("--model", required=True, choices=tuple(FAMILIES))
         p.add_argument("--loss", default="point", choices=("point", "quantile"))
 
     p_eval = sub.add_parser("eval", help="autoregressive evaluation")

@@ -78,6 +78,8 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, p: IecParams) -> TimeSeri
     integrates; load and ambient are held constant (left endpoint) across
     the sub-steps of each interval. Load, ambient and t0 must be finite and
     the load >= 0 (`load_bracket`); ValueError names the series and row.
+    A `tau_w_min` that cuts an interval into no sub-step, or into more than
+    int64 can count, is a ValueError naming it.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
@@ -86,7 +88,15 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, p: IecParams) -> TimeSeri
         row = int(np.argmin(np.isfinite(Ta.values)))
         raise ValueError(f"simulate: ambient at row {row} is {Ta.values[row]}, not finite")
     gaps_s = np.diff(K.timestamps)
-    n_sub = np.ceil(gaps_s / (30.0 * p.tau_w_min)).astype(np.int64)
+    with np.errstate(over="ignore"):   # an overflow is an infinite count, rejected below
+        n_sub = np.ceil(gaps_s / (30.0 * p.tau_w_min))
+    fits = (n_sub >= 1) & (n_sub < 2.0 ** 63)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        raise ValueError(f"simulate: IecParams.tau_w_min = {p.tau_w_min} cuts the "
+                         f"{gaps_s[row]} s interval after row {row} into {n_sub[row]} "
+                         "sub-steps; the count must be a whole number from 1 to 2**63 - 1")
+    n_sub = n_sub.astype(np.int64)
     alpha = gaps_s / n_sub / 60.0 / (p.k11 * p.tau_o_min)   # dt [min] / (k11 tau_o)
 
     # the Euler loop over Python floats from memoryviews (the same IEEE

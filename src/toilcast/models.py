@@ -25,12 +25,19 @@ from .series import (CHANNELS, AffineScaler, check_count, check_flag, check_obje
                      read_json, strided_windows, write_json)
 
 
+@dataclass(frozen=True)
 class _ModelConfig:
-    """Validation and output sizing shared by the three family configs, each
-    a frozen dataclass that names its integer fields that must be >= 1 in
-    `_positive`."""
+    """The fields, validation and output sizing shared by the three family
+    configs. Each family config is a frozen dataclass that adds its own
+    fields and extends `_positive`, the integer fields that must be >= 1."""
 
-    _positive = ()
+    lookback: int = 48
+    n_targets: int = 1
+    horizon: int = 1
+    activation: str = "relu"
+    quantiles: tuple[float, ...] = ()
+
+    _positive = ("lookback", "n_targets", "horizon")
 
     def __post_init__(self):
         for name in self._positive:
@@ -56,14 +63,9 @@ class _ModelConfig:
 class MlpConfig(_ModelConfig):
     n_layers: int = 4
     n_neurons: int = 64
-    lookback: int = 48
     n_channels: int = 3
-    n_targets: int = 1
-    horizon: int = 1
-    activation: str = "relu"
-    quantiles: tuple[float, ...] = ()
 
-    _positive = ("n_layers", "n_neurons", "lookback", "n_channels", "n_targets", "horizon")
+    _positive = _ModelConfig._positive + ("n_layers", "n_neurons", "n_channels")
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,11 @@ class TcnConfig(_ModelConfig):
     kernel: int = 2
     n_filters: int = 16
     n_blocks: int | None = None   # None: smallest stack whose receptive field covers L
-    lookback: int = 48
     n_channels: int = 3
-    n_targets: int = 1
-    horizon: int = 1
-    activation: str = "relu"
-    quantiles: tuple[float, ...] = ()
     dropout: float = 0.0          # regularization switches, off by default
     weight_norm: bool = False
 
-    _positive = ("kernel", "n_filters", "lookback", "n_channels", "n_targets", "horizon")
+    _positive = _ModelConfig._positive + ("kernel", "n_filters", "n_channels")
 
     def __post_init__(self):
         super().__post_init__()
@@ -97,19 +94,14 @@ class TideConfig(_ModelConfig):
     hidden_size: int = 32             # width of encoder/decoder residual blocks
     n_encoder_layers: int = 2
     n_decoder_layers: int = 2
-    lookback: int = 48
-    horizon: int = 1
-    n_targets: int = 1
     n_covariates: int = 2
     n_static: int = 0                 # kept for checkpoints; must be 0
-    activation: str = "relu"
-    quantiles: tuple[float, ...] = ()
     dropout: float = 0.0          # regularization switches, off by default
     use_layer_norm: bool = False
 
-    _positive = ("temporal_width", "decoder_output_dim", "temporal_decoder_hidden",
-                 "hidden_size", "n_encoder_layers", "n_decoder_layers", "lookback",
-                 "horizon", "n_targets", "n_covariates")
+    _positive = _ModelConfig._positive + (
+        "temporal_width", "decoder_output_dim", "temporal_decoder_hidden", "hidden_size",
+        "n_encoder_layers", "n_decoder_layers", "n_covariates")
 
     def __post_init__(self):
         super().__post_init__()

@@ -19,7 +19,10 @@ from .series import (STEP_5MIN_S, STEP_HOUR_S, TimeSeries, TransformerDataset, c
                      check_object, check_real, check_real_fields, format_instant, parse_instant,
                      resample_ambient_linear, write_csv)
 
-DEFAULT_ORIGIN = "2020-07-01T00:00:00+00:00"
+# the first instant of every series, and the hours of day the load and the ambient peak at
+ORIGIN = "2020-07-01T00:00:00+00:00"
+LOAD_PEAK_HOUR = 14.0
+AMBIENT_PEAK_HOUR = 15.0
 
 # Illustrative ONAN constants; the paper's transformer constants are not public.
 DEFAULT_IEC = IecParams(psi=5.0, delta_t_or_k=38.3, chi=0.8, k11=1.0,
@@ -32,7 +35,6 @@ class LoadProfile:
     diurnal_amplitude: float = 0.25
     weekly_amplitude: float = 0.08
     noise_sigma: float = 0.04
-    peak_hour: float = 14.0
 
     def __post_init__(self):
         check_real_fields(self, noise_sigma=(">= 0",))
@@ -44,7 +46,6 @@ class AmbientProfile:
     diurnal_amplitude: float = 5.0
     ar_coeff: float = 0.9            # hourly AR(1) noise memory
     noise_sigma: float = 0.4         # AR(1) innovation std [K]
-    peak_hour: float = 15.0
 
     def __post_init__(self):
         check_real_fields(self, noise_sigma=(">= 0",), ar_coeff=(">= 0", "< 1"))
@@ -58,7 +59,6 @@ class SynthSpec:
     load: LoadProfile = field(default_factory=LoadProfile)
     ambient: AmbientProfile = field(default_factory=AmbientProfile)
     measurement_noise_k: float = 0.5
-    origin: str = DEFAULT_ORIGIN
 
     def __post_init__(self):
         check_count("SynthSpec", "days", self.days)
@@ -90,7 +90,7 @@ def gen_profiles(spec: SynthSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     sinusoid plus AR(1) noise) and linearly interpolated to 5 minutes, so a
     round trip through the hourly CSV reproduces it exactly.
     """
-    start = parse_instant(spec.origin)
+    start = parse_instant(ORIGIN)
     n = spec.days * 288 + 1
     grid = start + STEP_5MIN_S * np.arange(n, dtype=np.int64)
     hours_of_day = (grid - start) / 3600.0
@@ -99,7 +99,7 @@ def gen_profiles(spec: SynthSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     lp = spec.load
     load_rng = _stream(spec, 0)
     K = (lp.mean_pu
-         + lp.diurnal_amplitude * np.sin(2.0 * np.pi * (hours_of_day - lp.peak_hour + 6.0) / 24.0)
+         + lp.diurnal_amplitude * np.sin(2.0 * np.pi * (hours_of_day - LOAD_PEAK_HOUR + 6.0) / 24.0)
          + lp.weekly_amplitude * np.sin(2.0 * np.pi * days / 7.0))
     if lp.noise_sigma > 0:
         K = K + load_rng.normal(0.0, lp.noise_sigma, size=n)
@@ -110,7 +110,8 @@ def gen_profiles(spec: SynthSpec) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
     n_h = spec.days * 24 + 1
     hourly_ts = start + STEP_HOUR_S * np.arange(n_h, dtype=np.int64)
     hod = (hourly_ts - start) / 3600.0
-    base = ap.mean_c + ap.diurnal_amplitude * np.sin(2.0 * np.pi * (hod - ap.peak_hour + 6.0) / 24.0)
+    base = ap.mean_c + ap.diurnal_amplitude * np.sin(
+        2.0 * np.pi * (hod - AMBIENT_PEAK_HOUR + 6.0) / 24.0)
     noise = np.zeros(n_h)
     if ap.noise_sigma > 0:
         eps = amb_rng.normal(0.0, ap.noise_sigma, size=n_h)

@@ -164,9 +164,10 @@ def fit_dataset(family: str, model_cfg, train_ds: TransformerDataset,
                       inputs, targets, future)
     ws = scale_windows(ws, scaler)
     model = build_model(family, model_cfg)
-    params = model.init_params(cfg.seed)
-    report = train(model, params, ws, cfg)
-    trained = TrainedModel(family, model_cfg, params, inputs, targets, scaler, cfg.seed)
+    report = train(model, model.init_params(cfg.seed), ws, cfg)
+    # the final parameters take no gradient: a rollout records no tape outside its capture
+    trained = TrainedModel(family, model_cfg, report.final_params, inputs, targets, scaler,
+                           cfg.seed)
     return trained, report
 
 

@@ -21,7 +21,7 @@ from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
                              save_checkpoint)
 from toilcast.rolling import ForecastTrace, autoregressive_predict, evaluate, iec_predict
 from toilcast.series import AffineScaler, SplitSpec, TimeSeries, parse_instant, split
-from toilcast.synth import SynthSpec, gen_dataset
+from toilcast.synth import ORIGIN, SynthSpec, gen_dataset
 from toilcast.training import TrainConfig, fit_dataset
 from util import make_dataset, max_rel_err, mql
 
@@ -243,7 +243,7 @@ SCALER = AffineScaler({"top_oil": (0.01, 0.0), "ambient": (0.01, 0.0),
 
 def benchmark_split():
     ds, _, _ = gen_dataset(SPEC)
-    start = parse_instant(SPEC.origin)
+    start = parse_instant(ORIGIN)
     day = 86400
     spec = SplitSpec(start, start + 42 * day - 300, start + 42 * day,
                      start + 60 * day)

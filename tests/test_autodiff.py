@@ -992,12 +992,13 @@ class TestAdam:
                 p["b"].data = ref["b"] = rng.normal(size=4)
             grads = {n: rng.normal(size=s) for n, s in shapes.items()}
             nn.adam_update(p, grads, state)
-            c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+            b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for n, g in grads.items():   # the per-parameter update, as a reference
-                m[n] = state.beta1 * m.get(n, 0.0) + (1.0 - state.beta1) * g
-                v[n] = state.beta2 * v.get(n, 0.0) + (1.0 - state.beta2) * g * g
+                m[n] = b1 * m.get(n, 0.0) + (1.0 - b1) * g
+                v[n] = b2 * v.get(n, 0.0) + (1.0 - b2) * g * g
                 ref[n] = ref[n] - state.learning_rate * (m[n] / c1) / (
-                    np.sqrt(v[n] / c2) + state.eps)
+                    np.sqrt(v[n] / c2) + nn.ADAM_EPS)
             for n in p:
                 assert p[n].data.shape == shapes[n]
                 assert np.array_equal(p[n].data, ref[n]), (t, n)

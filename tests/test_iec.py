@@ -101,6 +101,17 @@ class TestCheckTimestep:
         assert np.array_equal(simulate(K, Ta, 30.0, p).values,
                               held_input_run(K, Ta, 30.0, p, 30))
 
+    @pytest.mark.parametrize("tau_w_min, count", [(1e-300, "1e+301"), (1e-320, "inf"),
+                                                  (1e307, "0.0")])
+    def test_sub_step_count_outside_int64_names_tau_w(self, tau_w_min, count):
+        # tau_w_min=1e-300 used to give a constant trace and an invalid-cast
+        # warning: 1e+301 sub-steps cast to int64 became a negative count
+        K, Ta, p = const_series(1.0, 3), const_series(20.0, 3), replace(P, tau_w_min=tau_w_min)
+        with pytest.raises(ValueError, match=re.escape(
+                f"IecParams.tau_w_min = {tau_w_min} cuts the 300 s interval after row 0 "
+                f"into {count} sub-steps")):
+            simulate(K, Ta, 30.0, p)
+
 
 def closed_form(t_min, t0, t_ss, p):
     return t_ss + (t0 - t_ss) * np.exp(-t_min / (p.k11 * p.tau_o_min))

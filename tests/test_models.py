@@ -8,8 +8,8 @@ import pytest
 from toilcast import autodiff, nn
 from toilcast.autodiff import Tensor, absolute, mean
 from toilcast.models import (Mlp, MlpConfig, Tcn, TcnConfig, Tide, TideConfig,
-                             TrainedModel, build_model, config_from_dict,
-                             _rf, load_checkpoint, save_checkpoint)
+                             TrainedModel, build_model, config_fingerprint, config_from_dict,
+                             family_classes, _rf, load_checkpoint, save_checkpoint)
 from toilcast.series import AffineScaler
 from util import max_rel_err
 
@@ -380,6 +380,21 @@ class TestTrainedModel:
         save_checkpoint(p2, tm)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("family, fingerprint", [
+        ("ann", "9f61e032440f32cec1aae462a87bd824d3c75aa424bab048ce237908b7c8ac45"),
+        ("tcn", "3b10001fa990c3b24e6481d6257c7f48e914deeacd434984508bc921fdf7fab6"),
+        ("tide", "e7e2613655a4c506715ad6878af72e7669ae9bef991bd42c4c8926767478812a")])
+    def test_default_config_fingerprint_is_pinned(self, family, fingerprint):
+        # every config field is hashed: renaming, dropping or adding a field,
+        # or changing a default, changes the fingerprint, so no older
+        # checkpoint would load
+        cfg = family_classes(family)[0]()
+        scaler = AffineScaler({"top_oil": (0.01, 0.0), "ambient": (0.01, 0.0),
+                               "load_factor": (1.0, 0.0)})
+        tm = TrainedModel(family, cfg, {}, ("top_oil", "ambient", "load_factor"), ("top_oil",),
+                          scaler, 0)
+        assert config_fingerprint(tm) == fingerprint
+
     def _tampered(self, tmp_path, edit):
         path = tmp_path / "model.checkpoint.json"
         save_checkpoint(path, make_trained(family="tide"))
@@ -515,7 +530,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("raw", [5, [1], "n_layers"])
     def test_config_must_be_an_object(self, raw):
-        with pytest.raises(ValueError, match=r"MlpConfig must be an object with keys 'n_layers', "):
+        with pytest.raises(ValueError, match=r"MlpConfig must be an object with keys 'lookback', "):
             config_from_dict("ann", raw)
 
     def test_quantile_list_coerced(self):

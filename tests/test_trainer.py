@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from toilcast import autodiff, metrics, training
+from toilcast import autodiff, metrics, nn, training
 from toilcast.autodiff import Tensor
-from toilcast.models import Mlp, MlpConfig, Tide, build_model, config_from_dict
+from toilcast.models import (Mlp, MlpConfig, TcnConfig, Tide, TideConfig, build_model,
+                             config_from_dict)
 from toilcast.series import WindowSet, make_windows, scale_windows
 from toilcast.training import (DivergenceError, GridSpec, TrainConfig, TrialResult,
                                fit_dataset, grid_search, point_loss, quantile_loss,
@@ -428,6 +429,39 @@ class TestFitDataset:
         b, rb = fit_dataset("ann", cfg, ds, IDENTITY, tc)
         assert ra.param_checksum == rb.param_checksum
         assert a.config_hash == b.config_hash
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_trained_parameters_take_no_gradient(self, family, monkeypatch):
+        # as a loaded model's: a rollout records the tape of its capture and
+        # nothing else, TiDE's projection of the whole slice included
+        from toilcast import models
+        ds = make_dataset(80, seed=6)
+        cfg = {"ann": MlpConfig(n_layers=1, n_neurons=4, lookback=6),
+               "tcn": TcnConfig(kernel=2, n_filters=3, lookback=6),
+               "tide": TideConfig(temporal_width=2, decoder_output_dim=3, hidden_size=4,
+                                  lookback=6)}[family]
+        tm, report = fit_dataset(family, cfg, ds, IDENTITY,
+                                 TrainConfig(batch_size=32, max_epochs=1, learning_rate=1e-3))
+        assert not any(t.requires_grad for t in tm.params.values())
+        assert nn.param_checksum(tm.params) == report.param_checksum
+        # `_apply` looks up a primitive's VJP only to record a tape node
+        taped, before_capture = [], []
+
+        class WatchedTable(dict):
+            def __getitem__(self, fwd):
+                taped.append(fwd)
+                return super().__getitem__(fwd)
+
+        def capturing(*args):
+            before_capture.append(len(taped))
+            plan = autodiff.capture(*args)
+            taped.clear()
+            return plan
+
+        monkeypatch.setattr(autodiff, "_VJP", WatchedTable(autodiff._VJP))
+        monkeypatch.setattr(models, "capture", capturing)
+        assert np.isfinite(tm.forecast(ds.matrix(tm.input_channels))).all()
+        assert before_capture == [0] and taped == []
 
     def test_multi_target_channels(self):
         ds = make_dataset(80, seed=7)
