@@ -19,6 +19,8 @@ import numpy as np
 
 from .series import TimeSeries, check_object, check_real, check_real_fields, read_json
 
+MAX_SUB_STEPS = 10**8   # the most Euler sub-steps one `simulate` call takes
+
 
 @dataclass(frozen=True)
 class IecParams:
@@ -78,8 +80,8 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, p: IecParams) -> TimeSeri
     integrates; load and ambient are held constant (left endpoint) across
     the sub-steps of each interval. Load, ambient and t0 must be finite and
     the load >= 0 (`load_bracket`); ValueError names the series and row.
-    A `tau_w_min` that cuts an interval into no sub-step, or into more than
-    int64 can count, is a ValueError naming it.
+    A `tau_w_min` that cuts an interval into no sub-step or past int64, or
+    the series past MAX_SUB_STEPS sub-steps, is a ValueError naming it.
     """
     if len(K) != len(Ta) or (K.timestamps != Ta.timestamps).any():
         raise ValueError("load and ambient series are not aligned")
@@ -96,6 +98,9 @@ def simulate(K: TimeSeries, Ta: TimeSeries, t0: float, p: IecParams) -> TimeSeri
         raise ValueError(f"simulate: IecParams.tau_w_min = {p.tau_w_min} cuts the "
                          f"{gaps_s[row]} s interval after row {row} into {n_sub[row]} "
                          "sub-steps; the count must be a whole number from 1 to 2**63 - 1")
+    if (total := n_sub.sum()) > MAX_SUB_STEPS:
+        raise ValueError(f"simulate: IecParams.tau_w_min = {p.tau_w_min} cuts the series into "
+                         f"{total:.4g} sub-steps, more than MAX_SUB_STEPS = {MAX_SUB_STEPS}")
     n_sub = n_sub.astype(np.int64)
     alpha = gaps_s / n_sub / 60.0 / (p.k11 * p.tau_o_min)   # dt [min] / (k11 tau_o)
 

@@ -341,15 +341,19 @@ class Tide(_Family):
 FAMILIES = {"ann": (MlpConfig, Mlp), "tcn": (TcnConfig, Tcn), "tide": (TideConfig, Tide)}
 
 
-def family_classes(family: str):
-    """The (config class, model class) pair of a family name."""
+def family_classes(family: str, cfg=None):
+    """The (config class, model class) pair of a family name; ValueError if
+    `cfg` is given and is not that family's config."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown model family '{family}' (expected one of {sorted(FAMILIES)})")
+    if cfg is not None and not isinstance(cfg, FAMILIES[family][0]):
+        raise ValueError(f"family '{family}' needs a {FAMILIES[family][0].__name__}, "
+                         f"got a {type(cfg).__name__}")
     return FAMILIES[family]
 
 
 def build_model(family: str, cfg):
-    return family_classes(family)[1](cfg)
+    return family_classes(family, cfg)[1](cfg)
 
 
 def config_from_dict(family: str, raw: dict):
@@ -373,6 +377,7 @@ class TrainedModel:
     seed: int
 
     def __post_init__(self):
+        family_classes(self.family, self.config)
         for name in ("input_channels", "target_channels"):
             channels = getattr(self, name)
             if not isinstance(channels, (list, tuple)) or any(c not in CHANNELS for c in channels):
@@ -411,17 +416,22 @@ class TrainedModel:
         return levels.index(0.5) if 0.5 in levels else None
 
     def forecast(self, matrix: np.ndarray, feed: bool = True) -> np.ndarray:
-        """The (n, H, T, Q) predictions in raw units, quantile levels sorted,
-        over a raw-unit (N, C) input matrix. The matrix is scaled once into a
-        copy, and the forward pass (TiDE: `decode`, on covariates projected
-        once) is captured on its first window. Step i replays it on rows
-        i-L .. i-1 (TiDE also reads the covariates of rows i .. i+H-1). With
-        `feed`, steps L .. N-1 run in turn, each writing its `median` level
-        into row i of the copy, where later windows read it; ValueError if
-        `median` is None. Without, one step runs on every measured window.
-        ValueError if the matrix is shorter than one window."""
+        """The (N - L, T, Q) predictions in raw units, levels sorted, of a
+        one-step model over a raw (N, C) matrix of N > L rows, one column per
+        input channel (else ValueError): steps i = L .. N-1 in both modes, so
+        row k forecasts row L + k. The matrix is scaled once into a copy, and
+        the forward (TiDE: `decode`, on covariates projected once) is captured
+        on its first window. Step i replays it on rows i-L .. i-1 (TiDE: and
+        the covariates of row i); with `feed` (ValueError if `median` is
+        None), it writes its `median` level into row i, read by later windows."""
         cfg, L = self.config, self.config.lookback
-        H, T, Q = cfg.horizon, cfg.n_targets, cfg.n_quantiles
+        T, Q = cfg.n_targets, cfg.n_quantiles
+        if cfg.horizon != 1:
+            raise ValueError(f"forecast steps one row at a time, got horizon {cfg.horizon}")
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != len(self.input_channels) or len(matrix) <= L:
+            raise ValueError(f"forecast: the matrix has shape {matrix.shape}, need more than L={L} "
+                             f"rows and a column per input channel {self.input_channels}")
         cols = [self.input_channels.index(c) for c in self.target_channels]
         if feed:   # the median's slot and column of each target
             if self.median is None:
@@ -430,32 +440,26 @@ class TrainedModel:
             fed = [(t * Q + self.median, j) for t, j in enumerate(cols)]
         gain, offset = self.scaler.vectors(self.input_channels)
         # C order, so that a flattened window is a view that `strided_windows` can stride
-        scaled = np.ascontiguousarray((np.asarray(matrix, dtype=np.float64) - offset) * gain)
-        forward, tide = self.model.forward, self.family == "tide"
-        need = L + (H if tide else 0)
-        if len(scaled) < need:
-            raise ValueError(f"forecast: the slice has {len(scaled)} rows, one window needs "
-                             f"{need} (lookback {L}" + (f" + horizon {H})" if tide else ")"))
-        if tide:
-            proj = self.model.project(
-                self.params, np.ascontiguousarray(scaled[:, cfg.n_targets:])).data
+        scaled = np.ascontiguousarray((matrix - offset) * gain)
+        forward = self.model.forward
+        if self.family == "tide":
+            proj = self.model.project(self.params, np.ascontiguousarray(scaled[:, T:])).data
             forward = self.model.decode
             windows = (strided_windows(scaled, scaled[None, :L], L),
-                       strided_windows(proj, proj[None, :need], need))
+                       strided_windows(proj, proj[None, :L + 1], L + 1))
         else:
             windows = (strided_windows(scaled, scaled[None, :L].reshape(1, -1), L),)
         replay = capture(forward, self.params, *(w[0] for w in windows)).run
-        stop = len(scaled) if feed else L + min(map(len, windows))
-        # each output value's target gain and offset, in (H, T, Q) order
-        gains = [float(gain[j]) for _ in range(H) for j in cols for _ in range(Q)]
-        offsets = [float(offset[j]) for _ in range(H) for j in cols for _ in range(Q)]
+        # each output value's target gain and offset, in (T, Q) order
+        gains = [float(gain[j]) for j in cols for _ in range(Q)]
+        offsets = [float(offset[j]) for j in cols for _ in range(Q)]
         rows, width = memoryview(scaled.reshape(-1)), scaled.shape[1]
         # in Python floats: the same IEEE double operations, in the same order,
         # as numpy's, without a numpy call on a handful of values. `sorted`
         # orders finite levels as np.sort does; a NaN it may leave in any
         # slot, where the caller's finiteness check finds it
         out = array("d")
-        for i, inputs in zip(range(L, stop), zip(*windows)):
+        for i, inputs in zip(range(L, len(scaled)), zip(*windows)):
             y = list(map(add, map(truediv, replay(*inputs).tolist()[0], gains), offsets))
             if Q > 1:
                 y = [v for q in range(0, len(y), Q) for v in sorted(y[q: q + Q])]
@@ -463,20 +467,18 @@ class TrainedModel:
             if feed:
                 for m, j in fed:
                     rows[i * width + j] = (y[m] - offsets[m]) * gains[m]
-        return np.frombuffer(out).reshape(-1, H, T, Q)
+        return np.frombuffer(out).reshape(-1, T, Q)
 
     def predict_window(self, window: np.ndarray, future: np.ndarray | None = None) -> np.ndarray:
-        """The forecast from one raw-unit (L, C) window, plus for TiDE the
-        (H, n_covariates) covariates over the forecast steps."""
+        """The (T, Q) forecast of the row after one raw-unit (L, C) window;
+        TiDE also reads that row's n_covariates covariates, `future`."""
         cfg = self.config
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (cfg.lookback, len(self.input_channels)):
-            raise ValueError(f"window shape {window.shape} != "
+        if np.shape(window) != (cfg.lookback, len(self.input_channels)):
+            raise ValueError(f"window shape {np.shape(window)} != "
                              f"({cfg.lookback}, {len(self.input_channels)})")
+        window = np.vstack([window, np.zeros((1, len(self.input_channels)))])
         if self.family == "tide":
-            future = _future_covariates(cfg, future, lambda f: np.reshape(f, (1, -1)))
-            window = np.vstack([window, np.zeros((cfg.horizon, window.shape[1]))])
-            window[cfg.lookback:, cfg.n_targets:] = future.reshape(cfg.horizon, -1)
+            window[-1, cfg.n_targets:] = _future_covariates(cfg, future, np.ravel)
         return self.forecast(window, feed=False)[0]
 
 

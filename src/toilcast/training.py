@@ -11,9 +11,8 @@ import numpy as np
 
 from . import nn
 from .autodiff import Tensor, absolute, backward, maximum, mean, reshape
-from .metrics import mae, mse
 from .models import TrainedModel, build_model, config_from_dict, family_classes
-from .rolling import autoregressive_predict
+from .rolling import autoregressive_predict, evaluate
 from .series import (AffineScaler, TransformerDataset, WindowSet, check_count, check_object,
                      check_real, make_windows, scale_windows)
 
@@ -250,11 +249,10 @@ def grid_search(grid: GridSpec, base_cfg, train_ds: TransformerDataset,
             cfg = config_from_dict(grid.family, overrides)
             trained, _ = fit_dataset(grid.family, cfg, train_ds, scaler, trial_train)
             trace = autoregressive_predict(trained, valid_ds)
-            truth = valid_ds.channel(trained.target_channels[0]).values[cfg.lookback:]
-            result = TrialResult(trial_id, grid.family, combo, combo["lookback"],
-                                 mae(truth, trace.values[:, 0]),
-                                 mse(truth, trace.values[:, 0]), "ok",
-                                 n_params=nn.n_params(trained.params))
+            score = evaluate([trace], valid_ds).models[trace.model_id]["targets"][
+                trace.target_channels[0]]
+            result = TrialResult(trial_id, grid.family, combo, combo["lookback"], score["mae"],
+                                 score["mse"], "ok", n_params=nn.n_params(trained.params))
         except (ValueError, FloatingPointError) as exc:
             # a trial's invalid config or numeric failure; a bug still raises
             result = TrialResult(trial_id, grid.family, combo, combo["lookback"],

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from toilcast import iec
 from toilcast.iec import IecParams, load_bracket, simulate, steady_state
 from toilcast.series import TimeSeries
 from util import simulate_oracle
@@ -110,6 +111,24 @@ class TestCheckTimestep:
         with pytest.raises(ValueError, match=re.escape(
                 f"IecParams.tau_w_min = {tau_w_min} cuts the 300 s interval after row 0 "
                 f"into {count} sub-steps")):
+            simulate(K, Ta, 30.0, p)
+
+    def test_sub_step_total_past_the_ceiling_names_tau_w(self):
+        # 2e16 sub-steps in each 5-minute interval fit in int64, and the loop
+        # ran without end
+        K, Ta, p = const_series(1.0, 5), const_series(20.0, 5), replace(P, tau_w_min=5e-16)
+        with pytest.raises(ValueError, match=re.escape(
+                "IecParams.tau_w_min = 5e-16 cuts the series into 8e+16 sub-steps, "
+                f"more than MAX_SUB_STEPS = {iec.MAX_SUB_STEPS}")):
+            simulate(K, Ta, 30.0, p)
+
+    def test_sub_step_total_at_the_ceiling_accepted(self, monkeypatch):
+        # tau_w = 1 min: two intervals of ten sub-steps each
+        K, Ta, p = const_series(1.0, 3), const_series(20.0, 3), replace(P, tau_w_min=1.0)
+        monkeypatch.setattr(iec, "MAX_SUB_STEPS", 20)
+        assert np.array_equal(simulate(K, Ta, 30.0, p).values, held_input_run(K, Ta, 30.0, p, 30))
+        monkeypatch.setattr(iec, "MAX_SUB_STEPS", 19)
+        with pytest.raises(ValueError, match="into 20 sub-steps, more than MAX_SUB_STEPS = 19"):
             simulate(K, Ta, 30.0, p)
 
 

@@ -327,14 +327,14 @@ class TestTrainedModel:
         tm = make_trained()
         window = RNG.normal(40.0, 5.0, size=(4, 3))
         out = tm.predict_window(window, RNG.normal(size=(1, 2)))
-        assert out.shape == (1, 1, 1) and np.isfinite(out).all()
+        assert out.shape == (1, 1) and np.isfinite(out).all()
 
     def test_predict_enforces_non_crossing(self):
         tm = make_trained(quantiles=(0.01, 0.5, 0.99))
         window = RNG.normal(40.0, 5.0, size=(4, 3))
         out = tm.predict_window(window, RNG.normal(size=(1, 2)))
-        assert out.shape == (1, 1, 3)
-        assert (np.diff(out[0, 0]) >= 0).all()
+        assert out.shape == (1, 3)
+        assert (np.diff(out[0]) >= 0).all()
 
     def test_tide_needs_future(self):
         tm = make_trained(family="tide")
@@ -349,7 +349,21 @@ class TestTrainedModel:
         with pytest.raises(ValueError, match=rf"future covariates cover {np.size(future)} "
                                              r"values, need horizon\*n_covariates = 2"):
             tm.predict_window(window, future)
-        assert tm.predict_window(window, [5.0, 5.0]).shape == (1, 1, 1)
+        assert tm.predict_window(window, [5.0, 5.0]).shape == (1, 1)
+
+    @pytest.mark.parametrize("family, cfg", [("tcn", MlpConfig()), ("ann", TcnConfig()),
+                                             ("tide", MlpConfig()), ("ann", TideConfig())])
+    def test_config_of_another_family_rejected(self, family, cfg):
+        # a tcn TrainedModel with an MlpConfig was built and hashed, and failed
+        # only in `forecast`, with an AttributeError on 'n_blocks'
+        tm = make_trained()
+        message = re.escape(f"family '{family}' needs a {family_classes(family)[0].__name__}, "
+                            f"got a {type(cfg).__name__}")
+        with pytest.raises(ValueError, match=message):
+            build_model(family, cfg)
+        with pytest.raises(ValueError, match=message):
+            TrainedModel(family, cfg, tm.params, tm.input_channels, tm.target_channels,
+                         tm.scaler, seed=5)
 
     def test_wrong_window_shape_rejected(self):
         tm = make_trained()
@@ -477,8 +491,8 @@ class TestTrainedModel:
             out = tm.predict_window(RNG.normal(40.0, 5.0, size=(4, 3)), RNG.normal(size=(1, 2)))
             tapes.append(taped.copy())
         taped.clear()
-        tm.forecast(np.zeros((4 + (tm.config.horizon if family == "tide" else 0), 3)), feed=False)
-        assert out.shape == (1, 1, 3) and tapes[0] == tapes[1] == taped
+        tm.forecast(np.zeros((5, 3)), feed=False)
+        assert out.shape == (1, 3) and tapes[0] == tapes[1] == taped
         assert autodiff._affine in taped
 
     @pytest.mark.parametrize("family", ["ann", "tide"])
@@ -496,7 +510,7 @@ class TestTrainedModel:
         f = scaled(future, ("ambient", "load_factor"))
         out = tm.model.forward(tm.params, x.reshape(1, -1), f.reshape(1, -1))
         gain, offset = tm.scaler.channels["top_oil"]
-        want = out.data.reshape(1, 1, 3) / gain + offset
+        want = out.data.reshape(1, 3) / gain + offset
         assert np.array_equal(tm.predict_window(window, future), np.sort(want, axis=-1))
 
 

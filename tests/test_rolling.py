@@ -32,7 +32,7 @@ class StubModel:
     quantiles = ()
 
     def __init__(self, lookback, fn):
-        self.config = SimpleNamespace(lookback=lookback, horizon=1)
+        self.config = SimpleNamespace(lookback=lookback)
         self.fn = fn
 
     @property
@@ -43,12 +43,12 @@ class StubModel:
         rows, out = np.array(matrix, dtype=float), []
         for i in range(self.config.lookback, len(rows)):
             out.append(self.step(rows, i))
-            rows[i, :1] = out[-1][0, :, self.median]   # top_oil is the first input channel
+            rows[i, :1] = out[-1][:, self.median]   # top_oil is the first input channel
         return np.array(out)
 
     def step(self, rows, i):
         window = rows[i - self.config.lookback: i]
-        return np.asarray([[[self.fn(window)]]], dtype=float)
+        return np.asarray([[self.fn(window)]], dtype=float)
 
 
 class OracleModel(StubModel):
@@ -62,7 +62,7 @@ class OracleModel(StubModel):
     def step(self, rows, i):
         v = self.truth[self.i]
         self.i += 1
-        return np.asarray([[[v]]], dtype=float)
+        return np.asarray([[v]], dtype=float)
 
 
 class QuantileStub(StubModel):
@@ -77,9 +77,9 @@ class QuantileStub(StubModel):
 
     def step(self, rows, i):
         v = rows[i - 1, 0]
-        out = np.array([[[v - 1.0, v, v + 1.0]]])
+        out = np.array([[v - 1.0, v, v + 1.0]])
         if i - self.config.lookback == self.k:
-            out[0, 0, self.slot] = self.bad
+            out[0, self.slot] = self.bad
         return out
 
 
@@ -206,9 +206,11 @@ class TestAutoregressive:
             autoregressive_predict(make_model("ann", (0.1, 0.9)), valid)
 
     def test_too_short_validation_rejected(self):
-        valid = make_dataset(5, seed=8)
-        with pytest.raises(ValueError, match="more than"):
-            autoregressive_predict(StubModel(5, lambda w: 0.0), valid)
+        # `forecast` owns the check: a slice of L rows has no step to run
+        valid = make_dataset(6, seed=8)
+        with pytest.raises(ValueError, match=r"the matrix has shape \(6, 3\), need more than "
+                                             r"L=6 rows"):
+            autoregressive_predict(make_model("ann"), valid)
 
 
 class TestIecPredict:
@@ -481,8 +483,8 @@ class TestPreparedRollout:
         matrix = make_dataset(30, seed=52).matrix(model.input_channels)
         _, _, inputs = traced_forecast(model, matrix, feed=False)
         scaled, proj = scaled_slice(model, matrix)
-        L = model.config.lookback   # 6: one window per step i = L .. 30 (TiDE: .. 29)
-        assert len(inputs) == (24 if case == "tide" else 25)
+        L = model.config.lookback   # 6: one window per step i = L .. 29
+        assert len(inputs) == 24
         for i, views in enumerate(inputs, start=L):
             for got, want in zip(views, window_views(model, scaled, proj, i), strict=True):
                 assert got.shape == want.shape and got.strides == want.strides
@@ -492,15 +494,15 @@ class TestPreparedRollout:
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_one_step_per_measured_window(self, family):
-        # without feed, the first step reads rows 0 .. L-1 and the last the
-        # slice's last window: rows n-L .. n-1 (TiDE: and covariate row n-1)
+        # without feed, step k reads rows k .. k+L-1 and forecasts row k+L:
+        # the first reads rows 0 .. L-1 and the last rows n-L-1 .. n-2 (TiDE:
+        # and covariate row n-1)
         model = make_model(family)   # look-back 6
         matrix = make_dataset(20, seed=54).matrix(model.input_channels)
         out, _, inputs = traced_forecast(model, matrix, feed=False)
-        tide = family == "tide"
-        assert out.shape == (14 if tide else 15, 1, 1, 1) and len(inputs) == len(out)
+        assert out.shape == (14, 1, 1) and len(inputs) == len(out)
         for k in (0, len(out) - 1):
-            future = matrix[k + 6: k + 7, 1:] if tide else None
+            future = matrix[k + 6: k + 7, 1:] if family == "tide" else None
             assert model.predict_window(matrix[k: k + 6], future).tobytes() == \
                 out[k].tobytes()
 
@@ -521,7 +523,7 @@ class TestPreparedRollout:
         assert matrix.tobytes() == kept.tobytes()
         # a step from each window, or from one window, still forecasts with any head
         steps = model.forecast(matrix, feed=False)
-        assert steps.shape == (14 if family == "tide" else 15, 1, 1, 1)
+        assert steps.shape == (14, 1, 1)
         assert np.isfinite(steps).all() and matrix.tobytes() == kept.tobytes()
         future = matrix[6:7, 1:] if family == "tide" else None
         assert model.predict_window(matrix[:6], future).tobytes() == steps[0].tobytes()
@@ -574,11 +576,11 @@ class TestPreparedRollout:
         gain, offset = model.scaler.vectors(model.input_channels)
         cols = [model.input_channels.index(c) for c in model.target_channels]
         L, T, tide = model.config.lookback, n_targets, family == "tide"
-        assert len(got) == 40 - L + (0 if tide else 1)
-        for i in range(L, L + len(got)):
+        assert got.shape == (40 - L, T, len(quantiles) or 1)
+        for i in range(L, 40):
             future = Tensor(scaled[i: i + 1, T:].reshape(1, -1)) if tide else None
             want = model.model.forward(model.params, Tensor(scaled[i - L: i].reshape(1, -1)),
-                                       future).data.reshape(1, T, -1)
+                                       future).data.reshape(T, -1)
             want = np.sort(want / gain[cols][:, None] + offset[cols][:, None], axis=-1)
             assert got[i - L].tobytes() == want.tobytes()
             future = matrix[i: i + 1, T:] if tide else None
@@ -784,7 +786,7 @@ class TestPreparedRollout:
         mid = quantiles.index(0.5) if quantiles else 0
         gain, offset = model.scaler.vectors(model.input_channels)
         cols = [model.input_channels.index(c) for c in model.target_channels]
-        points = out[:, 0, :, mid]
+        points = out[:, :, mid]
         assert len(points) == len(inputs) == 24
         want[6:, cols] = (points - offset[cols]) * gain[cols]
         for i, views in enumerate(inputs, start=6):
@@ -812,15 +814,59 @@ class TestPreparedRollout:
         assert autoregressive_predict(model, valid).quantiles.tobytes() == \
             before.quantiles.tobytes()
 
-    @pytest.mark.parametrize("family, rows", [("ann", 6), ("tcn", 6), ("tide", 7)])
+    @pytest.mark.parametrize("family, rows", [("ann", 7), ("tcn", 7), ("tide", 7)])
     def test_slice_shorter_than_a_window_rejected(self, family, rows):
-        model = make_model(family)   # look-back 6; TiDE also reads 1 forecast row
+        # look-back 6: every family needs a row after its first window to forecast
+        model = make_model(family)
         matrix = make_dataset(rows, seed=47).matrix(model.input_channels)
         for feed in (False, True):
-            with pytest.raises(ValueError, match=rf"forecast: the slice has {rows - 1} rows, "
-                                                 rf"one window needs {rows} \(lookback 6"):
+            with pytest.raises(ValueError, match=rf"forecast: the matrix has shape \({rows - 1}, "
+                                                 r"3\), need more than L=6 rows"):
                 model.forecast(matrix[:-1], feed)
-        assert len(model.forecast(matrix, feed=False)) == 1
+            assert len(model.forecast(matrix, feed)) == 1
+
+    @pytest.mark.parametrize("case", ["ann", "ann-q", "tcn", "tcn-q", "tide", "tide-q",
+                                      "ann-2-targets"])
+    def test_both_modes_forecast_rows_l_to_n_minus_1(self, case):
+        # either mode runs steps L .. N-1, so row k forecasts row L + k: without
+        # feed, from the measured window before it; the first step reads only
+        # measured rows, so the modes share it. ANN and TCN ran one more
+        # step without feed, on the last window, forecasting past the slice
+        family, quantiles, n_targets, overrides = ROLLOUT_CASES[case]
+        model = make_model(family, quantiles, n_targets, **overrides)
+        matrix = make_dataset(25, seed=60).matrix(model.input_channels)
+        L, T = model.config.lookback, n_targets
+        fed, measured = model.forecast(matrix), model.forecast(matrix, feed=False)
+        assert fed.shape == measured.shape == (25 - L, T, len(quantiles) or 1)
+        assert fed[0].tobytes() == measured[0].tobytes()
+        for k in range(25 - L):
+            future = matrix[L + k, T:] if family == "tide" else None
+            assert model.predict_window(matrix[k: L + k], future).tobytes() == \
+                measured[k].tobytes()
+
+    @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
+    def test_multi_step_model_rejected(self, family):
+        # the rollout steps one row at a time, in both modes; the model trains
+        model = make_model(family, horizon=2)
+        valid = make_dataset(20, seed=61)
+        message = "forecast steps one row at a time, got horizon 2"
+        for feed in (False, True):
+            with pytest.raises(ValueError, match=message):
+                model.forecast(valid.matrix(model.input_channels), feed)
+        with pytest.raises(ValueError, match=message):
+            autoregressive_predict(model, valid)
+
+    @pytest.mark.parametrize("shape", [(20, 1), (20, 2), (20, 4), (60,), (20, 3, 1)])
+    @pytest.mark.parametrize("family", ["ann", "tide"])
+    def test_matrix_of_another_shape_rejected(self, family, shape):
+        # one column was broadcast into all three channels: a top-oil-only
+        # matrix forecast as if ambient and load were top oil too
+        model = make_model(family)
+        for feed in (False, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"forecast: the matrix has shape {shape}, need more than L=6 rows and a "
+                    f"column per input channel {model.input_channels}")):
+                model.forecast(np.full(shape, 40.0), feed)
 
     @pytest.mark.parametrize("inputs", [("top_oil", "temp_rise", "ambient", "load_factor"),
                                         ("top_oil", "ambient", "temp_rise", "load_factor")])
@@ -831,6 +877,6 @@ class TestPreparedRollout:
         want, _ = scaled_slice(model, matrix)
         cols = [inputs.index("top_oil"), inputs.index("temp_rise")]
         gain, offset = model.scaler.vectors(inputs)
-        want[6:, cols] = (out[:, 0, :, 0] - offset[cols]) * gain[cols]
+        want[6:, cols] = (out[:, :, 0] - offset[cols]) * gain[cols]
         assert [got.tobytes() for (got,) in inputs_seen] == \
             [want[i - 6: i].tobytes() for i in range(6, 20)]

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from toilcast import autodiff, metrics, nn, training
+from toilcast import autodiff, metrics, nn, rolling, training
 from toilcast.autodiff import Tensor
 from toilcast.models import (Mlp, MlpConfig, TcnConfig, Tide, TideConfig, build_model,
                              config_from_dict)
@@ -302,6 +302,24 @@ class TestGridSearch:
                              valid_ds, IDENTITY, TrainConfig(batch_size=64, max_epochs=1))
         assert [r.status for r in ranked] == ["ok", "ok"] and hashed == []
 
+    def test_trials_scored_by_evaluate(self, monkeypatch):
+        # eval, grid and the benchmark share one scorer: each trial's MAE and
+        # MSE are the primary target's entry of `rolling.evaluate`
+        reports = []
+
+        def recording(traces, valid):
+            reports.append(rolling.evaluate(traces, valid))
+            return reports[-1]
+
+        monkeypatch.setattr(training, "evaluate", recording)
+        train_ds, valid_ds = self.make_data()
+        grid = GridSpec("ann", {"n_neurons": (2, 4)}, lookbacks=(8,))
+        ranked = grid_search(grid, MlpConfig(n_layers=1, n_neurons=2, lookback=8), train_ds,
+                             valid_ds, IDENTITY, TrainConfig(batch_size=64, max_epochs=1))
+        scores = [r.models["ann"]["targets"]["top_oil"] for r in reports]
+        assert sorted((r.val_mae, r.val_mse) for r in ranked) == \
+            sorted((e["mae"], e["mse"]) for e in scores)
+
     def test_paper_grid_enumerates_27_trials(self):
         grid = GridSpec("ann", {"n_neurons": (32, 64, 128), "n_layers": (2, 4, 8)},
                         lookbacks=(24, 48, 96))
@@ -429,6 +447,12 @@ class TestFitDataset:
         b, rb = fit_dataset("ann", cfg, ds, IDENTITY, tc)
         assert ra.param_checksum == rb.param_checksum
         assert a.config_hash == b.config_hash
+
+    def test_config_of_another_family_rejected(self):
+        # it failed with an AttributeError on 'n_blocks'
+        with pytest.raises(ValueError, match="family 'tcn' needs a TcnConfig, got a MlpConfig"):
+            fit_dataset("tcn", MlpConfig(n_layers=1, n_neurons=4, lookback=6),
+                        make_dataset(80, seed=6), IDENTITY, TrainConfig(max_epochs=1))
 
     @pytest.mark.parametrize("family", ["ann", "tcn", "tide"])
     def test_trained_parameters_take_no_gradient(self, family, monkeypatch):
